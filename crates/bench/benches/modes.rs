@@ -34,7 +34,7 @@ fn bench_modes(b: &Bench) {
                     let n = eng.local_len();
                     eng.x_local_mut().copy_from_slice(&x[lo..lo + n]);
                     for _ in 0..10 {
-                        eng.spmv(mode);
+                        eng.spmv_checked(mode).expect("fault-free world");
                     }
                     eng.y_local()[0]
                 });

@@ -330,7 +330,8 @@ fn main() {
                 let x_local = x[lo..lo + n].to_vec();
                 let mut y = vec![0.0; n];
                 for _ in 0..3 {
-                    eng.apply(&x_local, &mut y, KernelMode::TaskMode);
+                    eng.apply_checked(&x_local, &mut y, KernelMode::TaskMode)
+                        .expect("fault-free world");
                 }
                 eng.take_trace().expect("tracing enabled")
             },

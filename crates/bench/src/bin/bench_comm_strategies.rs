@@ -59,11 +59,12 @@ fn bench_strategy(
                     // one counted exchange: phase_delta brackets the work
                     // in barriers so no rank races traffic into the
                     // world-global delta
-                    let (_, one) = eng.phase_delta(|e| e.halo_exchange());
+                    let (res, one) = eng.phase_delta(|e| e.halo_exchange_checked());
+                    res.expect("fault-free world");
                     eng.comm().barrier(); // snapshots done before timing
                     let t0 = Instant::now();
                     for _ in 0..iters {
-                        eng.halo_exchange();
+                        eng.halo_exchange_checked().expect("fault-free world");
                     }
                     eng.comm().barrier();
                     let secs = t0.elapsed().as_secs_f64() / iters as f64;

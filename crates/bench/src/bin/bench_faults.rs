@@ -51,11 +51,14 @@ fn bench_world<W: Fn() -> Vec<spmv_comm::Comm>>(
             for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
                 *v = (i % 97) as f64 * 0.013 + 1.0;
             }
-            eng.halo_exchange(); // warm the plan's persistent buffers
+            // warm the plan's persistent buffers
+            eng.halo_exchange_checked()
+                .expect("recoverable faults are hidden by the transport");
             eng.comm().barrier();
             let t0 = Instant::now();
             for _ in 0..iters {
-                eng.halo_exchange();
+                eng.halo_exchange_checked()
+                    .expect("recoverable faults are hidden by the transport");
             }
             eng.comm().barrier();
             let secs = t0.elapsed().as_secs_f64() / iters as f64;

@@ -44,11 +44,14 @@ fn one_rep(m: &CsrMatrix, ranks: usize, cfg: EngineConfig, iters: usize) -> f64 
         let n = eng.local_len();
         let x: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.013 + 1.0).collect();
         let mut y = vec![0.0; n];
-        eng.apply(&x, &mut y, KernelMode::TaskMode); // warm the plan
+        // warm the plan
+        eng.apply_checked(&x, &mut y, KernelMode::TaskMode)
+            .expect("fault-free world");
         eng.comm().barrier();
         let t0 = Instant::now();
         for _ in 0..iters {
-            eng.apply(&x, &mut y, KernelMode::TaskMode);
+            eng.apply_checked(&x, &mut y, KernelMode::TaskMode)
+                .expect("fault-free world");
         }
         eng.comm().barrier();
         t0.elapsed().as_secs_f64() / iters as f64
@@ -102,7 +105,8 @@ fn traced_run(
         let x: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.013 + 1.0).collect();
         let mut y = vec![0.0; n];
         for _ in 0..iters {
-            eng.apply(&x, &mut y, mode);
+            eng.apply_checked(&x, &mut y, mode)
+                .expect("fault-free world");
         }
         eng.take_trace().expect("tracing enabled")
     });

@@ -7,6 +7,7 @@
 use spmv_bench::{header, hmep, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
+use spmv_obs::Phase;
 use spmv_sim::{simulate_spmv, SimConfig};
 
 fn main() {
@@ -43,10 +44,8 @@ fn main() {
         print!("{}", trace.render_rank_ascii(0, width));
         println!(
             "rank 0 time in waitall: {:.1} µs, in compute: {:.1} µs",
-            // exact: "waitall" is one phase; "spmv" deliberately aggregates
-            // the whole spmv(...) family via the substring query
-            trace.time_in_exact(0, "waitall") * 1e6,
-            trace.time_in(0, "spmv") * 1e6
+            trace.time_in(0, Phase::Waitall) * 1e6,
+            trace.time_where(0, Phase::is_compute) * 1e6
         );
     }
 

@@ -79,19 +79,6 @@ fn load_matrix(path: &str) -> CsrMatrix {
     })
 }
 
-/// The phase vocabulary a three-mode traced run must exhibit; missing
-/// labels mean an instrumentation site regressed.
-const EXPECTED_LABELS: [&str; 8] = [
-    "gather",
-    "post recvs",
-    "send",
-    "waitall",
-    "spmv(local)",
-    "spmv(nonlocal)",
-    "spmv(full)",
-    "barrier",
-];
-
 /// Re-runs every kernel mode with tracing on, writes the merged chrome
 /// trace to `out`, and self-validates the export — the trace smoke job's
 /// contract. Panics (nonzero exit) when the JSON or the phase vocabulary
@@ -125,7 +112,8 @@ fn traced_runs(
             let x_local = x[lo..lo + n].to_vec();
             let mut y = vec![0.0; n];
             for _ in 0..3 {
-                eng.apply(&x_local, &mut y, mode);
+                eng.apply_checked(&x_local, &mut y, mode)
+                    .expect("fault-free world");
             }
             eng.take_trace().expect("tracing enabled")
         });
@@ -146,8 +134,15 @@ fn traced_runs(
 
     let merged = RunTrace::from_ranks(parts);
     assert!(!merged.events.is_empty(), "traced run produced no spans");
+    // the phase vocabulary of the three schedules; a missing label means
+    // an instrumentation site regressed
     let labels = merged.phase_labels();
-    for want in EXPECTED_LABELS {
+    let expected: std::collections::BTreeSet<&str> = KernelMode::ALL
+        .iter()
+        .flat_map(|m| m.lanes().iter().flat_map(|l| l.iter()))
+        .map(|s| s.phase().label())
+        .collect();
+    for &want in &expected {
         assert!(
             labels.contains(want),
             "trace lacks phase '{want}' — an instrumentation site regressed \
@@ -161,7 +156,7 @@ fn traced_runs(
         "  wrote {} spans to {out} (chrome://tracing JSON, validated, \
      all {} expected phase labels present)",
         merged.events.len(),
-        EXPECTED_LABELS.len()
+        expected.len()
     );
 
     // model drift: the socket-level roofline prediction vs what this host

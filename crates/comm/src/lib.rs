@@ -39,6 +39,9 @@
 //! dump. Every blocking operation has a checked (`try_*` / `*_timeout`)
 //! variant; see DESIGN.md §8 for the fault model.
 
+// library code states its invariants with `expect`, never a bare unwrap
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod collectives;
 pub mod error;
 pub mod fault;

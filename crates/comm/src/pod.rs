@@ -28,20 +28,14 @@
 /// the sealed numeric impls below have none.
 pub unsafe trait Pod: Copy + Send + 'static {}
 
-// SAFETY: all impls below are primitive numeric types — `Copy`, no drop
-// glue, no padding, and every bit pattern is a valid value.
-unsafe impl Pod for u8 {}
-unsafe impl Pod for u16 {}
-unsafe impl Pod for u32 {}
-unsafe impl Pod for u64 {}
-unsafe impl Pod for usize {}
-unsafe impl Pod for i8 {}
-unsafe impl Pod for i16 {}
-unsafe impl Pod for i32 {}
-unsafe impl Pod for i64 {}
-unsafe impl Pod for isize {}
-unsafe impl Pod for f32 {}
-unsafe impl Pod for f64 {}
+macro_rules! impl_pod {
+    ($($t:ty),*) => {$(
+        // SAFETY: a primitive numeric type — `Copy`, no drop glue, no
+        // padding, and every bit pattern is a valid value.
+        unsafe impl Pod for $t {}
+    )*};
+}
+impl_pod!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
 /// Reinterprets a slice of `T` as bytes.
 pub(crate) fn as_bytes<T: Pod>(data: &[T]) -> &[u8] {

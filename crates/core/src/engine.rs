@@ -1,166 +1,62 @@
-//! The per-rank execution engine: one object that can run a distributed
-//! SpMV in any of the paper's three kernel modes (Fig. 4).
+//! The per-rank execution engine: one object that runs a distributed SpMV
+//! in any of the paper's three kernel modes (Fig. 4).
 //!
 //! The engine owns the *extended RHS vector* `x_ext = [local | halo]`: the
-//! caller writes the local part ([`RankEngine::x_local_mut`]), the halo part
-//! is filled by communication during [`RankEngine::spmv`], and the result
-//! appears in [`RankEngine::y_local`]. This mirrors how production SpMV
-//! codes lay out the RHS so the unsplit kernel can run over one contiguous
-//! vector.
+//! caller writes the local part ([`RankEngine::x_local_mut`]), the halo is
+//! filled by communication, and the result appears in
+//! [`RankEngine::y_local`] — so the unsplit kernel runs over one vector.
 //!
-//! ## Threading
-//!
-//! With `compute_threads = C` and an optional dedicated communication
-//! thread, the engine owns a persistent [`ThreadTeam`]:
-//!
-//! * vector modes use the team's threads for gather and compute regions,
-//!   with all communication issued between regions by the calling thread —
-//!   the "vector mode" structure where communication never overlaps
-//!   computation;
-//! * task mode runs one team region for the whole kernel: thread 0 executes
-//!   MPI calls only, threads `1..=C` gather / compute, synchronized by two
-//!   explicit barriers exactly as in Fig. 4c.
-//!
-//! Work distribution is explicit — contiguous, nonzero-balanced row chunks
-//! per compute thread — because "the standard OpenMP loop worksharing
-//! directive cannot be used, since there is no concept of 'subteams' in the
-//! current OpenMP standard" (§3.2).
+//! The engine has no per-mode code: it interprets the mode's step lists
+//! ([`KernelMode::lanes`]) one step at a time, stamping a trace span per
+//! step, with communication behind the strategy-blind `HaloExchange`. A
+//! one-lane (vector mode) schedule runs on the calling thread, each gather
+//! or compute step one region of the persistent [`ThreadTeam`]; a two-lane
+//! (task mode) schedule is one region in which thread 0 runs the
+//! communication lane and threads `1..=C` the compute lane. Rows are split
+//! explicitly into nonzero-balanced chunks: OpenMP has "no concept of
+//! 'subteams'" (§3.2).
 
+use crate::exchange::{HaloExchange, Pending};
 use crate::gather::GatherProgram;
 use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
-use crate::modes::KernelMode;
+use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
-use crate::plan::{
-    build_node_aware_distributed, build_plan_distributed, CommTraffic, NodeAwarePlan, RankPlan,
-};
+use crate::plan::{build_plan_distributed, CommTraffic, RankPlan};
 use crate::split::SplitMatrix;
-use spmv_comm::{Comm, CommError, CommStats, Request, Tag};
-use spmv_machine::RankNodeMap;
+use spmv_comm::{Comm, CommError, CommStats};
 use spmv_matrix::CsrMatrix;
-use spmv_obs::{Phase, RankTrace, TraceSink};
+use spmv_obs::{RankTrace, TraceSink};
 use spmv_smp::workshare::balanced_chunks;
-use spmv_smp::ThreadTeam;
+use spmv_smp::{TeamCtx, ThreadTeam};
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-/// Tag used for direct halo-exchange messages.
-pub(crate) const TAG_HALO: Tag = 17;
-/// Tag for member → leader shipments (node-aware phase 1).
-pub(crate) const TAG_SHIP: Tag = 18;
-/// Tag for leader → leader aggregated wire messages (phase 2).
-pub(crate) const TAG_WIRE: Tag = 19;
-/// Tag base for leader → member forwarded halo slices (phase 3); the
-/// source node id is added so slices from different nodes never collide.
-pub(crate) const TAG_FWD_BASE: Tag = 1024;
-
-/// How the halo exchange is routed (see [`crate::plan::NodeAwarePlan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommStrategy {
-    /// Every rank messages every neighbour directly (the paper's scheme).
-    #[default]
-    Flat,
-    /// Inter-node traffic is aggregated through one leader rank per node
-    /// (Bienz et al.), assuming a contiguous block placement of
-    /// `ranks_per_node` ranks per node.
-    NodeAware {
-        /// Ranks hosted per node (the last node may hold fewer).
-        ranks_per_node: usize,
-    },
-}
-
-impl CommStrategy {
-    /// Parses a `--comm-strategy` CLI value (`flat` | `node-aware`).
-    pub fn parse(s: &str, ranks_per_node: usize) -> Option<Self> {
-        match s {
-            "flat" => Some(CommStrategy::Flat),
-            "node-aware" | "node_aware" | "nodeaware" => {
-                Some(CommStrategy::NodeAware { ranks_per_node })
-            }
-            _ => None,
-        }
-    }
-
-    /// Short label for experiment output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CommStrategy::Flat => "flat",
-            CommStrategy::NodeAware { .. } => "node-aware",
-        }
-    }
-
-    /// Reads the `SPMV_COMM_STRATEGY` environment variable — `flat`,
-    /// `node-aware`, or `node-aware:<ranks_per_node>` (default 4 per node).
-    /// The [`EngineConfig`] constructors consult it, so a CI matrix can
-    /// steer every default-configured engine in the test suite without
-    /// touching call sites. Unset or unparsable values mean "no override".
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("SPMV_COMM_STRATEGY").ok()?;
-        match v.split_once(':') {
-            Some((name, rpn)) => Self::parse(name, rpn.parse().ok()?),
-            None => Self::parse(&v, 4),
-        }
-    }
-
-    /// The rank → node map this strategy implies for a world of `size`.
-    pub fn rank_node_map(&self, size: usize) -> RankNodeMap {
-        match self {
-            CommStrategy::Flat => RankNodeMap::contiguous(size, 1),
-            CommStrategy::NodeAware { ranks_per_node } => {
-                RankNodeMap::contiguous(size, *ranks_per_node)
-            }
-        }
-    }
-}
-
-/// What the engine does when the fault plan marks a node-aware leader
-/// rank as degraded (injected dead) before construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedPolicy {
-    /// Keep the configured strategy; a dead leader will surface as
-    /// [`CommError::PeerDead`] on the checked paths (or a panic on the
-    /// infallible ones).
-    #[default]
-    Strict,
-    /// Fall back to the flat exchange when any leader rank is degraded.
-    /// The decision is a pure function of the fault plan, so every rank
-    /// takes the same branch and the engines stay collectively consistent.
-    FallbackToFlat,
-}
+pub use crate::exchange::{CommStrategy, DegradedPolicy};
 
 /// Threading configuration of one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of compute threads (`>= 1`).
     pub compute_threads: usize,
-    /// Whether to provision a dedicated communication thread (required for
-    /// [`KernelMode::TaskMode`]).
+    /// Whether to add a communication thread ([`KernelMode::TaskMode`]).
     pub comm_thread: bool,
-    /// Node-level kernel run by all modes (see [`crate::kernels`]). The
-    /// engine prepares one kernel per split matrix (full / local /
-    /// non-local) at construction; `Auto` autotunes on the full matrix and
-    /// reuses the winning kind for the split parts.
+    /// Node-level kernel run by all modes (see [`crate::kernels`]); `Auto`
+    /// autotunes on the full matrix and reuses the winner for the parts.
     pub kernel: KernelKind,
-    /// Halo-exchange routing (flat point-to-point vs node-aware
-    /// aggregation). Defaults to the `SPMV_COMM_STRATEGY` environment
-    /// variable when set (see [`CommStrategy::from_env`]), flat otherwise.
+    /// Halo-exchange routing; defaults to [`CommStrategy::from_env`], else
+    /// flat.
     pub comm_strategy: CommStrategy,
     /// Reaction to a degraded (injected-dead) node-aware leader rank.
     pub degraded: DegradedPolicy,
     /// Measured-time tracing (see `spmv-obs`). Zero-cost when false: the
-    /// engine carries no recorder and every instrumentation site is a
-    /// branch on a missing `Option` (the fault injector's contract,
-    /// measured by `bench_trace`). Defaults to on when the `SPMV_TRACE`
+    /// engine carries no recorder. Defaults to on when the `SPMV_TRACE`
     /// environment variable is set, mirroring `SPMV_COMM_STRATEGY`.
     pub tracing: bool,
-    /// Static communication-plan verification at construction (see
-    /// [`crate::verify`]): every rank contributes its plan to a collective
-    /// allgather and checks the whole world's message graph for matching,
-    /// byte-count, tag-uniqueness, ownership, and deadlock defects before
-    /// the first exchange runs. Defaults to **on in debug builds** and off
-    /// in release (opt back in with [`EngineConfig::with_verification`]).
-    /// Skipped automatically when the world carries a fault plan — the
-    /// verifier proves the healthy schedule; chaos runs are *supposed* to
-    /// violate it.
+    /// Static communication-plan verification at construction (a
+    /// collective check of the whole world's message graph, see
+    /// [`crate::verify`]). Defaults to **on in debug builds** and off in
+    /// release. Skipped when the world carries a fault plan: the verifier
+    /// proves the healthy schedule, chaos runs are *supposed* to violate it.
     pub verification: bool,
 }
 
@@ -193,8 +89,7 @@ impl EngineConfig {
     }
 
     /// Hybrid rank with `c` compute threads plus a communication thread
-    /// (task mode capable; also runs vector modes, leaving the comm thread
-    /// idle there).
+    /// (runs every mode; vector modes leave the comm thread idle).
     pub fn task_mode(c: usize) -> Self {
         Self {
             compute_threads: c,
@@ -226,8 +121,7 @@ impl EngineConfig {
         Self { tracing, ..self }
     }
 
-    /// Returns the config with construction-time plan verification
-    /// switched on or off (debug builds default to on).
+    /// Returns the config with construction-time plan verification.
     pub fn with_verification(self, verification: bool) -> Self {
         Self {
             verification,
@@ -236,106 +130,65 @@ impl EngineConfig {
     }
 }
 
-/// Raw pointer wrapper for disjoint multi-threaded writes.
+/// The engine's vectors for the duration of one SpMV, as raw parts: task
+/// mode's lanes use disjoint parts of them concurrently. Every hand-off
+/// between steps is ordered by the schedule (checked by the `modes`
+/// tests): the halo is read only after the waitall that fills it, the send
+/// buffer is sent only after the gather that fills it, and the local part
+/// of `x` is never written during an SpMV.
+struct Bufs {
+    x: *mut f64,
+    nloc: usize,
+    nhalo: usize,
+    send: *mut f64,
+    nsend: usize,
+    y: *mut f64,
+}
+// SAFETY: the vectors outlive the SpMV call holding the pointers, and
+// concurrent users touch disjoint parts in schedule order (see above).
+unsafe impl Sync for Bufs {}
+
+impl Bufs {
+    /// `x_ext[r]`.
+    ///
+    /// # Safety
+    /// A range reaching into the halo only after the waitall that
+    /// completes it (in the same lane, or behind the barrier after it).
+    unsafe fn x(&self, r: Range<usize>) -> &[f64] {
+        debug_assert!(r.start <= r.end && r.end <= self.nloc + self.nhalo);
+        // SAFETY: in bounds; the caller orders halo reads after every
+        // halo write, and nothing writes the local part during an SpMV.
+        unsafe { std::slice::from_raw_parts(self.x.add(r.start), r.len()) }
+    }
+
+    /// # Safety
+    /// Only from the communication lane, which holds it until its waitall.
+    #[allow(clippy::mut_from_ref)] // exclusive by schedule, not by borrow
+    unsafe fn halo_mut(&self) -> &mut [f64] {
+        // SAFETY: the halo follows the local part; the caller is its only
+        // user until the waitall.
+        unsafe { std::slice::from_raw_parts_mut(self.x.add(self.nloc), self.nhalo) }
+    }
+
+    /// # Safety
+    /// Only after the gather (in the same lane, or behind a barrier).
+    unsafe fn send_buf(&self) -> &[f64] {
+        // SAFETY: the caller orders this after every gather write.
+        unsafe { std::slice::from_raw_parts(self.send, self.nsend) }
+    }
+}
+
+/// Where a lane runs.
 #[derive(Clone, Copy)]
-struct MutPtr(*mut f64);
-// SAFETY: the pointer targets a caller-owned slice that outlives the team
-// region, and every user writes a disjoint row range (enforced by the
-// chunk partition), so cross-thread sharing cannot alias.
-unsafe impl Send for MutPtr {}
-unsafe impl Sync for MutPtr {}
-impl MutPtr {
-    /// The raw pointer (avoids closure field-capture of the `*mut`).
-    #[inline]
-    fn raw(&self) -> *mut f64 {
-        self.0
-    }
+enum At<'a, 'b> {
+    /// On the calling thread, gather and compute steps one team region each.
+    Caller,
+    /// As thread `tid` of task mode's region (compute thread `tid - 1`).
+    Thread(&'a TeamCtx<'b>),
 }
 
-/// Raw pointer to the engine's exchange state, handed to the task-mode
-/// communication thread (thread 0 is its only user inside the region).
-#[derive(Clone, Copy)]
-struct ExchangePtr(*mut Exchange);
-// SAFETY: the Exchange outlives the team region that receives the pointer,
-// and only thread 0 (the dedicated comm thread) dereferences it inside
-// that region, so there is never a concurrent second user.
-unsafe impl Send for ExchangePtr {}
-unsafe impl Sync for ExchangePtr {}
-impl ExchangePtr {
-    /// The raw pointer (avoids closure field-capture of the `*mut`).
-    #[inline]
-    fn raw(&self) -> *mut Exchange {
-        self.0
-    }
-}
-
-/// Timestamp for a phase about to run — free when tracing is off (the
-/// clock is only read when a recorder exists).
-#[inline]
-fn tnow(trace: Option<&TraceSink>) -> f64 {
-    match trace {
-        Some(ts) => ts.now(),
-        None => 0.0,
-    }
-}
-
-/// Closes a span opened at `t0` (via [`tnow`]) and records it; a no-op
-/// without a recorder.
-#[inline]
-fn rec(trace: Option<&TraceSink>, lane: usize, phase: Phase, t0: f64, bytes: u64, nnz: u64) {
-    if let Some(ts) = trace {
-        ts.record(lane, phase, t0, ts.now(), bytes, nnz);
-    }
-}
-
-/// Nonzeros of a contiguous row chunk (for kernel-span annotations).
-#[inline]
-fn chunk_nnz(mat: &CsrMatrix, r: &Range<usize>) -> u64 {
-    (mat.row_ptr()[r.end] - mat.row_ptr()[r.start]) as u64
-}
-
-/// Per-strategy runtime state of the halo exchange.
-enum Exchange {
-    Flat,
-    NodeAware(Box<NodeAwareState>),
-}
-
-/// Persistent node-aware buffers: preallocated once, reused every
-/// exchange — the steady state allocates no payload memory.
-struct NodeAwareState {
-    plan: NodeAwarePlan,
-    /// Leader: per member slot, buffer for the member's shipment (the
-    /// leader's own slot stays empty — its data is read in place).
-    ship_bufs: Vec<Vec<f64>>,
-    /// Leader: one assembly buffer per outgoing wire message.
-    wire_out_bufs: Vec<Vec<f64>>,
-    /// Leader: one landing buffer per incoming wire message.
-    wire_in_bufs: Vec<Vec<f64>>,
-}
-
-impl NodeAwareState {
-    fn new(plan: NodeAwarePlan) -> Self {
-        let me = plan.flat.rank;
-        let (ship_bufs, wire_out_bufs, wire_in_bufs) = match &plan.leader {
-            Some(lp) => (
-                lp.members
-                    .iter()
-                    .zip(&lp.ship_lens)
-                    .map(|(&r, &l)| vec![0.0; if r == me { 0 } else { l }])
-                    .collect(),
-                lp.wire_out.iter().map(|w| vec![0.0; w.len]).collect(),
-                lp.wire_in.iter().map(|w| vec![0.0; w.len]).collect(),
-            ),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        Self {
-            plan,
-            ship_bufs,
-            wire_out_bufs,
-            wire_in_bufs,
-        }
-    }
-}
+/// A prepared node-level kernel and its per-thread row chunks.
+type PartKernel = (Box<dyn SpmvKernel>, Vec<Range<usize>>);
 
 /// The per-rank engine.
 pub struct RankEngine {
@@ -344,140 +197,57 @@ pub struct RankEngine {
     mats: SplitMatrix,
     cfg: EngineConfig,
     team: Option<ThreadTeam>,
-    // buffers
     x_ext: Vec<f64>,
     y: Vec<f64>,
     send_buf: Vec<f64>,
-    // run-length-compressed gather program (strategy-ordered) and its
-    // per-compute-thread run ranges
-    gather_prog: GatherProgram,
-    gather_chunks: Vec<Range<usize>>,
-    // per-neighbour segment offsets (flat strategy), precomputed once
-    send_offsets: Vec<usize>,
-    halo_offsets: Vec<usize>,
-    // strategy-specific exchange state
-    exchange: Exchange,
-    // per-thread contiguous nonzero-balanced row chunks
-    full_chunks: Vec<Range<usize>>,
-    local_chunks: Vec<Range<usize>>,
-    nonlocal_chunks: Vec<Range<usize>>,
-    // prepared node-level kernels, one per split matrix
-    kern_full: Box<dyn SpmvKernel>,
-    kern_local: Box<dyn SpmvKernel>,
-    kern_nonlocal: Box<dyn SpmvKernel>,
-    // counters
+    exchange: HaloExchange,
+    // prepared kernels for the full, local and non-local parts
+    kernels: [PartKernel; 3],
     spmv_calls: u64,
     // measured-time recorder (None unless cfg.tracing; see spmv-obs)
     trace: Option<Box<TraceSink>>,
 }
 
 impl RankEngine {
-    /// Builds the engine collectively: all ranks of `comm` must call this
-    /// with their own row block (global column indices) and the shared
-    /// partition. Exchanges the communication plan, splits the matrix, and
-    /// spawns the thread team.
-    pub fn new(
-        comm: Comm,
-        block: &CsrMatrix,
-        partition: &RowPartition,
-        mut cfg: EngineConfig,
-    ) -> Self {
+    /// Builds the engine collectively: every rank of `comm` passes its own
+    /// row block (global column indices) and the shared partition.
+    pub fn new(comm: Comm, block: &CsrMatrix, partition: &RowPartition, cfg: EngineConfig) -> Self {
         assert!(cfg.compute_threads >= 1, "need at least one compute thread");
-        // Degraded-leader fallback: when the fault plan marks a would-be
-        // node leader dead and the policy allows it, build the flat
-        // exchange instead. The check reads only the (identical) plan, so
-        // every rank demotes — or none does — keeping construction
-        // collective.
-        if matches!(cfg.comm_strategy, CommStrategy::NodeAware { .. })
-            && cfg.degraded == DegradedPolicy::FallbackToFlat
-            && Self::any_leader_degraded(&comm, cfg.comm_strategy)
-        {
-            cfg.comm_strategy = CommStrategy::Flat;
-        }
+        let strategy = cfg.comm_strategy.resolve(&comm, cfg.degraded);
         let plan = build_plan_distributed(&comm, block, partition);
-        // Static plan verification (collective): prove the whole world's
-        // exchange schedule sound — matching, byte counts, tag uniqueness,
-        // ownership, deadlock-freedom — before any halo payload moves.
-        // Worlds with an attached fault plan skip it: the verifier proves
-        // the healthy schedule, and chaos runs exist to violate it.
+        // prove the world's exchange schedule sound before any halo payload
+        // moves (collective; chaos worlds exist to violate it)
         if cfg.verification && comm.fault_stats().is_none() {
-            let map = match cfg.comm_strategy {
-                CommStrategy::Flat => None,
-                CommStrategy::NodeAware { .. } => {
-                    Some(cfg.comm_strategy.rank_node_map(comm.size()))
-                }
-            };
-            if let Err(violations) = crate::verify::verify_distributed(&comm, &plan, map.as_ref()) {
-                let list: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-                panic!(
-                    "communication-plan verification failed on rank {} ({} violation(s)):\n  {}",
-                    comm.rank(),
-                    violations.len(),
-                    list.join("\n  ")
-                );
-            }
+            let map = strategy.verified_node_map(comm.size());
+            crate::verify::assert_verified(&comm, &plan, map.as_ref());
         }
         let mats = SplitMatrix::build(block, &plan);
-        let nloc = plan.local_len;
-        let halo_len = plan.halo_len();
-
-        let mut gather_indices = Vec::with_capacity(plan.send_len());
-        let mut send_offsets = Vec::with_capacity(plan.send.len() + 1);
-        send_offsets.push(0);
-        for n in &plan.send {
-            gather_indices.extend_from_slice(&n.indices);
-            send_offsets.push(gather_indices.len());
-        }
-
-        // Node-aware strategy: build the hierarchical plan (collective) and
-        // gather in its [intra | ship] send-buffer order instead.
-        let exchange = match cfg.comm_strategy {
-            CommStrategy::Flat => Exchange::Flat,
-            CommStrategy::NodeAware { .. } => {
-                let map = cfg.comm_strategy.rank_node_map(comm.size());
-                let na = build_node_aware_distributed(&comm, plan.clone(), &map);
-                Exchange::NodeAware(Box::new(NodeAwareState::new(na)))
-            }
-        };
-        let gather_prog = match &exchange {
-            Exchange::Flat => GatherProgram::compile(&gather_indices),
-            Exchange::NodeAware(st) => GatherProgram::compile(&st.plan.gather_indices),
-        };
-
-        let team_size = cfg.compute_threads + usize::from(cfg.comm_thread);
-        let team = if team_size > 1 {
-            Some(ThreadTeam::new(team_size))
-        } else {
-            None
-        };
-
-        // Prepare one kernel per split matrix. Autotune resolves on the
-        // full matrix (the representative workload); the winning kind is
-        // reused for the split parts so all phases run the same code shape.
-        let kern_full = prepare_kernel(cfg.kernel, &mats.full);
-        let resolved = kern_full.kind();
-        let kern_local = prepare_kernel(resolved, &mats.local);
-        let kern_nonlocal = prepare_kernel(resolved, &mats.nonlocal);
-
         let c = cfg.compute_threads;
+        let exchange = HaloExchange::new(&comm, &plan, strategy, c);
+
+        let team_size = c + usize::from(cfg.comm_thread);
+        let team = (team_size > 1).then(|| ThreadTeam::new(team_size));
+
+        // autotune on the full matrix; the split parts reuse the winner so
+        // every phase runs the same code shape
+        let full = prepare_kernel(cfg.kernel, &mats.full);
+        let kind = full.kind();
+        let part = |kern, m: &CsrMatrix| (kern, balanced_chunks(m.row_ptr(), c));
+        let kernels = [
+            part(full, &mats.full),
+            part(prepare_kernel(kind, &mats.local), &mats.local),
+            part(prepare_kernel(kind, &mats.nonlocal), &mats.nonlocal),
+        ];
+
         let trace = cfg
             .tracing
             .then(|| Box::new(TraceSink::new(comm.rank(), c)));
         Self {
             trace,
-            kern_full,
-            kern_local,
-            kern_nonlocal,
-            halo_offsets: plan.halo_offsets(),
-            full_chunks: balanced_chunks(mats.full.row_ptr(), c),
-            local_chunks: balanced_chunks(mats.local.row_ptr(), c),
-            nonlocal_chunks: balanced_chunks(mats.nonlocal.row_ptr(), c),
-            x_ext: vec![0.0; nloc + halo_len],
-            y: vec![0.0; nloc],
-            send_buf: vec![0.0; gather_indices.len()],
-            gather_chunks: gather_prog.thread_run_ranges(c),
-            gather_prog,
-            send_offsets,
+            kernels,
+            x_ext: vec![0.0; plan.local_len + plan.halo_len()],
+            y: vec![0.0; plan.local_len],
+            send_buf: vec![0.0; plan.send_len()],
             exchange,
             comm,
             plan,
@@ -488,44 +258,16 @@ impl RankEngine {
         }
     }
 
-    /// True when the fault plan degrades any leader rank the strategy's
-    /// node map would elect (the first rank of each node).
-    fn any_leader_degraded(comm: &Comm, strategy: CommStrategy) -> bool {
-        let map = strategy.rank_node_map(comm.size());
-        let mut prev_node = None;
-        (0..comm.size()).any(|r| {
-            let node = map.node_of(r);
-            let is_leader = prev_node != Some(node);
-            prev_node = Some(node);
-            is_leader && comm.is_degraded(r)
-        })
-    }
-
-    /// The halo-exchange strategy actually in effect — differs from the
-    /// requested one after a degraded-leader fallback or
-    /// [`Self::demote_to_flat`].
+    /// The halo-exchange strategy in effect (flat after a degraded-leader
+    /// fallback or [`Self::demote_to_flat`]).
     pub fn active_strategy(&self) -> CommStrategy {
-        self.cfg.comm_strategy
+        self.exchange.strategy()
     }
 
-    /// Collectively demotes a node-aware engine to the flat exchange
-    /// mid-run (all ranks must call this at the same point; the call
-    /// itself performs no communication). The flat gather order is a
-    /// permutation of the node-aware one, so the persistent send buffer
-    /// is reused as-is. No-op on an already-flat engine.
+    /// Demotes a node-aware engine to the flat exchange mid-run: collective
+    /// (every rank at the same point), but no communication.
     pub fn demote_to_flat(&mut self) {
-        if matches!(self.exchange, Exchange::Flat) {
-            return;
-        }
-        let mut gather_indices = Vec::with_capacity(self.plan.send_len());
-        for n in &self.plan.send {
-            gather_indices.extend_from_slice(&n.indices);
-        }
-        debug_assert_eq!(gather_indices.len(), self.send_buf.len());
-        self.gather_prog = GatherProgram::compile(&gather_indices);
-        self.gather_chunks = self.gather_prog.thread_run_ranges(self.cfg.compute_threads);
-        self.exchange = Exchange::Flat;
-        self.cfg.comm_strategy = CommStrategy::Flat;
+        self.exchange.demote_to_flat(&self.plan, self.comm.size());
     }
 
     /// Number of locally owned rows.
@@ -553,9 +295,9 @@ impl RankEngine {
         &self.comm
     }
 
-    /// The threading configuration.
+    /// The threading configuration, with the strategy in effect.
     pub fn config(&self) -> EngineConfig {
-        self.cfg
+        self.cfg.with_comm_strategy(self.active_strategy())
     }
 
     /// Mutable access to the local part of the RHS vector.
@@ -568,7 +310,7 @@ impl RankEngine {
         &self.x_ext[..self.plan.local_len]
     }
 
-    /// The local part of the result vector (valid after [`Self::spmv`]).
+    /// The local part of the result vector.
     pub fn y_local(&self) -> &[f64] {
         &self.y
     }
@@ -584,17 +326,14 @@ impl RankEngine {
         self.spmv_calls
     }
 
-    /// The measured-time trace sink, when tracing is enabled (solvers use
-    /// it to add iteration spans on the dedicated solver lane).
+    /// The trace sink, when tracing is on (solvers add iteration spans).
     pub fn trace_sink(&self) -> Option<&TraceSink> {
         self.trace.as_deref()
     }
 
-    /// Drains the recorder into this rank's measured trace, stamping the
-    /// injected faults that originated here and this rank's entry of any
-    /// watchdog stall report as typed events. Returns `None` when tracing
-    /// is disabled; the recorder is reset, so traces of successive
-    /// measured regions don't bleed into each other.
+    /// Drains (and resets) the recorder into this rank's measured trace,
+    /// stamped with the faults injected here and any watchdog stall report;
+    /// `None` when tracing is disabled.
     pub fn take_trace(&mut self) -> Option<RankTrace> {
         let ts = self.trace.as_deref()?;
         let mut rt = ts.drain();
@@ -605,12 +344,9 @@ impl RankEngine {
         Some(rt)
     }
 
-    /// Collective snapshot-diffing helper: runs `f` bracketed by barriers
-    /// and returns its result together with the world-global traffic delta
-    /// of exactly that phase. Encapsulates the barrier / snapshot /
-    /// barrier / work / barrier / diff dance the benches used to hand-roll
-    /// (the counters are world-global, so the barriers keep every rank's
-    /// traffic out of each other's phase).
+    /// Collective: runs `f` bracketed by barriers and returns its result with
+    /// the world-global traffic delta of exactly that phase (the barriers
+    /// keep every rank's traffic out of each other's phase).
     pub fn phase_delta<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, CommStats) {
         self.comm.barrier();
         let base = self.comm.stats().snapshot();
@@ -621,47 +357,28 @@ impl RankEngine {
         (r, delta)
     }
 
-    /// Executes one distributed SpMV `y = A x` in the given mode. All ranks
-    /// must call this collectively with the same mode.
+    /// Executes one distributed SpMV `y = A x` in `mode`, collectively. A
+    /// communication fault (peer killed, world poisoned by the watchdog,
+    /// truncated message) returns `Err`; `y` is then unspecified, but the
+    /// engine stays valid and can retry once the fault clears.
     ///
     /// # Panics
-    /// Panics on a communication fault — use [`Self::spmv_checked`] to get
-    /// the typed [`CommError`] instead.
-    pub fn spmv(&mut self, mode: KernelMode) {
-        if let Err(e) = self.spmv_checked(mode) {
-            panic!("spmv: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::spmv`]: the same collective SpMV, but a
-    /// communication fault (peer killed, world poisoned by the watchdog,
-    /// truncated message) surfaces as `Err(CommError)` instead of a panic.
-    /// On error the result vector is unspecified; the engine itself stays
-    /// structurally valid and can retry once the fault clears.
+    /// Task mode on an engine without a communication thread.
     pub fn spmv_checked(&mut self, mode: KernelMode) -> Result<(), CommError> {
-        if mode.needs_comm_thread() {
-            assert!(
-                self.cfg.comm_thread,
-                "task mode requires an engine configured with a communication thread"
-            );
-        }
+        assert!(
+            !mode.needs_comm_thread() || self.cfg.comm_thread,
+            "task mode requires an engine configured with a communication thread"
+        );
         self.spmv_calls += 1;
-        match mode {
-            KernelMode::VectorNoOverlap => self.vector_no_overlap(),
-            KernelMode::VectorNaiveOverlap => self.vector_naive_overlap(),
-            KernelMode::TaskMode => self.task_mode(),
+        let bufs = self.bufs();
+        match mode.lanes() {
+            [lane] => self.run_lane(lane.iter().copied(), &bufs, At::Caller),
+            lanes => self.run_team(lanes, &bufs),
         }
     }
 
-    /// Convenience wrapper copying `x` in and `y` out (costs two extra
-    /// vector copies; iterative solvers should use the in-place API).
-    pub fn apply(&mut self, x: &[f64], y: &mut [f64], mode: KernelMode) {
-        if let Err(e) = self.apply_checked(x, y, mode) {
-            panic!("apply: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::apply`].
+    /// [`Self::spmv_checked`] with `x` copied in and `y` out (two extra
+    /// copies; iterative solvers should use the in-place API).
     pub fn apply_checked(
         &mut self,
         x: &[f64],
@@ -676,233 +393,23 @@ impl RankEngine {
         Ok(())
     }
 
-    // -- gather + exchange ---------------------------------------------------
-
-    /// Issues all halo receives, returning the requests. Splits the halo
-    /// region of `x_ext` into per-neighbour segments.
-    fn post_receives<'a>(
-        comm: &Comm,
-        plan: &RankPlan,
-        halo_offsets: &[usize],
-        halo: &'a mut [f64],
-    ) -> Vec<Request<'a>> {
-        let mut reqs = Vec::with_capacity(plan.recv.len());
-        let mut rest = halo;
-        let mut consumed = 0usize;
-        for (k, n) in plan.recv.iter().enumerate() {
-            let seg_len = halo_offsets[k + 1] - halo_offsets[k];
-            debug_assert_eq!(halo_offsets[k], consumed);
-            let (seg, tail) = rest.split_at_mut(seg_len);
-            reqs.push(comm.irecv(n.peer, TAG_HALO, seg));
-            rest = tail;
-            consumed += seg_len;
-        }
-        reqs
+    /// Runs the gather and halo exchange alone, collectively: the Fig. 4a
+    /// schedule without its compute step (for timing the exchange).
+    pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
+        let bufs = self.bufs();
+        let lane = KernelMode::VectorNoOverlap.lanes()[0].iter().copied();
+        let exchange = lane.filter(|s| !matches!(s, Step::Compute(_)));
+        self.run_lane(exchange, &bufs, At::Caller)
     }
 
-    /// Issues all halo sends, borrowing the persistent send buffer
-    /// (rendezvous, no payload copy). The returned requests must be waited
-    /// *after* the matching receives have been waited somewhere. On error
-    /// the already-posted requests are dropped (their cleanup is
-    /// poison-aware).
-    fn post_sends<'a>(
-        comm: &Comm,
-        plan: &RankPlan,
-        send_offsets: &[usize],
-        send_buf: &'a [f64],
-    ) -> Result<Vec<Request<'a>>, CommError> {
-        let mut reqs = Vec::with_capacity(plan.send.len());
-        for (k, n) in plan.send.iter().enumerate() {
-            let seg = &send_buf[send_offsets[k]..send_offsets[k + 1]];
-            reqs.push(comm.try_isend_ref(n.peer, TAG_HALO, seg)?);
-        }
-        Ok(reqs)
-    }
-
-    /// Runs the compiled gather program into the send buffer (parallel when
-    /// a team exists; compute threads only).
-    fn gather_into(
-        team: &Option<ThreadTeam>,
-        c: usize,
-        prog: &GatherProgram,
-        chunks: &[Range<usize>],
-        x_loc: &[f64],
-        send_buf: &mut [f64],
-    ) {
-        match team {
-            Some(team) => {
-                let sp = MutPtr(send_buf.as_mut_ptr());
-                team.run(|ctx| {
-                    if ctx.tid >= c {
-                        return; // idle comm thread in vector modes
-                    }
-                    // SAFETY: disjoint run ranges → disjoint destinations.
-                    unsafe { prog.execute_runs_raw(chunks[ctx.tid].clone(), x_loc, sp.raw()) };
-                });
-            }
-            None => prog.execute(x_loc, send_buf),
-        }
-    }
-
-    /// Phase 1 of the node-aware exchange: direct intra-node sends plus the
-    /// non-leader's single shipment to its leader.
-    fn na_begin<'a>(
-        comm: &Comm,
-        na: &NodeAwarePlan,
-        send_buf: &'a [f64],
-    ) -> Result<Vec<Request<'a>>, CommError> {
-        let mut reqs = Vec::with_capacity(na.intra_send.len() + 1);
-        for (peer, r) in &na.intra_send {
-            reqs.push(comm.try_isend_ref(*peer, TAG_HALO, &send_buf[r.clone()])?);
-        }
-        if !na.is_leader() && !na.ship_range.is_empty() {
-            reqs.push(comm.try_isend_ref(
-                na.leader_rank,
-                TAG_SHIP,
-                &send_buf[na.ship_range.clone()],
-            )?);
-        }
-        Ok(reqs)
-    }
-
-    /// Phases 2–3 of the node-aware exchange. Leaders collect member
-    /// shipments, assemble and exchange the aggregated wire messages, and
-    /// forward per-member slices; every rank then lands its intra-node
-    /// segments and (non-leaders) the forwarded node segments in its halo.
-    ///
-    /// Deadlock-free: all sends are posted (rendezvous-visible) before any
-    /// rank blocks, and the blocking chain shipments → wires → forwards is
-    /// acyclic.
-    #[allow(clippy::too_many_arguments)]
-    fn na_finish<'a>(
-        comm: &Comm,
-        na: &NodeAwarePlan,
-        ship_bufs: &mut [Vec<f64>],
-        wire_out_bufs: &'a mut [Vec<f64>],
-        wire_in_bufs: &'a mut [Vec<f64>],
-        send_buf: &'a [f64],
-        halo: &mut [f64],
-        mut reqs: Vec<Request<'a>>,
-    ) -> Result<(), CommError> {
-        if let Some(lp) = &na.leader {
-            let my_slot = na.flat.rank - lp.members[0];
-            // collect member shipments (their sends are already posted)
-            for (slot, &member) in lp.members.iter().enumerate() {
-                if slot != my_slot && lp.ship_lens[slot] > 0 {
-                    comm.try_recv(member, TAG_SHIP, &mut ship_bufs[slot])?;
-                }
-            }
-            // assemble one wire message per destination node; the leader's
-            // own contribution is read in place from its send buffer
-            let my_ship = &send_buf[na.ship_range.clone()];
-            for (w, buf) in lp.wire_out.iter().zip(wire_out_bufs.iter_mut()) {
-                let mut off = 0usize;
-                for ch in &w.chunks {
-                    let src = if ch.slot == my_slot {
-                        my_ship
-                    } else {
-                        &ship_bufs[ch.slot]
-                    };
-                    buf[off..off + ch.len].copy_from_slice(&src[ch.src_off..ch.src_off + ch.len]);
-                    off += ch.len;
-                }
-                debug_assert_eq!(off, w.len);
-            }
-            let wob: &'a [Vec<f64>] = wire_out_bufs;
-            for (w, buf) in lp.wire_out.iter().zip(wob) {
-                reqs.push(comm.try_isend_ref(w.dest_leader, TAG_WIRE, buf)?);
-            }
-            // receive the aggregated wires from peer leaders
-            for (w, buf) in lp.wire_in.iter().zip(wire_in_bufs.iter_mut()) {
-                comm.try_recv(w.src_leader, TAG_WIRE, buf)?;
-            }
-            // cut each wire into contiguous per-member slices and forward;
-            // the leader's own slice lands directly in its halo
-            let wib: &'a [Vec<f64>] = wire_in_bufs;
-            for (w, buf) in lp.wire_in.iter().zip(wib) {
-                let mut off = 0usize;
-                for (slot, &len) in w.parts.iter().enumerate() {
-                    if len == 0 {
-                        continue;
-                    }
-                    let seg = &buf[off..off + len];
-                    if slot == my_slot {
-                        let r = na
-                            .recv_node_segments
-                            .iter()
-                            .find(|(n, _)| *n == w.node)
-                            .expect("leader wire part has a halo segment")
-                            .1
-                            .clone();
-                        halo[r].copy_from_slice(seg);
-                    } else {
-                        let tag = TAG_FWD_BASE + w.node as Tag;
-                        reqs.push(comm.try_isend_ref(lp.members[slot], tag, seg)?);
-                    }
-                    off += len;
-                }
-                debug_assert_eq!(off, w.len);
-            }
-        }
-        // every rank: direct intra-node segments
-        for (peer, r) in &na.intra_recv {
-            comm.try_recv(*peer, TAG_HALO, &mut halo[r.clone()])?;
-        }
-        // non-leaders: one forwarded slice per remote source node
-        if !na.is_leader() {
-            for (node, r) in &na.recv_node_segments {
-                comm.try_recv(
-                    na.leader_rank,
-                    TAG_FWD_BASE + *node as Tag,
-                    &mut halo[r.clone()],
-                )?;
-            }
-        }
-        comm.try_waitall(reqs)
-    }
-
-    /// One kernel phase over disjoint per-thread row chunks (or the whole
-    /// matrix when running serially).
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_phase(
-        team: &Option<ThreadTeam>,
-        c: usize,
-        kern: &dyn SpmvKernel,
-        mat: &CsrMatrix,
-        chunks: &[Range<usize>],
-        x: &[f64],
-        y: &mut [f64],
-        accumulate: bool,
-    ) {
-        let yp = MutPtr(y.as_mut_ptr());
-        match team {
-            Some(team) => {
-                team.run(|ctx| {
-                    if ctx.tid >= c {
-                        return;
-                    }
-                    // SAFETY: chunks are disjoint row ranges.
-                    unsafe {
-                        kern.spmv_rows_raw(mat, chunks[ctx.tid].clone(), x, yp.raw(), accumulate)
-                    };
-                });
-            }
-            // SAFETY: serial path — yp is the sole writer of y's full range.
-            None => unsafe {
-                kern.spmv_rows_raw(mat, 0..mat.nrows(), x, yp.raw(), accumulate);
-            },
-        }
-    }
-
-    /// The node-level kernel kind actually in use (`Auto` resolved to the
-    /// autotune winner).
+    /// The node-level kernel in use (`Auto` resolved to the winner).
     pub fn kernel_kind(&self) -> KernelKind {
-        self.kern_full.kind()
+        self.kernels[0].0.kind()
     }
 
     /// The compiled gather program (compression diagnostics).
     pub fn gather_program(&self) -> &GatherProgram {
-        &self.gather_prog
+        self.exchange.gather_program()
     }
 
     /// The halo part of the extended RHS (valid after an exchange).
@@ -911,433 +418,179 @@ impl RankEngine {
     }
 
     /// Predicted per-exchange traffic of this rank under the active
-    /// strategy (flat classifies every off-rank message as inter-node,
-    /// matching a one-rank-per-node map).
+    /// strategy (flat counts every off-rank message as inter-node).
     pub fn exchange_traffic(&self) -> CommTraffic {
-        match &self.exchange {
-            Exchange::Flat => {
-                let map = self.cfg.comm_strategy.rank_node_map(self.comm.size());
-                self.plan.traffic(&map)
-            }
-            Exchange::NodeAware(st) => st.plan.traffic(),
+        self.exchange.traffic()
+    }
+
+    // -- the step interpreter ------------------------------------------------
+
+    fn bufs(&mut self) -> Bufs {
+        Bufs {
+            x: self.x_ext.as_mut_ptr(),
+            nloc: self.plan.local_len,
+            nhalo: self.x_ext.len() - self.plan.local_len,
+            send: self.send_buf.as_mut_ptr(),
+            nsend: self.send_buf.len(),
+            y: self.y.as_mut_ptr(),
         }
     }
 
-    /// Runs the gather + halo exchange alone (no SpMV). Collective — used
-    /// by the communication benchmarks to time the exchange in isolation,
-    /// and by [`Self::vector_no_overlap`] as its communication step.
-    ///
-    /// # Panics
-    /// Panics on a communication fault — use
-    /// [`Self::halo_exchange_checked`] for the typed error.
-    pub fn halo_exchange(&mut self) {
-        if let Err(e) = self.halo_exchange_checked() {
-            panic!("halo exchange: {e}");
-        }
-    }
-
-    /// Fallible twin of [`Self::halo_exchange`].
-    pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
-        let nloc = self.plan.local_len;
-        let trace = self.trace.as_deref();
-        let (x_loc, halo) = self.x_ext.split_at_mut(nloc);
-        let x_loc = &*x_loc;
-        let t = tnow(trace);
-        Self::gather_into(
-            &self.team,
-            self.cfg.compute_threads,
-            &self.gather_prog,
-            &self.gather_chunks,
-            x_loc,
-            &mut self.send_buf,
-        );
-        rec(
-            trace,
-            1,
-            Phase::Gather,
-            t,
-            (self.send_buf.len() * 8) as u64,
-            0,
-        );
-        let halo_bytes = (halo.len() * 8) as u64;
-        let send_bytes = (self.send_buf.len() * 8) as u64;
-        match &mut self.exchange {
-            Exchange::Flat => {
-                let t = tnow(trace);
-                let rreqs = Self::post_receives(&self.comm, &self.plan, &self.halo_offsets, halo);
-                rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                let t = tnow(trace);
-                let sreqs =
-                    Self::post_sends(&self.comm, &self.plan, &self.send_offsets, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                // all halo data lands here (progress inside the call)
-                let t = tnow(trace);
-                let res = self
-                    .comm
-                    .try_waitall(rreqs)
-                    .and_then(|()| self.comm.try_waitall(sreqs));
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res
-            }
-            Exchange::NodeAware(st) => {
-                let t = tnow(trace);
-                let reqs = Self::na_begin(&self.comm, &st.plan, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                let t = tnow(trace);
-                let res = Self::na_finish(
-                    &self.comm,
-                    &st.plan,
-                    &mut st.ship_bufs,
-                    &mut st.wire_out_bufs,
-                    &mut st.wire_in_bufs,
-                    &self.send_buf,
-                    halo,
-                    reqs,
-                );
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res
-            }
-        }
-    }
-
-    // -- kernels ---------------------------------------------------------------
-
-    /// Fig. 4a: Irecv → gather → Isend → Waitall → full SpMV.
-    fn vector_no_overlap(&mut self) -> Result<(), CommError> {
-        self.halo_exchange_checked()?;
-        // full SpMV over the extended vector
-        let trace = self.trace.as_deref();
-        let t = tnow(trace);
-        Self::run_kernel_phase(
-            &self.team,
-            self.cfg.compute_threads,
-            self.kern_full.as_ref(),
-            &self.mats.full,
-            &self.full_chunks,
-            &self.x_ext,
-            &mut self.y,
-            false,
-        );
-        rec(trace, 1, Phase::SpmvFull, t, 0, self.mats.full.nnz() as u64);
-        Ok(())
-    }
-
-    /// Fig. 4b: Irecv → gather → Isend → local SpMV → Waitall → non-local
-    /// SpMV. The nonblocking calls *could* overlap the local compute, but
-    /// the substrate (like standard MPI) only progresses messages inside
-    /// communication calls, so the transfer really happens in `Waitall`.
-    fn vector_naive_overlap(&mut self) -> Result<(), CommError> {
-        let nloc = self.plan.local_len;
-        let c = self.cfg.compute_threads;
-        let trace = self.trace.as_deref();
-        let (x_loc, halo) = self.x_ext.split_at_mut(nloc);
-        let x_loc = &*x_loc;
-        let t = tnow(trace);
-        Self::gather_into(
-            &self.team,
-            c,
-            &self.gather_prog,
-            &self.gather_chunks,
-            x_loc,
-            &mut self.send_buf,
-        );
-        rec(
-            trace,
-            1,
-            Phase::Gather,
-            t,
-            (self.send_buf.len() * 8) as u64,
-            0,
-        );
-        let halo_bytes = (halo.len() * 8) as u64;
-        let send_bytes = (self.send_buf.len() * 8) as u64;
-        match &mut self.exchange {
-            Exchange::Flat => {
-                let t = tnow(trace);
-                let rreqs = Self::post_receives(&self.comm, &self.plan, &self.halo_offsets, halo);
-                rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                let t = tnow(trace);
-                let sreqs =
-                    Self::post_sends(&self.comm, &self.plan, &self.send_offsets, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                // local SpMV (communication does NOT progress meanwhile)
-                let t = tnow(trace);
-                Self::run_kernel_phase(
-                    &self.team,
-                    c,
-                    self.kern_local.as_ref(),
-                    &self.mats.local,
-                    &self.local_chunks,
-                    x_loc,
-                    &mut self.y,
-                    false,
-                );
-                rec(
-                    trace,
-                    1,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    self.mats.local.nnz() as u64,
-                );
-                // the transfers actually complete here
-                let t = tnow(trace);
-                let res = self
-                    .comm
-                    .try_waitall(rreqs)
-                    .and_then(|()| self.comm.try_waitall(sreqs));
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res?;
-            }
-            Exchange::NodeAware(st) => {
-                let t = tnow(trace);
-                let reqs = Self::na_begin(&self.comm, &st.plan, &self.send_buf)?;
-                rec(trace, 0, Phase::Send, t, send_bytes, 0);
-                let t = tnow(trace);
-                Self::run_kernel_phase(
-                    &self.team,
-                    c,
-                    self.kern_local.as_ref(),
-                    &self.mats.local,
-                    &self.local_chunks,
-                    x_loc,
-                    &mut self.y,
-                    false,
-                );
-                rec(
-                    trace,
-                    1,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    self.mats.local.nnz() as u64,
-                );
-                let t = tnow(trace);
-                let res = Self::na_finish(
-                    &self.comm,
-                    &st.plan,
-                    &mut st.ship_bufs,
-                    &mut st.wire_out_bufs,
-                    &mut st.wire_in_bufs,
-                    &self.send_buf,
-                    halo,
-                    reqs,
-                );
-                rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                res?;
-            }
-        }
-
-        // non-local part accumulates into y (second write — Eq. 2 traffic)
-        let halo = &self.x_ext[nloc..];
-        let t = tnow(trace);
-        Self::run_kernel_phase(
-            &self.team,
-            c,
-            self.kern_nonlocal.as_ref(),
-            &self.mats.nonlocal,
-            &self.nonlocal_chunks,
-            halo,
-            &mut self.y,
-            true,
-        );
-        rec(
-            trace,
-            1,
-            Phase::SpmvNonlocal,
-            t,
-            0,
-            self.mats.nonlocal.nnz() as u64,
-        );
-        Ok(())
-    }
-
-    /// Fig. 4c: one team region; thread 0 executes MPI calls only, the rest
-    /// gather and compute. Two barriers:
-    ///
-    /// * **B1** — gather complete (compute) / receives posted (comm);
-    ///   afterwards the comm thread sends and waits while compute threads
-    ///   run the local SpMV: *explicit overlap*.
-    /// * **B2** — communication complete and local SpMV done; afterwards
-    ///   compute threads run the non-local SpMV.
-    ///
-    /// On a communication fault the comm thread records the first error in
-    /// a shared slot and still reaches both barriers, so the compute
-    /// threads never deadlock; the error is returned after the region.
-    fn task_mode(&mut self) -> Result<(), CommError> {
+    /// Task mode: one team region in which thread 0 runs the
+    /// communication lane (`lanes[0]`) and threads `1..=C` the compute
+    /// lane (`lanes[1]`). A faulted communication lane still reaches both
+    /// barriers (see [`Self::run_lane`]), so the region always ends; its
+    /// first error is returned afterwards.
+    fn run_team(&self, lanes: &[&[Step]], b: &Bufs) -> Result<(), CommError> {
         let team = self
             .team
             .as_ref()
             .expect("task mode requires a thread team");
-        let c = self.cfg.compute_threads;
-        debug_assert_eq!(team.size(), c + 1);
-
-        let nloc = self.plan.local_len;
-        let (x_loc_slice, halo_slice) = self.x_ext.split_at_mut(nloc);
-        let x_loc: &[f64] = x_loc_slice;
-        let halo_ptr = MutPtr(halo_slice.as_mut_ptr());
-        let halo_len = halo_slice.len();
-        let yp = MutPtr(self.y.as_mut_ptr());
-        let sp = MutPtr(self.send_buf.as_mut_ptr());
-        let send_buf_len = self.send_buf.len();
-        let prog = &self.gather_prog;
-        let gather_chunks = &self.gather_chunks;
-        let comm = &self.comm;
-        let plan = &self.plan;
-        let halo_offsets = &self.halo_offsets;
-        let send_offsets = &self.send_offsets;
-        let local_chunks = &self.local_chunks;
-        let nonlocal_chunks = &self.nonlocal_chunks;
-        let mats = &self.mats;
-        let kern_local = &self.kern_local;
-        let kern_nonlocal = &self.kern_nonlocal;
-        let ex_ptr = ExchangePtr(&mut self.exchange);
-        let trace = self.trace.as_deref();
-        // First communication fault seen by the comm thread; read back
-        // after the region. The comm thread reaches B1/B2 regardless.
-        let comm_err: Mutex<Option<CommError>> = Mutex::new(None);
-        let comm_err = &comm_err;
-
+        debug_assert_eq!(team.size(), self.cfg.compute_threads + 1);
+        let first_err = OnceLock::new();
         team.run(|ctx| {
-            if ctx.tid == 0 {
-                // ---- dedicated communication thread (trace lane 0) ----
-                // SAFETY: until B2 the halo region and the exchange state
-                // are exclusively owned by this thread (compute threads
-                // read only the local part, and the enclosing call blocks
-                // the owner until the region completes).
-                let halo: &mut [f64] =
-                    unsafe { std::slice::from_raw_parts_mut(halo_ptr.raw(), halo_len) };
-                let exchange: &mut Exchange = unsafe { &mut *ex_ptr.raw() };
-                let halo_bytes = (halo_len * 8) as u64;
-                let res = match exchange {
-                    Exchange::Flat => {
-                        let t = tnow(trace);
-                        let rreqs = Self::post_receives(comm, plan, halo_offsets, halo);
-                        rec(trace, 0, Phase::PostRecvs, t, halo_bytes, 0);
-                        let t = tnow(trace);
-                        ctx.barrier(); // B1: gather finished
-                        rec(trace, 0, Phase::Barrier, t, 0, 0);
-                        // SAFETY: after B1 the gather is complete and no
-                        // compute thread writes the send buffer again this
-                        // step, so a shared read view is sound.
-                        let send_buf: &[f64] =
-                            unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
-                        let t = tnow(trace);
-                        let res = Self::post_sends(comm, plan, send_offsets, send_buf).and_then(
-                            |sreqs| {
-                                // progress here, overlapping compute
-                                comm.try_waitall(rreqs)?;
-                                comm.try_waitall(sreqs)
-                            },
-                        );
-                        // one span for Isend + waits: the overlapped window
-                        rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                        res
-                    }
-                    Exchange::NodeAware(st) => {
-                        let t = tnow(trace);
-                        ctx.barrier(); // B1: gather finished
-                        rec(trace, 0, Phase::Barrier, t, 0, 0);
-                        // SAFETY: same as the flat arm — post-B1 the send
-                        // buffer is read-only for the rest of the step.
-                        let send_buf: &[f64] =
-                            unsafe { std::slice::from_raw_parts(sp.raw(), send_buf_len) };
-                        let t = tnow(trace);
-                        let res = Self::na_begin(comm, &st.plan, send_buf).and_then(|reqs| {
-                            Self::na_finish(
-                                comm,
-                                &st.plan,
-                                &mut st.ship_bufs,
-                                &mut st.wire_out_bufs,
-                                &mut st.wire_in_bufs,
-                                send_buf,
-                                halo,
-                                reqs,
-                            )
-                        });
-                        rec(trace, 0, Phase::Waitall, t, halo_bytes, 0);
-                        res
-                    }
-                };
-                if let Err(e) = res {
-                    *comm_err
-                        .lock()
-                        .expect("mutex poisoned: a peer thread panicked") = Some(e);
-                }
-                let t = tnow(trace);
-                ctx.barrier(); // B2: comm done & local SpMV done
-                rec(trace, 0, Phase::Barrier, t, 0, 0);
-                // non-local phase: nothing to do for the comm thread
-            } else {
-                // ---- compute threads (trace lanes 1..=C) ----
-                let ctid = ctx.tid - 1;
-                let lane = ctx.tid;
-                // gather into the send buffer (disjoint run ranges)
-                let t = tnow(trace);
-                // SAFETY: gather_chunks partition the run set, so each
-                // compute thread writes a disjoint slice of the send buffer.
-                unsafe { prog.execute_runs_raw(gather_chunks[ctid].clone(), x_loc, sp.raw()) };
-                rec(trace, lane, Phase::Gather, t, 0, 0);
-                let t = tnow(trace);
-                ctx.barrier(); // B1
-                rec(trace, lane, Phase::Barrier, t, 0, 0);
-                // local SpMV, one contiguous nonzero-balanced chunk each
-                let t = tnow(trace);
-                // SAFETY: local_chunks are disjoint row ranges of y.
-                unsafe {
-                    kern_local.spmv_rows_raw(
-                        &mats.local,
-                        local_chunks[ctid].clone(),
-                        x_loc,
-                        yp.raw(),
-                        false,
-                    )
-                };
-                rec(
-                    trace,
-                    lane,
-                    Phase::SpmvLocal,
-                    t,
-                    0,
-                    chunk_nnz(&mats.local, &local_chunks[ctid]),
-                );
-                let t = tnow(trace);
-                ctx.barrier(); // B2: halo data is now in place
-                rec(trace, lane, Phase::Barrier, t, 0, 0);
-                // non-local SpMV reads the halo (now immutable)
-                // SAFETY: after B2 the comm thread has stopped writing the
-                // halo, so shared read views are sound for the rest of the
-                // step; nonlocal_chunks are disjoint row ranges of y.
-                let halo: &[f64] = unsafe { std::slice::from_raw_parts(halo_ptr.raw(), halo_len) };
-                let t = tnow(trace);
-                // SAFETY: nonlocal_chunks are disjoint row ranges of y.
-                unsafe {
-                    kern_nonlocal.spmv_rows_raw(
-                        &mats.nonlocal,
-                        nonlocal_chunks[ctid].clone(),
-                        halo,
-                        yp.raw(),
-                        true,
-                    )
-                };
-                rec(
-                    trace,
-                    lane,
-                    Phase::SpmvNonlocal,
-                    t,
-                    0,
-                    chunk_nnz(&mats.nonlocal, &nonlocal_chunks[ctid]),
-                );
+            let lane = lanes[ctx.tid.min(1)];
+            if let Err(e) = self.run_lane(lane.iter().copied(), b, At::Thread(&ctx)) {
+                let _ = first_err.set(e);
             }
         });
-        let first_err = comm_err
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked")
-            .take();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        first_err.into_inner().map_or(Ok(()), Err)
+    }
+
+    /// Runs one lane's steps in order, stamping a trace span per step.
+    /// After a communication fault the lane still runs its barriers (and
+    /// nothing else), so the other lane of task mode never waits forever.
+    fn run_lane(
+        &self,
+        steps: impl IntoIterator<Item = Step>,
+        b: &Bufs,
+        at: At<'_, '_>,
+    ) -> Result<(), CommError> {
+        let trace = self.trace.as_deref();
+        let mut pending = None;
+        let mut res = Ok(());
+        for step in steps {
+            if res.is_err() && !matches!(step, Step::Barrier(_)) {
+                continue;
+            }
+            let t0 = trace.map_or(0.0, |ts| ts.now());
+            match self.step(step, b, at, &mut pending) {
+                Ok((bytes, nnz)) => {
+                    if let Some(ts) = trace {
+                        let lane = match at {
+                            At::Caller => usize::from(!step.is_comm()),
+                            At::Thread(ctx) => ctx.tid,
+                        };
+                        ts.record(lane, step.phase(), t0, ts.now(), bytes, nnz);
+                    }
+                }
+                Err(e) => {
+                    pending = None;
+                    res = Err(e);
+                }
+            }
         }
+        res
+    }
+
+    /// Executes one step; returns the `(bytes, nonzeros)` its span carries.
+    fn step<'b>(
+        &self,
+        step: Step,
+        b: &'b Bufs,
+        at: At<'_, '_>,
+        pending: &mut Option<Pending<'b>>,
+    ) -> Result<(u64, u64), CommError> {
+        let (ex, comm) = (&self.exchange, &self.comm);
+        let (halo_bytes, send_bytes) = (8 * b.nhalo as u64, 8 * b.nsend as u64);
+        const POSTED: &str = "the schedule posts receives before sending and waiting";
+        match step {
+            Step::PostRecvs => {
+                // SAFETY: this lane is the halo's only user until its waitall.
+                let halo = unsafe { b.halo_mut() };
+                *pending = Some(ex.post_recvs(comm, halo));
+                Ok((halo_bytes, 0))
+            }
+            Step::Gather => {
+                self.gather(b, at);
+                Ok((if let At::Caller = at { send_bytes } else { 0 }, 0))
+            }
+            Step::Send => {
+                // SAFETY: the schedule sends only after the gather.
+                let send = unsafe { b.send_buf() };
+                ex.send(comm, send, pending.as_mut().expect(POSTED))?;
+                Ok((send_bytes, 0))
+            }
+            Step::Waitall => {
+                // SAFETY: as for the send step.
+                let send = unsafe { b.send_buf() };
+                ex.finish(comm, send, pending.take().expect(POSTED))?;
+                Ok((halo_bytes, 0))
+            }
+            Step::Compute(part) => Ok((0, self.compute(part, b, at))),
+            Step::Barrier(_) => {
+                if let At::Thread(ctx) = at {
+                    ctx.barrier();
+                }
+                Ok((0, 0))
+            }
+        }
+    }
+
+    /// The compute threads whose shares a lane covers.
+    fn shares(&self, at: At<'_, '_>) -> Range<usize> {
+        match at {
+            At::Caller => 0..self.cfg.compute_threads,
+            At::Thread(ctx) => ctx.tid - 1..ctx.tid,
+        }
+    }
+
+    /// Runs `f(t)` for every compute thread `t` the lane covers.
+    fn fan_out(&self, at: At<'_, '_>, f: impl Fn(usize) + Sync) {
+        match (at, &self.team) {
+            (At::Caller, Some(team)) => {
+                let c = self.cfg.compute_threads;
+                // threads >= c: the idle comm thread in vector modes
+                team.run(|ctx| {
+                    if ctx.tid < c {
+                        f(ctx.tid)
+                    }
+                });
+            }
+            _ => self.shares(at).for_each(f),
+        }
+    }
+
+    /// The gather step.
+    fn gather(&self, b: &Bufs, at: At<'_, '_>) {
+        // SAFETY: the local part of x is never written during an SpMV.
+        let x = unsafe { b.x(0..b.nloc) };
+        // SAFETY: `b.send` holds the whole gather, each compute thread
+        // passes its own index, and no step reads the buffer before the
+        // gather is done.
+        self.fan_out(at, |t| unsafe { self.exchange.gather_share(t, x, b.send) });
+    }
+
+    /// A kernel step over one part of the matrix; returns the nonzeros
+    /// multiplied. The non-local part accumulates into `y` (the Eq. 2
+    /// second write).
+    fn compute(&self, part: Part, b: &Bufs, at: At<'_, '_>) -> u64 {
+        let ext = b.nloc + b.nhalo;
+        let (mat, (kern, chunks), cols) = match part {
+            Part::Full => (&self.mats.full, &self.kernels[0], 0..ext),
+            Part::Local => (&self.mats.local, &self.kernels[1], 0..b.nloc),
+            Part::Nonlocal => (&self.mats.nonlocal, &self.kernels[2], b.nloc..ext),
+        };
+        // SAFETY: the schedule reads the halo only after its waitall.
+        let x = unsafe { b.x(cols) };
+        let accumulate = part == Part::Nonlocal;
+        // SAFETY: the row chunks are disjoint, so the compute threads
+        // write disjoint rows of y.
+        self.fan_out(at, |t| unsafe {
+            kern.spmv_rows_raw(mat, chunks[t].clone(), x, b.y, accumulate)
+        });
+        let nnz = |r: &Range<usize>| mat.row_ptr()[r.end] - mat.row_ptr()[r.start];
+        self.shares(at).map(|t| nnz(&chunks[t]) as u64).sum()
     }
 }
 
@@ -1387,7 +640,7 @@ mod tests {
                     let mut results = Vec::new();
                     for &mode in modes.iter() {
                         eng.x_local_mut().copy_from_slice(&x[range.clone()]);
-                        eng.spmv(mode);
+                        eng.spmv_checked(mode).expect("fault-free world");
                         results.push((mode, eng.y_local().to_vec()));
                     }
                     (range, results)
@@ -1484,7 +737,8 @@ mod tests {
                     let mut eng = RankEngine::new(c, &block, &p, EngineConfig::task_mode(2));
                     eng.x_local_mut().copy_from_slice(&x0[range.clone()]);
                     for _ in 0..10 {
-                        eng.spmv(KernelMode::TaskMode);
+                        eng.spmv_checked(KernelMode::TaskMode)
+                            .expect("fault-free world");
                         // normalize globally
                         let local_ss: f64 = eng.y_local().iter().map(|v| v * v).sum();
                         let global_ss = eng
@@ -1570,7 +824,8 @@ mod tests {
                         let rank = eng.comm().rank();
                         // phase_delta brackets the exchange with the
                         // message-free barriers the world-global counters need
-                        let (_, delta) = eng.phase_delta(|e| e.halo_exchange());
+                        let (res, delta) = eng.phase_delta(|e| e.halo_exchange_checked());
+                        res.expect("fault-free world");
                         (rank, delta)
                     })
                 })
@@ -1664,7 +919,8 @@ mod tests {
         let mut y_ref = vec![0.0; 200];
         m.spmv(&x, &mut y_ref);
         let mut y = vec![0.0; 200];
-        eng.apply(&x, &mut y, KernelMode::VectorNaiveOverlap);
+        eng.apply_checked(&x, &mut y, KernelMode::VectorNaiveOverlap)
+            .expect("single rank");
         assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-11);
     }
 
@@ -1683,7 +939,8 @@ mod tests {
             EngineConfig::pure_mpi(),
         );
         let mut y = vec![0.0; 30];
-        eng.apply(&x, &mut y, KernelMode::VectorNoOverlap);
+        eng.apply_checked(&x, &mut y, KernelMode::VectorNoOverlap)
+            .expect("single rank");
         assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-13);
         assert_eq!(eng.spmv_calls(), 1);
     }
@@ -1700,7 +957,7 @@ mod tests {
             EngineConfig::hybrid(2),
         );
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.spmv(KernelMode::TaskMode)
+            eng.spmv_checked(KernelMode::TaskMode)
         }));
         assert!(r.is_err());
     }
@@ -1736,15 +993,18 @@ mod tests {
         let ys = crate::runner::run_spmd(&m, 8, cfg, |eng| {
             let range = eng.row_start()..eng.row_start() + eng.local_len();
             eng.x_local_mut().copy_from_slice(&x[range]);
-            eng.spmv(KernelMode::VectorNoOverlap);
+            eng.spmv_checked(KernelMode::VectorNoOverlap)
+                .expect("fault-free world");
             let y_na = eng.y_local().to_vec();
             assert_eq!(eng.active_strategy().label(), "node-aware");
             eng.demote_to_flat();
             assert_eq!(eng.active_strategy(), CommStrategy::Flat);
             // same mode → same summation order → bit-identical result
-            eng.spmv(KernelMode::VectorNoOverlap);
+            eng.spmv_checked(KernelMode::VectorNoOverlap)
+                .expect("fault-free world");
             assert_eq!(y_na, eng.y_local(), "demotion changed the result");
-            eng.spmv(KernelMode::TaskMode); // flat task mode still healthy
+            eng.spmv_checked(KernelMode::TaskMode)
+                .expect("flat task mode still healthy");
             (eng.row_start(), eng.y_local().to_vec())
         });
         for (start, part) in ys {
@@ -1757,16 +1017,12 @@ mod tests {
     fn tracing_records_expected_phases_per_mode() {
         use spmv_obs::RunTrace;
         let m = synthetic::random_banded_symmetric(300, 40, 5.0, 3);
-        // pinned flat: "post recvs" only exists in the flat exchange (the
-        // node-aware finish receives inside its waitall window)
-        let cfg = EngineConfig::task_mode(2)
-            .with_comm_strategy(CommStrategy::Flat)
-            .with_tracing(true);
+        let cfg = EngineConfig::task_mode(2).with_tracing(true);
         let parts = crate::runner::run_spmd(&m, 4, cfg, |eng| {
             assert!(eng.trace_sink().is_some());
             eng.x_local_mut().fill(1.0);
             for mode in KernelMode::ALL {
-                eng.spmv(mode);
+                eng.spmv_checked(mode).expect("fault-free world");
             }
             eng.take_trace().expect("tracing enabled")
         });
@@ -1774,17 +1030,11 @@ mod tests {
         assert_eq!(trace.ranks(), vec![0, 1, 2, 3]);
         assert_eq!(trace.dropped, 0);
         let labels = trace.phase_labels();
-        for expected in [
-            "gather",
-            "post recvs",
-            "send",
-            "waitall",
-            "spmv(full)",
-            "spmv(local)",
-            "spmv(nonlocal)",
-            "barrier",
-        ] {
-            assert!(labels.contains(expected), "missing {expected}: {labels:?}");
+        for mode in KernelMode::ALL {
+            for step in mode.lanes().iter().flat_map(|l| l.iter()) {
+                let want = step.phase().label();
+                assert!(labels.contains(want), "missing {want}: {labels:?}");
+            }
         }
         // every traced phase span carries a nonnegative duration on the
         // shared clock
@@ -1807,7 +1057,8 @@ mod tests {
         );
         assert!(eng.trace_sink().is_none());
         eng.x_local_mut().fill(1.0);
-        eng.spmv(KernelMode::VectorNoOverlap);
+        eng.spmv_checked(KernelMode::VectorNoOverlap)
+            .expect("fault-free world");
         assert!(eng.take_trace().is_none());
     }
 
@@ -1832,7 +1083,8 @@ mod tests {
                 .with_degraded_policy(DegradedPolicy::FallbackToFlat),
             |eng| {
                 eng.x_local_mut().fill(1.0);
-                eng.spmv(KernelMode::VectorNaiveOverlap);
+                eng.spmv_checked(KernelMode::VectorNaiveOverlap)
+                    .expect("degraded leaders only mark the plan");
                 eng.active_strategy()
             },
         );

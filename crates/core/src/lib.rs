@@ -23,12 +23,21 @@
 //!    * **vector mode, naive overlap** via nonblocking calls (Fig. 4b),
 //!    * **task mode, explicit overlap** via a dedicated communication
 //!      thread (Fig. 4c).
+//!
+//!    Each schedule is written once, as the step lists of
+//!    [`KernelMode::lanes`]; the engine interprets them, with the halo
+//!    exchange behind the three calls of the `exchange` module's `HaloExchange` (post
+//!    receives, send, finish) for both routing strategies.
 //! 5. [`runner`] — spawns one OS thread per MPI rank and drives whole jobs
 //!    (the harness tests and examples use this).
 //! 6. [`workload::RankWorkload`] — the per-rank compute/communication
 //!    volumes the discrete-event simulator prices.
 
+// library code states its invariants with `expect`, never a bare unwrap
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod engine;
+pub mod exchange;
 pub mod gather;
 pub mod kernels;
 pub mod modes;
@@ -41,10 +50,11 @@ pub mod symmetric;
 pub mod verify;
 pub mod workload;
 
-pub use engine::{CommStrategy, DegradedPolicy, EngineConfig, RankEngine};
+pub use engine::{EngineConfig, RankEngine};
+pub use exchange::{CommStrategy, DegradedPolicy, TAG_HALO};
 pub use gather::{GatherProgram, GatherRun};
 pub use kernels::{prepare_kernel, KernelKind, SpmvKernel};
-pub use modes::KernelMode;
+pub use modes::{Barrier, KernelMode, Part, Step};
 pub use partition::RowPartition;
 pub use plan::{CommTraffic, NodeAwarePlan, RankPlan};
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};

@@ -18,6 +18,7 @@ struct MutPtr(*mut f64);
 // SAFETY: points into a caller-owned `y` that outlives the team region;
 // each thread writes only its own disjoint row chunk.
 unsafe impl Send for MutPtr {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for MutPtr {}
 impl MutPtr {
     /// # Safety

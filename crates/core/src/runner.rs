@@ -117,7 +117,8 @@ pub fn distributed_spmv(
     let pieces = run_spmd(matrix, ranks, cfg, |eng| {
         let range = eng.row_start()..eng.row_start() + eng.local_len();
         eng.x_local_mut().copy_from_slice(&x[range]);
-        eng.spmv(mode);
+        eng.spmv_checked(mode)
+            .expect("a world built here carries no fault plan");
         (eng.row_start(), eng.y_local().to_vec())
     });
     let mut y = vec![0.0; matrix.nrows()];

@@ -33,6 +33,7 @@ struct MutPtr(*mut f64);
 // both outliving the team region; writers follow the disjointness contract
 // of `MutPtr::at`.
 unsafe impl Send for MutPtr {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for MutPtr {}
 impl MutPtr {
     /// # Safety
@@ -131,12 +132,13 @@ pub fn parallel_symmetric_spmv(
         // phase 2: reduce all buffers into y over a static row split
         // (different from the nnz-balanced chunks — reduction cost is per
         // row, not per nonzero)
-        // SAFETY: for this whole loop — after the barrier all private
-        // buffers are read-only, and static_chunk gives each thread a
-        // disjoint range of `i`, so every y[i] has exactly one writer.
         for i in static_chunk(n, t, tid) {
+            // SAFETY: static_chunk gives each thread a disjoint range of
+            // `i`, so every y[i] has exactly one writer.
             let mut acc = unsafe { *yp.at(i) };
             for bp in &buf_ptrs {
+                // SAFETY: after the barrier all private buffers are
+                // read-only.
                 acc += unsafe { *bp.at(i) };
             }
             // SAFETY: as above — this thread is `i`'s only writer.

@@ -23,7 +23,7 @@
 //! [`EngineConfig::with_verification`](crate::engine::EngineConfig::with_verification)
 //! is on (the default in debug builds).
 
-use crate::engine::{TAG_FWD_BASE, TAG_HALO, TAG_SHIP, TAG_WIRE};
+use crate::exchange::{TAG_FWD_BASE, TAG_HALO, TAG_SHIP, TAG_WIRE};
 use crate::plan::{build_node_aware_serial, NodeAwarePlan, RankPlan};
 use spmv_comm::{Comm, Tag};
 use spmv_machine::RankNodeMap;
@@ -224,10 +224,10 @@ enum Op {
     SendWait { dst: usize, tag: Tag },
 }
 
-/// The flat exchange schedule of one rank, mirroring
-/// `RankEngine::post_receives` / `post_sends` / waitall: all receives are
-/// posted nonblocking before anything blocks, so the blocking suffix is
-/// just the recv waits followed by the send waits.
+/// The flat exchange schedule of one rank, mirroring `HaloExchange`'s
+/// post / send / finish: all receives are posted nonblocking before
+/// anything blocks, so the blocking suffix is just the recv waits followed
+/// by the send waits.
 fn flat_ops(plan: &RankPlan) -> Vec<Op> {
     let mut ops = Vec::with_capacity(2 * (plan.recv.len() + plan.send.len()));
     for n in &plan.send {
@@ -253,11 +253,12 @@ fn flat_ops(plan: &RankPlan) -> Vec<Op> {
     ops
 }
 
-/// The node-aware exchange schedule of one rank, mirroring
-/// `RankEngine::na_begin` / `na_finish` exactly: intra sends and the
-/// shipment are posted first; a leader then *blocks* on member shipments
-/// before posting wires — the mid-schedule block that makes the acyclicity
-/// of ship → wire → forward a real proof obligation.
+/// The node-aware exchange schedule of one rank, mirroring `HaloExchange`
+/// exactly: intra sends and the shipment are posted first; a leader then
+/// *blocks* on member shipments before posting wires — the mid-schedule
+/// block that makes the acyclicity of ship → wire → forward a real proof
+/// obligation. The halo receives (intra segments, and forwarded slices on
+/// non-leaders) complete last, in halo order.
 fn node_aware_ops(na: &NodeAwarePlan) -> Vec<Op> {
     let mut ops = Vec::new();
     let mut posted: Vec<(usize, Tag)> = Vec::new();
@@ -317,21 +318,21 @@ fn node_aware_ops(na: &NodeAwarePlan) -> Vec<Op> {
             }
         }
     }
-    for (peer, r) in &na.intra_recv {
-        ops.push(Op::RecvBlock {
-            src: *peer,
-            tag: TAG_HALO,
-            bytes: r.len() * 8,
-        });
-    }
-    if !na.is_leader() {
-        for (node, r) in &na.recv_node_segments {
-            ops.push(Op::RecvBlock {
-                src: na.leader_rank,
-                tag: TAG_FWD_BASE + *node as Tag,
-                bytes: r.len() * 8,
-            });
-        }
+    let forwarded = na
+        .recv_node_segments
+        .iter()
+        .filter(|_| !na.is_leader())
+        .map(|(node, r)| (na.leader_rank, TAG_FWD_BASE + *node as Tag, r));
+    let mut halo_recvs: Vec<_> = na
+        .intra_recv
+        .iter()
+        .map(|(peer, r)| (*peer, TAG_HALO, r))
+        .chain(forwarded)
+        .collect();
+    halo_recvs.sort_by_key(|(_, _, r)| r.start);
+    for (src, tag, r) in halo_recvs {
+        let bytes = r.len() * 8;
+        ops.push(Op::RecvBlock { src, tag, bytes });
     }
     for (dst, tag) in posted {
         ops.push(Op::SendWait { dst, tag });
@@ -642,6 +643,20 @@ pub fn verify_distributed(
     match node_map {
         None => verify_flat(&plans),
         Some(map) => verify_node_aware(&build_node_aware_serial(&plans, map)),
+    }
+}
+
+/// [`verify_distributed`] at engine construction, which has no error
+/// channel: panics listing every violation.
+pub(crate) fn assert_verified(comm: &Comm, plan: &RankPlan, node_map: Option<&RankNodeMap>) {
+    if let Err(violations) = verify_distributed(comm, plan, node_map) {
+        let list: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+        panic!(
+            "communication-plan verification failed on rank {} ({} violation(s)):\n  {}",
+            comm.rank(),
+            violations.len(),
+            list.join("\n  ")
+        );
     }
 }
 

@@ -17,9 +17,10 @@
 //! * [`clock`] — one process-global monotonic epoch; because ranks are
 //!   threads of one process, a single `Instant` gives directly comparable
 //!   timestamps across every rank and lane.
-//! * [`Phase`] — the shared event vocabulary. Labels match
-//!   `spmv-sim::trace` exactly ("gather", "waitall", "spmv(local)", ...)
-//!   so simulated and measured timelines are directly comparable.
+//! * [`Phase`] — the shared event vocabulary. The engine and the
+//!   simulator both type their events by `Phase` (taken from the kernel
+//!   schedule's steps), so simulated and measured timelines are directly
+//!   comparable.
 //! * [`TraceSink`] / [`LaneRecorder`] — per-lane fixed-size ring buffers
 //!   of `{phase, rank, lane, t0, t1, bytes, nnz}` spans; one writer per
 //!   lane, so recording never contends.

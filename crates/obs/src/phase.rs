@@ -1,16 +1,17 @@
 //! The shared phase vocabulary.
 //!
-//! The first eight variants carry the *same* labels as the simulated
-//! timelines in `spmv-sim::trace` ("gather", "post recvs", "send",
-//! "waitall", "spmv(local)", "spmv(nonlocal)", "spmv(full)", "barrier"),
-//! so a measured chrome trace and a simulated ASCII timeline can be read
-//! side by side. Solver iterations and injected faults get their own
-//! typed variants — those exist only in measured traces.
+//! The first eight variants are the phases of the Fig. 4 schedule steps
+//! (`spmv_core::Step::phase` maps each step to one). The engine's spans
+//! and the simulator's trace events are both typed by `Phase`, so a
+//! measured chrome trace and a simulated ASCII timeline can be read side
+//! by side with no label table to keep in sync. Solver iterations and
+//! injected faults get their own typed variants — those exist only in
+//! measured traces.
 
 use spmv_comm::FaultKind;
 
-/// One phase of a traced run. `label()` is the canonical string used by
-/// every exporter and by `spmv-sim::Trace` queries.
+/// One phase of a traced run, measured or simulated. `label()` is the
+/// canonical string every exporter writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Copy owed x-elements into the contiguous send buffer (compute lane).
@@ -48,7 +49,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Canonical label; the first eight match `spmv-sim` exactly.
+    /// Canonical label, used by every exporter.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {

@@ -16,12 +16,13 @@
 //! rates, and repeats. Messages additionally pay a latency phase that
 //! elapses only while the progress rule allows the message to move.
 
-use crate::program::{build_program, gather_cost_bytes, op_inside_mpi, Op, SimConfig};
+use crate::program::{build_program, op_inside_mpi, Op, SimConfig};
 use crate::trace::{Trace, TraceEvent};
-use spmv_core::RankWorkload;
+use spmv_core::{Barrier, RankWorkload, Step};
 use spmv_machine::network::TorusLink;
 use spmv_machine::topology::ClusterSpec;
 use spmv_machine::LayoutPlan;
+use spmv_obs::Phase;
 use std::collections::HashMap;
 
 /// Result of one simulated SpMV.
@@ -47,7 +48,7 @@ enum LaneState {
     Timed { remaining_s: f64 },
     Draining { remaining_bytes: f64 },
     Waiting,
-    Barrier(u8),
+    Barrier(Barrier),
     Done,
 }
 
@@ -60,7 +61,7 @@ struct Lane {
     /// Compute threads backing Draining ops, per global LD id.
     threads_per_ld: Vec<(usize, f64)>,
     seg_start: f64,
-    seg_label: &'static str,
+    seg_phase: Option<Phase>,
 }
 
 impl Lane {
@@ -148,7 +149,7 @@ pub fn simulate_spmv(
                 state: LaneState::Ready,
                 threads_per_ld: tpl,
                 seg_start: 0.0,
-                seg_label: "",
+                seg_phase: None,
             });
         }
     }
@@ -223,24 +224,24 @@ pub fn simulate_spmv(
     };
 
     // barrier bookkeeping: (rank, id) -> count of arrived lanes
-    let mut barrier_arrivals: HashMap<(usize, u8), usize> = HashMap::new();
+    let mut barrier_arrivals: HashMap<(usize, Barrier), usize> = HashMap::new();
 
     // Zero-time state cascade. Returns when no lane can make progress
     // without time passing.
     macro_rules! record_segment {
-        ($lane:expr, $label:expr) => {
+        ($lane:expr, $phase:expr) => {
             if let Some(t) = trace.as_mut() {
-                if !$lane.seg_label.is_empty() && now > $lane.seg_start {
+                if let Some(phase) = $lane.seg_phase.filter(|_| now > $lane.seg_start) {
                     t.events.push(TraceEvent {
                         rank: $lane.rank,
                         lane: $lane.lane_idx,
-                        label: $lane.seg_label,
+                        phase,
                         t0: $lane.seg_start,
                         t1: now,
                     });
                 }
                 $lane.seg_start = now;
-                $lane.seg_label = $label;
+                $lane.seg_phase = $phase;
             }
         };
     }
@@ -253,35 +254,22 @@ pub fn simulate_spmv(
             let mut changed = false;
             for li in 0..lanes.len() {
                 // take lane state decisions one at a time
-                let (advance, label): (bool, &'static str) = {
+                let advance = {
                     let lane = &lanes[li];
                     match &lane.state {
-                        LaneState::Done => (false, ""),
-                        LaneState::Ready => (true, ""),
-                        LaneState::Timed { remaining_s } if *remaining_s <= 1e-18 => (true, ""),
-                        LaneState::Draining { remaining_bytes } if *remaining_bytes <= 1e-9 => {
-                            (true, "")
-                        }
+                        LaneState::Done => false,
+                        LaneState::Ready => true,
+                        LaneState::Timed { remaining_s } => *remaining_s <= 1e-18,
+                        LaneState::Draining { remaining_bytes } => *remaining_bytes <= 1e-9,
                         LaneState::Waiting => {
                             let r = lane.rank;
-                            if incoming_pending[r] == 0 && outgoing_rdv_pending[r] == 0 {
-                                (true, "")
-                            } else {
-                                (false, "")
-                            }
+                            incoming_pending[r] == 0 && outgoing_rdv_pending[r] == 0
                         }
                         LaneState::Barrier(k) => {
-                            let arrived = *barrier_arrivals.get(&(lane.rank, *k)).unwrap_or(&0);
-                            if arrived >= 2 {
-                                (true, "")
-                            } else {
-                                (false, "")
-                            }
+                            *barrier_arrivals.get(&(lane.rank, *k)).unwrap_or(&0) >= 2
                         }
-                        _ => (false, ""),
                     }
                 };
-                let _ = label;
                 if !advance {
                     continue;
                 }
@@ -298,7 +286,7 @@ pub fn simulate_spmv(
                         lane.pc += 1;
                     }
                     LaneState::Timed { .. } => {
-                        if matches!(lane.ops[completing_pc], Op::SendAll) {
+                        if lane.ops[completing_pc].step == Step::Send {
                             // post this rank's messages
                             let r = lane.rank;
                             for &mi in &msgs_by_src[r] {
@@ -322,49 +310,31 @@ pub fn simulate_spmv(
                 // enter the next op (or finish)
                 let lane = &mut lanes[li];
                 if lane.pc >= lane.ops.len() {
-                    record_segment!(lane, "");
+                    record_segment!(lane, None);
                     lane.state = LaneState::Done;
                     lanes_done += 1;
                     rank_finish[lane.rank] = rank_finish[lane.rank].max(now);
                     continue;
                 }
                 let w = &workloads[lane.rank];
-                let op = lane.ops[lane.pc].clone();
-                match op {
-                    Op::PostRecvs => {
-                        record_segment!(lane, "post recvs");
-                        lane.state = LaneState::Timed {
-                            remaining_s: w.recvs.len() as f64 * cfg.post_overhead_s,
-                        };
-                    }
-                    Op::SendAll => {
-                        record_segment!(lane, "send");
-                        lane.state = LaneState::Timed {
-                            remaining_s: w.sends.len() as f64 * cfg.post_overhead_s,
-                        };
-                    }
-                    Op::Gather => {
-                        record_segment!(lane, "gather");
-                        lane.state = LaneState::Draining {
-                            remaining_bytes: gather_cost_bytes(w),
-                        };
-                    }
-                    Op::Compute { bytes, label } => {
-                        record_segment!(lane, label);
-                        lane.state = LaneState::Draining {
-                            remaining_bytes: bytes,
-                        };
-                    }
-                    Op::WaitAll => {
-                        record_segment!(lane, "waitall");
-                        lane.state = LaneState::Waiting;
-                    }
-                    Op::TeamBarrier(k) => {
-                        record_segment!(lane, "barrier");
+                let op: Op = lane.ops[lane.pc];
+                record_segment!(lane, Some(op.phase()));
+                lane.state = match op.step {
+                    Step::PostRecvs => LaneState::Timed {
+                        remaining_s: w.recvs.len() as f64 * cfg.post_overhead_s,
+                    },
+                    Step::Send => LaneState::Timed {
+                        remaining_s: w.sends.len() as f64 * cfg.post_overhead_s,
+                    },
+                    Step::Gather | Step::Compute(_) => LaneState::Draining {
+                        remaining_bytes: op.bytes,
+                    },
+                    Step::Waitall => LaneState::Waiting,
+                    Step::Barrier(k) => {
                         *barrier_arrivals.entry((lane.rank, k)).or_insert(0) += 1;
-                        lane.state = LaneState::Barrier(k);
+                        LaneState::Barrier(k)
                     }
-                }
+                };
             }
             recompute_inside(&lanes, &mut rank_inside_mpi);
             if !changed {
@@ -832,11 +802,15 @@ mod tests {
             &SimConfig::new(KernelMode::TaskMode).with_trace(),
         );
         let t = r.trace.expect("trace requested");
-        let labels: std::collections::HashSet<_> = t.events.iter().map(|e| e.label).collect();
-        assert!(labels.contains("waitall"));
-        assert!(labels.contains("spmv(local)"));
-        assert!(labels.contains("spmv(nonlocal)"));
-        assert!(labels.contains("gather"));
+        let phases: std::collections::HashSet<_> = t.events.iter().map(|e| e.phase).collect();
+        for want in [
+            Phase::Waitall,
+            Phase::SpmvLocal,
+            Phase::SpmvNonlocal,
+            Phase::Gather,
+        ] {
+            assert!(phases.contains(&want), "{want:?}");
+        }
         // events are well-formed
         for e in &t.events {
             assert!(e.t1 >= e.t0);

@@ -17,30 +17,25 @@
 //! accounting here rather than being inserted by hand.
 
 use crate::progress::ProgressModel;
-use spmv_core::{KernelMode, RankWorkload};
+use spmv_core::{KernelMode, Part, RankWorkload, Step};
+use spmv_obs::Phase;
 
-/// One activity in a lane program.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Post receives: `messages × post_overhead` of CPU time, inside MPI.
-    PostRecvs,
-    /// Gather send data into contiguous buffers: memory-bound copy.
-    Gather,
-    /// Post sends (marks this rank's messages as posted), inside MPI.
-    SendAll,
-    /// Wait until all incoming (and outgoing rendezvous) messages are
-    /// delivered, inside MPI. This is where standard MPI actually moves
-    /// data.
-    WaitAll,
-    /// Memory-bound compute phase draining the given bytes.
-    Compute {
-        /// Traffic volume of the phase in bytes.
-        bytes: f64,
-        /// Phase label for traces.
-        label: &'static str,
-    },
-    /// Intra-rank barrier between the rank's two lanes (task mode).
-    TeamBarrier(u8),
+/// One activity in a lane program: a schedule step with its cost. Gather
+/// and compute steps drain `bytes` of memory traffic; the communication
+/// steps are priced by the fluid engine from the rank's message counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Op {
+    /// The schedule step this activity executes.
+    pub step: Step,
+    /// Traffic volume drained by a gather or compute step (0 otherwise).
+    pub bytes: f64,
+}
+
+impl Op {
+    /// The trace phase of the activity.
+    pub fn phase(&self) -> Phase {
+        self.step.phase()
+    }
 }
 
 /// Simulation parameters.
@@ -115,79 +110,49 @@ fn gather_bytes(elems: usize) -> f64 {
 /// The lane programs of one rank for one SpMV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankProgram {
-    /// 1 (vector modes) or 2 (task mode: `lanes[0]` = comm, `lanes[1]` =
-    /// compute) activity lists.
+    /// One activity list per lane of [`KernelMode::lanes`]: 1 for vector
+    /// modes, 2 for task mode (`lanes[0]` = comm, `lanes[1]` = compute).
     pub lanes: Vec<Vec<Op>>,
 }
 
-/// Builds the lane programs for `workload` under `cfg`.
+/// Builds the lane programs for `workload` under `cfg`: the mode's
+/// schedule, step for step, with each gather and compute step costed.
 pub fn build_program(workload: &RankWorkload, cfg: &SimConfig) -> RankProgram {
     let w = workload;
-    let full = Op::Compute {
-        bytes: phase_bytes(w.nnz(), w.rows, w.rows + w.halo_elems, cfg.kappa),
-        label: "spmv(full)",
+    let bytes = |step: Step| match step {
+        Step::Gather => gather_bytes(w.gather_elems),
+        Step::Compute(Part::Full) => phase_bytes(w.nnz(), w.rows, w.rows + w.halo_elems, cfg.kappa),
+        Step::Compute(Part::Local) => phase_bytes(w.local_nnz, w.rows, w.rows, cfg.kappa),
+        // The non-local phase re-writes the whole result vector — that
+        // second write is exactly the Eq.-2 delta. κ applies to *all*
+        // nonzeros, as in the paper's Eq. 2 (the κ/2 term is unchanged
+        // between Eq. 1 and 2): for strongly coupled matrices the halo is
+        // far from cache-resident.
+        Step::Compute(Part::Nonlocal) => {
+            phase_bytes(w.nonlocal_nnz, w.rows, w.halo_elems, cfg.kappa)
+        }
+        _ => 0.0,
     };
-    let local = Op::Compute {
-        bytes: phase_bytes(w.local_nnz, w.rows, w.rows, cfg.kappa),
-        label: "spmv(local)",
-    };
-    // The non-local phase re-writes the whole result vector — that second
-    // write is exactly the Eq.-2 delta. κ applies to *all* nonzeros, as in
-    // the paper's Eq. 2 (the κ/2 term is unchanged between Eq. 1 and 2):
-    // for strongly coupled matrices the halo is far from cache-resident.
-    let nonlocal = Op::Compute {
-        bytes: phase_bytes(w.nonlocal_nnz, w.rows, w.halo_elems, cfg.kappa),
-        label: "spmv(nonlocal)",
-    };
-    match cfg.mode {
-        KernelMode::VectorNoOverlap => RankProgram {
-            lanes: vec![vec![
-                Op::PostRecvs,
-                Op::Gather,
-                Op::SendAll,
-                Op::WaitAll,
-                full,
-            ]],
-        },
-        KernelMode::VectorNaiveOverlap => RankProgram {
-            lanes: vec![vec![
-                Op::PostRecvs,
-                Op::Gather,
-                Op::SendAll,
-                local,
-                Op::WaitAll,
-                nonlocal,
-            ]],
-        },
-        KernelMode::TaskMode => RankProgram {
-            lanes: vec![
-                vec![
-                    Op::PostRecvs,
-                    Op::TeamBarrier(1),
-                    Op::SendAll,
-                    Op::WaitAll,
-                    Op::TeamBarrier(2),
-                ],
-                vec![
-                    Op::Gather,
-                    Op::TeamBarrier(1),
-                    local,
-                    Op::TeamBarrier(2),
-                    nonlocal,
-                ],
-            ],
-        },
+    RankProgram {
+        lanes: cfg
+            .mode
+            .lanes()
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|&step| Op {
+                        step,
+                        bytes: bytes(step),
+                    })
+                    .collect()
+            })
+            .collect(),
     }
-}
-
-/// Bytes drained by a [`Op::Gather`] for this workload.
-pub fn gather_cost_bytes(workload: &RankWorkload) -> f64 {
-    gather_bytes(workload.gather_elems)
 }
 
 /// Whether an op counts as "inside MPI" for the progress rule.
 pub fn op_inside_mpi(op: &Op) -> bool {
-    matches!(op, Op::PostRecvs | Op::SendAll | Op::WaitAll)
+    op.step.is_comm()
 }
 
 #[cfg(test)]
@@ -202,58 +167,44 @@ mod tests {
         spmv_core::workload::analyze(&m, &p).remove(1)
     }
 
-    #[test]
-    fn vector_modes_have_one_lane() {
-        let w = sample_workload();
-        for mode in [KernelMode::VectorNoOverlap, KernelMode::VectorNaiveOverlap] {
-            let p = build_program(&w, &SimConfig::new(mode));
-            assert_eq!(p.lanes.len(), 1, "{mode}");
-        }
+    fn compute_bytes(p: &RankProgram) -> f64 {
+        p.lanes[0]
+            .iter()
+            .filter(|o| matches!(o.step, Step::Compute(_)))
+            .map(|o| o.bytes)
+            .sum()
     }
 
     #[test]
-    fn task_mode_has_two_lanes_with_matching_barriers() {
+    fn lanes_are_the_schedule_step_for_step() {
         let w = sample_workload();
-        let p = build_program(&w, &SimConfig::new(KernelMode::TaskMode));
-        assert_eq!(p.lanes.len(), 2);
-        let barriers = |lane: &Vec<Op>| -> Vec<u8> {
-            lane.iter()
-                .filter_map(|o| match o {
-                    Op::TeamBarrier(k) => Some(*k),
-                    _ => None,
-                })
-                .collect()
-        };
-        assert_eq!(barriers(&p.lanes[0]), vec![1, 2]);
-        assert_eq!(barriers(&p.lanes[1]), vec![1, 2]);
+        for mode in KernelMode::ALL {
+            let p = build_program(&w, &SimConfig::new(mode));
+            let steps: Vec<Vec<Step>> = p
+                .lanes
+                .iter()
+                .map(|lane| lane.iter().map(|o| o.step).collect())
+                .collect();
+            let schedule: Vec<Vec<Step>> = mode.lanes().iter().map(|l| l.to_vec()).collect();
+            assert_eq!(steps, schedule, "{mode}");
+            for op in p.lanes.iter().flatten() {
+                let drains = matches!(op.step, Step::Gather | Step::Compute(_));
+                assert_eq!(op.bytes > 0.0, drains, "{mode}: {op:?}");
+            }
+        }
     }
 
     #[test]
     fn split_phases_cost_more_than_full_phase() {
         // Eq. 2 vs Eq. 1: split kernel writes the result twice.
         let w = sample_workload();
-        let cfg = SimConfig::new(KernelMode::VectorNaiveOverlap);
-        let split = build_program(&w, &cfg);
-        let total_split: f64 = split.lanes[0]
-            .iter()
-            .filter_map(|o| match o {
-                Op::Compute { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .sum();
+        let split = build_program(&w, &SimConfig::new(KernelMode::VectorNaiveOverlap));
         let full = build_program(&w, &SimConfig::new(KernelMode::VectorNoOverlap));
-        let total_full: f64 = full.lanes[0]
-            .iter()
-            .filter_map(|o| match o {
-                Op::Compute { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .sum();
+        let delta = compute_bytes(&split) - compute_bytes(&full);
         let expected_delta = w.rows as f64 * 16.0;
         assert!(
-            (total_split - total_full - expected_delta).abs() < 1e-6,
-            "split-full = {} vs 16·rows = {expected_delta}",
-            total_split - total_full
+            (delta - expected_delta).abs() < 1e-6,
+            "split-full = {delta} vs 16·rows = {expected_delta}"
         );
     }
 
@@ -265,11 +216,7 @@ mod tests {
             &w,
             &SimConfig::new(KernelMode::VectorNoOverlap).with_kappa(2.5),
         );
-        let get = |p: &RankProgram| match &p.lanes[0][4] {
-            Op::Compute { bytes, .. } => *bytes,
-            _ => panic!("expected compute"),
-        };
-        assert!((get(&b2) - get(&b0) - 2.5 * w.nnz() as f64).abs() < 1e-6);
+        assert!((compute_bytes(&b2) - compute_bytes(&b0) - 2.5 * w.nnz() as f64).abs() < 1e-6);
     }
 
     #[test]
@@ -287,20 +234,24 @@ mod tests {
 
     #[test]
     fn inside_mpi_classification() {
-        assert!(op_inside_mpi(&Op::WaitAll));
-        assert!(op_inside_mpi(&Op::SendAll));
-        assert!(op_inside_mpi(&Op::PostRecvs));
-        assert!(!op_inside_mpi(&Op::Gather));
-        assert!(!op_inside_mpi(&Op::Compute {
-            bytes: 1.0,
-            label: "x"
-        }));
-        assert!(!op_inside_mpi(&Op::TeamBarrier(1)));
+        let op = |step| Op { step, bytes: 0.0 };
+        for step in [Step::PostRecvs, Step::Send, Step::Waitall] {
+            assert!(op_inside_mpi(&op(step)));
+        }
+        for step in [
+            Step::Gather,
+            Step::Compute(Part::Local),
+            Step::Barrier(spmv_core::Barrier::B1),
+        ] {
+            assert!(!op_inside_mpi(&op(step)));
+        }
     }
 
     #[test]
     fn gather_cost_proportional_to_elements() {
         let w = sample_workload();
-        assert_eq!(gather_cost_bytes(&w), w.gather_elems as f64 * 24.0);
+        let p = build_program(&w, &SimConfig::new(KernelMode::VectorNoOverlap));
+        assert_eq!(p.lanes[0][1].step, Step::Gather);
+        assert_eq!(p.lanes[0][1].bytes, w.gather_elems as f64 * 24.0);
     }
 }

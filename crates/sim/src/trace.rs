@@ -1,6 +1,8 @@
 //! Activity traces — the simulator's regeneration of the paper's Fig. 4
 //! timeline schematics, with real (simulated) time on the axis.
 
+use spmv_obs::Phase;
+
 /// One contiguous activity segment of a lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -9,8 +11,8 @@ pub struct TraceEvent {
     /// Lane within the rank (0 = comm lane in task mode, otherwise the
     /// single execution lane).
     pub lane: usize,
-    /// Activity label ("gather", "waitall", "spmv(local)", ...).
-    pub label: &'static str,
+    /// The activity's phase (shared with measured traces).
+    pub phase: Phase,
     /// Segment start (seconds).
     pub t0: f64,
     /// Segment end (seconds).
@@ -37,7 +39,7 @@ impl Trace {
                 .map(|e| TraceEvent {
                     rank: e.rank,
                     lane: e.lane,
-                    label: e.phase.label(),
+                    phase: e.phase,
                     t0: e.t0,
                     t1: e.t1,
                 })
@@ -52,29 +54,19 @@ impl Trace {
         ev
     }
 
-    /// Total time rank `rank` spent in segments whose label contains
-    /// `pattern`. Substring matching aggregates label families — e.g.
-    /// `"spmv"` sums `spmv(local)` + `spmv(nonlocal)` + `spmv(full)` —
-    /// which also means it silently conflates them: use
-    /// [`Trace::time_in_exact`] when you mean one specific phase.
-    pub fn time_in(&self, rank: usize, pattern: &str) -> f64 {
+    /// Total time rank `rank` spent in phases matching `pred` — e.g.
+    /// [`Phase::is_compute`] sums the local, non-local and full kernels.
+    pub fn time_where(&self, rank: usize, pred: impl Fn(Phase) -> bool) -> f64 {
         self.events
             .iter()
-            .filter(|e| e.rank == rank && e.label.contains(pattern))
+            .filter(|e| e.rank == rank && pred(e.phase))
             .map(|e| e.t1 - e.t0)
             .sum()
     }
 
-    /// Total time rank `rank` spent in segments labelled *exactly*
-    /// `label` — the single-phase twin of the substring-matching
-    /// [`Trace::time_in`] (querying `"spmv(local)"` here cannot pick up
-    /// `"spmv(nonlocal)"`, and `"spmv"` matches nothing).
-    pub fn time_in_exact(&self, rank: usize, label: &str) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.rank == rank && e.label == label)
-            .map(|e| e.t1 - e.t0)
-            .sum()
+    /// Total time rank `rank` spent in `phase`.
+    pub fn time_in(&self, rank: usize, phase: Phase) -> f64 {
+        self.time_where(rank, |p| p == phase)
     }
 
     /// Renders an ASCII timeline for one rank (one row per lane), `width`
@@ -93,7 +85,7 @@ impl Trace {
         let lanes: usize = ev.iter().map(|e| e.lane).max().unwrap_or(0) + 1;
         let mut rows = vec![vec![b' '; width]; lanes];
         for e in &ev {
-            let c = symbol_for(e.label);
+            let c = symbol_for(e.phase);
             let a = (e.t0 * t_scale).floor() as usize;
             let b = ((e.t1 * t_scale).ceil() as usize).clamp(a + 1, width);
             for cell in &mut rows[e.lane][a.min(width - 1)..b] {
@@ -116,16 +108,16 @@ impl Trace {
     }
 }
 
-fn symbol_for(label: &str) -> u8 {
-    match label {
-        "gather" => b'g',
-        "send" => b's',
-        "post recvs" => b'r',
-        "waitall" => b'w',
-        "spmv(local)" => b'L',
-        "spmv(nonlocal)" => b'N',
-        "spmv(full)" => b'F',
-        "barrier" => b'b',
+fn symbol_for(phase: Phase) -> u8 {
+    match phase {
+        Phase::Gather => b'g',
+        Phase::Send => b's',
+        Phase::PostRecvs => b'r',
+        Phase::Waitall => b'w',
+        Phase::SpmvLocal => b'L',
+        Phase::SpmvNonlocal => b'N',
+        Phase::SpmvFull => b'F',
+        Phase::Barrier => b'b',
         _ => b'?',
     }
 }
@@ -140,42 +132,42 @@ mod tests {
                 TraceEvent {
                     rank: 0,
                     lane: 0,
-                    label: "post recvs",
+                    phase: Phase::PostRecvs,
                     t0: 0.0,
                     t1: 0.1,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 0,
-                    label: "waitall",
+                    phase: Phase::Waitall,
                     t0: 0.1,
                     t1: 0.9,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "gather",
+                    phase: Phase::Gather,
                     t0: 0.0,
                     t1: 0.2,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "spmv(local)",
+                    phase: Phase::SpmvLocal,
                     t0: 0.2,
                     t1: 0.8,
                 },
                 TraceEvent {
                     rank: 0,
                     lane: 1,
-                    label: "spmv(nonlocal)",
+                    phase: Phase::SpmvNonlocal,
                     t0: 0.9,
                     t1: 1.0,
                 },
                 TraceEvent {
                     rank: 1,
                     lane: 0,
-                    label: "waitall",
+                    phase: Phase::Waitall,
                     t0: 0.0,
                     t1: 0.5,
                 },
@@ -194,32 +186,18 @@ mod tests {
     }
 
     #[test]
-    fn time_in_sums_matching_segments() {
+    fn time_queries_sum_matching_segments() {
         let t = sample();
-        assert!((t.time_in(0, "spmv") - 0.7).abs() < 1e-12);
-        assert!((t.time_in(0, "waitall") - 0.8).abs() < 1e-12);
-        assert_eq!(t.time_in(1, "gather"), 0.0);
-    }
-
-    #[test]
-    fn time_in_exact_does_not_conflate_label_families() {
-        let t = sample();
-        // the substring query conflates the two spmv phases...
-        assert!((t.time_in(0, "spmv") - 0.7).abs() < 1e-12);
-        // ...the exact query separates them
-        assert!((t.time_in_exact(0, "spmv(local)") - 0.6).abs() < 1e-12);
-        assert!((t.time_in_exact(0, "spmv(nonlocal)") - 0.1).abs() < 1e-12);
-        assert_eq!(
-            t.time_in_exact(0, "spmv"),
-            0.0,
-            "no segment is labelled bare 'spmv'"
-        );
-        assert!((t.time_in_exact(0, "waitall") - 0.8).abs() < 1e-12);
+        assert!((t.time_where(0, Phase::is_compute) - 0.7).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::SpmvLocal) - 0.6).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::SpmvNonlocal) - 0.1).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::Waitall) - 0.8).abs() < 1e-12);
+        assert_eq!(t.time_in(1, Phase::Gather), 0.0);
     }
 
     #[test]
     fn measured_trace_converts_to_sim_vocabulary() {
-        use spmv_obs::{Phase, RankTrace, RunTrace, SpanEvent};
+        use spmv_obs::{RankTrace, RunTrace, SpanEvent};
         let run = RunTrace::from_ranks([RankTrace {
             rank: 0,
             events: vec![
@@ -246,8 +224,8 @@ mod tests {
         }]);
         let t = Trace::from_measured(&run);
         assert_eq!(t.events.len(), 2);
-        assert!((t.time_in_exact(0, "waitall") - 0.4).abs() < 1e-12);
-        assert!((t.time_in_exact(0, "spmv(local)") - 0.2).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::Waitall) - 0.4).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::SpmvLocal) - 0.2).abs() < 1e-12);
         // the renderer understands the shared labels
         let art = t.render_rank_ascii(0, 20);
         assert!(art.contains('w') && art.contains('L'));

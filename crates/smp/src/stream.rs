@@ -85,10 +85,11 @@ pub fn run_stream(team: &ThreadTeam, len: usize, reps: usize) -> StreamResult {
         SendPtr(c.as_mut_ptr()),
     );
 
-    // SAFETY: for all four kernels — static_chunk gives disjoint index
-    // ranges per thread, and the vectors outlive every team region.
     let t_copy = time_kernel(&|tid, size| {
         for i in static_chunk(len, size, tid) {
+            // SAFETY: for all four kernels — static_chunk gives disjoint
+            // index ranges per thread, and the vectors outlive every team
+            // region.
             unsafe { *pc.at(i) = *pa.at(i) };
         }
     });
@@ -129,6 +130,7 @@ struct SendPtr(*mut f64);
 // SAFETY: points into vectors owned by the benchmark frame, which outlive
 // every team region; accesses follow `SendPtr::at`'s disjointness contract.
 unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send` — shared use is confined to disjoint elements.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {

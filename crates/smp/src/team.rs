@@ -312,6 +312,7 @@ mod tests {
     // SAFETY: test-local pointer into a vector that outlives the region;
     // threads write disjoint chunks.
     unsafe impl Send for SendPtr {}
+    // SAFETY: as for `Send`.
     unsafe impl Sync for SendPtr {}
     impl SendPtr {
         /// # Safety

@@ -112,7 +112,9 @@ impl LinOp for DistOp<'_> {
     }
 
     fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.engine.apply(x, y, self.mode);
+        if let Err(e) = self.try_apply(x, y) {
+            panic!("distributed apply failed (use try_apply to handle faults): {e}");
+        }
     }
 
     fn try_apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), spmv_comm::CommError> {

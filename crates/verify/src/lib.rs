@@ -1,6 +1,6 @@
 //! Static verification for the hybrid SpMV workspace.
 //!
-//! Three pillars, all dependency-free and deterministic:
+//! Two pillars, both dependency-free and deterministic:
 //!
 //! 1. **Comm-plan verification** — re-exported from `spmv-core`'s
 //!    [`verify`](spmv_core::verify) module (it lives there so
@@ -8,20 +8,24 @@
 //!    prove the global message graph is matched, uniquely tagged, owned,
 //!    acyclic, and deadlock-free, or return typed [`PlanViolation`]s.
 //! 2. **Interleaving exploration** — [`explore`] is a loom-style
-//!    model checker over the engine's yield points; [`script`] builds
-//!    model programs from *real* plans for all three kernel modes, so
-//!    exhaustive search proves deadlock-freedom and bit-identical
-//!    results across every interleaving on small worlds.
-//! 3. **Workspace lints** — [`lint`] backs the `spmv-lint` binary:
-//!    SAFETY-comment coverage, unwrap burndown in hot crates, blocking
-//!    calls in the task-mode comm thread, and obs/sim phase-label drift.
+//!    model checker over the engine's yield points; [`script`] lowers
+//!    the same schedule the engine interprets ([`spmv_core::KernelMode::lanes`])
+//!    to model programs over *real* plans for all three kernel modes, so
+//!    exhaustive search proves deadlock-freedom and bit-identical results
+//!    across every interleaving on small worlds (flat strategy).
+//!
+//! Source-level rules that an earlier line scanner enforced are now
+//! compiler and clippy checks: unsafe blocks and impls need a `SAFETY:`
+//! comment (`clippy::undocumented_unsafe_blocks`, workspace-wide),
+//! `spmv-comm` and `spmv-core` library code may not `unwrap`
+//! (`clippy::unwrap_used`), and phase labels cannot drift between the
+//! engine, the simulator and the traces because all three use
+//! `spmv_obs::Phase` through the shared step lists.
 
 pub mod explore;
-pub mod lint;
 pub mod script;
 
 pub use explore::{ExploreError, ExploreReport, Explorer, MOp, ModelWorld, Program};
-pub use lint::{run_lints, Finding, ALL_LINTS};
 pub use script::{assemble_y, build_world};
 pub use spmv_core::verify::{
     verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation,

@@ -11,19 +11,18 @@
 //! * `3r + 1` — the gathered send buffer;
 //! * `3r + 2` — `y`, the rank's slice of the result.
 //!
-//! Vector modes are one proc per rank. Task mode is two procs per rank —
-//! the dedicated comm thread and the compute team — synchronized by the
-//! B1/B2 barriers of Fig. 4c (barrier ids `2r` and `2r + 1`).
+//! Each lane of the mode's schedule ([`KernelMode::lanes`]) becomes one
+//! proc per rank: vector modes have one, task mode two — the dedicated
+//! comm thread and the compute team — synchronized by the B1/B2 barriers
+//! of Fig. 4c (barrier ids `2r` and `2r + 1`). Posting receives is a no-op
+//! in the model (the substrate only matches a receive when it is waited);
+//! the blocking receives land at the waitall, in halo order.
 
 use crate::explore::{MOp, ModelWorld, Program};
 use spmv_core::plan::build_plans_serial;
-use spmv_core::{KernelMode, RowPartition, SplitMatrix};
+use spmv_core::{Barrier, KernelMode, Part, RowPartition, SplitMatrix, Step, TAG_HALO};
 use spmv_matrix::CsrMatrix;
 use std::rc::Rc;
-
-/// The halo tag the engine uses for flat exchange (`spmv-core`'s
-/// `TAG_HALO`); the model reuses it so schedules read identically.
-const TAG_HALO: u32 = 17;
 
 /// Builds a model world for a distributed SpMV of `matrix` over `ranks`
 /// nonzero-balanced ranks in `mode`, with `x` as the RHS. Returns the
@@ -41,39 +40,37 @@ pub fn build_world(
 
     let mut buffers = Vec::with_capacity(3 * ranks);
     let mut layout = Vec::with_capacity(ranks);
-    let mut splits = Vec::with_capacity(ranks);
     for plan in &plans {
         let range = partition.range(plan.rank);
-        let block = matrix.row_block(range.clone());
-        let split = SplitMatrix::build(&block, plan);
-        let mut x_ext = x[range.clone()].to_vec();
+        let mut x_ext = x[range].to_vec();
         x_ext.resize(plan.local_len + plan.halo_len(), 0.0);
         buffers.push(x_ext);
         buffers.push(vec![0.0; plan.send_len()]);
         buffers.push(vec![0.0; plan.local_len]);
         layout.push((plan.row_start, plan.local_len));
-        splits.push(split);
     }
 
     let mut procs = Vec::new();
     let mut barrier_groups = Vec::new();
     for (r, plan) in plans.iter().enumerate() {
         let (xb, sb, yb) = (3 * r, 3 * r + 1, 3 * r + 2);
-        let split = &splits[r];
-        let nloc = plan.local_len;
-
-        let gather = MOp::Gather {
-            src: xb,
-            indices: Rc::new(
-                plan.send
-                    .iter()
-                    .flat_map(|n| n.indices.iter().copied())
-                    .collect(),
-            ),
-            dst: sb,
+        let block = matrix.row_block(partition.range(r));
+        let split = SplitMatrix::build(&block, plan);
+        let spmv = |part: Part| {
+            let (mat, x_off) = match part {
+                Part::Full => (&split.full, 0),
+                Part::Local => (&split.local, 0),
+                Part::Nonlocal => (&split.nonlocal, plan.local_len),
+            };
+            MOp::Spmv {
+                mat: Rc::new(mat.clone()),
+                x_buf: xb,
+                x_off,
+                y_buf: yb,
+                accumulate: part == Part::Nonlocal,
+            }
         };
-        // Send ops: one per send neighbour, over the neighbour's segment of
-        // the gathered buffer (the engine's send_offsets).
+        // one op per send neighbour, over its segment of the send buffer
         let mut sends = Vec::new();
         let mut off = 0usize;
         for n in &plan.send {
@@ -85,9 +82,9 @@ pub fn build_world(
             });
             off += n.indices.len();
         }
-        // Recv ops: one per recv neighbour, into the halo segment of x_ext.
+        // one blocking receive per recv neighbour, into its halo segment
         let mut recvs = Vec::new();
-        let mut hoff = nloc;
+        let mut hoff = plan.local_len;
         for n in &plan.recv {
             recvs.push(MOp::Recv {
                 src: n.peer,
@@ -98,67 +95,39 @@ pub fn build_world(
             });
             hoff += n.indices.len();
         }
-        let spmv_full = MOp::Spmv {
-            mat: Rc::new(split.full.clone()),
-            x_buf: xb,
-            x_off: 0,
-            y_buf: yb,
-            accumulate: false,
-        };
-        let spmv_local = MOp::Spmv {
-            mat: Rc::new(split.local.clone()),
-            x_buf: xb,
-            x_off: 0,
-            y_buf: yb,
-            accumulate: false,
-        };
-        let spmv_nonlocal = MOp::Spmv {
-            mat: Rc::new(split.nonlocal.clone()),
-            x_buf: xb,
-            x_off: nloc,
-            y_buf: yb,
-            accumulate: true,
-        };
+        let gather_indices: Rc<Vec<u32>> = Rc::new(
+            plan.send
+                .iter()
+                .flat_map(|n| n.indices.iter().copied())
+                .collect(),
+        );
 
-        match mode {
-            KernelMode::VectorNoOverlap => {
-                // Fig. 4a: gather, exchange to completion, one full kernel.
-                let mut ops = vec![gather];
-                ops.extend(sends);
-                ops.extend(recvs);
-                ops.push(spmv_full);
-                procs.push(Program { rank: r, ops });
+        let first_proc = procs.len();
+        for lane in mode.lanes() {
+            let mut ops = Vec::new();
+            for &step in lane.iter() {
+                match step {
+                    Step::PostRecvs => {}
+                    Step::Gather => ops.push(MOp::Gather {
+                        src: xb,
+                        indices: Rc::clone(&gather_indices),
+                        dst: sb,
+                    }),
+                    Step::Send => ops.extend(sends.iter().cloned()),
+                    Step::Waitall => ops.extend(recvs.iter().cloned()),
+                    Step::Compute(part) => ops.push(spmv(part)),
+                    Step::Barrier(b) => ops.push(MOp::Barrier {
+                        id: 2 * r + usize::from(b == Barrier::B2),
+                    }),
+                }
             }
-            KernelMode::VectorNaiveOverlap => {
-                // Fig. 4b: nonblocking exchange posted before the local
-                // kernel; the blocking waits (modeled by the Recv ops)
-                // land between the local and non-local kernels.
-                let mut ops = vec![gather];
-                ops.extend(sends);
-                ops.push(spmv_local);
-                ops.extend(recvs);
-                ops.push(spmv_nonlocal);
-                procs.push(Program { rank: r, ops });
-            }
-            KernelMode::TaskMode => {
-                // Fig. 4c: a dedicated comm proc drives the exchange while
-                // the compute proc runs the local kernel between B1 and B2.
-                let b1 = MOp::Barrier { id: 2 * r };
-                let b2 = MOp::Barrier { id: 2 * r + 1 };
-                let comm_proc = procs.len();
-                let mut ops = vec![b1.clone()];
-                ops.extend(sends);
-                ops.extend(recvs);
-                ops.push(b2.clone());
-                procs.push(Program { rank: r, ops });
-                procs.push(Program {
-                    rank: r,
-                    ops: vec![gather, b1, spmv_local, b2, spmv_nonlocal],
-                });
-                barrier_groups.resize(2 * r + 2, Vec::new());
-                barrier_groups[2 * r] = vec![comm_proc, comm_proc + 1];
-                barrier_groups[2 * r + 1] = vec![comm_proc, comm_proc + 1];
-            }
+            procs.push(Program { rank: r, ops });
+        }
+        if mode.lanes().len() > 1 {
+            barrier_groups.resize(2 * r + 2, Vec::new());
+            let members: Vec<usize> = (first_proc..procs.len()).collect();
+            barrier_groups[2 * r] = members.clone();
+            barrier_groups[2 * r + 1] = members;
         }
     }
 

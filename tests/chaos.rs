@@ -58,7 +58,8 @@ fn run_sweeps(
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode)
+                .expect("recoverable faults are hidden by the transport");
         }
         let faults = eng.comm().fault_stats().map_or(0, |s| s.total());
         (eng.y_local().to_vec(), faults)
@@ -134,73 +135,90 @@ fn recoverable_faults_are_bit_identically_invisible() {
     }
 }
 
+/// Every schedule under both strategies, as the chaos cases iterate it.
+fn all_schedules() -> impl Iterator<Item = (KernelMode, CommStrategy)> {
+    let strategies = [
+        CommStrategy::Flat,
+        CommStrategy::NodeAware {
+            ranks_per_node: RPN,
+        },
+    ];
+    strategies
+        .into_iter()
+        .flat_map(|s| KernelMode::ALL.into_iter().map(move |m| (m, s)))
+}
+
+/// Runs SpMVs until the first error (at most 1000) on every rank. Rank
+/// faults below fire after 100 operations: past engine construction (whose
+/// collectives are infallible) under every strategy, inside the SpMV loop.
+fn first_errors(
+    comms: Vec<spmv_comm::Comm>,
+    m: &CsrMatrix,
+    partition: &RowPartition,
+    mode: KernelMode,
+    strategy: CommStrategy,
+) -> Vec<Option<CommError>> {
+    run_spmd_on_world(comms, m, partition, cfg_for(mode, strategy), |eng| {
+        for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
+            *v = i as f64 * 0.01 + 1.0;
+        }
+        (0..1000).find_map(|_| eng.spmv_checked(mode).err())
+    })
+}
+
 /// A stalled rank must produce a watchdog dump and typed errors on every
-/// rank — not a hang.
+/// rank — not a hang — in every schedule: task mode's comm lane must
+/// still reach B1/B2 on the fault and hand its error back.
 #[test]
 fn stall_triggers_watchdog_dump_not_hang() {
     let m = test_matrix();
     let partition = RowPartition::by_nnz(&m, RANKS);
-    let comms = CommWorld::builder(RANKS)
-        .node_map(node_map())
-        .faults(FaultPlan::new(7).stall_rank(2, 10))
-        .watchdog(Duration::from_millis(100))
-        .build();
-    let cfg = cfg_for(KernelMode::VectorNoOverlap, CommStrategy::Flat);
-    let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
-        for (i, v) in eng.x_local_mut().iter_mut().enumerate() {
-            *v = i as f64 * 0.01 + 1.0;
-        }
-        for _ in 0..1000 {
-            if let Err(e) = eng.spmv_checked(KernelMode::VectorNoOverlap) {
-                return Some(e);
+    for (mode, strategy) in all_schedules() {
+        let comms = CommWorld::builder(RANKS)
+            .node_map(node_map())
+            .faults(FaultPlan::new(7).stall_rank(2, 100))
+            .watchdog(Duration::from_millis(100))
+            .build();
+        let errors = first_errors(comms, &m, &partition, mode, strategy);
+        // every rank fails fast with a Poisoned error carrying the dump
+        for (rank, err) in errors.into_iter().enumerate() {
+            let case = format!("{mode:?}/{strategy:?}: rank {rank}");
+            match err {
+                Some(CommError::Poisoned { report }) => {
+                    assert!(report.blocked_ranks() >= 1, "{case}");
+                    let text = report.to_string();
+                    assert!(
+                        text.contains("rank"),
+                        "{case}: dump should list per-rank pending ops: {text}"
+                    );
+                }
+                other => panic!("{case}: expected Poisoned, got {other:?}"),
             }
-        }
-        None
-    });
-    // every rank fails fast with a Poisoned error carrying the dump
-    for (rank, err) in errors.into_iter().enumerate() {
-        let err = err.unwrap_or_else(|| panic!("rank {rank} never saw the stall"));
-        match err {
-            CommError::Poisoned { report } => {
-                assert!(report.blocked_ranks() >= 1);
-                let text = report.to_string();
-                assert!(
-                    text.contains("rank"),
-                    "dump should list per-rank pending ops: {text}"
-                );
-            }
-            other => panic!("rank {rank}: expected Poisoned, got {other}"),
         }
     }
 }
 
 /// A killed rank surfaces as `PeerDead` on itself and its partners and the
-/// watchdog converts any secondary stall into `Poisoned` — never a hang.
+/// watchdog converts any secondary stall into `Poisoned` — never a hang —
+/// in every schedule.
 #[test]
 fn killed_rank_fails_fast_with_typed_errors() {
     let m = synthetic::random_banded_symmetric(60, 9, 4.0, 3);
     let ranks = 3; // band 9 over 20-row blocks: every rank talks to rank 1
     let partition = RowPartition::by_nnz(&m, ranks);
-    let comms = CommWorld::builder(ranks)
-        .faults(FaultPlan::new(9).kill_rank(1, 8))
-        .watchdog(Duration::from_millis(100))
-        .build();
-    let cfg = cfg_for(KernelMode::VectorNoOverlap, CommStrategy::Flat);
-    let errors = run_spmd_on_world(comms, &m, &partition, cfg, |eng| {
-        for v in eng.x_local_mut().iter_mut() {
-            *v = 1.0;
-        }
-        for _ in 0..1000 {
-            if let Err(e) = eng.spmv_checked(KernelMode::VectorNoOverlap) {
-                return Some(e);
+    for (mode, strategy) in all_schedules() {
+        let comms = CommWorld::builder(ranks)
+            .faults(FaultPlan::new(9).kill_rank(1, 100))
+            .watchdog(Duration::from_millis(100))
+            .build();
+        let errors = first_errors(comms, &m, &partition, mode, strategy);
+        for (rank, err) in errors.into_iter().enumerate() {
+            match err {
+                Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
+                other => panic!(
+                    "{mode:?}/{strategy:?}: rank {rank}: expected PeerDead or Poisoned, got {other:?}"
+                ),
             }
-        }
-        None
-    });
-    for (rank, err) in errors.into_iter().enumerate() {
-        match err {
-            Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
-            other => panic!("rank {rank}: expected PeerDead or Poisoned, got {other:?}"),
         }
     }
 }

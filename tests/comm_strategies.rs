@@ -35,7 +35,7 @@ fn halo_bits(m: &CsrMatrix, ranks: usize, cfg: EngineConfig) -> Vec<(usize, Vec<
         let start = eng.plan().row_start;
         let len = eng.x_local().len();
         eng.x_local_mut().copy_from_slice(&x[start..start + len]);
-        eng.halo_exchange();
+        eng.halo_exchange_checked().expect("fault-free world");
         (
             eng.comm().rank(),
             eng.halo().iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
@@ -129,7 +129,7 @@ fn one_exchange_stats(m: &CsrMatrix, ranks: usize, rpn: usize, cfg: EngineConfig
                     eng.comm().barrier(); // plan-construction traffic done
                     let base = eng.comm().stats().snapshot();
                     eng.comm().barrier(); // all baselines taken
-                    eng.halo_exchange();
+                    eng.halo_exchange_checked().expect("fault-free world");
                     eng.comm().barrier(); // all exchange traffic recorded
                     (
                         eng.comm().rank(),

@@ -190,7 +190,7 @@ fn mode_switching_on_live_engines() {
         let mut errs = Vec::new();
         for round in 0..15 {
             let mode = KernelMode::ALL[round % 3];
-            eng.spmv(mode);
+            eng.spmv_checked(mode).expect("fault-free world");
             let err: f64 = eng
                 .y_local()
                 .iter()

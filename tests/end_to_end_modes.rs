@@ -90,7 +90,8 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
         let len = eng.local_len();
         eng.x_local_mut().copy_from_slice(&x0[lo..lo + len]);
         for _ in 0..8 {
-            eng.spmv(KernelMode::TaskMode);
+            eng.spmv_checked(KernelMode::TaskMode)
+                .expect("fault-free world");
             let local_ss: f64 = eng.y_local().iter().map(|v| v * v).sum();
             let comm = eng.comm().clone();
             let ops = DistOps { comm: &comm };
@@ -161,7 +162,8 @@ fn comm_stats_reflect_message_aggregation() {
                 eng.comm().stats().reset();
             }
             eng.comm().barrier();
-            eng.spmv(KernelMode::VectorNoOverlap);
+            eng.spmv_checked(KernelMode::VectorNoOverlap)
+                .expect("fault-free world");
             eng.comm().barrier();
             eng.comm().stats().messages()
         });

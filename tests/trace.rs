@@ -18,6 +18,7 @@ use spmv_obs::{
     chrome_trace_json, metrics_json, text_timeline, validate_json, Phase, RankTrace, RunTrace,
     TraceMetrics, FAULT_LANE,
 };
+use std::collections::BTreeSet;
 
 const RANKS: usize = 4;
 
@@ -71,7 +72,8 @@ fn traced_sweeps_with(
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode)
+                .expect("delay faults are recoverable");
         }
         let trace = eng.take_trace().expect("tracing enabled");
         (trace, eng.y_local().to_vec())
@@ -91,7 +93,8 @@ fn untraced_sweeps(m: &CsrMatrix, mode: KernelMode, iters: usize) -> Vec<Vec<f64
             *v = ((lo + i) as f64).sin() + 1.5;
         }
         for _ in 0..iters {
-            eng.spmv(mode);
+            eng.spmv_checked(mode)
+                .expect("delay faults are recoverable");
         }
         assert!(eng.trace_sink().is_none(), "recorder must not exist");
         eng.y_local().to_vec()
@@ -165,85 +168,55 @@ fn disabled_recorder_is_bit_identical() {
     }
 }
 
-/// Every kernel mode leaves its full phase vocabulary in the trace, under
-/// both halo-exchange strategies. The vocabularies differ: the flat
-/// exchange posts nonblocking receives up front ("post recvs"), while the
-/// node-aware ship/wire/forward exchange receives inside its blocking
-/// finish — so its receive time is waitall time, and no "post recvs" span
-/// exists to record. The strategy is pinned per case because the
-/// expectation is strategy-specific (the CI comm-strategy matrix sets
-/// `SPMV_COMM_STRATEGY` for the whole suite).
+/// Every kernel mode leaves exactly its schedule's phase vocabulary in the
+/// trace — the phases of `mode.lanes()` — under both halo-exchange
+/// strategies. The strategy is pinned per case because the CI
+/// comm-strategy matrix sets `SPMV_COMM_STRATEGY` for the whole suite.
 #[test]
 fn all_modes_record_their_phases() {
     let m = test_matrix();
-    let flat_expect: [(&KernelMode, &[&str]); 3] = [
-        (
-            &KernelMode::VectorNoOverlap,
-            &["gather", "post recvs", "send", "waitall", "spmv(full)"],
-        ),
-        (
-            &KernelMode::VectorNaiveOverlap,
-            &[
-                "gather",
-                "post recvs",
-                "send",
-                "waitall",
-                "spmv(local)",
-                "spmv(nonlocal)",
-            ],
-        ),
-        (
-            &KernelMode::TaskMode,
-            &[
-                "gather",
-                "post recvs",
-                "waitall",
-                "barrier",
-                "spmv(local)",
-                "spmv(nonlocal)",
-            ],
-        ),
-    ];
-    let na_expect: [(&KernelMode, &[&str]); 3] = [
-        (
-            &KernelMode::VectorNoOverlap,
-            &["gather", "send", "waitall", "spmv(full)"],
-        ),
-        (
-            &KernelMode::VectorNaiveOverlap,
-            &["gather", "send", "waitall", "spmv(local)", "spmv(nonlocal)"],
-        ),
-        (
-            &KernelMode::TaskMode,
-            &[
-                "gather",
-                "waitall",
-                "barrier",
-                "spmv(local)",
-                "spmv(nonlocal)",
-            ],
-        ),
-    ];
-    let cases = [
-        (CommStrategy::Flat, flat_expect),
-        (CommStrategy::NodeAware { ranks_per_node: 2 }, na_expect),
-    ];
-    for (strategy, expect) in cases {
-        for (&mode, labels) in expect {
+    for strategy in [
+        CommStrategy::Flat,
+        CommStrategy::NodeAware { ranks_per_node: 2 },
+    ] {
+        for mode in KernelMode::ALL {
             let (trace, _) = traced_sweeps_with(&m, mode, None, 2, Some(strategy));
             let present = trace.phase_labels();
-            for want in labels {
-                assert!(
-                    present.contains(want),
-                    "{mode:?} under {strategy:?}: phase '{want}' missing (present: {present:?})"
-                );
-            }
+            let expected: BTreeSet<&'static str> = mode
+                .lanes()
+                .iter()
+                .flat_map(|lane| lane.iter().map(|s| s.phase().label()))
+                .collect();
+            assert_eq!(present, expected, "{mode:?} under {strategy:?}");
             assert_eq!(
                 trace.dropped, 0,
                 "{mode:?} under {strategy:?}: ring buffers overflowed"
             );
             assert!(trace.makespan() > 0.0);
         }
+    }
+}
+
+/// Naive overlap and task mode run the same split kernels over the same
+/// chunks, so their results agree bit for bit, under both strategies.
+#[test]
+fn split_kernel_modes_agree_bitwise() {
+    let m = test_matrix();
+    for strategy in [
+        CommStrategy::Flat,
+        CommStrategy::NodeAware { ranks_per_node: 2 },
+    ] {
+        let y = |mode| traced_sweeps_with(&m, mode, None, 2, Some(strategy)).1;
+        let bits = |ys: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            ys.iter()
+                .map(|y| y.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(y(KernelMode::VectorNaiveOverlap)),
+            bits(y(KernelMode::TaskMode)),
+            "{strategy:?}"
+        );
     }
 }
 
@@ -305,6 +278,6 @@ fn exporters_round_trip_a_measured_run() {
 
     // the sim crate understands the measured vocabulary
     let sim_view = spmv_sim::Trace::from_measured(&trace);
-    assert!(sim_view.time_in_exact(0, "waitall") > 0.0);
+    assert!(sim_view.time_in(0, Phase::Waitall) > 0.0);
     assert!(sim_view.render_rank_ascii(0, 60).contains("legend"));
 }
