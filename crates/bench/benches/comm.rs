@@ -6,6 +6,9 @@ use spmv_bench::microbench::{Bench, Unit};
 use spmv_comm::collectives::ReduceOp;
 use spmv_comm::CommWorld;
 
+/// Ping-pong runs on a world without faults or watchdog.
+const HEALTHY: &str = "fault-free world: ping-pong messages cannot fail";
+
 /// Two ranks bouncing one message back and forth `iters` times.
 fn ping_pong(bytes: usize, iters: usize) {
     let comms = CommWorld::create(2);
@@ -15,15 +18,15 @@ fn ping_pong(bytes: usize, iters: usize) {
     let h = std::thread::spawn(move || {
         let mut buf = vec![0.0f64; elems];
         for _ in 0..iters {
-            c1.recv(0, 1, &mut buf);
-            c1.send(0, 2, &buf);
+            c1.recv(0, 1, &mut buf).expect(HEALTHY);
+            c1.send(0, 2, &buf).expect(HEALTHY);
         }
     });
     let data = vec![1.0f64; elems];
     let mut back = vec![0.0f64; elems];
     for _ in 0..iters {
-        c0.send(1, 1, &data);
-        c0.recv(1, 2, &mut back);
+        c0.send(1, 1, &data).expect(HEALTHY);
+        c0.recv(1, 2, &mut back).expect(HEALTHY);
     }
     h.join().unwrap();
 }

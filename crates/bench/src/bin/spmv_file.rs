@@ -8,6 +8,9 @@
 //!     [--comm-strategy flat|node-aware] [--ranks-per-node N] [--trace <path>]
 //! ```
 //!
+//! `-h` / `--help` prints the usage line and exits 0; any other unknown
+//! `--flag` prints it and exits 2.
+//!
 //! The matrix argument also accepts the built-in pseudo-paths
 //! `holstein:<scale>` and `samg:<scale>` (`test|medium|paper`) so the
 //! pipeline can run without a Matrix Market file on disk — the form CI
@@ -46,6 +49,11 @@ use spmv_obs::{chrome_trace_json, validate_json, ModelDrift, RunTrace, TraceMetr
 use spmv_sim::scaling::simulate_modes;
 use spmv_sim::SimConfig;
 use std::io::BufReader;
+
+const USAGE: &str =
+    "usage: spmv_file <matrix.mtx|holstein:<scale>|samg:<scale>> [ranks] [threads] \
+     [--kernel <kind>] [--comm-strategy flat|node-aware] [--ranks-per-node N] \
+     [--trace <path>] [--verify-plan]";
 
 /// Loads the matrix argument: `holstein:<scale>` and `samg:<scale>` build
 /// the paper's application matrices in-process, anything else is read as a
@@ -204,6 +212,14 @@ fn main() {
                 trace_path = Some(it.next().expect("--trace needs a path").clone());
             }
             "--verify-plan" => verify_plan = true,
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return;
+            }
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag '{flag}'\n{USAGE}");
+                std::process::exit(2);
+            }
             _ => positional.push(a.clone()),
         }
     }
@@ -218,11 +234,7 @@ fn main() {
         None => CommStrategy::from_env().unwrap_or(CommStrategy::Flat),
     };
     let Some(path) = positional.first() else {
-        eprintln!(
-            "usage: spmv_file <matrix.mtx|holstein:<scale>|samg:<scale>> [ranks] [threads] \
-             [--kernel <kind>] [--comm-strategy flat|node-aware] [--ranks-per-node N] \
-             [--trace <path>] [--verify-plan]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let ranks: usize = positional

@@ -2,16 +2,29 @@
 //! tags. All ranks of a world must call each collective in the same order
 //! (the usual MPI contract); per-pair FIFO matching then guarantees that
 //! consecutive collectives cannot interleave.
+//!
+//! # Fault rule
+//!
+//! Collectives (and [`Comm::barrier`]) do not return a `Result`: on a
+//! fault — a dead peer or a poisoned world — they panic with the
+//! [`CommError`](crate::CommError) text (`peer dead: …` / `world poisoned
+//! …`). Their callers are setup code and solver reductions, which have no
+//! recovery path; the point-to-point API is where typed errors live.
 
+use crate::error::CommError;
 use crate::pod::Pod;
 use crate::world::{Comm, Tag};
 
 const TAG_REDUCE: Tag = crate::world::RESERVED_TAG_BASE;
 const TAG_BCAST: Tag = crate::world::RESERVED_TAG_BASE + 1;
-const TAG_GATHER: Tag = crate::world::RESERVED_TAG_BASE + 2;
 const TAG_A2A: Tag = crate::world::RESERVED_TAG_BASE + 3;
 const TAG_AGATHER: Tag = crate::world::RESERVED_TAG_BASE + 4;
-const TAG_SCAN: Tag = crate::world::RESERVED_TAG_BASE + 5;
+
+/// Applies the fault rule: a failed step of a collective or `barrier`
+/// panics with the error text.
+pub(crate) fn or_panic<T>(result: Result<T, CommError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
 
 /// Reduction operators for [`Comm::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,11 +60,11 @@ impl Comm {
         if self.rank() == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.isend_internal(dst, TAG_BCAST, buf.as_slice());
+                    or_panic(self.send_owned(dst, TAG_BCAST, buf.as_slice()));
                 }
             }
         } else {
-            *buf = self.recv_vec_internal(root, TAG_BCAST);
+            *buf = or_panic(self.recv_owned(root, TAG_BCAST));
         }
     }
 
@@ -77,12 +90,12 @@ impl Comm {
         if self.rank() == ROOT {
             let mut acc = std::mem::take(buf);
             for src in 1..self.size() {
-                let contrib: Vec<f64> = self.recv_vec_internal(src, TAG_REDUCE);
+                let contrib: Vec<f64> = or_panic(self.recv_owned(src, TAG_REDUCE));
                 op.apply(&mut acc, &contrib);
             }
             *buf = acc;
         } else {
-            self.isend_internal(ROOT, TAG_REDUCE, buf.as_slice());
+            or_panic(self.send_owned(ROOT, TAG_REDUCE, buf.as_slice()));
         }
         self.bcast(ROOT, buf);
     }
@@ -94,32 +107,13 @@ impl Comm {
         v[0]
     }
 
-    /// Gathers variable-length contributions to `root`; returns
-    /// `Some(per-rank data)` on the root, `None` elsewhere.
-    pub fn gatherv<T: Pod>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
-        if self.rank() == root {
-            let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
-            for src in 0..self.size() {
-                if src == root {
-                    out.push(data.to_vec());
-                } else {
-                    out.push(self.recv_vec_internal(src, TAG_GATHER));
-                }
-            }
-            Some(out)
-        } else {
-            self.isend_internal(root, TAG_GATHER, data);
-            None
-        }
-    }
-
     /// All ranks receive every rank's (variable-length) contribution,
     /// indexed by source rank.
     pub fn allgatherv<T: Pod>(&self, data: &[T]) -> Vec<Vec<T>> {
         let me = self.rank();
         for dst in 0..self.size() {
             if dst != me {
-                self.isend_internal(dst, TAG_AGATHER, data);
+                or_panic(self.send_owned(dst, TAG_AGATHER, data));
             }
         }
         (0..self.size())
@@ -127,55 +121,10 @@ impl Comm {
                 if src == me {
                     data.to_vec()
                 } else {
-                    self.recv_vec_internal(src, TAG_AGATHER)
+                    or_panic(self.recv_owned(src, TAG_AGATHER))
                 }
             })
             .collect()
-    }
-
-    /// Reduction to `root` only (like `MPI_Reduce`): returns `Some(result)`
-    /// on the root, `None` elsewhere.
-    pub fn reduce(&self, root: usize, buf: &[f64], op: ReduceOp) -> Option<Vec<f64>> {
-        if self.rank() == root {
-            let mut acc = buf.to_vec();
-            for src in 0..self.size() {
-                if src == root {
-                    continue;
-                }
-                let contrib: Vec<f64> = self.recv_vec_internal(src, TAG_REDUCE);
-                op.apply(&mut acc, &contrib);
-            }
-            Some(acc)
-        } else {
-            self.isend_internal(root, TAG_REDUCE, buf);
-            None
-        }
-    }
-
-    /// Inclusive prefix scan over scalars (like `MPI_Scan` with one
-    /// element): rank `r` receives `op(x_0, …, x_r)`.
-    pub fn scan_scalar(&self, x: f64, op: ReduceOp) -> f64 {
-        // Linear chain: rank r waits for the prefix from r-1, combines, and
-        // forwards to r+1. O(P) latency — fine for the bookkeeping uses
-        // (e.g. computing global row offsets from local lengths).
-        let mut acc = vec![x];
-        if self.rank() > 0 {
-            let prev: Vec<f64> = self.recv_vec_internal(self.rank() - 1, TAG_SCAN);
-            let mut tmp = prev;
-            op.apply(&mut tmp, &[x]);
-            acc = tmp;
-        }
-        if self.rank() + 1 < self.size() {
-            self.isend_internal(self.rank() + 1, TAG_SCAN, &acc);
-        }
-        acc[0]
-    }
-
-    /// Exclusive prefix sum of a scalar: rank `r` gets `Σ_{s<r} x_s`
-    /// (0 on rank 0) — exactly what a rank needs to turn its local vector
-    /// length into its global row offset.
-    pub fn exscan_sum(&self, x: f64) -> f64 {
-        self.scan_scalar(x, ReduceOp::Sum) - x
     }
 
     /// Personalized all-to-all with variable lengths: `outgoing[d]` goes to
@@ -191,7 +140,7 @@ impl Comm {
         let me = self.rank();
         for (dst, data) in outgoing.iter().enumerate() {
             if dst != me {
-                self.isend_internal(dst, TAG_A2A, data.as_slice());
+                or_panic(self.send_owned(dst, TAG_A2A, data.as_slice()));
             }
         }
         (0..self.size())
@@ -199,7 +148,7 @@ impl Comm {
                 if src == me {
                     outgoing[me].clone()
                 } else {
-                    self.recv_vec_internal(src, TAG_A2A)
+                    or_panic(self.recv_owned(src, TAG_A2A))
                 }
             })
             .collect()
@@ -209,7 +158,9 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::world::CommWorld;
+    use std::time::Duration;
 
     fn spawn_world<F>(size: usize, f: F)
     where
@@ -261,20 +212,6 @@ mod tests {
     fn allreduce_single_rank_is_identity() {
         spawn_world(1, |c| {
             assert_eq!(c.allreduce_scalar(7.25, ReduceOp::Sum), 7.25);
-        });
-    }
-
-    #[test]
-    fn gatherv_collects_ragged_data() {
-        spawn_world(3, |c| {
-            let mine: Vec<u32> = (0..c.rank() as u32 + 1).collect();
-            match c.gatherv(0, &mine) {
-                Some(all) => {
-                    assert_eq!(c.rank(), 0);
-                    assert_eq!(all, vec![vec![0], vec![0, 1], vec![0, 1, 2]]);
-                }
-                None => assert_ne!(c.rank(), 0),
-            }
         });
     }
 
@@ -340,57 +277,12 @@ mod tests {
     fn collectives_mixed_with_p2p() {
         spawn_world(2, |c| {
             let peer = 1 - c.rank();
-            c.send(peer, 1, &[c.rank() as f64]);
+            c.send(peer, 1, &[c.rank() as f64]).unwrap();
             let total = c.allreduce_scalar(1.0, ReduceOp::Sum);
             assert_eq!(total, 2.0);
             let mut buf = [0.0f64];
-            c.recv(peer, 1, &mut buf);
+            c.recv(peer, 1, &mut buf).unwrap();
             assert_eq!(buf[0], peer as f64);
-        });
-    }
-
-    #[test]
-    fn reduce_collects_only_at_root() {
-        spawn_world(4, |c| {
-            let buf = [c.rank() as f64, 1.0];
-            match c.reduce(2, &buf, ReduceOp::Sum) {
-                Some(r) => {
-                    assert_eq!(c.rank(), 2);
-                    assert_eq!(r, vec![6.0, 4.0]);
-                }
-                None => assert_ne!(c.rank(), 2),
-            }
-        });
-    }
-
-    #[test]
-    fn scan_inclusive_prefix() {
-        spawn_world(5, |c| {
-            let x = (c.rank() + 1) as f64;
-            let s = c.scan_scalar(x, ReduceOp::Sum);
-            let expect: f64 = (1..=c.rank() + 1).map(|v| v as f64).sum();
-            assert_eq!(s, expect);
-            let m = c.scan_scalar(x, ReduceOp::Max);
-            assert_eq!(m, x);
-        });
-    }
-
-    #[test]
-    fn exscan_gives_row_offsets() {
-        spawn_world(4, |c| {
-            // local lengths 10, 20, 30, 40 -> offsets 0, 10, 30, 60
-            let len = (c.rank() + 1) as f64 * 10.0;
-            let off = c.exscan_sum(len);
-            let expect = [0.0, 10.0, 30.0, 60.0][c.rank()];
-            assert_eq!(off, expect);
-        });
-    }
-
-    #[test]
-    fn scan_single_rank() {
-        spawn_world(1, |c| {
-            assert_eq!(c.scan_scalar(5.0, ReduceOp::Sum), 5.0);
-            assert_eq!(c.exscan_sum(5.0), 0.0);
         });
     }
 
@@ -406,8 +298,7 @@ mod tests {
             assert_eq!(all, vec![vec![7, 8]]);
             let inc = c.alltoallv(&[vec![3i64]]);
             assert_eq!(inc, vec![vec![3]]);
-            assert_eq!(c.reduce(0, &[4.0], ReduceOp::Max), Some(vec![4.0]));
-            assert_eq!(c.gatherv(0, &[9u8]), Some(vec![vec![9]]));
+            assert_eq!(c.allreduce_scalar(4.0, ReduceOp::Max), 4.0);
         });
     }
 
@@ -421,10 +312,6 @@ mod tests {
             assert!(b.is_empty());
             let all = c.allgatherv::<u64>(&[]);
             assert_eq!(all, vec![vec![], vec![], vec![]]);
-            match c.gatherv::<f64>(0, &[]) {
-                Some(parts) => assert!(parts.iter().all(|p| p.is_empty())),
-                None => assert_ne!(c.rank(), 0),
-            }
         });
     }
 
@@ -470,5 +357,30 @@ mod tests {
                 assert_eq!(s.to_bits(), folded.to_bits(), "rank {}", c.rank());
             }
         });
+    }
+
+    #[test]
+    fn allreduce_panics_on_every_rank_under_a_fault() {
+        // rank 1 dies on its first operation: the root sees it dead, and
+        // rank 2, left waiting for a broadcast that never comes, is freed
+        // by the watchdog — every rank panics, none hangs
+        let comms = CommWorld::builder(3)
+            .faults(FaultPlan::new(3).kill_rank(1, 0))
+            .watchdog(Duration::from_millis(50))
+            .build();
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|c| std::thread::spawn(move || c.allreduce_scalar(1.0, ReduceOp::Sum)))
+            .collect();
+        for (rank, h) in handles.into_iter().enumerate() {
+            let payload = h.join().expect_err("a collective must panic on a fault");
+            let text = payload
+                .downcast_ref::<String>()
+                .expect("the panic carries the CommError text");
+            assert!(
+                text.contains("peer dead") || text.contains("poisoned"),
+                "rank {rank}: {text}"
+            );
+        }
     }
 }

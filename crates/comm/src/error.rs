@@ -1,38 +1,23 @@
 //! Typed communication errors and the stall watchdog's report format.
 //!
-//! The infallible `Comm` API (`recv`, `wait`, `barrier`, …) keeps its
-//! historical contract — it panics on protocol violations — but every
-//! operation now has a checked twin (`try_recv`, `try_wait`,
-//! `recv_timeout`, …) returning `Result<_, CommError>` so callers that
-//! must survive adversity (the chaos suite, resilient solvers) get a
-//! typed error instead of a dead thread or a parked-forever wait.
+//! Every fallible point-to-point operation of `Comm` (`isend`, `recv`,
+//! `wait`, `waitall`, …) returns `Result<_, CommError>`, so callers that
+//! must survive adversity (the engine, the chaos suite, resilient solvers)
+//! get a typed error instead of a dead thread or a parked-forever wait.
+//! `barrier` and the collectives panic with the same `Display` text.
 
 use crate::world::Tag;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A failed communication operation.
-///
-/// Carried by the checked (`try_*` / `*_timeout`) variants of the [`Comm`]
-/// API; the infallible variants panic with the same `Display` text.
+/// A failed communication operation: returned by the point-to-point
+/// [`Comm`] API, and the panic text of `barrier` and the collectives.
 ///
 /// [`Comm`]: crate::Comm
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "a CommError reports lost or undeliverable messages and must be handled"]
 pub enum CommError {
-    /// A bounded wait (`recv_timeout` / `wait_timeout`) expired before the
-    /// matching message arrived. The pending operation is cancelled.
-    Timeout {
-        /// Rank that was waiting.
-        rank: usize,
-        /// Source rank the receive was matching.
-        src: usize,
-        /// Tag the receive was matching.
-        tag: Tag,
-        /// How long the rank waited before giving up.
-        waited: Duration,
-    },
     /// The matched message's size differs from the posted receive buffer.
     /// The message is consumed and discarded; the sender is released.
     Truncated {
@@ -56,16 +41,6 @@ pub enum CommError {
 impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommError::Timeout {
-                rank,
-                src,
-                tag,
-                waited,
-            } => write!(
-                f,
-                "timeout: rank {rank} waited {:.1} ms for a message from rank {src} (tag {tag})",
-                waited.as_secs_f64() * 1e3
-            ),
             CommError::Truncated {
                 src,
                 tag,

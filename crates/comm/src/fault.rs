@@ -35,7 +35,7 @@ pub struct StallSpec {
 }
 
 /// Injected kill: after `after_ops` completed operations the rank is
-/// marked dead. Its own next operation and every later checked operation
+/// marked dead. Its own next operation and every later operation
 /// by a peer targeting it fail with `CommError::PeerDead`. Messages the
 /// rank already delivered remain receivable (as with a real crashed MPI
 /// rank whose packets are in flight).

@@ -36,8 +36,10 @@
 //! chaos: delay / reorder / duplicate / drop-with-retransmit / truncate /
 //! stall / kill) and a stall watchdog that converts a world-wide hang into
 //! a typed [`CommError::Poisoned`] carrying a per-rank pending-request
-//! dump. Every blocking operation has a checked (`try_*` / `*_timeout`)
-//! variant; see DESIGN.md §8 for the fault model.
+//! dump; the watchdog is the only bound on a hang. Each point-to-point
+//! operation exists once and returns `Result<_, CommError>` where it can
+//! fail; `barrier` and the collectives panic with the error text instead
+//! (see [`collectives`]). DESIGN.md §8 describes the fault model.
 
 // library code states its invariants with `expect`, never a bare unwrap
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -53,4 +55,4 @@ pub use error::{CommError, PendingKind, PendingOp, StallReport};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultStats};
 pub use pod::Pod;
 pub use stats::{CommStats, WorldStats};
-pub use world::{Comm, CommWorld, RecvRequest, Request, Tag, WorldBuilder};
+pub use world::{Comm, CommWorld, Request, Tag, WorldBuilder};

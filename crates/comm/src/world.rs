@@ -14,14 +14,18 @@
 //!   *poisons* the world: every blocked and future operation fails with
 //!   [`CommError::Poisoned`] carrying a per-rank pending-request dump
 //!   instead of hanging forever.
-//! * **Typed errors** — the `try_*` / `*_timeout` variants return
-//!   [`CommError`]; the classic infallible API panics with the same
-//!   message (a panic with a dump still beats a silent hang in CI).
+//! * **Typed errors** — every point-to-point operation that can fail
+//!   (`isend`, `isend_ref`, `send`, `recv`, `recv_vec`, `wait`, `waitall`)
+//!   returns `Result<_, `[`CommError`]`>`; `irecv` only posts and cannot
+//!   fail. `barrier` and the collectives panic with the same message —
+//!   their callers (setup, solver reductions) have no recovery path, and a
+//!   panic with a dump still beats a silent hang in CI.
 //!
 //! A world built without faults or watchdog takes the exact historical
 //! fast path: one `Option` check per operation is the entire cost
 //! (measured by `bench_faults`).
 
+use crate::collectives::or_panic;
 use crate::error::{CommError, PendingKind, PendingOp, StallReport};
 use crate::fault::{ChaosState, FaultAction, FaultPlan, FaultStats, HeldMsg, OpFate};
 use crate::pod::{as_bytes, from_bytes_vec, Pod};
@@ -29,7 +33,7 @@ use crate::stats::WorldStats;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// Message tag. User tags must be below [`Tag::MAX`]` / 2`; the upper half
@@ -39,10 +43,23 @@ pub type Tag = u32;
 /// First tag reserved for internal use (collectives).
 pub(crate) const RESERVED_TAG_BASE: Tag = 1 << 31;
 
-/// Polling granularity for waits that must observe poison, chaos
-/// redelivery, or a deadline. Plain (untimed) condvar waits are used
-/// whenever none of those can occur.
+/// Polling granularity for waits that must observe poison or chaos
+/// redelivery. Plain (untimed) condvar waits are used whenever neither can
+/// occur.
 const WAIT_SLICE: Duration = Duration::from_millis(1);
+
+/// Blocks on `cv` until notified — for at most one [`WAIT_SLICE`] when
+/// `sliced`, so the caller can re-check poison and chaos redelivery.
+fn wait_on<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, sliced: bool) -> MutexGuard<'a, T> {
+    if sliced {
+        cv.wait_timeout(guard, WAIT_SLICE)
+            .expect("condvar poisoned: a peer thread panicked")
+            .0
+    } else {
+        cv.wait(guard)
+            .expect("condvar poisoned: a peer thread panicked")
+    }
+}
 
 /// Completion token for a borrowed (rendezvous) send: the sender's buffer
 /// stays pinned until the receiver has copied out of it.
@@ -80,25 +97,17 @@ impl SendToken {
         }
     }
 
-    /// Bounded wait; true when the token was consumed within `dur`.
-    fn wait_consumed_for(&self, dur: Duration) -> bool {
-        let mut g = self
+    /// Waits at most one [`WAIT_SLICE`] for consumption.
+    fn wait_consumed_slice(&self) {
+        let g = self
             .consumed
             .lock()
             .expect("mutex poisoned: a peer thread panicked");
-        let deadline = Instant::now() + dur;
-        while !*g {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            g = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .expect("condvar poisoned: a peer thread panicked")
-                .0;
-        }
-        true
+        drop(
+            self.cv
+                .wait_timeout_while(g, WAIT_SLICE, |consumed| !*consumed)
+                .expect("condvar poisoned: a peer thread panicked"),
+        );
     }
 
     fn is_consumed(&self) -> bool {
@@ -190,26 +199,6 @@ impl RankMailbox {
             queues: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
         }
-    }
-
-    /// Non-blocking probe-and-pop.
-    fn try_pop(&self, src: usize, tag: Tag) -> Option<Payload> {
-        let mut q = self
-            .queues
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked");
-        q.get_mut(&(src, tag)).and_then(|ch| ch.ready.pop_front())
-    }
-
-    /// Non-destructive probe: byte length of the next queued message.
-    fn peek_len(&self, src: usize, tag: Tag) -> Option<usize> {
-        let q = self
-            .queues
-            .lock()
-            .expect("mutex poisoned: a peer thread panicked");
-        q.get(&(src, tag))
-            .and_then(|ch| ch.ready.front())
-            .map(|m| m.len())
     }
 }
 
@@ -499,18 +488,16 @@ impl WorldShared {
     }
 
     /// Blocks until a message on `(src, tag)` is available and pops it,
-    /// observing poison, peer death, and an optional deadline.
-    fn pop_blocking_checked(
+    /// observing poison and peer death. The watchdog is the only bound on
+    /// a wait that can never complete.
+    fn pop_blocking(
         &self,
         rank: usize,
         src: usize,
         tag: Tag,
-        timeout: Option<Duration>,
         expect_bytes: Option<usize>,
     ) -> Result<Payload, CommError> {
-        let start = Instant::now();
-        let deadline = timeout.map(|t| start + t);
-        let sliced = self.needs_slices() || deadline.is_some();
+        let sliced = self.needs_slices();
         self.enter_pending(rank, PendingKind::Recv, Some(src), Some(tag), expect_bytes);
         let result = loop {
             if self.is_poisoned() {
@@ -533,29 +520,7 @@ impl WorldShared {
                     break Err(CommError::PeerDead { peer: src });
                 }
             }
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    break Err(CommError::Timeout {
-                        rank,
-                        src,
-                        tag,
-                        waited: start.elapsed(),
-                    });
-                }
-            }
-            if sliced {
-                drop(
-                    mb.cv
-                        .wait_timeout(q, WAIT_SLICE)
-                        .expect("condvar poisoned: a peer thread panicked"),
-                );
-            } else {
-                drop(
-                    mb.cv
-                        .wait(q)
-                        .expect("condvar poisoned: a peer thread panicked"),
-                );
-            }
+            drop(wait_on(&mb.cv, q, sliced));
         };
         self.clear_pending(rank);
         if result.is_ok() {
@@ -564,45 +529,32 @@ impl WorldShared {
         result
     }
 
-    /// Waits for a borrowed send's token, observing poison and an optional
-    /// deadline. On poison/timeout the in-flight payload is cancelled
-    /// (removed from the destination queue) when still possible.
-    fn wait_send_checked(
+    /// Waits for a borrowed send's token, observing poison. On poison the
+    /// in-flight payload is cancelled (removed from the destination queue)
+    /// when still possible.
+    fn wait_send(
         &self,
         rank: usize,
         dst: usize,
         tag: Tag,
         token: &Arc<SendToken>,
-        timeout: Option<Duration>,
     ) -> Result<(), CommError> {
-        let start = Instant::now();
-        let deadline = timeout.map(|t| start + t);
-        let sliced = self.needs_slices() || deadline.is_some();
+        let sliced = self.needs_slices();
         self.enter_pending(rank, PendingKind::SendWait, Some(dst), Some(tag), None);
         let result = loop {
             if token.is_consumed() {
                 break Ok(());
             }
-            let timed_out = matches!(deadline, Some(dl) if Instant::now() >= dl);
-            if self.is_poisoned() || timed_out {
+            if self.is_poisoned() {
                 if self.cancel_borrowed(dst, rank, tag, token) {
-                    break if self.is_poisoned() {
-                        Err(self.poison_error())
-                    } else {
-                        Err(CommError::Timeout {
-                            rank,
-                            src: dst,
-                            tag,
-                            waited: start.elapsed(),
-                        })
-                    };
+                    break Err(self.poison_error());
                 }
                 // already popped by the receiver: consumption is imminent
                 token.wait_consumed();
                 break Ok(());
             }
             if sliced {
-                let _ = token.wait_consumed_for(WAIT_SLICE);
+                token.wait_consumed_slice();
             } else {
                 token.wait_consumed();
             }
@@ -677,20 +629,21 @@ fn watchdog_loop(weak: Weak<WorldShared>, timeout: Duration) {
 /// Factory for communication worlds.
 ///
 /// ```
-/// use spmv_comm::CommWorld;
+/// use spmv_comm::{CommError, CommWorld};
 ///
 /// let mut comms = CommWorld::create(2).into_iter();
 /// let (c0, c1) = (comms.next().unwrap(), comms.next().unwrap());
-/// let peer = std::thread::spawn(move || {
+/// let peer = std::thread::spawn(move || -> Result<(), CommError> {
 ///     let mut buf = [0.0f64; 3];
-///     c1.recv(0, 7, &mut buf);                      // blocking receive
-///     c1.send(0, 8, &[buf.iter().sum::<f64>()]);    // reply with the sum
+///     c1.recv(0, 7, &mut buf)?;                      // blocking receive
+///     c1.send(0, 8, &[buf.iter().sum::<f64>()])      // reply with the sum
 /// });
-/// c0.send(1, 7, &[1.0, 2.0, 3.0]);
+/// c0.send(1, 7, &[1.0, 2.0, 3.0])?;
 /// let mut total = [0.0f64];
-/// c0.recv(1, 8, &mut total);
+/// c0.recv(1, 8, &mut total)?;
 /// assert_eq!(total[0], 6.0);
-/// peer.join().unwrap();
+/// peer.join().unwrap()?;
+/// # Ok::<(), CommError>(())
 /// ```
 pub struct CommWorld;
 
@@ -812,9 +765,6 @@ pub struct Request<'buf> {
     _buf: PhantomData<&'buf mut [u8]>,
 }
 
-/// Alias emphasizing the requests that carry interesting state.
-pub type RecvRequest<'buf> = Request<'buf>;
-
 enum ReqKind {
     /// Buffered sends complete at post time (eager protocol).
     SendDone,
@@ -845,7 +795,8 @@ impl Drop for Request<'_> {
     fn drop(&mut self) {
         // A borrowed send pins the sender's buffer; never let it be freed
         // (or mutated) before the receiver has copied the bytes out — or
-        // before the payload has provably left the mailbox.
+        // before a poisoned world has withdrawn the payload. Once the world
+        // is gone, nothing can read the buffer anymore.
         if let ReqKind::SendBorrowed {
             token,
             world,
@@ -854,30 +805,9 @@ impl Drop for Request<'_> {
             tag,
         } = &self.kind
         {
-            if token.is_consumed() {
-                return;
-            }
-            let Some(shared) = world.upgrade() else {
-                // the world (and with it the queued payload) is gone:
-                // nothing can read the buffer anymore
-                return;
-            };
-            if shared.watchdog.is_none() {
-                token.wait_consumed();
-                return;
-            }
-            loop {
-                if token.wait_consumed_for(WAIT_SLICE) {
-                    return;
-                }
-                if shared.is_poisoned() {
-                    if shared.cancel_borrowed(*dst, *src, *tag, token) {
-                        return;
-                    }
-                    // popped already: consumption is imminent
-                    token.wait_consumed();
-                    return;
-                }
+            if let Some(shared) = world.upgrade() {
+                // either outcome leaves the buffer unreferenced
+                let _ = shared.wait_send(*src, *dst, *tag, token);
             }
         }
     }
@@ -949,58 +879,49 @@ impl Comm {
         }
     }
 
-    fn panic_on<T>(result: Result<T, CommError>) -> T {
-        result.unwrap_or_else(|e| panic!("{e}"))
-    }
-
     // -- point-to-point -----------------------------------------------------
 
-    pub(crate) fn isend_internal<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) {
+    /// The one send path: peer check, health gate, deposit.
+    fn post(&self, dst: usize, tag: Tag, payload: Payload) -> Result<(), CommError> {
         self.assert_peer(dst);
-        Self::panic_on(self.op_gate().and_then(|()| self.peer_alive(dst)));
-        self.shared
-            .send_payload(self.rank, dst, tag, Payload::Owned(as_bytes(data).to_vec()));
+        self.op_gate()?;
+        self.peer_alive(dst)?;
+        self.shared.send_payload(self.rank, dst, tag, payload);
+        Ok(())
     }
 
-    pub(crate) fn recv_vec_internal<T: Pod>(&self, src: usize, tag: Tag) -> Vec<T> {
-        Self::panic_on(self.try_recv_vec_internal(src, tag, None))
-    }
-
-    fn try_recv_vec_internal<T: Pod>(
+    /// Eager send without the user-tag check, shared by [`Comm::isend`]
+    /// and the collectives.
+    pub(crate) fn send_owned<T: Pod>(
         &self,
-        src: usize,
+        dst: usize,
         tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<T>, CommError> {
+        data: &[T],
+    ) -> Result<(), CommError> {
+        self.post(dst, tag, Payload::Owned(as_bytes(data).to_vec()))
+    }
+
+    /// Receive of unknown length without the user-tag check, shared by
+    /// [`Comm::recv_vec`] and the collectives.
+    pub(crate) fn recv_owned<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>, CommError> {
         self.assert_peer(src);
         self.op_gate()?;
-        let payload = self
-            .shared
-            .pop_blocking_checked(self.rank, src, tag, timeout, None)?;
+        let payload = self.shared.pop_blocking(self.rank, src, tag, None)?;
         Ok(from_bytes_vec(&payload.consume_vec()))
     }
 
     /// Nonblocking send. The payload is copied out immediately (eager,
     /// buffered — like small-message MPI), so the returned request is
-    /// already complete and the slice may be reused right away.
-    pub fn isend<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Request<'static> {
-        Self::panic_on(self.try_isend(dst, tag, data))
-    }
-
-    /// Checked [`Comm::isend`]: fails instead of panicking when the world
-    /// is poisoned or the destination (or this rank) has been killed.
-    pub fn try_isend<T: Pod>(
+    /// already complete and the slice may be reused right away. Fails when
+    /// the world is poisoned or the destination (or this rank) is dead.
+    pub fn isend<T: Pod>(
         &self,
         dst: usize,
         tag: Tag,
         data: &[T],
     ) -> Result<Request<'static>, CommError> {
         Self::assert_user_tag(tag);
-        self.assert_peer(dst);
-        self.op_gate()?;
-        self.peer_alive(dst)?;
-        self.shared
-            .send_payload(self.rank, dst, tag, Payload::Owned(as_bytes(data).to_vec()));
+        self.send_owned(dst, tag, data)?;
         Ok(Request {
             kind: ReqKind::SendDone,
             _buf: PhantomData,
@@ -1025,25 +946,16 @@ impl Comm {
     /// Under an active fault plan the payload is copied eagerly after all
     /// (held/duplicated messages must not pin the caller's buffer), so the
     /// request completes at post time.
-    pub fn isend_ref<'buf, T: Pod>(&self, dst: usize, tag: Tag, data: &'buf [T]) -> Request<'buf> {
-        Self::panic_on(self.try_isend_ref(dst, tag, data))
-    }
-
-    /// Checked [`Comm::isend_ref`].
-    pub fn try_isend_ref<'buf, T: Pod>(
+    pub fn isend_ref<'buf, T: Pod>(
         &self,
         dst: usize,
         tag: Tag,
         data: &'buf [T],
     ) -> Result<Request<'buf>, CommError> {
         Self::assert_user_tag(tag);
-        self.assert_peer(dst);
-        self.op_gate()?;
-        self.peer_alive(dst)?;
         let bytes = as_bytes(data);
         let token = Arc::new(SendToken::new());
-        self.shared.send_payload(
-            self.rank,
+        self.post(
             dst,
             tag,
             Payload::Borrowed {
@@ -1051,7 +963,7 @@ impl Comm {
                 len: bytes.len(),
                 token: Arc::clone(&token),
             },
-        );
+        )?;
         Ok(Request {
             kind: ReqKind::SendBorrowed {
                 token,
@@ -1065,14 +977,8 @@ impl Comm {
     }
 
     /// Blocking send (same delivery semantics as [`Comm::isend`]).
-    pub fn send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) {
-        let req = self.isend(dst, tag, data);
-        self.wait(req);
-    }
-
-    /// Checked [`Comm::send`].
-    pub fn try_send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Result<(), CommError> {
-        self.try_isend(dst, tag, data).map(|_req| ())
+    pub fn send<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> Result<(), CommError> {
+        self.isend(dst, tag, data).map(drop)
     }
 
     /// Nonblocking receive into `buf`. The message is matched and copied
@@ -1093,69 +999,29 @@ impl Comm {
         }
     }
 
-    /// Blocking receive into `buf`; the message length must match exactly.
-    pub fn recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) {
-        Self::assert_user_tag(tag);
+    /// Blocking receive into `buf`; the message length must match exactly
+    /// ([`CommError::Truncated`] otherwise).
+    pub fn recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) -> Result<(), CommError> {
         let req = self.irecv(src, tag, buf);
-        self.wait(req);
-    }
-
-    /// Checked [`Comm::recv`]: blocking, but fails (instead of panicking or
-    /// hanging forever) on truncation, poison, or a dead peer.
-    pub fn try_recv<T: Pod>(&self, src: usize, tag: Tag, buf: &mut [T]) -> Result<(), CommError> {
-        let req = self.irecv(src, tag, buf);
-        self.try_wait(req)
-    }
-
-    /// Bounded blocking receive: [`CommError::Timeout`] if no matching
-    /// message arrives within `timeout` (the receive is then cancelled).
-    pub fn recv_timeout<T: Pod>(
-        &self,
-        src: usize,
-        tag: Tag,
-        buf: &mut [T],
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        let req = self.irecv(src, tag, buf);
-        self.wait_timeout(req, timeout)
+        self.wait(req)
     }
 
     /// Blocking receive of a message of unknown length.
-    pub fn recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Vec<T> {
+    pub fn recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>, CommError> {
         Self::assert_user_tag(tag);
-        self.recv_vec_internal(src, tag)
+        self.recv_owned(src, tag)
     }
 
-    /// Checked [`Comm::recv_vec`].
-    pub fn try_recv_vec<T: Pod>(&self, src: usize, tag: Tag) -> Result<Vec<T>, CommError> {
-        Self::assert_user_tag(tag);
-        self.try_recv_vec_internal(src, tag, None)
-    }
-
-    /// Bounded [`Comm::recv_vec`].
-    pub fn recv_vec_timeout<T: Pod>(
-        &self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Vec<T>, CommError> {
-        Self::assert_user_tag(tag);
-        self.try_recv_vec_internal(src, tag, Some(timeout))
-    }
-
-    fn wait_inner(
-        &self,
-        req: &mut Request<'_>,
-        timeout: Option<Duration>,
-    ) -> Result<(), CommError> {
+    /// Completes one request (blocking). Fails on truncation, a dead peer,
+    /// or a poisoned world; the operation is then cancelled — a pending
+    /// receive is dropped, a pending borrowed send withdrawn.
+    pub fn wait(&self, mut req: Request<'_>) -> Result<(), CommError> {
         // Leave `SendDone` behind so the Drop impl sees a completed request.
         match std::mem::replace(&mut req.kind, ReqKind::SendDone) {
             ReqKind::SendDone => Ok(()),
             ReqKind::SendBorrowed {
                 token, dst, tag, ..
-            } => self
-                .shared
-                .wait_send_checked(self.rank, dst, tag, &token, timeout),
+            } => self.shared.wait_send(self.rank, dst, tag, &token),
             ReqKind::Recv {
                 src,
                 tag,
@@ -1163,9 +1029,7 @@ impl Comm {
                 bytes,
             } => {
                 self.op_gate()?;
-                let payload =
-                    self.shared
-                        .pop_blocking_checked(self.rank, src, tag, timeout, Some(bytes))?;
+                let payload = self.shared.pop_blocking(self.rank, src, tag, Some(bytes))?;
                 if payload.len() != bytes {
                     let got = payload.len();
                     drop(payload.consume_vec()); // releases a borrowed sender
@@ -1186,119 +1050,24 @@ impl Comm {
         }
     }
 
-    /// Completes one request (blocking).
-    pub fn wait(&self, mut req: Request<'_>) {
-        Self::panic_on(self.wait_inner(&mut req, None));
-    }
-
-    /// Checked [`Comm::wait`].
-    pub fn try_wait(&self, mut req: Request<'_>) -> Result<(), CommError> {
-        self.wait_inner(&mut req, None)
-    }
-
-    /// Bounded [`Comm::wait`]: [`CommError::Timeout`] if the request does
-    /// not complete within `timeout` (the operation is then cancelled —
-    /// a pending receive is dropped, a pending borrowed send withdrawn).
-    pub fn wait_timeout(&self, mut req: Request<'_>, timeout: Duration) -> Result<(), CommError> {
-        self.wait_inner(&mut req, Some(timeout))
-    }
-
     /// Completes all requests (blocking, in order — the set is completed
-    /// when the call returns, like `MPI_Waitall`).
-    pub fn waitall<'a>(&self, reqs: impl IntoIterator<Item = Request<'a>>) {
-        for r in reqs {
-            self.wait(r);
-        }
-    }
-
-    /// Checked [`Comm::waitall`]: stops at the first failure; the remaining
-    /// requests are dropped (receives cancelled, borrowed sends settled by
-    /// the poison-aware Drop).
-    pub fn try_waitall<'a>(
+    /// when the call returns, like `MPI_Waitall`). Stops at the first
+    /// failure; the remaining requests are dropped (receives cancelled,
+    /// borrowed sends settled by the poison-aware Drop).
+    pub fn waitall<'a>(
         &self,
         reqs: impl IntoIterator<Item = Request<'a>>,
     ) -> Result<(), CommError> {
-        for r in reqs {
-            self.try_wait(r)?;
-        }
-        Ok(())
-    }
-
-    /// Attempts to complete one request without blocking. Returns the
-    /// request back if it is not ready.
-    pub fn test<'a>(&self, mut req: Request<'a>) -> Result<(), Request<'a>> {
-        match &req.kind {
-            ReqKind::SendDone => Ok(()),
-            ReqKind::SendBorrowed { token, .. } => {
-                if token.is_consumed() {
-                    req.kind = ReqKind::SendDone;
-                    Ok(())
-                } else {
-                    Err(req)
-                }
-            }
-            ReqKind::Recv {
-                src,
-                tag,
-                dst,
-                bytes,
-            } => {
-                let (src, tag, dst, bytes) = (*src, *tag, *dst, *bytes);
-                self.shared.pump();
-                match self.shared.mailboxes[self.rank].try_pop(src, tag) {
-                    Some(payload) => {
-                        assert_eq!(payload.len(), bytes, "message size mismatch in test");
-                        // SAFETY: as in `wait` — exclusive buffer, length
-                        // checked.
-                        unsafe {
-                            payload.consume_into(dst);
-                        }
-                        self.shared.bump_progress();
-                        req.kind = ReqKind::SendDone;
-                        Ok(())
-                    }
-                    None => Err(req),
-                }
-            }
-        }
-    }
-
-    /// Combined send-and-receive (like `MPI_Sendrecv`): sends `outgoing` to
-    /// `dst` and receives from `src` into `incoming`, deadlock-free
-    /// regardless of call ordering across ranks (the send is buffered).
-    pub fn sendrecv<T: Pod>(
-        &self,
-        dst: usize,
-        send_tag: Tag,
-        outgoing: &[T],
-        src: usize,
-        recv_tag: Tag,
-        incoming: &mut [T],
-    ) {
-        let sreq = self.isend(dst, send_tag, outgoing);
-        self.recv(src, recv_tag, incoming);
-        self.wait(sreq);
-    }
-
-    /// Non-blocking probe: whether a message from `(src, tag)` is waiting,
-    /// and its payload size in bytes if so.
-    pub fn iprobe(&self, src: usize, tag: Tag) -> Option<usize> {
-        Self::assert_user_tag(tag);
-        self.assert_peer(src);
-        self.shared.pump();
-        self.shared.mailboxes[self.rank].peek_len(src, tag)
+        reqs.into_iter().try_for_each(|r| self.wait(r))
     }
 
     // -- barrier -------------------------------------------------------------
 
-    /// World barrier: returns when all ranks have entered.
+    /// World barrier: returns when all ranks have entered. Like the
+    /// collectives it panics with the [`CommError`] text on a fault (see
+    /// [`crate::collectives`]).
     pub fn barrier(&self) {
-        Self::panic_on(self.try_barrier());
-    }
-
-    /// Checked [`Comm::barrier`]: fails fast when the world is poisoned.
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        self.op_gate()?;
+        or_panic(self.op_gate());
         let shared = &self.shared;
         shared.enter_pending(self.rank, PendingKind::Barrier, None, None, None);
         let sliced = shared.needs_slices();
@@ -1309,37 +1078,22 @@ impl Comm {
         let gen = st.generation;
         st.count += 1;
         shared.bump_progress();
-        let result = if st.count == shared.size {
+        if st.count == shared.size {
             st.count = 0;
             st.generation += 1;
             shared.barrier_cv.notify_all();
-            Ok(())
-        } else {
-            loop {
-                if st.generation != gen {
-                    break Ok(());
-                }
-                if shared.is_poisoned() {
-                    st.count -= 1; // withdraw: the barrier will never open
-                    break Err(shared.poison_error());
-                }
-                st = if sliced {
-                    shared
-                        .barrier_cv
-                        .wait_timeout(st, WAIT_SLICE)
-                        .expect("condvar poisoned: a peer thread panicked")
-                        .0
-                } else {
-                    shared
-                        .barrier_cv
-                        .wait(st)
-                        .expect("condvar poisoned: a peer thread panicked")
-                };
+        }
+        while st.generation == gen {
+            if shared.is_poisoned() {
+                st.count -= 1; // withdraw: the barrier will never open
+                drop(st);
+                shared.clear_pending(self.rank);
+                panic!("{}", shared.poison_error());
             }
-        };
+            st = wait_on(&shared.barrier_cv, st, sliced);
+        }
         drop(st);
         shared.clear_pending(self.rank);
-        result
     }
 
     // -- resilience hooks ----------------------------------------------------
@@ -1425,10 +1179,10 @@ mod tests {
     fn basic_send_recv() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 7, &[1.0f64, 2.0, 3.0]);
+                c.send(1, 7, &[1.0f64, 2.0, 3.0]).unwrap();
             } else {
                 let mut buf = [0.0f64; 3];
-                c.recv(0, 7, &mut buf);
+                c.recv(0, 7, &mut buf).unwrap();
                 assert_eq!(buf, [1.0, 2.0, 3.0]);
             }
         });
@@ -1441,8 +1195,8 @@ mod tests {
             let mut inbox = [0u32; 4];
             let rreq = c.irecv(peer, 1, &mut inbox);
             let data = [c.rank() as u32; 4];
-            let sreq = c.isend(peer, 1, &data);
-            c.waitall([rreq, sreq]);
+            let sreq = c.isend(peer, 1, &data).unwrap();
+            c.waitall([rreq, sreq]).unwrap();
             assert_eq!(inbox, [peer as u32; 4]);
         });
     }
@@ -1452,14 +1206,14 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 0 {
                 // send tag 2 first, then tag 1
-                c.send(1, 2, &[20.0f64]);
-                c.send(1, 1, &[10.0f64]);
+                c.send(1, 2, &[20.0f64]).unwrap();
+                c.send(1, 1, &[10.0f64]).unwrap();
             } else {
                 // receive in the opposite tag order
                 let mut a = [0.0f64];
                 let mut b = [0.0f64];
-                c.recv(0, 1, &mut a);
-                c.recv(0, 2, &mut b);
+                c.recv(0, 1, &mut a).unwrap();
+                c.recv(0, 2, &mut b).unwrap();
                 assert_eq!(a, [10.0]);
                 assert_eq!(b, [20.0]);
             }
@@ -1471,12 +1225,12 @@ mod tests {
         spawn_world(2, |c| {
             if c.rank() == 0 {
                 for i in 0..10u64 {
-                    c.send(1, 5, &[i]);
+                    c.send(1, 5, &[i]).unwrap();
                 }
             } else {
                 for i in 0..10u64 {
                     let mut buf = [0u64];
-                    c.recv(0, 5, &mut buf);
+                    c.recv(0, 5, &mut buf).unwrap();
                     assert_eq!(buf[0], i, "FIFO order violated");
                 }
             }
@@ -1486,9 +1240,9 @@ mod tests {
     #[test]
     fn self_messaging_works() {
         spawn_world(1, |c| {
-            c.send(0, 3, &[42i32]);
+            c.send(0, 3, &[42i32]).unwrap();
             let mut buf = [0i32];
-            c.recv(0, 3, &mut buf);
+            c.recv(0, 3, &mut buf).unwrap();
             assert_eq!(buf[0], 42);
         });
     }
@@ -1497,34 +1251,10 @@ mod tests {
     fn recv_vec_handles_unknown_lengths() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(1, 9, &[1u32, 2, 3, 4, 5]);
+                c.send(1, 9, &[1u32, 2, 3, 4, 5]).unwrap();
             } else {
-                let v: Vec<u32> = c.recv_vec(0, 9);
+                let v: Vec<u32> = c.recv_vec(0, 9).unwrap();
                 assert_eq!(v, vec![1, 2, 3, 4, 5]);
-            }
-        });
-    }
-
-    #[test]
-    fn test_returns_request_when_not_ready() {
-        spawn_world(2, |c| {
-            if c.rank() == 1 {
-                let mut buf = [0.0f64];
-                let mut req = c.irecv(0, 4, &mut buf);
-                // spin with test() until the message lands
-                loop {
-                    match c.test(req) {
-                        Ok(()) => break,
-                        Err(r) => {
-                            req = r;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                assert_eq!(buf[0], 6.5);
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                c.send(1, 4, &[6.5f64]);
             }
         });
     }
@@ -1558,11 +1288,11 @@ mod tests {
                 (it.next().unwrap(), it.next().unwrap())
             };
             let h = std::thread::spawn(move || {
-                c1.send(0, 1, &[0u8; 100]);
+                c1.send(0, 1, &[0u8; 100]).unwrap();
                 c1.barrier();
             });
             let mut buf = [0u8; 100];
-            c0.recv(1, 1, &mut buf);
+            c0.recv(1, 1, &mut buf).unwrap();
             c0.barrier();
             h.join().unwrap();
             stats_bytes = (c0.stats().messages(), c0.stats().bytes());
@@ -1588,20 +1318,27 @@ mod tests {
     fn size_mismatch_detected_on_wait() {
         let comms = CommWorld::create(1);
         let c = &comms[0];
-        c.send(0, 1, &[1.0f64, 2.0]);
+        c.send(0, 1, &[1.0f64, 2.0]).unwrap();
         let mut small = [0.0f64; 1];
         let req = c.irecv(0, 1, &mut small);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.wait(req)));
-        assert!(r.is_err());
+        assert_eq!(
+            c.wait(req),
+            Err(CommError::Truncated {
+                src: 0,
+                tag: 1,
+                expected: 8,
+                got: 16
+            })
+        );
     }
 
     #[test]
     fn size_mismatch_is_typed_on_try_wait() {
         let comms = CommWorld::create(1);
         let c = &comms[0];
-        c.send(0, 1, &[1.0f64, 2.0]);
+        c.send(0, 1, &[1.0f64, 2.0]).unwrap();
         let mut small = [0.0f64; 1];
-        let err = c.try_recv(0, 1, &mut small).unwrap_err();
+        let err = c.recv(0, 1, &mut small).unwrap_err();
         assert_eq!(
             err,
             CommError::Truncated {
@@ -1620,31 +1357,9 @@ mod tests {
             let prev = (c.rank() + c.size() - 1) % c.size();
             let mut incoming = [0usize; 1];
             let rreq = c.irecv(prev, 11, &mut incoming);
-            let sreq = c.isend(next, 11, &[c.rank()]);
-            c.waitall([sreq, rreq]);
+            let sreq = c.isend(next, 11, &[c.rank()]).unwrap();
+            c.waitall([sreq, rreq]).unwrap();
             assert_eq!(incoming[0], prev);
-        });
-    }
-
-    #[test]
-    fn sendrecv_ring_shift() {
-        spawn_world(5, |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            let out = [c.rank() as f64 * 2.0];
-            let mut inc = [0.0f64];
-            c.sendrecv(next, 8, &out, prev, 8, &mut inc);
-            assert_eq!(inc[0], prev as f64 * 2.0);
-        });
-    }
-
-    #[test]
-    fn sendrecv_with_self() {
-        spawn_world(1, |c| {
-            let out = [7u32, 8];
-            let mut inc = [0u32; 2];
-            c.sendrecv(0, 2, &out, 0, 2, &mut inc);
-            assert_eq!(inc, [7, 8]);
         });
     }
 
@@ -1655,8 +1370,8 @@ mod tests {
             let mut inbox = [0.0f64; 64];
             let rreq = c.irecv(peer, 1, &mut inbox);
             let data = [c.rank() as f64 + 0.5; 64];
-            let sreq = c.isend_ref(peer, 1, &data);
-            c.waitall([rreq, sreq]);
+            let sreq = c.isend_ref(peer, 1, &data).unwrap();
+            c.waitall([rreq, sreq]).unwrap();
             assert_eq!(inbox, [peer as f64 + 0.5; 64]);
         });
     }
@@ -1667,39 +1382,15 @@ mod tests {
             if c.rank() == 0 {
                 let data = vec![7u32; 100];
                 {
-                    let _sreq = c.isend_ref(1, 3, &data);
+                    let _sreq = c.isend_ref(1, 3, &data).unwrap();
                     // _sreq dropped here: must block until rank 1 receives,
                     // so `data` stays valid for the in-flight message.
                 }
                 c.barrier();
             } else {
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                let v: Vec<u32> = c.recv_vec(0, 3);
+                let v: Vec<u32> = c.recv_vec(0, 3).unwrap();
                 assert_eq!(v, vec![7u32; 100]);
-                c.barrier();
-            }
-        });
-    }
-
-    #[test]
-    fn isend_ref_completes_via_test() {
-        spawn_world(2, |c| {
-            if c.rank() == 0 {
-                let data = [1.0f64, 2.0];
-                let mut req = c.isend_ref(1, 9, &data);
-                c.barrier(); // let rank 1 consume first
-                c.barrier();
-                loop {
-                    match c.test(req) {
-                        Ok(()) => break,
-                        Err(r) => req = r,
-                    }
-                }
-            } else {
-                c.barrier();
-                let mut buf = [0.0f64; 2];
-                c.recv(0, 9, &mut buf);
-                assert_eq!(buf, [1.0, 2.0]);
                 c.barrier();
             }
         });
@@ -1714,16 +1405,16 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     if c.rank() == 0 {
-                        c.send(1, 1, &[0u8; 10]); // intra-node
-                        c.send(2, 1, &[0u8; 20]); // inter-node
+                        c.send(1, 1, &[0u8; 10]).unwrap(); // intra-node
+                        c.send(2, 1, &[0u8; 20]).unwrap(); // inter-node
                     }
                     if c.rank() == 1 {
                         let mut b = [0u8; 10];
-                        c.recv(0, 1, &mut b);
+                        c.recv(0, 1, &mut b).unwrap();
                     }
                     if c.rank() == 2 {
                         let mut b = [0u8; 20];
-                        c.recv(0, 1, &mut b);
+                        c.recv(0, 1, &mut b).unwrap();
                     }
                     c.barrier();
                     c.stats().snapshot()
@@ -1746,57 +1437,19 @@ mod tests {
     fn flat_world_counts_nonself_traffic_as_inter() {
         spawn_world(2, |c| {
             if c.rank() == 0 {
-                c.send(0, 2, &[1u8]); // self-message: intra
-                c.send(1, 2, &[1u8, 2]); // cross-rank: inter (no node map)
+                c.send(0, 2, &[1u8]).unwrap(); // self-message: intra
+                c.send(1, 2, &[1u8, 2]).unwrap(); // cross-rank: inter (no node map)
                 let mut b = [0u8; 1];
-                c.recv(0, 2, &mut b);
+                c.recv(0, 2, &mut b).unwrap();
             } else {
                 let mut b = [0u8; 2];
-                c.recv(0, 2, &mut b);
+                c.recv(0, 2, &mut b).unwrap();
             }
             c.barrier();
             let snap = c.stats().snapshot();
             assert_eq!(snap.intra_messages, 1);
             assert_eq!(snap.inter_messages, 1);
         });
-    }
-
-    #[test]
-    fn iprobe_reports_pending_message_length() {
-        spawn_world(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 6, &[1.0f64, 2.0, 3.0]);
-                c.barrier();
-            } else {
-                c.barrier(); // message is definitely queued now
-                assert_eq!(c.iprobe(0, 6), Some(24));
-                assert_eq!(c.iprobe(0, 7), None, "different tag must not match");
-                let mut buf = [0.0f64; 3];
-                c.recv(0, 6, &mut buf);
-                assert_eq!(c.iprobe(0, 6), None, "probe after consume");
-            }
-        });
-    }
-
-    // -- resilience ---------------------------------------------------------
-
-    #[test]
-    fn recv_timeout_expires_without_sender() {
-        let comms = CommWorld::create(2);
-        let mut buf = [0u8; 4];
-        let err = comms[0]
-            .recv_timeout(1, 5, &mut buf, Duration::from_millis(20))
-            .unwrap_err();
-        match err {
-            CommError::Timeout { rank, src, tag, .. } => {
-                assert_eq!((rank, src, tag), (0, 1, 5));
-            }
-            other => panic!("expected Timeout, got {other}"),
-        }
-        // a late message must still be receivable after the cancel
-        comms[1].send(0, 5, &[9u8, 9, 9, 9]);
-        comms[0].recv(1, 5, &mut buf);
-        assert_eq!(buf, [9, 9, 9, 9]);
     }
 
     #[test]
@@ -1810,13 +1463,13 @@ mod tests {
         run_comms(comms, |c| {
             if c.rank() == 0 {
                 for i in 0..200u64 {
-                    c.send(1, 5, &[i]);
+                    c.send(1, 5, &[i]).unwrap();
                 }
                 c.barrier();
             } else {
                 for i in 0..200u64 {
                     let mut buf = [0u64];
-                    c.recv(0, 5, &mut buf);
+                    c.recv(0, 5, &mut buf).unwrap();
                     assert_eq!(buf[0], i, "reassembly must restore FIFO order");
                 }
                 c.barrier();
@@ -1834,12 +1487,12 @@ mod tests {
         run_comms(comms, |c| {
             if c.rank() == 0 {
                 let data = vec![3.25f64; 32];
-                let req = c.isend_ref(1, 2, &data);
+                let req = c.isend_ref(1, 2, &data).unwrap();
                 // under chaos the payload is copied at post time
-                c.wait(req);
+                c.wait(req).unwrap();
                 c.barrier();
             } else {
-                let v: Vec<f64> = c.recv_vec(0, 2);
+                let v: Vec<f64> = c.recv_vec(0, 2).unwrap();
                 assert_eq!(v, vec![3.25f64; 32]);
                 c.barrier();
             }
@@ -1853,7 +1506,7 @@ mod tests {
             .build();
         run_comms(comms, |c| {
             // both ranks wait for messages nobody sends: a guaranteed stall
-            let err = c.try_recv_vec::<u8>(1 - c.rank(), 3).unwrap_err();
+            let err = c.recv_vec::<u8>(1 - c.rank(), 3).unwrap_err();
             let CommError::Poisoned { report } = err else {
                 panic!("expected Poisoned");
             };
@@ -1873,19 +1526,19 @@ mod tests {
         run_comms(comms, |c| {
             if c.rank() == 1 {
                 // two ops succeed, the third hits the kill switch
-                c.try_send(0, 4, &[1u8]).unwrap();
-                c.try_send(0, 4, &[2u8]).unwrap();
-                let err = c.try_send(0, 4, &[3u8]).unwrap_err();
+                c.send(0, 4, &[1u8]).unwrap();
+                c.send(0, 4, &[2u8]).unwrap();
+                let err = c.send(0, 4, &[3u8]).unwrap_err();
                 assert_eq!(err, CommError::PeerDead { peer: 1 });
             } else {
                 // in-flight messages remain receivable after the death
                 let mut b = [0u8];
-                c.recv(1, 4, &mut b);
+                c.recv(1, 4, &mut b).unwrap();
                 assert_eq!(b[0], 1);
-                c.recv(1, 4, &mut b);
+                c.recv(1, 4, &mut b).unwrap();
                 assert_eq!(b[0], 2);
                 // the third was never sent — and never will be
-                let err = c.try_recv(1, 4, &mut b).unwrap_err();
+                let err = c.recv(1, 4, &mut b).unwrap_err();
                 assert_eq!(err, CommError::PeerDead { peer: 1 });
             }
         });

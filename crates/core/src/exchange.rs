@@ -59,14 +59,33 @@ impl CommStrategy {
 
     /// Reads `SPMV_COMM_STRATEGY` — `flat`, `node-aware`, or
     /// `node-aware:<ranks_per_node>` (default 4) — which steers every
-    /// default [`EngineConfig`](crate::EngineConfig). Unset or unparsable
-    /// values mean "no override".
+    /// default [`EngineConfig`](crate::EngineConfig). Unset or empty means
+    /// "no override".
+    ///
+    /// # Panics
+    /// On any other value, so a typo cannot silently run the flat exchange.
     pub fn from_env() -> Option<Self> {
-        let v = std::env::var("SPMV_COMM_STRATEGY").ok()?;
-        match v.split_once(':') {
-            Some((name, rpn)) => Self::parse(name, rpn.parse().ok()?),
-            None => Self::parse(&v, 4),
+        Self::from_env_value(&std::env::var("SPMV_COMM_STRATEGY").ok()?)
+    }
+
+    fn from_env_value(v: &str) -> Option<Self> {
+        if v.is_empty() {
+            return None;
         }
+        let parsed = match v.split_once(':') {
+            Some((name, rpn)) => rpn
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .and_then(|n| Self::parse(name, n)),
+            None => Self::parse(v, 4),
+        };
+        Some(parsed.unwrap_or_else(|| {
+            panic!(
+                "SPMV_COMM_STRATEGY={v:?} is not a comm strategy \
+                 (expected flat, node-aware or node-aware:<ranks_per_node>)"
+            )
+        }))
     }
 
     /// The rank → node map this strategy implies for a world of `size`.
@@ -166,7 +185,7 @@ impl Relay {
         let my_slot = self.my_slot;
         for (slot, &member) in lp.members.iter().enumerate() {
             if slot != my_slot && lp.ship_lens[slot] > 0 {
-                comm.try_recv(member, TAG_SHIP, &mut self.ship_bufs[slot])?;
+                comm.recv(member, TAG_SHIP, &mut self.ship_bufs[slot])?;
             }
         }
         let my_ship = &send_buf[self.ship_range.clone()];
@@ -184,10 +203,10 @@ impl Relay {
             debug_assert_eq!(off, w.len);
         }
         for (w, buf) in lp.wire_out.iter().zip(&self.wire_out_bufs) {
-            sends.push(comm.try_isend_ref(w.dest_leader, TAG_WIRE, buf)?);
+            sends.push(comm.isend_ref(w.dest_leader, TAG_WIRE, buf)?);
         }
         for (w, buf) in lp.wire_in.iter().zip(self.wire_in_bufs.iter_mut()) {
-            comm.try_recv(w.src_leader, TAG_WIRE, buf)?;
+            comm.recv(w.src_leader, TAG_WIRE, buf)?;
         }
         // cut each wire into contiguous per-member slices and forward; the
         // leader's own slice lands directly in its halo
@@ -206,7 +225,7 @@ impl Relay {
                     dst.copy_from_slice(seg);
                 } else {
                     let tag = TAG_FWD_BASE + w.node as Tag;
-                    sends.push(comm.try_isend_ref(lp.members[slot], tag, seg)?);
+                    sends.push(comm.isend_ref(lp.members[slot], tag, seg)?);
                 }
                 off += len;
             }
@@ -374,7 +393,7 @@ impl HaloExchange {
         pending: &mut Pending<'a>,
     ) -> Result<(), CommError> {
         for (peer, tag, r) in &self.sends {
-            let req = comm.try_isend_ref(*peer, *tag, &send_buf[r.clone()])?;
+            let req = comm.isend_ref(*peer, *tag, &send_buf[r.clone()])?;
             pending.sends.push(req);
         }
         Ok(())
@@ -397,7 +416,40 @@ impl HaloExchange {
         if let Some(relay) = relay.as_deref_mut() {
             relay.run(comm, send_buf, own, &mut sends)?;
         }
-        comm.try_waitall(recvs)?;
-        comm.try_waitall(sends)
+        comm.waitall(recvs)?;
+        comm.waitall(sends)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_value_accepts_the_documented_forms() {
+        assert_eq!(CommStrategy::from_env_value(""), None);
+        assert_eq!(
+            CommStrategy::from_env_value("flat"),
+            Some(CommStrategy::Flat)
+        );
+        assert_eq!(
+            CommStrategy::from_env_value("node-aware"),
+            Some(CommStrategy::NodeAware { ranks_per_node: 4 })
+        );
+        assert_eq!(
+            CommStrategy::from_env_value("node-aware:2"),
+            Some(CommStrategy::NodeAware { ranks_per_node: 2 })
+        );
+    }
+
+    #[test]
+    fn env_value_typos_fail_loudly() {
+        for bad in ["node-awre", "node-aware:x", "node-aware:0", "flat:", "Flat"] {
+            let err =
+                std::panic::catch_unwind(|| CommStrategy::from_env_value(bad)).expect_err(bad);
+            let text = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.contains(&format!("{bad:?}")), "{text}");
+            assert!(text.contains("node-aware:<ranks_per_node>"), "{text}");
+        }
     }
 }

@@ -674,7 +674,9 @@ pub fn build_node_aware_distributed(
                 inter_send.push(my_meta_send.clone());
                 recv_nodes.push(my_meta_recv.clone());
             } else {
-                let raw: Vec<u32> = comm.recv_vec(r, TAG_NA_META);
+                let raw: Vec<u32> = comm.recv_vec(r, TAG_NA_META).expect(
+                    "node-aware setup needs a healthy world: every member reports its metadata",
+                );
                 let ns = raw[0] as usize;
                 let send_part = raw[1..1 + 2 * ns]
                     .chunks_exact(2)
@@ -701,7 +703,8 @@ pub fn build_node_aware_distributed(
             raw.push(n);
             raw.push(l);
         }
-        comm.send(map.leader_of(me), TAG_NA_META, &raw);
+        comm.send(map.leader_of(me), TAG_NA_META, &raw)
+            .expect("node-aware setup needs a healthy world: the node leader collects metadata");
         None
     };
     node_aware_member_side(flat, map, leader)
