@@ -8,11 +8,14 @@
 //!
 //! The engine has no per-mode code: it interprets the mode's step lists
 //! ([`KernelMode::lanes`]) one step at a time, stamping a trace span per
-//! step, with communication behind the strategy-blind `HaloExchange`. A
-//! one-lane (vector mode) schedule runs on the calling thread, each gather
-//! or compute step one region of the persistent [`ThreadTeam`]; a two-lane
-//! (task mode) schedule is one region in which thread 0 runs the
-//! communication lane and threads `1..=C` the compute lane. Rows are split
+//! step, with communication behind the strategy-blind `HaloExchange`.
+//! Every SpMV is one region of the persistent [`ThreadTeam`], whose thread
+//! 0 is the calling (rank) thread and makes the communication calls. A
+//! one-lane (vector mode) schedule runs on every thread: each compute
+//! thread runs its share of the gather and compute steps, and the team
+//! meets at a barrier wherever the lane switches between communication and
+//! shared steps. A two-lane (task mode) schedule runs the communication
+//! lane on thread 0 and the compute lane on threads `1..=C`. Rows are split
 //! explicitly into nonzero-balanced chunks: OpenMP has "no concept of
 //! 'subteams'" (§3.2).
 
@@ -130,12 +133,13 @@ impl EngineConfig {
     }
 }
 
-/// The engine's vectors for the duration of one SpMV, as raw parts: task
-/// mode's lanes use disjoint parts of them concurrently. Every hand-off
+/// The engine's vectors for the duration of one SpMV, as raw parts: the
+/// team's threads use disjoint parts of them concurrently. Every hand-off
 /// between steps is ordered by the schedule (checked by the `modes`
-/// tests): the halo is read only after the waitall that fills it, the send
-/// buffer is sent only after the gather that fills it, and the local part
-/// of `x` is never written during an SpMV.
+/// tests) and the barriers between threads: the halo is read only after
+/// the waitall that fills it, the send buffer is sent only after the
+/// gather that fills it, and the local part of `x` is never written
+/// during an SpMV.
 struct Bufs {
     x: *mut f64,
     nloc: usize,
@@ -162,7 +166,7 @@ impl Bufs {
     }
 
     /// # Safety
-    /// Only from the communication lane, which holds it until its waitall.
+    /// Only from thread 0, which holds it until its waitall.
     #[allow(clippy::mut_from_ref)] // exclusive by schedule, not by borrow
     unsafe fn halo_mut(&self) -> &mut [f64] {
         // SAFETY: the halo follows the local part; the caller is its only
@@ -178,15 +182,6 @@ impl Bufs {
     }
 }
 
-/// Where a lane runs.
-#[derive(Clone, Copy)]
-enum At<'a, 'b> {
-    /// On the calling thread, gather and compute steps one team region each.
-    Caller,
-    /// As thread `tid` of task mode's region (compute thread `tid - 1`).
-    Thread(&'a TeamCtx<'b>),
-}
-
 /// A prepared node-level kernel and its per-thread row chunks.
 type PartKernel = (Box<dyn SpmvKernel>, Vec<Range<usize>>);
 
@@ -196,7 +191,7 @@ pub struct RankEngine {
     plan: RankPlan,
     mats: SplitMatrix,
     cfg: EngineConfig,
-    team: Option<ThreadTeam>,
+    team: ThreadTeam,
     x_ext: Vec<f64>,
     y: Vec<f64>,
     send_buf: Vec<f64>,
@@ -225,8 +220,7 @@ impl RankEngine {
         let c = cfg.compute_threads;
         let exchange = HaloExchange::new(&comm, &plan, strategy, c);
 
-        let team_size = c + usize::from(cfg.comm_thread);
-        let team = (team_size > 1).then(|| ThreadTeam::new(team_size));
+        let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
         // autotune on the full matrix; the split parts reuse the winner so
         // every phase runs the same code shape
@@ -370,11 +364,14 @@ impl RankEngine {
             "task mode requires an engine configured with a communication thread"
         );
         self.spmv_calls += 1;
-        let bufs = self.bufs();
-        match mode.lanes() {
-            [lane] => self.run_lane(lane.iter().copied(), &bufs, At::Caller),
-            lanes => self.run_team(lanes, &bufs),
-        }
+        let (b, lanes) = (self.bufs(), mode.lanes());
+        let fault = OnceLock::new();
+        self.team.run(|ctx| {
+            // thread 0 runs the first lane, threads 1..=C the last
+            let lane = lanes[ctx.tid.min(lanes.len() - 1)];
+            self.run_lane(lane.iter().copied(), &b, &ctx, &fault);
+        });
+        fault.into_inner().map_or(Ok(()), Err)
     }
 
     /// [`Self::spmv_checked`] with `x` copied in and `y` out (two extra
@@ -396,10 +393,13 @@ impl RankEngine {
     /// Runs the gather and halo exchange alone, collectively: the Fig. 4a
     /// schedule without its compute step (for timing the exchange).
     pub fn halo_exchange_checked(&mut self) -> Result<(), CommError> {
-        let bufs = self.bufs();
-        let lane = KernelMode::VectorNoOverlap.lanes()[0].iter().copied();
-        let exchange = lane.filter(|s| !matches!(s, Step::Compute(_)));
-        self.run_lane(exchange, &bufs, At::Caller)
+        let (b, lane) = (self.bufs(), KernelMode::VectorNoOverlap.lanes()[0]);
+        let fault = OnceLock::new();
+        self.team.run(|ctx| {
+            let exchange = lane.iter().filter(|s| !matches!(s, Step::Compute(_)));
+            self.run_lane(exchange.copied(), &b, &ctx, &fault);
+        });
+        fault.into_inner().map_or(Ok(()), Err)
     }
 
     /// The node-level kernel in use (`Auto` resolved to the winner).
@@ -436,69 +436,67 @@ impl RankEngine {
         }
     }
 
-    /// Task mode: one team region in which thread 0 runs the
-    /// communication lane (`lanes[0]`) and threads `1..=C` the compute
-    /// lane (`lanes[1]`). A faulted communication lane still reaches both
-    /// barriers (see [`Self::run_lane`]), so the region always ends; its
-    /// first error is returned afterwards.
-    fn run_team(&self, lanes: &[&[Step]], b: &Bufs) -> Result<(), CommError> {
-        let team = self
-            .team
-            .as_ref()
-            .expect("task mode requires a thread team");
-        debug_assert_eq!(team.size(), self.cfg.compute_threads + 1);
-        let first_err = OnceLock::new();
-        team.run(|ctx| {
-            let lane = lanes[ctx.tid.min(1)];
-            if let Err(e) = self.run_lane(lane.iter().copied(), b, At::Thread(&ctx)) {
-                let _ = first_err.set(e);
-            }
-        });
-        first_err.into_inner().map_or(Ok(()), Err)
-    }
-
-    /// Runs one lane's steps in order, stamping a trace span per step.
-    /// After a communication fault the lane still runs its barriers (and
-    /// nothing else), so the other lane of task mode never waits forever.
+    /// Runs one lane's steps in order as thread `ctx.tid`, stamping a
+    /// trace span per step it executes. Thread 0 makes the communication
+    /// calls (trace lane 0); compute thread `s`, the team's thread
+    /// `tid - 1` when it has a communication thread and `tid` otherwise,
+    /// runs share `s` of the gather and compute steps (lane `1 + s`).
+    /// Wherever the lane switches between the two kinds, the team meets at
+    /// a barrier, as OpenMP worksharing loops end at one: this orders the
+    /// send after the gather and every halo read after the waitall. After
+    /// a communication fault, recorded in `fault`, thread 0 runs only
+    /// barriers, so no thread waits forever.
     fn run_lane(
         &self,
         steps: impl IntoIterator<Item = Step>,
         b: &Bufs,
-        at: At<'_, '_>,
-    ) -> Result<(), CommError> {
+        ctx: &TeamCtx<'_>,
+        fault: &OnceLock<CommError>,
+    ) {
         let trace = self.trace.as_deref();
-        let mut pending = None;
-        let mut res = Ok(());
+        let share = ctx.tid.checked_sub(usize::from(self.cfg.comm_thread));
+        let (mut pending, mut faulted, mut prev_comm) = (None, false, None);
         for step in steps {
-            if res.is_err() && !matches!(step, Step::Barrier(_)) {
-                continue;
+            let barrier = matches!(step, Step::Barrier(_));
+            if !barrier {
+                if prev_comm.is_some_and(|c| c != step.is_comm()) {
+                    ctx.barrier();
+                }
+                prev_comm = Some(step.is_comm());
             }
+            // the trace lane this thread runs the step on, if it runs it
+            let lane = match step {
+                Step::Barrier(_) => Some(share.map_or(0, |s| s + 1)),
+                _ if faulted => None,
+                _ if step.is_comm() => (ctx.tid == 0).then_some(0),
+                _ => share.map(|s| s + 1),
+            };
+            let Some(lane) = lane else { continue };
             let t0 = trace.map_or(0.0, |ts| ts.now());
-            match self.step(step, b, at, &mut pending) {
+            match self.step(step, b, ctx, lane, &mut pending) {
                 Ok((bytes, nnz)) => {
                     if let Some(ts) = trace {
-                        let lane = match at {
-                            At::Caller => usize::from(!step.is_comm()),
-                            At::Thread(ctx) => ctx.tid,
-                        };
                         ts.record(lane, step.phase(), t0, ts.now(), bytes, nnz);
                     }
                 }
                 Err(e) => {
                     pending = None;
-                    res = Err(e);
+                    faulted = true;
+                    let _ = fault.set(e);
                 }
             }
         }
-        res
     }
 
-    /// Executes one step; returns the `(bytes, nonzeros)` its span carries.
+    /// Executes one step on trace lane `lane` (a gather or compute step
+    /// runs compute share `lane - 1`); returns the `(bytes, nonzeros)` its
+    /// span carries.
     fn step<'b>(
         &self,
         step: Step,
         b: &'b Bufs,
-        at: At<'_, '_>,
+        ctx: &TeamCtx<'_>,
+        lane: usize,
         pending: &mut Option<Pending<'b>>,
     ) -> Result<(u64, u64), CommError> {
         let (ex, comm) = (&self.exchange, &self.comm);
@@ -506,14 +504,18 @@ impl RankEngine {
         const POSTED: &str = "the schedule posts receives before sending and waiting";
         match step {
             Step::PostRecvs => {
-                // SAFETY: this lane is the halo's only user until its waitall.
+                // SAFETY: thread 0 is the halo's only user until its waitall.
                 let halo = unsafe { b.halo_mut() };
                 *pending = Some(ex.post_recvs(comm, halo));
                 Ok((halo_bytes, 0))
             }
             Step::Gather => {
-                self.gather(b, at);
-                Ok((if let At::Caller = at { send_bytes } else { 0 }, 0))
+                // SAFETY: the local part of x is never written during an
+                // SpMV; `b.send` holds the whole gather, each compute
+                // thread passes its own share, and no step reads the buffer
+                // before the gather is done.
+                let n = unsafe { ex.gather_share(lane - 1, b.x(0..b.nloc), b.send) };
+                Ok((8 * n as u64, 0))
             }
             Step::Send => {
                 // SAFETY: the schedule sends only after the gather.
@@ -527,70 +529,32 @@ impl RankEngine {
                 ex.finish(comm, send, pending.take().expect(POSTED))?;
                 Ok((halo_bytes, 0))
             }
-            Step::Compute(part) => Ok((0, self.compute(part, b, at))),
+            Step::Compute(part) => Ok((0, self.compute(part, b, lane - 1))),
             Step::Barrier(_) => {
-                if let At::Thread(ctx) = at {
-                    ctx.barrier();
-                }
+                ctx.barrier();
                 Ok((0, 0))
             }
         }
     }
 
-    /// The compute threads whose shares a lane covers.
-    fn shares(&self, at: At<'_, '_>) -> Range<usize> {
-        match at {
-            At::Caller => 0..self.cfg.compute_threads,
-            At::Thread(ctx) => ctx.tid - 1..ctx.tid,
-        }
-    }
-
-    /// Runs `f(t)` for every compute thread `t` the lane covers.
-    fn fan_out(&self, at: At<'_, '_>, f: impl Fn(usize) + Sync) {
-        match (at, &self.team) {
-            (At::Caller, Some(team)) => {
-                let c = self.cfg.compute_threads;
-                // threads >= c: the idle comm thread in vector modes
-                team.run(|ctx| {
-                    if ctx.tid < c {
-                        f(ctx.tid)
-                    }
-                });
-            }
-            _ => self.shares(at).for_each(f),
-        }
-    }
-
-    /// The gather step.
-    fn gather(&self, b: &Bufs, at: At<'_, '_>) {
-        // SAFETY: the local part of x is never written during an SpMV.
-        let x = unsafe { b.x(0..b.nloc) };
-        // SAFETY: `b.send` holds the whole gather, each compute thread
-        // passes its own index, and no step reads the buffer before the
-        // gather is done.
-        self.fan_out(at, |t| unsafe { self.exchange.gather_share(t, x, b.send) });
-    }
-
-    /// A kernel step over one part of the matrix; returns the nonzeros
-    /// multiplied. The non-local part accumulates into `y` (the Eq. 2
-    /// second write).
-    fn compute(&self, part: Part, b: &Bufs, at: At<'_, '_>) -> u64 {
+    /// Compute share `t` of a kernel step over one part of the matrix;
+    /// returns the nonzeros multiplied. The non-local part accumulates into
+    /// `y` (the Eq. 2 second write).
+    fn compute(&self, part: Part, b: &Bufs, t: usize) -> u64 {
         let ext = b.nloc + b.nhalo;
         let (mat, (kern, chunks), cols) = match part {
             Part::Full => (&self.mats.full, &self.kernels[0], 0..ext),
             Part::Local => (&self.mats.local, &self.kernels[1], 0..b.nloc),
             Part::Nonlocal => (&self.mats.nonlocal, &self.kernels[2], b.nloc..ext),
         };
-        // SAFETY: the schedule reads the halo only after its waitall.
-        let x = unsafe { b.x(cols) };
-        let accumulate = part == Part::Nonlocal;
-        // SAFETY: the row chunks are disjoint, so the compute threads
-        // write disjoint rows of y.
-        self.fan_out(at, |t| unsafe {
-            kern.spmv_rows_raw(mat, chunks[t].clone(), x, b.y, accumulate)
-        });
-        let nnz = |r: &Range<usize>| mat.row_ptr()[r.end] - mat.row_ptr()[r.start];
-        self.shares(at).map(|t| nnz(&chunks[t]) as u64).sum()
+        let rows = chunks[t].clone();
+        // SAFETY: the schedule reads the halo only after its waitall, and
+        // the row chunks are disjoint, so the compute threads write
+        // disjoint rows of y.
+        unsafe {
+            kern.spmv_rows_raw(mat, rows.clone(), b.x(cols), b.y, part == Part::Nonlocal);
+        }
+        (mat.row_ptr()[rows.end] - mat.row_ptr()[rows.start]) as u64
     }
 }
 

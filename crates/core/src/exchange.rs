@@ -348,16 +348,17 @@ impl HaloExchange {
         &self.gather
     }
 
-    /// Gathers compute thread `t`'s runs from `x_loc` into the send buffer.
+    /// Gathers compute thread `t`'s runs from `x_loc` into the send buffer;
+    /// returns the number of elements gathered.
     ///
     /// # Safety
     /// `send_buf` must hold the whole gather, and concurrent callers must
     /// pass distinct `t`.
-    pub(crate) unsafe fn gather_share(&self, t: usize, x_loc: &[f64], send_buf: *mut f64) {
+    pub(crate) unsafe fn gather_share(&self, t: usize, x_loc: &[f64], send_buf: *mut f64) -> usize {
         let runs = self.gather_chunks[t].clone();
         // SAFETY: the caller's guarantee, and distinct threads' runs have
         // disjoint destinations.
-        unsafe { self.gather.execute_runs_raw(runs, x_loc, send_buf) };
+        unsafe { self.gather.execute_runs_raw(runs, x_loc, send_buf) }
     }
 
     /// Switches to the flat exchange of `plan` (no communication; the send

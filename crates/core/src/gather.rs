@@ -90,18 +90,25 @@ impl GatherProgram {
         balanced_chunks(&self.run_prefix, parts)
     }
 
-    /// Executes a subrange of runs through a raw destination pointer.
+    /// Executes a subrange of runs through a raw destination pointer;
+    /// returns the number of elements copied.
     ///
     /// # Safety
     /// `dst` must be valid for the whole destination buffer
     /// ([`GatherProgram::total_elems`] elements), and concurrent callers
     /// must execute *disjoint* run ranges — destination-ordering then
     /// guarantees their writes are disjoint.
-    pub unsafe fn execute_runs_raw(&self, run_range: Range<usize>, src: &[f64], dst: *mut f64) {
-        for r in &self.runs[run_range] {
+    pub unsafe fn execute_runs_raw(
+        &self,
+        run_range: Range<usize>,
+        src: &[f64],
+        dst: *mut f64,
+    ) -> usize {
+        for r in &self.runs[run_range.clone()] {
             debug_assert!(r.src + r.len <= src.len());
             std::ptr::copy_nonoverlapping(src.as_ptr().add(r.src), dst.add(r.dst), r.len);
         }
+        self.run_prefix[run_range.end] - self.run_prefix[run_range.start]
     }
 }
 

@@ -41,7 +41,6 @@ pub mod exchange;
 pub mod gather;
 pub mod kernels;
 pub mod modes;
-pub mod node;
 pub mod partition;
 pub mod plan;
 pub mod runner;

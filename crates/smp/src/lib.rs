@@ -4,12 +4,12 @@
 //! against OpenMP; Rust has no OpenMP, so this crate provides the features
 //! the paper actually uses:
 //!
-//! * [`team::ThreadTeam`] — a persistent team of worker threads executing
-//!   "parallel regions" (closures) with negligible startup cost, like an
-//!   OpenMP thread team that persists across `#pragma omp parallel`
-//!   regions;
-//! * [`team::TeamCtx::barrier`] — an `omp barrier` equivalent
-//!   (sense-reversing spin barrier);
+//! * [`team::ThreadTeam`] — a persistent thread team executing "parallel
+//!   regions" (closures), like an OpenMP team that persists across
+//!   `#pragma omp parallel` regions: the calling thread is thread 0, and
+//!   idle workers spin briefly, then park, until the next region;
+//! * [`team::TeamCtx::barrier`] — an `omp barrier` equivalent (a spin
+//!   barrier that counts generations);
 //! * [`workshare`] — static loop scheduling *and* the explicit
 //!   nonzero-balanced chunking the paper needs for task mode, where "the
 //!   standard OpenMP loop worksharing directive cannot be used, since there
@@ -17,11 +17,8 @@
 //!   work distribution is implemented explicitly, one contiguous chunk of
 //!   nonzeros per compute thread;
 //! * [`stream`] — the STREAM kernels used as the practical bandwidth limit
-//!   in the node-level analysis (Fig. 3);
-//! * [`numa`] — first-touch page-placement bookkeeping for ccNUMA locality
-//!   accounting.
+//!   in the node-level analysis (Fig. 3).
 
-pub mod numa;
 pub mod stream;
 pub mod team;
 pub mod workshare;

@@ -48,68 +48,44 @@ pub fn run_stream(team: &ThreadTeam, len: usize, reps: usize) -> StreamResult {
     let mut a = vec![0.0f64; len];
     let mut b = vec![0.0f64; len];
     let mut c = vec![0.0f64; len];
-
-    // first-touch initialization with the same chunking the kernels use
-    {
-        let (pa, pb, pc) = (
-            SendPtr(a.as_mut_ptr()),
-            SendPtr(b.as_mut_ptr()),
-            SendPtr(c.as_mut_ptr()),
-        );
-        team.run(|ctx| {
-            for i in static_chunk(len, ctx.size, ctx.tid) {
-                // SAFETY: chunks are disjoint across threads.
-                unsafe {
-                    *pa.at(i) = 1.0;
-                    *pb.at(i) = 2.0;
-                    *pc.at(i) = 0.0;
-                }
-            }
-        });
-    }
-
-    let s = 3.0f64;
-    let time_kernel = |f: &(dyn Fn(usize, usize) + Sync)| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            team.run(|ctx| f(ctx.tid, ctx.size));
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-
     let (pa, pb, pc) = (
         SendPtr(a.as_mut_ptr()),
         SendPtr(b.as_mut_ptr()),
         SendPtr(c.as_mut_ptr()),
     );
-
-    let t_copy = time_kernel(&|tid, size| {
-        for i in static_chunk(len, size, tid) {
-            // SAFETY: for all four kernels — static_chunk gives disjoint
-            // index ranges per thread, and the vectors outlive every team
-            // region.
-            unsafe { *pc.at(i) = *pa.at(i) };
+    // Best-of-`reps` seconds of one kernel: each thread runs `f` over its
+    // static chunk of the vectors. Safety of every kernel below: the chunks
+    // are disjoint, and the vectors outlive every team region.
+    let best_of = |reps, f: &(dyn Fn(std::ops::Range<usize>) + Sync)| {
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            team.run(|ctx| f(static_chunk(len, ctx.size, ctx.tid)));
+            best = best.min(t0.elapsed().as_secs_f64());
         }
+        best
+    };
+    // first-touch initialization with the same chunking the kernels use
+    best_of(1, &|r| {
+        // SAFETY: see `best_of`.
+        r.for_each(|i| unsafe { (*pa.at(i), *pb.at(i), *pc.at(i)) = (1.0, 2.0, 0.0) })
     });
-    let t_scale = time_kernel(&|tid, size| {
-        for i in static_chunk(len, size, tid) {
-            // SAFETY: as above — disjoint static chunks.
-            unsafe { *pb.at(i) = s * *pc.at(i) };
-        }
+    let s = 3.0f64;
+    let t_copy = best_of(reps, &|r| {
+        // SAFETY: see `best_of`.
+        r.for_each(|i| unsafe { *pc.at(i) = *pa.at(i) })
     });
-    let t_add = time_kernel(&|tid, size| {
-        for i in static_chunk(len, size, tid) {
-            // SAFETY: as above — disjoint static chunks.
-            unsafe { *pc.at(i) = *pa.at(i) + *pb.at(i) };
-        }
+    let t_scale = best_of(reps, &|r| {
+        // SAFETY: see `best_of`.
+        r.for_each(|i| unsafe { *pb.at(i) = s * *pc.at(i) })
     });
-    let t_triad = time_kernel(&|tid, size| {
-        for i in static_chunk(len, size, tid) {
-            // SAFETY: as above — disjoint static chunks.
-            unsafe { *pa.at(i) = *pb.at(i) + s * *pc.at(i) };
-        }
+    let t_add = best_of(reps, &|r| {
+        // SAFETY: see `best_of`.
+        r.for_each(|i| unsafe { *pc.at(i) = *pa.at(i) + *pb.at(i) })
+    });
+    let t_triad = best_of(reps, &|r| {
+        // SAFETY: see `best_of`.
+        r.for_each(|i| unsafe { *pa.at(i) = *pb.at(i) + s * *pc.at(i) })
     });
 
     // keep results observable so the kernels cannot be optimized out

@@ -1,23 +1,39 @@
 //! Persistent thread teams — the OpenMP "parallel region" model.
 //!
-//! A [`ThreadTeam`] owns `size` worker threads that live for the lifetime of
-//! the team. [`ThreadTeam::run`] executes a closure on every worker (the
-//! parallel region) and returns when all of them have finished. Closures may
-//! borrow from the caller's stack: the call blocks until every worker is
-//! done, so the borrow cannot outlive the data (the same soundness argument
-//! as `std::thread::scope`, enforced here with an explicit completion
-//! count).
+//! [`ThreadTeam::run`] executes a closure on every thread of the team — the
+//! calling thread as thread 0, `size - 1` persistent workers as `1..size` —
+//! like an OpenMP `parallel` region whose master is the thread that reached
+//! it. The closure may borrow from the caller's stack: `run` returns only
+//! after every worker has left it (the argument of `std::thread::scope`).
+//!
+//! A region starts with a bump of a generation word that idle workers
+//! watch: they spin for [`SPIN_WINDOW`] after their last region, then park
+//! until woken. It ends at the team's [`SpinBarrier`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// Reusable sense-reversing spin barrier for exactly `size` participants.
-///
-/// Unlike `std::sync::Barrier` this spins (with `yield_now` back-off), which
-/// is the right trade-off for tightly synchronized compute phases, and it
-/// can be reused any number of times.
+/// How long an idle worker spins for the next region before it parks.
+pub const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// One step of a spin-wait: a CPU spin hint for the first 64 rounds, then
+/// `yield_now` so an oversubscribed host still runs the thread awaited.
+fn backoff(spins: &mut u32) {
+    if *spins < 64 {
+        *spins += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// Reusable spin barrier for exactly `size` participants. Each arrival
+/// counts itself in; the last one resets the count and bumps a generation
+/// word, which the others spin on (see [`backoff`]).
 pub struct SpinBarrier {
     size: usize,
     count: AtomicUsize,
@@ -43,14 +59,9 @@ impl SpinBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
         } else {
-            let mut spins = 0u32;
+            let mut spins = 0;
             while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff(&mut spins);
             }
         }
     }
@@ -63,7 +74,7 @@ impl SpinBarrier {
 
 /// Per-thread context handed to a parallel region.
 pub struct TeamCtx<'a> {
-    /// This thread's id, `0..size`.
+    /// This thread's id, `0..size`; 0 is the thread that called `run`.
     pub tid: usize,
     /// Team size.
     pub size: usize,
@@ -71,33 +82,61 @@ pub struct TeamCtx<'a> {
 }
 
 impl TeamCtx<'_> {
-    /// Team-wide barrier (all `size` threads must call it).
+    /// Team-wide barrier: every thread of the team must call it, the same
+    /// number of times per region. A thread that panics before a barrier
+    /// leaves the others waiting at it.
     pub fn barrier(&self) {
         self.barrier.wait();
     }
 }
 
-/// Type-erased pointer to the parallel-region closure.
-#[derive(Clone, Copy)]
-struct RegionPtr(*const (dyn Fn(TeamCtx<'_>) + Sync));
-// SAFETY: the pointee is kept alive by [`ThreadTeam::run`], which does not
-// return before every worker has finished executing through this pointer,
-// and the closure itself is `Sync` so shared calls are sound.
-unsafe impl Send for RegionPtr {}
+/// A parallel-region closure.
+type Region<'a> = dyn Fn(TeamCtx<'_>) + Sync + 'a;
 
-enum Command {
-    Run(RegionPtr),
-    Exit,
-}
-
+/// State the caller shares with its workers.
 struct Shared {
     barrier: SpinBarrier,
-    done_lock: Mutex<usize>,
-    done_cv: Condvar,
+    /// Bumped by the caller to start a region (or to stop the workers).
+    generation: AtomicUsize,
+    /// The current region, a `&Region` on the caller's stack; null: stop.
+    job: AtomicPtr<()>,
+    /// Workers not yet out of the current region's closure.
+    running: AtomicUsize,
+    /// Whether a worker panicked in the current region.
     panicked: AtomicBool,
 }
 
-/// A persistent team of worker threads.
+impl Shared {
+    /// Thread `tid`'s context.
+    fn ctx(&self, tid: usize) -> TeamCtx<'_> {
+        TeamCtx {
+            tid,
+            size: self.barrier.size(),
+            barrier: &self.barrier,
+        }
+    }
+
+    /// Waits for the generation to move past `seen` and returns it:
+    /// spinning for [`SPIN_WINDOW`], then parked until unparked.
+    fn next_generation(&self, seen: usize) -> usize {
+        let (start, mut spins) = (Instant::now(), 0);
+        loop {
+            let gen = self.generation.load(Ordering::Acquire);
+            if gen != seen {
+                return gen;
+            }
+            if start.elapsed() < SPIN_WINDOW {
+                backoff(&mut spins);
+            } else {
+                // a wakeup between the load and here leaves the park
+                // token set, so this returns at once
+                std::thread::park();
+            }
+        }
+    }
+}
+
+/// A persistent team: the calling thread plus `size - 1` workers.
 ///
 /// ```
 /// use spmv_smp::ThreadTeam;
@@ -111,158 +150,125 @@ struct Shared {
 ///     ctx.barrier();
 ///     assert_eq!(sum.load(Ordering::SeqCst), 1 + 2 + 3 + 4);
 /// });
-/// // or the parallel-for convenience
-/// let hits = AtomicUsize::new(0);
-/// team.parallel_for(100, |_i| { hits.fetch_add(1, Ordering::SeqCst); });
-/// assert_eq!(hits.load(Ordering::SeqCst), 100);
 /// ```
 pub struct ThreadTeam {
-    size: usize,
-    senders: Vec<Sender<Command>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
+    /// Set while a region runs: `run` is neither reentrant nor concurrent.
+    busy: AtomicBool,
 }
 
 impl ThreadTeam {
-    /// Spawns a team of `size >= 1` workers.
+    /// A team of `size >= 1` threads: spawns `size - 1` workers.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "a team needs at least one thread");
         let shared = Arc::new(Shared {
             barrier: SpinBarrier::new(size),
-            done_lock: Mutex::new(0),
-            done_cv: Condvar::new(),
+            generation: AtomicUsize::new(0),
+            job: AtomicPtr::new(ptr::null_mut()),
+            running: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
         });
-        let mut senders = Vec::with_capacity(size);
-        let mut handles = Vec::with_capacity(size);
-        for tid in 0..size {
-            let (tx, rx): (Sender<Command>, Receiver<Command>) = std::sync::mpsc::channel();
-            senders.push(tx);
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("team-worker-{tid}"))
-                .spawn(move || worker_loop(tid, size, rx, shared))
-                .expect("failed to spawn team worker");
-            handles.push(handle);
-        }
+        let workers = (1..size)
+            .map(|tid| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("team-worker-{tid}"))
+                    .spawn(move || worker_loop(tid, &shared))
+                    .expect("failed to spawn team worker")
+            })
+            .collect();
         Self {
-            size,
-            senders,
-            handles,
+            workers,
             shared,
+            busy: AtomicBool::new(false),
         }
     }
 
     /// Team size.
     pub fn size(&self) -> usize {
-        self.size
+        self.shared.barrier.size()
     }
 
-    /// Executes `region` on all workers, blocking until every worker has
-    /// returned. The closure receives a [`TeamCtx`] with its thread id.
+    /// Executes `region` on every thread of the team — this one as thread
+    /// 0 — and returns when all of them have left it. A team of one calls
+    /// `region` directly.
     ///
     /// # Panics
-    /// Propagates (as a panic) if any worker panicked inside the region.
+    /// If any thread panicked inside the region, once every thread has
+    /// left it: with the caller's own payload, else with a generic message.
+    /// Also if called from inside a region of the same team.
     pub fn run<F>(&self, region: F)
     where
         F: Fn(TeamCtx<'_>) + Sync,
     {
-        let wide: &(dyn Fn(TeamCtx<'_>) + Sync) = &region;
-        // SAFETY: erasing the closure's lifetime is sound because this
-        // function does not return until all workers signalled completion,
-        // so `region` outlives every use of the pointer.
-        let ptr = RegionPtr(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(TeamCtx<'_>) + Sync),
-                *const (dyn Fn(TeamCtx<'_>) + Sync),
-            >(wide as *const _)
-        });
-        {
-            let mut done = self.shared.done_lock.lock().unwrap();
-            *done = 0;
+        let s = &*self.shared;
+        if self.workers.is_empty() {
+            return region(s.ctx(0));
         }
-        for tx in &self.senders {
-            tx.send(Command::Run(ptr)).expect("worker thread died");
+        assert!(
+            !self.busy.swap(true, Ordering::Acquire),
+            "a team runs one region at a time"
+        );
+        let region: &Region<'_> = &region;
+        // `running` and `job` reach the workers through the Release bump of
+        // `generation`, which they load with Acquire
+        s.running.store(self.workers.len(), Ordering::Relaxed);
+        s.job
+            .store(ptr::from_ref(&region).cast_mut().cast(), Ordering::Relaxed);
+        s.generation.fetch_add(1, Ordering::Release);
+        for w in &self.workers {
+            w.thread().unpark();
         }
-        let mut done = self.shared.done_lock.lock().unwrap();
-        while *done < self.size {
-            done = self.shared.done_cv.wait(done).unwrap();
+        let mine = catch_unwind(AssertUnwindSafe(|| region(s.ctx(0))));
+        s.barrier.wait();
+        // Threads that call `barrier` unequally can pass the end barrier
+        // early; `region` must still outlive every worker's use of it.
+        let mut spins = 0;
+        while s.running.load(Ordering::Acquire) != 0 {
+            backoff(&mut spins);
         }
-        drop(done);
-        if self.shared.panicked.swap(false, Ordering::SeqCst) {
-            panic!("a team worker panicked inside a parallel region");
+        // ordered after every worker's store by `running` (Release/Acquire)
+        let theirs = s.panicked.swap(false, Ordering::Relaxed);
+        self.busy.store(false, Ordering::Release);
+        if let Err(payload) = mine {
+            resume_unwind(payload);
         }
-    }
-}
-
-impl ThreadTeam {
-    /// OpenMP-`parallel for` convenience: executes `f(i)` for every `i` in
-    /// `0..n` with a static contiguous schedule across the team.
-    ///
-    /// `f` must tolerate concurrent invocation for distinct indices.
-    pub fn parallel_for<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.run(|ctx| {
-            for i in crate::workshare::static_chunk(n, ctx.size, ctx.tid) {
-                f(i);
-            }
-        });
-    }
-
-    /// Weighted `parallel for`: iterations are split so each thread gets a
-    /// contiguous range of approximately equal total *weight*, given the
-    /// non-decreasing prefix-sum array `prefix` (`prefix.len() = n + 1`) —
-    /// e.g. a CSR `row_ptr` for per-row work proportional to nonzeros.
-    /// The closure receives each thread's whole range at once.
-    pub fn parallel_for_weighted<F>(&self, prefix: &[usize], f: F)
-    where
-        F: Fn(std::ops::Range<usize>) + Sync,
-    {
-        let chunks = crate::workshare::balanced_chunks(prefix, self.size());
-        self.run(|ctx| {
-            f(chunks[ctx.tid].clone());
-        });
+        assert!(!theirs, "a team worker panicked inside a parallel region");
     }
 }
 
 impl Drop for ThreadTeam {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            // Workers may already be gone if a panic tore things down.
-            let _ = tx.send(Command::Exit);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        self.shared.job.store(ptr::null_mut(), Ordering::Relaxed);
+        self.shared.generation.fetch_add(1, Ordering::Release);
+        for w in self.workers.drain(..) {
+            w.thread().unpark();
+            let _ = w.join();
         }
     }
 }
 
-fn worker_loop(tid: usize, size: usize, rx: Receiver<Command>, shared: Arc<Shared>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::Exit => break,
-            Command::Run(ptr) => {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let ctx = TeamCtx {
-                        tid,
-                        size,
-                        barrier: &shared.barrier,
-                    };
-                    // SAFETY: see `ThreadTeam::run`.
-                    unsafe { (*ptr.0)(ctx) }
-                }));
-                if result.is_err() {
-                    shared.panicked.store(true, Ordering::SeqCst);
-                }
-                let mut done = shared.done_lock.lock().unwrap();
-                *done += 1;
-                if *done == size {
-                    shared.done_cv.notify_all();
-                }
-            }
+/// A worker's life: wait for a region, run it as thread `tid`, meet the
+/// others at the end barrier; stop on a null job.
+fn worker_loop(tid: usize, s: &Shared) {
+    let mut seen = 0;
+    loop {
+        seen = s.next_generation(seen);
+        let job: *const &Region<'_> = s.job.load(Ordering::Relaxed).cast();
+        if job.is_null() {
+            return;
         }
+        // SAFETY: `run` published `job` before this generation and does
+        // not return before `running` drops to zero below, so the closure
+        // it points to is alive; the closure is `Sync`, so shared calls
+        // are sound.
+        let res = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(s.ctx(tid)) }));
+        if res.is_err() {
+            s.panicked.store(true, Ordering::Relaxed);
+        }
+        s.running.fetch_sub(1, Ordering::Release);
+        s.barrier.wait();
     }
 }
 
@@ -270,6 +276,7 @@ fn worker_loop(tid: usize, size: usize, rx: Receiver<Command>, shared: Arc<Share
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     #[test]
     fn all_threads_execute_region() {
@@ -432,45 +439,68 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
-        let team = ThreadTeam::new(4);
-        let counts: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        team.parallel_for(100, |i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
+    fn caller_is_thread_zero() {
+        let team = ThreadTeam::new(3);
+        let me = std::thread::current().id();
+        let ids = Mutex::new(Vec::new());
+        team.run(|ctx| {
+            ids.lock()
+                .unwrap()
+                .push((ctx.tid, std::thread::current().id()));
         });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 3);
+        for (tid, id) in ids {
+            assert_eq!(tid == 0, id == me, "thread {tid}");
+        }
     }
 
     #[test]
-    fn parallel_for_empty_range() {
+    fn caller_panic_propagates_after_workers_finish() {
         let team = ThreadTeam::new(3);
+        let finished = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.run(|ctx| {
+                if ctx.tid == 0 {
+                    panic!("caller boom");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        let payload = r.expect_err("panic must propagate to the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller boom"));
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "workers left first");
         let hits = AtomicUsize::new(0);
-        team.parallel_for(0, |_| {
+        team.run(|_| {
             hits.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
     }
 
     #[test]
-    fn parallel_for_weighted_covers_rows_by_weight() {
+    fn parked_workers_wake_and_drop_returns() {
         let team = ThreadTeam::new(3);
-        // 9 rows: one heavy (90) then light (1 each)
-        let prefix = [0usize, 90, 91, 92, 93, 94, 95, 96, 97, 98];
-        let covered: Vec<AtomicUsize> = (0..9).map(|_| AtomicUsize::new(0)).collect();
-        let widths = Mutex::new(Vec::new());
-        team.parallel_for_weighted(&prefix, |range| {
-            widths.lock().unwrap().push(range.len());
-            for i in range {
-                covered[i].fetch_add(1, Ordering::SeqCst);
+        let hits = AtomicUsize::new(0);
+        for _ in 0..3 {
+            std::thread::sleep(SPIN_WINDOW * 20);
+            team.run(|_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        assert_eq!(hits.load(Ordering::SeqCst), 9);
+        std::thread::sleep(SPIN_WINDOW * 20);
+        drop(team);
+    }
+
+    #[test]
+    #[should_panic(expected = "one region at a time")]
+    fn nested_region_is_rejected() {
+        let team = ThreadTeam::new(2);
+        team.run(|ctx| {
+            if ctx.tid == 0 {
+                team.run(|_| {});
             }
         });
-        assert!(covered.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        let w = widths.lock().unwrap();
-        assert_eq!(w.iter().sum::<usize>(), 9);
-        // the heavy row must sit alone (or nearly) in its chunk
-        assert!(
-            w.iter().any(|&l| l <= 2),
-            "heavy-row chunk should be small: {w:?}"
-        );
     }
 }

@@ -133,12 +133,18 @@ fn collective_marathon() {
 }
 
 /// Thousands of tiny team regions with intermixed barriers: lost-wakeup and
-/// generation-counting bugs in the barrier/team plumbing show up here.
+/// generation-counting bugs in the barrier/team plumbing show up here. Back
+/// to back the workers catch each region while spinning; the last rounds
+/// are spaced by more than the spin window, so every region must wake
+/// parked workers (a lost wakeup hangs the test).
 #[test]
 fn team_region_churn() {
     let team = ThreadTeam::new(5);
     let counter = AtomicU64::new(0);
-    for round in 0..2000u64 {
+    for round in 0..2050u64 {
+        if round >= 2000 {
+            std::thread::sleep(spmv_smp::team::SPIN_WINDOW * 4);
+        }
         team.run(|ctx| {
             counter.fetch_add(1, Ordering::Relaxed);
             if round % 7 == 0 {
@@ -148,7 +154,7 @@ fn team_region_churn() {
             }
         });
     }
-    let expected = 2000 * 5 + (2000u64.div_ceil(7)) * 5;
+    let expected = 2050 * 5 + 2050u64.div_ceil(7) * 5;
     assert_eq!(counter.load(Ordering::SeqCst), expected);
 }
 
