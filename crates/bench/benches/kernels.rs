@@ -1,5 +1,5 @@
 //! Node-level kernel benches: every dispatchable SpMV kernel (scalar CSR,
-//! unrolled CSR, sliced CSR, unchecked CSR under `fast-kernels`, SELL-C-σ)
+//! unrolled CSR, sliced CSR, SELL-C-σ)
 //! on both application matrices and a power-law stress matrix, the split
 //! (local + non-local) kernel against the unsplit one (Eq. 2 measured on
 //! real hardware), and the send-buffer gather.
@@ -27,7 +27,7 @@ fn kernel_kinds() -> Vec<KernelKind> {
     kinds
 }
 
-fn bench_kernels(b: &Bench) {
+fn bench_kernel_kinds(b: &Bench) {
     for (name, m) in matrices() {
         let x = vecops::random_vec(m.ncols(), 3);
         let mut y = vec![0.0; m.nrows()];
@@ -168,7 +168,7 @@ fn bench_symmetric(b: &Bench) {
 
 fn main() {
     let b = Bench::new();
-    bench_kernels(&b);
+    bench_kernel_kinds(&b);
     bench_split_vs_full(&b);
     bench_gather(&b);
     bench_symmetric(&b);

@@ -12,9 +12,10 @@
 //!
 //! `cargo run --release -p spmv-bench --bin ablations [-- <which>] [--scale ...]
 //!  [--kernel <kind>] [--trace <path>]` (runs all ablations when no selector
-//! is given; the `--kernel` choice feeds the functional-engine rows of the
-//! `kernel` ablation; `--trace` additionally writes a measured task-mode
-//! chrome://tracing JSON of the HMeP matrix to `<path>`)
+//! is given; the `--kernel` choice, default `csr-scalar`, feeds the
+//! functional-engine rows of the `kernel` ablation; `--trace` additionally
+//! writes a measured task-mode chrome://tracing JSON of the HMeP matrix to
+//! `<path>`)
 
 use spmv_bench::microbench::Bench;
 use spmv_bench::{header, hmep, Scale};
@@ -28,7 +29,7 @@ use spmv_sim::{simulate_job, simulate_spmv, ProgressModel, SimConfig};
 
 fn main() {
     let scale = Scale::from_args();
-    let mut kernel = KernelKind::Auto;
+    let mut kernel = KernelKind::CsrScalar;
     let mut trace_path: Option<String> = None;
     let mut which: Vec<String> = Vec::new();
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -40,8 +41,9 @@ fn main() {
             }
             "--kernel" => {
                 let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v)
-                    .unwrap_or_else(|| panic!("unknown kernel '{v}' (try csr-scalar, sell, auto)"));
+                kernel = KernelKind::parse(v).unwrap_or_else(|| {
+                    panic!("unknown kernel '{v}' (use {})", KernelKind::SPELLINGS)
+                });
             }
             "--trace" => {
                 trace_path = Some(it.next().expect("--trace needs a path").clone());
@@ -268,7 +270,7 @@ fn main() {
         let x = spmv_matrix::vecops::random_vec(m.ncols(), 11);
         let mut y = vec![0.0; m.nrows()];
         let mut kinds = KernelKind::candidates();
-        if kernel != KernelKind::Auto && !kinds.contains(&kernel) {
+        if !kinds.contains(&kernel) {
             kinds.push(kernel);
         }
         for kind in kinds {
@@ -288,8 +290,6 @@ fn main() {
                 meas.gflops(flops)
             );
         }
-        let auto = prepare_kernel(KernelKind::Auto, &m);
-        println!("  autotune picks {}", auto.kind());
 
         // the chosen kernel through the full engine, all three modes
         println!("  functional engine (4 ranks x 2 threads, kernel {kernel}):");

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p spmv-bench --bin spmv_file -- <matrix.mtx> [ranks] [threads] \
-//!     [--kernel csr-scalar|csr-unrolled4|csr-sliced|sell[-C-σ]|auto] \
+//!     [--kernel csr-scalar|csr-unrolled4|csr-sliced|sell[-C-σ]] \
 //!     [--comm-strategy flat|node-aware] [--ranks-per-node N] [--trace <path>]
 //! ```
 //!
@@ -195,8 +195,9 @@ fn main() {
         match a.as_str() {
             "--kernel" => {
                 let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v)
-                    .unwrap_or_else(|| panic!("unknown kernel '{v}' (try csr-scalar, sell, auto)"));
+                kernel = KernelKind::parse(v).unwrap_or_else(|| {
+                    panic!("unknown kernel '{v}' (use {})", KernelKind::SPELLINGS)
+                });
             }
             "--comm-strategy" => {
                 strategy_arg = Some(it.next().expect("--comm-strategy needs a value").clone());

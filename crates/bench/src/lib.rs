@@ -9,10 +9,7 @@ use spmv_matrix::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
 use spmv_matrix::samg::{poisson, SamgParams};
 use spmv_matrix::CsrMatrix;
 
-pub mod json;
 pub mod microbench;
-
-pub use json::Json;
 
 /// Problem-size scaling of a regeneration run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,29 +114,10 @@ pub fn node_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// Parses `<name> N` from the argument list, defaulting when absent —
-/// the flag convention every bench binary shares.
-pub fn usize_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].parse().unwrap_or_else(|_| panic!("{name} wants N")))
-        .unwrap_or(default)
-}
-
-/// Parses `<name> <value>` as a string flag from the argument list.
-pub fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-}
-
 /// Prints a report header with a rule line.
 pub fn header(title: &str) {
     println!("{title}");
     println!("{}", "=".repeat(title.len()));
-}
-
-/// Formats a GFlop/s cell.
-pub fn gf(v: f64) -> String {
-    format!("{v:>8.2}")
 }
 
 /// Marks the paper's 50 % parallel-efficiency point on a scaling series:
@@ -176,18 +154,6 @@ mod tests {
             None,
             "needs a 1-node baseline"
         );
-    }
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["x", "--ranks", "16", "--out", "trace.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(usize_flag(&args, "--ranks", 4), 16);
-        assert_eq!(usize_flag(&args, "--missing", 7), 7);
-        assert_eq!(str_flag(&args, "--out").as_deref(), Some("trace.json"));
-        assert_eq!(str_flag(&args, "--missing"), None);
     }
 
     #[test]

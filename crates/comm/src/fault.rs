@@ -13,7 +13,7 @@
 //!
 //! The injector is zero-cost when disabled: a world built without a plan
 //! carries `chaos: None` and every hot path checks that single `Option`
-//! before doing anything else (measured by `bench_faults`).
+//! before doing anything else.
 
 use spmv_matrix::rng::Rng64;
 use std::collections::HashMap;

@@ -22,8 +22,7 @@
 //!   panic with a dump still beats a silent hang in CI.
 //!
 //! A world built without faults or watchdog takes the exact historical
-//! fast path: one `Option` check per operation is the entire cost
-//! (measured by `bench_faults`).
+//! fast path: one `Option` check per operation is the entire cost.
 
 use crate::collectives::or_panic;
 use crate::error::{CommError, PendingKind, PendingOp, StallReport};

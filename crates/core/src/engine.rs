@@ -43,8 +43,8 @@ pub struct EngineConfig {
     pub compute_threads: usize,
     /// Whether to add a communication thread ([`KernelMode::TaskMode`]).
     pub comm_thread: bool,
-    /// Node-level kernel run by all modes (see [`crate::kernels`]); `Auto`
-    /// autotunes on the full matrix and reuses the winner for the parts.
+    /// Node-level kernel run by all modes and by both halves of the split
+    /// path (see [`crate::kernels`]).
     pub kernel: KernelKind,
     /// Halo-exchange routing; defaults to [`CommStrategy::from_env`], else
     /// flat.
@@ -222,16 +222,13 @@ impl RankEngine {
 
         let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
-        // autotune on the full matrix; the split parts reuse the winner so
-        // every phase runs the same code shape
-        let full = prepare_kernel(cfg.kernel, &mats.full);
-        let kind = full.kind();
-        let part = |kern, m: &CsrMatrix| (kern, balanced_chunks(m.row_ptr(), c));
-        let kernels = [
-            part(full, &mats.full),
-            part(prepare_kernel(kind, &mats.local), &mats.local),
-            part(prepare_kernel(kind, &mats.nonlocal), &mats.nonlocal),
-        ];
+        let part = |m: &CsrMatrix| {
+            (
+                prepare_kernel(cfg.kernel, m),
+                balanced_chunks(m.row_ptr(), c),
+            )
+        };
+        let kernels = [part(&mats.full), part(&mats.local), part(&mats.nonlocal)];
 
         let trace = cfg
             .tracing
@@ -402,7 +399,7 @@ impl RankEngine {
         fault.into_inner().map_or(Ok(()), Err)
     }
 
-    /// The node-level kernel in use (`Auto` resolved to the winner).
+    /// The node-level kernel in use.
     pub fn kernel_kind(&self) -> KernelKind {
         self.kernels[0].0.kind()
     }
@@ -864,28 +861,6 @@ mod tests {
             EngineConfig::pure_mpi(),
         );
         assert_eq!(eng.gather_program().total_elems(), 0, "single rank");
-    }
-
-    #[test]
-    fn auto_kernel_resolves_to_concrete_kind() {
-        use crate::kernels::KernelKind;
-        let m = synthetic::random_general(200, 200, 7, 2);
-        let p = RowPartition::by_nnz(&m, 1);
-        let comms = CommWorld::create(1);
-        let mut eng = RankEngine::new(
-            comms.into_iter().next().unwrap(),
-            &m,
-            &p,
-            EngineConfig::hybrid(2).with_kernel(KernelKind::Auto),
-        );
-        assert_ne!(eng.kernel_kind(), KernelKind::Auto);
-        let x = vecops::random_vec(200, 8);
-        let mut y_ref = vec![0.0; 200];
-        m.spmv(&x, &mut y_ref);
-        let mut y = vec![0.0; 200];
-        eng.apply_checked(&x, &mut y, KernelMode::VectorNaiveOverlap)
-            .expect("single rank");
-        assert!(vecops::max_abs_diff(&y, &y_ref) < 1e-11);
     }
 
     #[test]

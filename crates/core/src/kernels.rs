@@ -6,14 +6,12 @@
 //! kernel from a fixed function into a selectable strategy:
 //!
 //! * [`KernelKind`] — the menu: scalar CSR (the reference), 4-way unrolled
-//!   CSR, iterator/slice-window CSR, the bounds-check-free CSR variant
-//!   (behind the `fast-kernels` feature), SELL-C-σ, and `Auto`.
+//!   CSR, iterator/slice-window CSR, and SELL-C-σ.
 //! * [`SpmvKernel`] — the strategy trait: a row-range kernel writing
 //!   through a raw pointer so the engine's disjoint per-thread chunks work
 //!   without aliasing `&mut` slices.
 //! * [`prepare_kernel`] — builds a kernel for a concrete matrix (SELL-C-σ
-//!   converts the matrix once at build time; `Auto` times every candidate
-//!   on sample rows and keeps the winner).
+//!   converts the matrix once at build time).
 //!
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
@@ -21,7 +19,6 @@
 use spmv_matrix::csr::{row_dot_sliced, row_dot_unrolled4};
 use spmv_matrix::{CsrMatrix, SellMatrix};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Selects the node-level kernel the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,26 +29,18 @@ pub enum KernelKind {
     CsrUnrolled4,
     /// Iterator/slice-window CSR form (LLVM removes row bounds checks).
     CsrSliced,
-    /// Unchecked CSR gathers (`fast-kernels` feature only).
-    #[cfg(feature = "fast-kernels")]
-    CsrUnchecked,
     /// SELL-C-σ with chunk height `c` and sorting scope `sigma`; the
     /// matrix is converted once when the kernel is prepared.
     Sell { c: usize, sigma: usize },
-    /// Time all candidates on this matrix and keep the fastest.
-    Auto,
 }
 
 impl KernelKind {
-    /// Every statically known kind (excluding `Auto`), with a default
-    /// SELL-32-256 entry. This is also the `Auto` candidate list.
+    /// Every kind, with a default SELL-32-256 entry.
     pub fn candidates() -> Vec<KernelKind> {
         vec![
             KernelKind::CsrScalar,
             KernelKind::CsrUnrolled4,
             KernelKind::CsrSliced,
-            #[cfg(feature = "fast-kernels")]
-            KernelKind::CsrUnchecked,
             KernelKind::Sell { c: 32, sigma: 256 },
         ]
     }
@@ -62,24 +51,22 @@ impl KernelKind {
             KernelKind::CsrScalar => "csr-scalar".into(),
             KernelKind::CsrUnrolled4 => "csr-unrolled4".into(),
             KernelKind::CsrSliced => "csr-sliced".into(),
-            #[cfg(feature = "fast-kernels")]
-            KernelKind::CsrUnchecked => "csr-unchecked".into(),
             KernelKind::Sell { c, sigma } => format!("sell-{c}-{sigma}"),
-            KernelKind::Auto => "auto".into(),
         }
     }
 
-    /// Parses a CLI spelling: `csr-scalar`, `csr-unrolled4`, `csr-sliced`,
-    /// `csr-unchecked`, `sell` (defaults C=32 σ=256), `sell-C-σ`, `auto`.
+    /// The CLI spellings [`KernelKind::parse`] accepts, for usage and
+    /// error messages (`sell` alone means C=32, σ=256).
+    pub const SPELLINGS: &'static str = "csr-scalar|csr-unrolled4|csr-sliced|sell[-C-σ]";
+
+    /// Parses a CLI spelling (see [`KernelKind::SPELLINGS`]; `scalar`,
+    /// `csr`, `unrolled`, `unrolled4` and `sliced` are accepted as aliases).
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s {
             "csr-scalar" | "scalar" | "csr" => Some(KernelKind::CsrScalar),
             "csr-unrolled4" | "unrolled" | "unrolled4" => Some(KernelKind::CsrUnrolled4),
             "csr-sliced" | "sliced" => Some(KernelKind::CsrSliced),
-            #[cfg(feature = "fast-kernels")]
-            "csr-unchecked" | "unchecked" => Some(KernelKind::CsrUnchecked),
             "sell" => Some(KernelKind::Sell { c: 32, sigma: 256 }),
-            "auto" => Some(KernelKind::Auto),
             _ => {
                 let rest = s.strip_prefix("sell-")?;
                 let (c, sigma) = rest.split_once('-')?;
@@ -104,7 +91,7 @@ impl std::fmt::Display for KernelKind {
 /// matrix); the CSR variants are stateless and use the `mat` passed to each
 /// call, which must be the matrix the kernel was prepared for.
 pub trait SpmvKernel: Send + Sync {
-    /// The kind this kernel implements (post-autotune, the winner).
+    /// The kind this kernel implements.
     fn kind(&self) -> KernelKind;
 
     /// Computes `y[rows] (=|+=) mat[rows] · x` writing through `y`.
@@ -232,47 +219,6 @@ impl SpmvKernel for CsrSlicedKernel {
     }
 }
 
-/// Bounds-check-free CSR kernel (`fast-kernels` feature).
-#[cfg(feature = "fast-kernels")]
-struct CsrUncheckedKernel;
-
-#[cfg(feature = "fast-kernels")]
-impl SpmvKernel for CsrUncheckedKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::CsrUnchecked
-    }
-
-    // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
-    unsafe fn spmv_rows_raw(
-        &self,
-        mat: &CsrMatrix,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        use spmv_matrix::csr::row_dot_unchecked;
-        let row_ptr = mat.row_ptr();
-        let col_idx = mat.col_idx();
-        let values = mat.values();
-        for i in rows {
-            let lo = *row_ptr.get_unchecked(i);
-            let hi = *row_ptr.get_unchecked(i + 1);
-            let sum = row_dot_unchecked(
-                col_idx.get_unchecked(lo..hi),
-                values.get_unchecked(lo..hi),
-                x,
-            );
-            let dst = y.add(i);
-            if add {
-                *dst += sum;
-            } else {
-                *dst = sum;
-            }
-        }
-    }
-}
-
 /// SELL-C-σ kernel: owns the converted matrix; row ranges refer to the
 /// *original* row numbering, so the engine's nonzero-balanced chunks and
 /// per-thread disjointness carry over unchanged.
@@ -311,47 +257,16 @@ impl SpmvKernel for SellKernel {
     }
 }
 
-/// Builds a kernel for `mat`. `Auto` runs [`autotune`].
+/// Builds a kernel for `mat`.
 pub fn prepare_kernel(kind: KernelKind, mat: &CsrMatrix) -> Box<dyn SpmvKernel> {
     match kind {
         KernelKind::CsrScalar => Box::new(CsrScalarKernel),
         KernelKind::CsrUnrolled4 => Box::new(CsrUnrolled4Kernel),
         KernelKind::CsrSliced => Box::new(CsrSlicedKernel),
-        #[cfg(feature = "fast-kernels")]
-        KernelKind::CsrUnchecked => Box::new(CsrUncheckedKernel),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),
         }),
-        KernelKind::Auto => autotune(mat),
     }
-}
-
-/// Times every candidate kernel on a sample of rows (up to ~4096, repeated
-/// to a minimum working-set of operations) and returns the fastest.
-///
-/// The sample runs on a synthetic RHS of ones; correctness is established
-/// by the property tests, so the autotuner only measures.
-pub fn autotune(mat: &CsrMatrix) -> Box<dyn SpmvKernel> {
-    let sample_rows = mat.nrows().min(4096);
-    let x = vec![1.0f64; mat.ncols()];
-    let mut y = vec![0.0f64; sample_rows];
-    let reps = (200_000 / mat.nnz().max(1)).clamp(1, 50);
-
-    let mut best: Option<(f64, Box<dyn SpmvKernel>)> = None;
-    for kind in KernelKind::candidates() {
-        let k = prepare_kernel(kind, mat);
-        // one warm-up pass, then the timed passes
-        k.spmv_rows(mat, 0..sample_rows, &x, &mut y, false);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            k.spmv_rows(mat, 0..sample_rows, &x, &mut y, false);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if best.as_ref().is_none_or(|(t, _)| dt < *t) {
-            best = Some((dt, k));
-        }
-    }
-    best.expect("candidate list is never empty").1
 }
 
 #[cfg(test)]
@@ -403,28 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn autotune_returns_a_working_kernel() {
-        let m = synthetic::random_banded_symmetric(300, 20, 6.0, 31);
-        let k = prepare_kernel(KernelKind::Auto, &m);
-        assert_ne!(
-            k.kind(),
-            KernelKind::Auto,
-            "autotune must resolve to a concrete kind"
-        );
-        let x = vecops::random_vec(300, 1);
-        let mut y_ref = vec![0.0; 300];
-        m.spmv(&x, &mut y_ref);
-        let mut y = vec![0.0; 300];
-        k.spmv_rows(&m, 0..300, &x, &mut y, false);
-        assert!(vecops::rel_error(&y, &y_ref) < 1e-13);
-    }
-
-    #[test]
     fn kind_labels_roundtrip_through_parse() {
         for kind in all_kinds() {
             assert_eq!(KernelKind::parse(&kind.label()), Some(kind), "{kind}");
         }
-        assert_eq!(KernelKind::parse("auto"), Some(KernelKind::Auto));
         assert_eq!(
             KernelKind::parse("sell"),
             Some(KernelKind::Sell { c: 32, sigma: 256 })

@@ -369,41 +369,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Row-block SpMV with all bounds checks removed (`fast-kernels`
-    /// feature only).
-    ///
-    /// # Safety
-    /// The matrix invariants guarantee in-range row slices and column
-    /// indices, so the only obligations on the caller are the same as for
-    /// the safe kernels: `x.len() == ncols`, `y.len() >= rows.end`,
-    /// `rows.end <= nrows` — all checked by `debug_assert!` here and
-    /// enforced by the public wrappers in `spmv-core`.
-    #[cfg(feature = "fast-kernels")]
-    pub unsafe fn spmv_rows_unchecked(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        add: bool,
-    ) {
-        debug_assert!(rows.end <= self.nrows);
-        debug_assert_eq!(x.len(), self.ncols);
-        debug_assert!(y.len() >= rows.end);
-        for i in rows {
-            let lo = *self.row_ptr.get_unchecked(i);
-            let hi = *self.row_ptr.get_unchecked(i + 1);
-            let cols = self.col_idx.get_unchecked(lo..hi);
-            let vals = self.values.get_unchecked(lo..hi);
-            let sum = row_dot_unchecked(cols, vals, x);
-            let dst = y.get_unchecked_mut(i);
-            if add {
-                *dst += sum;
-            } else {
-                *dst = sum;
-            }
-        }
-    }
-
     /// The transpose `Aᵀ` as a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
@@ -600,35 +565,6 @@ pub fn row_dot_sliced(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
         .zip(vals)
         .map(|(&c, &v)| v * x[c as usize])
         .sum()
-}
-
-/// Unchecked row kernel (`fast-kernels` feature): the unrolled form with
-/// `get_unchecked` gathers from `x`.
-///
-/// # Safety
-/// Every entry of `cols` must be `< x.len()` — guaranteed by the
-/// [`CsrMatrix`] construction invariant when `x.len() == ncols`.
-#[cfg(feature = "fast-kernels")]
-#[inline(always)]
-pub unsafe fn row_dot_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    debug_assert!(cols.iter().all(|&c| (c as usize) < x.len()));
-    let n4 = cols.len() & !3;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut k = 0;
-    while k + 4 <= n4 {
-        s0 += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-        s1 += *vals.get_unchecked(k + 1) * *x.get_unchecked(*cols.get_unchecked(k + 1) as usize);
-        s2 += *vals.get_unchecked(k + 2) * *x.get_unchecked(*cols.get_unchecked(k + 2) as usize);
-        s3 += *vals.get_unchecked(k + 3) * *x.get_unchecked(*cols.get_unchecked(k + 3) as usize);
-        k += 4;
-    }
-    let mut tail = 0.0;
-    while k < cols.len() {
-        tail += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-        k += 1;
-    }
-    (s0 + s1) + (s2 + s3) + tail
 }
 
 /// Incremental row-by-row CSR builder used by all matrix generators.
@@ -928,14 +864,6 @@ mod tests {
         let mut y = vec![f64::NAN; n];
         m.spmv_rows_sliced(0..n, &x, &mut y, false);
         assert_eq!(y, y_ref, "sliced kernel keeps scalar association order");
-
-        #[cfg(feature = "fast-kernels")]
-        {
-            let mut y = vec![f64::NAN; n];
-            // SAFETY: indices come from a well-formed CsrMatrix.
-            unsafe { m.spmv_rows_unchecked(0..n, &x, &mut y, false) };
-            assert!(crate::vecops::rel_error(&y, &y_ref) < 1e-13, "unchecked");
-        }
     }
 
     #[test]
@@ -968,12 +896,6 @@ mod tests {
                 "len {len}: {got} vs {reference}"
             );
             assert_eq!(row_dot_sliced(&cols, &vals, &x), reference, "len {len}");
-            #[cfg(feature = "fast-kernels")]
-            {
-                // SAFETY: cols were generated modulo x.len().
-                let u = unsafe { row_dot_unchecked(&cols, &vals, &x) };
-                assert!((u - reference).abs() < 1e-12, "len {len}");
-            }
         }
     }
 }

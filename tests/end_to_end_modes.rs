@@ -111,8 +111,9 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
 
 #[test]
 fn non_default_kernels_through_all_modes() {
-    // the dispatcher end to end: every non-default node-level kernel must
-    // drive all three modes to the serial result on a real application matrix
+    // the dispatcher end to end: every node-level kernel must drive all
+    // three modes to the serial result on a real application matrix, and
+    // two runs on fresh worlds must agree bit for bit
     let m = holstein::hamiltonian(&HolsteinParams::test_scale(
         HolsteinOrdering::ElectronContiguous,
     ));
@@ -120,13 +121,9 @@ fn non_default_kernels_through_all_modes() {
     let mut y_ref = vec![0.0; m.nrows()];
     m.spmv(&x, &mut y_ref);
 
-    let kernels = [
-        KernelKind::CsrUnrolled4,
-        KernelKind::CsrSliced,
-        KernelKind::Sell { c: 32, sigma: 256 },
-        KernelKind::Sell { c: 4, sigma: 1 },
-        KernelKind::Auto,
-    ];
+    let mut kernels = KernelKind::candidates();
+    kernels.push(KernelKind::Sell { c: 4, sigma: 1 });
+    let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for kernel in kernels {
         for mode in KernelMode::ALL {
             let cfg = if mode.needs_comm_thread() {
@@ -138,6 +135,11 @@ fn non_default_kernels_through_all_modes() {
             let y = distributed_spmv(&m, &x, 4, cfg, mode);
             let err = vecops::rel_error(&y, &y_ref);
             assert!(err < 1e-10, "kernel {kernel} in {mode}: err {err}");
+            let again = distributed_spmv(&m, &x, 4, cfg, mode);
+            assert!(
+                bits(&y) == bits(&again),
+                "kernel {kernel} in {mode}: repeated run is not bit-identical"
+            );
         }
     }
 }
