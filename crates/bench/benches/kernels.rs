@@ -61,21 +61,20 @@ fn bench_split_vs_full(b: &Bench) {
     let block = m.row_block(p.range(1));
     let split = SplitMatrix::build(&block, plan);
     let x = vecops::random_vec(m.ncols(), 5);
-    let x_local: Vec<f64> = x[p.range(1)].to_vec();
-    let halo: Vec<f64> = plan.halo_globals().iter().map(|&g| x[g as usize]).collect();
-    let mut x_ext = x_local.clone();
-    x_ext.extend_from_slice(&halo);
-    let mut y = vec![0.0; block.nrows()];
+    let mut x_ext: Vec<f64> = x[p.range(1)].to_vec();
+    x_ext.extend(plan.halo_globals().iter().map(|&g| x[g as usize]));
+    let n = block.nrows();
+    let mut y = vec![0.0; n];
 
     let flops = 2.0 * block.nnz() as f64;
+    let (full, local, nonlocal) = (split.full.view(), split.local.view(), split.nonlocal.view());
     b.run(
         "split_vs_full",
         "full_unsplit",
         Some((flops, Unit::Flops)),
         || {
-            split
-                .full
-                .spmv(std::hint::black_box(&x_ext), std::hint::black_box(&mut y));
+            let x_ext = std::hint::black_box(&x_ext);
+            full.spmv_rows(0..n, x_ext, std::hint::black_box(&mut y), false);
         },
     );
     b.run(
@@ -83,12 +82,9 @@ fn bench_split_vs_full(b: &Bench) {
         "split_local_plus_nonlocal",
         Some((flops, Unit::Flops)),
         || {
-            split
-                .local
-                .spmv(std::hint::black_box(&x_local), std::hint::black_box(&mut y));
-            split
-                .nonlocal
-                .spmv_add(std::hint::black_box(&halo), std::hint::black_box(&mut y));
+            let x_ext = std::hint::black_box(&x_ext);
+            local.spmv_rows(0..n, &x_ext[..plan.local_len], &mut y, false);
+            nonlocal.spmv_rows(0..n, x_ext, std::hint::black_box(&mut y), true);
         },
     );
 }

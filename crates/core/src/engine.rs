@@ -182,8 +182,9 @@ impl Bufs {
     }
 }
 
-/// A prepared node-level kernel and its per-thread row chunks.
-type PartKernel = (Box<dyn SpmvKernel>, Vec<Range<usize>>);
+/// A prepared node-level kernel for one part of the matrix, with its
+/// per-thread row chunks and the nonzeros each chunk multiplies.
+type PartKernel = (Box<dyn SpmvKernel>, Vec<(Range<usize>, u64)>);
 
 /// The per-rank engine.
 pub struct RankEngine {
@@ -196,7 +197,8 @@ pub struct RankEngine {
     y: Vec<f64>,
     send_buf: Vec<f64>,
     exchange: HaloExchange,
-    // prepared kernels for the full, local and non-local parts
+    // prepared kernels for the full, local and non-local parts, in
+    // `Part` order
     kernels: [PartKernel; 3],
     spmv_calls: u64,
     // measured-time recorder (None unless cfg.tracing; see spmv-obs)
@@ -222,13 +224,14 @@ impl RankEngine {
 
         let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
-        let part = |m: &CsrMatrix| {
-            (
-                prepare_kernel(cfg.kernel, m),
-                balanced_chunks(m.row_ptr(), c),
-            )
+        let part = |part: Part| {
+            let m = mats.part(part).view();
+            let prefix = m.nnz_prefix();
+            let chunks = balanced_chunks(&prefix, c).into_iter();
+            let chunks = chunks.map(|r| (r.clone(), (prefix[r.end] - prefix[r.start]) as u64));
+            (prepare_kernel(cfg.kernel, m), chunks.collect())
         };
-        let kernels = [part(&mats.full), part(&mats.local), part(&mats.nonlocal)];
+        let kernels = [Part::Full, Part::Local, Part::Nonlocal].map(part);
 
         let trace = cfg
             .tracing
@@ -276,7 +279,7 @@ impl RankEngine {
         &self.plan
     }
 
-    /// The rank's split matrices.
+    /// The rank's matrix and its local and non-local parts.
     pub fn matrices(&self) -> &SplitMatrix {
         &self.mats
     }
@@ -535,23 +538,20 @@ impl RankEngine {
     }
 
     /// Compute share `t` of a kernel step over one part of the matrix;
-    /// returns the nonzeros multiplied. The non-local part accumulates into
-    /// `y` (the Eq. 2 second write).
+    /// returns the nonzeros multiplied. The local part reads the local
+    /// columns of `x_ext`, the full and non-local parts all of it; the
+    /// non-local part accumulates into `y` (the Eq. 2 second write).
     fn compute(&self, part: Part, b: &Bufs, t: usize) -> u64 {
-        let ext = b.nloc + b.nhalo;
-        let (mat, (kern, chunks), cols) = match part {
-            Part::Full => (&self.mats.full, &self.kernels[0], 0..ext),
-            Part::Local => (&self.mats.local, &self.kernels[1], 0..b.nloc),
-            Part::Nonlocal => (&self.mats.nonlocal, &self.kernels[2], b.nloc..ext),
-        };
-        let rows = chunks[t].clone();
+        let mat = self.mats.part(part).view();
+        let (kern, chunks) = &self.kernels[part as usize];
+        let (rows, nnz) = chunks[t].clone();
         // SAFETY: the schedule reads the halo only after its waitall, and
         // the row chunks are disjoint, so the compute threads write
         // disjoint rows of y.
         unsafe {
-            kern.spmv_rows_raw(mat, rows.clone(), b.x(cols), b.y, part == Part::Nonlocal);
+            kern.spmv_rows_raw(mat, rows, b.x(0..mat.ncols), b.y, part == Part::Nonlocal);
         }
-        (mat.row_ptr()[rows.end] - mat.row_ptr()[rows.start]) as u64
+        nnz
     }
 }
 
@@ -916,7 +916,7 @@ mod tests {
         assert_eq!(eng.row_start(), 0);
         assert_eq!(eng.config().compute_threads, 2);
         assert_eq!(eng.plan().halo_len(), 0);
-        assert_eq!(eng.matrices().nonlocal_nnz(), 0);
+        assert_eq!(eng.matrices().nonlocal.nnz(), 0);
         assert_eq!(eng.comm().size(), 1);
     }
 

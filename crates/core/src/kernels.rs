@@ -7,17 +7,18 @@
 //!
 //! * [`KernelKind`] — the menu: scalar CSR (the reference), 4-way unrolled
 //!   CSR, iterator/slice-window CSR, and SELL-C-σ.
-//! * [`SpmvKernel`] — the strategy trait: a row-range kernel writing
+//! * [`SpmvKernel`] — the strategy trait: a row-range kernel over a
+//!   [`CsrView`] (a whole matrix or one part of a split block), writing
 //!   through a raw pointer so the engine's disjoint per-thread chunks work
 //!   without aliasing `&mut` slices.
-//! * [`prepare_kernel`] — builds a kernel for a concrete matrix (SELL-C-σ
-//!   converts the matrix once at build time).
+//! * [`prepare_kernel`] — builds a kernel for a concrete matrix or part
+//!   (SELL-C-σ converts it once at build time).
 //!
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
 
 use spmv_matrix::csr::{row_dot_sliced, row_dot_unrolled4};
-use spmv_matrix::{CsrMatrix, SellMatrix};
+use spmv_matrix::{CsrView, SellMatrix};
 use std::ops::Range;
 
 /// Selects the node-level kernel the engine runs.
@@ -89,7 +90,8 @@ impl std::fmt::Display for KernelKind {
 ///
 /// Implementations may carry per-matrix state (SELL-C-σ holds the converted
 /// matrix); the CSR variants are stateless and use the `mat` passed to each
-/// call, which must be the matrix the kernel was prepared for.
+/// call, which must be the view the kernel was prepared for. A view's rows
+/// may be parts of rows of a larger block (see [`crate::split`]).
 pub trait SpmvKernel: Send + Sync {
     /// The kind this kernel implements.
     fn kind(&self) -> KernelKind;
@@ -98,21 +100,32 @@ pub trait SpmvKernel: Send + Sync {
     ///
     /// # Safety
     /// `y` must be valid for writes at every index in `rows`,
-    /// `rows.end <= mat.nrows()`, `x.len() == mat.ncols()`, and concurrent
+    /// `rows.end <= mat.nrows()`, `x.len() == mat.ncols`, and concurrent
     /// callers must use disjoint `rows` ranges.
     unsafe fn spmv_rows_raw(
         &self,
-        mat: &CsrMatrix,
+        mat: CsrView<'_>,
         rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
     );
+}
 
-    /// Safe convenience wrapper over a full `&mut` result slice.
-    fn spmv_rows(&self, mat: &CsrMatrix, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
+impl dyn SpmvKernel {
+    /// Safe convenience wrapper over a full `&mut` result slice; `mat` is a
+    /// [`spmv_matrix::CsrMatrix`] or a part of a split block.
+    pub fn spmv_rows<'a>(
+        &self,
+        mat: impl Into<CsrView<'a>>,
+        rows: Range<usize>,
+        x: &[f64],
+        y: &mut [f64],
+        add: bool,
+    ) {
+        let mat = mat.into();
         assert!(rows.end <= mat.nrows());
-        assert_eq!(x.len(), mat.ncols(), "x length must equal ncols");
+        assert_eq!(x.len(), mat.ncols, "x length must equal ncols");
         assert!(
             y.len() >= rows.end,
             "y length {} too short for row block ending at {}",
@@ -124,7 +137,7 @@ pub trait SpmvKernel: Send + Sync {
     }
 }
 
-/// Scalar CSR reference kernel.
+/// Scalar CSR reference kernel: the view's own row loop.
 struct CsrScalarKernel;
 
 impl SpmvKernel for CsrScalarKernel {
@@ -135,42 +148,30 @@ impl SpmvKernel for CsrScalarKernel {
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
     unsafe fn spmv_rows_raw(
         &self,
-        mat: &CsrMatrix,
+        mat: CsrView<'_>,
         rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
     ) {
-        let row_ptr = mat.row_ptr();
-        let col_idx = mat.col_idx();
-        let values = mat.values();
-        for i in rows {
-            let mut sum = 0.0;
-            for j in row_ptr[i]..row_ptr[i + 1] {
-                sum += values[j] * x[col_idx[j] as usize];
-            }
-            let dst = y.add(i);
-            if add {
-                *dst += sum;
-            } else {
-                *dst = sum;
-            }
-        }
+        // SAFETY: the caller's contract is the view kernel's.
+        unsafe { mat.spmv_rows_ptr(rows, x, y, add) }
     }
 }
 
-/// 4-way unrolled CSR kernel.
-struct CsrUnrolled4Kernel;
+/// A CSR kernel that sums each row with one `row_dot_*` helper: the 4-way
+/// unrolled one or the iterator/slice-window one.
+struct RowDotKernel<D>(KernelKind, D);
 
-impl SpmvKernel for CsrUnrolled4Kernel {
+impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for RowDotKernel<D> {
     fn kind(&self) -> KernelKind {
-        KernelKind::CsrUnrolled4
+        self.0
     }
 
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
     unsafe fn spmv_rows_raw(
         &self,
-        mat: &CsrMatrix,
+        mat: CsrView<'_>,
         rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
@@ -178,42 +179,15 @@ impl SpmvKernel for CsrUnrolled4Kernel {
     ) {
         for i in rows {
             let (cols, vals) = mat.row(i);
-            let sum = row_dot_unrolled4(cols, vals, x);
-            let dst = y.add(i);
-            if add {
-                *dst += sum;
-            } else {
-                *dst = sum;
-            }
-        }
-    }
-}
-
-/// Iterator/slice-window CSR kernel.
-struct CsrSlicedKernel;
-
-impl SpmvKernel for CsrSlicedKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::CsrSliced
-    }
-
-    // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
-    unsafe fn spmv_rows_raw(
-        &self,
-        mat: &CsrMatrix,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        for i in rows {
-            let (cols, vals) = mat.row(i);
-            let sum = row_dot_sliced(cols, vals, x);
-            let dst = y.add(i);
-            if add {
-                *dst += sum;
-            } else {
-                *dst = sum;
+            let sum = (self.1)(cols, vals, x);
+            // SAFETY: the caller's contract covers row i.
+            unsafe {
+                let dst = y.add(i);
+                if add {
+                    *dst += sum;
+                } else {
+                    *dst = sum;
+                }
             }
         }
     }
@@ -237,32 +211,29 @@ impl SpmvKernel for SellKernel {
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
     unsafe fn spmv_rows_raw(
         &self,
-        mat: &CsrMatrix,
+        mat: CsrView<'_>,
         rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
     ) {
         debug_assert_eq!(
-            mat.nrows(),
-            self.sell.nrows(),
+            (mat.nrows(), mat.ncols),
+            (self.sell.nrows(), self.sell.ncols()),
             "kernel prepared for another matrix"
         );
-        debug_assert_eq!(
-            mat.ncols(),
-            self.sell.ncols(),
-            "kernel prepared for another matrix"
-        );
-        self.sell.spmv_rows_ptr(rows, x, y, add);
+        // SAFETY: the caller's contract is the SELL kernel's.
+        unsafe { self.sell.spmv_rows_ptr(rows, x, y, add) };
     }
 }
 
-/// Builds a kernel for `mat`.
-pub fn prepare_kernel(kind: KernelKind, mat: &CsrMatrix) -> Box<dyn SpmvKernel> {
+/// Builds a kernel for `mat`, a [`spmv_matrix::CsrMatrix`] or a part of a
+/// split block.
+pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<dyn SpmvKernel> {
     match kind {
         KernelKind::CsrScalar => Box::new(CsrScalarKernel),
-        KernelKind::CsrUnrolled4 => Box::new(CsrUnrolled4Kernel),
-        KernelKind::CsrSliced => Box::new(CsrSlicedKernel),
+        KernelKind::CsrUnrolled4 => Box::new(RowDotKernel(kind, row_dot_unrolled4)),
+        KernelKind::CsrSliced => Box::new(RowDotKernel(kind, row_dot_sliced)),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),
         }),
@@ -272,7 +243,7 @@ pub fn prepare_kernel(kind: KernelKind, mat: &CsrMatrix) -> Box<dyn SpmvKernel> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmv_matrix::{synthetic, vecops};
+    use spmv_matrix::{synthetic, vecops, CsrMatrix};
 
     fn all_kinds() -> Vec<KernelKind> {
         let mut v = KernelKind::candidates();
@@ -314,6 +285,22 @@ mod tests {
             k.spmv_rows(&m, 41..87, &x, &mut y, false);
             k.spmv_rows(&m, 87..120, &x, &mut y, false);
             assert!(vecops::rel_error(&y, &y_ref) < 1e-13, "{kind}");
+        }
+    }
+
+    #[test]
+    fn empty_rows_give_scalar_bits_in_every_kernel() {
+        // rows 0 and 2 are empty: +0.0, where `Iterator::sum` gives -0.0
+        let m = CsrMatrix::try_new(3, 3, vec![0, 0, 2, 2], vec![0, 2], vec![2.0, -1.0])
+            .expect("valid CSR");
+        let bits = |kind| {
+            let mut y = vec![f64::NAN; 3];
+            prepare_kernel(kind, &m).spmv_rows(&m, 0..3, &[1.0, 5.0, 3.0], &mut y, false);
+            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(KernelKind::CsrScalar), [0, (-1.0f64).to_bits(), 0]);
+        for kind in all_kinds() {
+            assert_eq!(bits(kind), bits(KernelKind::CsrScalar), "{kind}");
         }
     }
 

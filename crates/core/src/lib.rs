@@ -14,10 +14,12 @@
 //!    elements must come from which rank, and which of ours we must send.
 //!    "The resulting communication pattern depends only on the sparsity
 //!    structure, so the necessary bookkeeping needs to be done only once."
-//! 3. [`split::SplitMatrix`] — the rank-local matrix, stored whole (for the
-//!    non-overlapping kernel) and split into *local* and *non-local* parts
-//!    (for the overlapping kernels, at the cost of writing the result twice
-//!    — Eq. 2).
+//! 3. [`split::SplitMatrix`] — the rank-local matrix, stored once with its
+//!    columns in `[local | halo]` space and each row's local entries first,
+//!    and viewed whole (for the non-overlapping kernel) or as its *local*
+//!    and *non-local* parts (for the overlapping kernels, at the cost of
+//!    writing the result twice — Eq. 2); the halo entries alone also get a
+//!    compact copy.
 //! 4. [`engine::RankEngine`] — executes one SpMV in any [`modes::KernelMode`]:
 //!    * **vector mode, no overlap** (Fig. 4a),
 //!    * **vector mode, naive overlap** via nonblocking calls (Fig. 4b),
@@ -57,7 +59,7 @@ pub use modes::{Barrier, KernelMode, Part, Step};
 pub use partition::RowPartition;
 pub use plan::{CommTraffic, NodeAwarePlan, RankPlan};
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};
-pub use split::SplitMatrix;
+pub use split::{BlockPart, SplitMatrix};
 pub use symmetric::{parallel_symmetric_spmv, SymmetricWorkspace};
 pub use verify::{verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation};
 pub use workload::RankWorkload;

@@ -77,8 +77,8 @@ pub fn analyze(matrix: &CsrMatrix, partition: &RowPartition) -> Vec<RankWorkload
             RankWorkload {
                 rank: plan.rank,
                 rows: plan.local_len,
-                local_nnz: split.local_nnz(),
-                nonlocal_nnz: split.nonlocal_nnz(),
+                local_nnz: split.local.nnz(),
+                nonlocal_nnz: split.nonlocal.nnz(),
                 gather_elems: plan.send_len(),
                 halo_elems: plan.halo_len(),
                 sends: plan

@@ -218,12 +218,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable access to the nonzero values (structure stays fixed).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Index range of row `i` into `col_idx` / `values`.
     #[inline]
     pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
@@ -262,110 +256,21 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// If `x.len() != ncols` or `y.len() != nrows`.
-    #[allow(clippy::needless_range_loop)] // indexed loops mirror the paper's kernel
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for i in 0..self.nrows {
-            let mut sum = 0.0;
-            for j in self.row_range(i) {
-                sum += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[i] = sum;
-        }
+        self.view().spmv_rows(0..self.nrows, x, y, false);
     }
 
-    /// `y += A x` — the accumulate form used by the split local/non-local
-    /// kernels (vector mode with naive overlap and task mode write the
-    /// result vector twice; see the paper's Eq. 2).
-    #[allow(clippy::needless_range_loop)] // indexed loops mirror the paper's kernel
-    pub fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        for i in 0..self.nrows {
-            let mut sum = 0.0;
-            for j in self.row_range(i) {
-                sum += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[i] += sum;
-        }
-    }
-
-    /// SpMV restricted to a contiguous row block (used by explicit
-    /// worksharing: one contiguous chunk of nonzeros per compute thread).
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        assert!(rows.end <= self.nrows);
-        assert_eq!(x.len(), self.ncols);
-        assert!(
-            y.len() >= rows.end,
-            "y length {} too short for row block ending at {}",
-            y.len(),
-            rows.end
-        );
-        for i in rows {
-            let mut sum = 0.0;
-            for j in self.row_range(i) {
-                sum += self.values[j] * x[self.col_idx[j] as usize];
-            }
-            y[i] = sum;
-        }
-    }
-
-    /// Row-block SpMV through the 4-way unrolled row kernel
-    /// ([`row_dot_unrolled4`]). With `add`, accumulates `y[i] += …` instead
-    /// of overwriting (the split-kernel form of the paper's Eq. 2).
-    pub fn spmv_rows_unrolled(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        add: bool,
-    ) {
-        assert!(rows.end <= self.nrows);
-        assert_eq!(x.len(), self.ncols);
-        assert!(
-            y.len() >= rows.end,
-            "y length {} too short for row block ending at {}",
-            y.len(),
-            rows.end
-        );
-        for i in rows {
-            let (cols, vals) = self.row(i);
-            let sum = row_dot_unrolled4(cols, vals, x);
-            if add {
-                y[i] += sum;
-            } else {
-                y[i] = sum;
-            }
-        }
-    }
-
-    /// Row-block SpMV through the iterator/slice-window row kernel
-    /// ([`row_dot_sliced`]): bounds checks on the row slices vanish, only
-    /// the `x` gather stays checked.
-    pub fn spmv_rows_sliced(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        add: bool,
-    ) {
-        assert!(rows.end <= self.nrows);
-        assert_eq!(x.len(), self.ncols);
-        assert!(
-            y.len() >= rows.end,
-            "y length {} too short for row block ending at {}",
-            y.len(),
-            rows.end
-        );
-        for i in rows {
-            let (cols, vals) = self.row(i);
-            let sum = row_dot_sliced(cols, vals, x);
-            if add {
-                y[i] += sum;
-            } else {
-                y[i] = sum;
-            }
+    /// The whole matrix as a row-range view: row `i` spans
+    /// `row_ptr[i]..row_ptr[i + 1]`.
+    #[inline]
+    pub fn view(&self) -> CsrView<'_> {
+        CsrView {
+            begin: &self.row_ptr[..self.nrows],
+            end: &self.row_ptr[1..],
+            col_idx: &self.col_idx,
+            values: &self.values,
+            ncols: self.ncols,
         }
     }
 
@@ -514,12 +419,130 @@ impl CsrMatrix {
     }
 }
 
+/// A row-range view of CSR storage: row `i` spans `begin[i]..end[i]` of
+/// the shared `col_idx` / `values`. A whole [`CsrMatrix`] is the view
+/// `(row_ptr[..n], row_ptr[1..])` ([`CsrMatrix::view`]); one stored block
+/// can also expose per-row parts of itself without copying them, as the
+/// local and non-local parts of `spmv-core`'s split matrix do.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrView<'a> {
+    /// First entry of each row.
+    pub begin: &'a [usize],
+    /// One past the last entry of each row (as many rows as `begin`).
+    pub end: &'a [usize],
+    /// The column indices the rows index into.
+    pub col_idx: &'a [u32],
+    /// The values the rows index into.
+    pub values: &'a [f64],
+    /// Number of columns: the length of the `x` a product reads.
+    pub ncols: usize,
+}
+
+impl<'a> CsrView<'a> {
+    /// Number of rows.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.begin.len()
+    }
+
+    /// Index range of row `i` into `col_idx` / `values`.
+    #[inline]
+    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.begin[i]..self.end[i]
+    }
+
+    /// The column indices and values of row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> (&'a [u32], &'a [f64]) {
+        let r = self.row_range(i);
+        (&self.col_idx[r.clone()], &self.values[r])
+    }
+
+    /// Entries in rows `..i` for every `i` in `0..=nrows` (the weights
+    /// nonzero-balanced worksharing splits on; a whole matrix's `row_ptr`).
+    pub fn nnz_prefix(&self) -> Vec<usize> {
+        let mut prefix = Vec::with_capacity(self.nrows() + 1);
+        prefix.push(0);
+        for (b, e) in self.begin.iter().zip(self.end) {
+            prefix.push(prefix[prefix.len() - 1] + (e - b));
+        }
+        prefix
+    }
+
+    /// Stored entries over all rows.
+    pub fn nnz(&self) -> usize {
+        self.begin.iter().zip(self.end).map(|(b, e)| e - b).sum()
+    }
+
+    /// `y[i] (=|+=) row i · x` for every row `i` in `rows`: the scalar CRS
+    /// kernel of §1.2, summing each row in storage order. With `add` it is
+    /// the accumulate form the split kernels' second pass uses (Eq. 2).
+    ///
+    /// # Panics
+    /// If `x.len() != ncols`, `rows` reaches past the last row, or `y` is
+    /// shorter than `rows.end`.
+    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
+        assert!(rows.end <= self.nrows());
+        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
+        assert!(
+            y.len() >= rows.end,
+            "y length {} too short for row block ending at {}",
+            y.len(),
+            rows.end
+        );
+        // SAFETY: y covers every index below rows.end, and is borrowed
+        // mutably for the whole call.
+        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add) }
+    }
+
+    /// [`Self::spmv_rows`] writing through a raw pointer, so that threads
+    /// can fill disjoint row ranges of one shared `y`.
+    ///
+    /// # Safety
+    /// `y` must be valid for writes at every index in `rows`, and
+    /// concurrent callers must use disjoint `rows` ranges.
+    #[allow(clippy::needless_range_loop)] // indexed loops mirror the paper's kernel
+    pub unsafe fn spmv_rows_ptr(
+        &self,
+        rows: std::ops::Range<usize>,
+        x: &[f64],
+        y: *mut f64,
+        add: bool,
+    ) {
+        let (col_idx, values) = (self.col_idx, self.values);
+        // walking the two offset slices together drops their per-row
+        // bounds checks (measurably faster on in-cache blocks)
+        let bounds = self.begin[rows.clone()].iter().zip(&self.end[rows.clone()]);
+        for (i, (&b, &e)) in rows.zip(bounds) {
+            let mut sum = 0.0;
+            for j in b..e {
+                sum += values[j] * x[col_idx[j] as usize];
+            }
+            // SAFETY: the caller guarantees y is writable at row i and
+            // that no other thread writes it.
+            unsafe {
+                let dst = y.add(i);
+                if add {
+                    *dst += sum;
+                } else {
+                    *dst = sum;
+                }
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a CsrMatrix> for CsrView<'a> {
+    fn from(m: &'a CsrMatrix) -> Self {
+        m.view()
+    }
+}
+
 // --- per-row dot-product kernels -------------------------------------------
 //
 // The inner loop of the CRS SpMV is a sparse dot product of one row against
-// the RHS. These helpers are the single source of truth for every kernel
-// variant — the safe whole-matrix methods above, the row-range forms, and
-// the dispatching kernels in `spmv-core` all call into them — so validating
+// the RHS. These helpers are the single source of truth for the unrolled
+// and sliced kernel variants that `spmv-core` dispatches to, so validating
 // one helper validates every path that uses it.
 
 /// Scalar reference row kernel: a plain indexed loop, numerically identical
@@ -555,16 +578,16 @@ pub fn row_dot_unrolled4(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
-/// Iterator/slice-window row kernel: expressed as a `zip`-`map`-`sum` chain
-/// so LLVM proves the row slices in-bounds and drops those checks; only the
-/// indexed gather from `x` remains checked. Same association order as the
-/// scalar kernel, so results are bit-identical to it.
+/// Iterator/slice-window row kernel: expressed as a `zip`-`fold` chain so
+/// LLVM proves the row slices in-bounds and drops those checks; only the
+/// indexed gather from `x` remains checked. Same start value (`+0.0`, where
+/// `Iterator::sum` starts at `-0.0`) and association order as the scalar
+/// kernel, so results are bit-identical to it, empty rows included.
 #[inline(always)]
 pub fn row_dot_sliced(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     cols.iter()
         .zip(vals)
-        .map(|(&c, &v)| v * x[c as usize])
-        .sum()
+        .fold(0.0, |sum, (&c, &v)| sum + v * x[c as usize])
 }
 
 /// Incremental row-by-row CSR builder used by all matrix generators.
@@ -601,8 +624,8 @@ impl CsrBuilder {
         self.current.push((col as u32, value));
     }
 
-    /// Closes the current row: sorts it, sums duplicates, drops exact zeros
-    /// produced by cancellation only if `drop_zeros` is set.
+    /// Closes the current row: sorts it by column and sums duplicates. No
+    /// entry is dropped, not even an exact zero left by cancellation.
     pub fn finish_row(&mut self) {
         self.current.sort_unstable_by_key(|&(c, _)| c);
         let mut k = 0;
@@ -706,7 +729,7 @@ mod tests {
         let a = small();
         let x = [1.0, 1.0, 1.0];
         let mut y = [10.0, 10.0, 10.0];
-        a.spmv_add(&x, &mut y);
+        a.view().spmv_rows(0..3, &x, &mut y, true);
         assert_eq!(y, [13.0, 13.0, 19.0]);
     }
 
@@ -715,7 +738,7 @@ mod tests {
         let a = small();
         let x = [1.0, 2.0, 3.0];
         let mut y = [-1.0; 3];
-        a.spmv_rows(1..3, &x, &mut y);
+        a.view().spmv_rows(1..3, &x, &mut y, false);
         assert_eq!(y, [-1.0, 6.0, 19.0]);
     }
 
@@ -844,42 +867,31 @@ mod tests {
         let a = small();
         let x = vec![1.0; a.ncols()];
         let mut y = vec![0.0; 2]; // too short for rows 0..3
-        a.spmv_rows(0..3, &x, &mut y);
+        a.view().spmv_rows(0..3, &x, &mut y, false);
     }
 
-    /// All fast row-range kernels against the scalar reference, on a matrix
-    /// with row lengths 0..~20 so every unroll tail case is exercised.
+    /// The fast row kernels against the scalar reference, row by row on a
+    /// matrix with row lengths 0..~20 so every unroll tail case is exercised.
     #[test]
     fn fast_kernels_match_scalar_reference() {
         let m = crate::synthetic::power_law_rows(120, 6.0, 1.0, 42);
-        let n = m.nrows();
         let x = crate::vecops::random_vec(m.ncols(), 7);
-        let mut y_ref = vec![0.0; n];
+        let mut y_ref = vec![0.0; m.nrows()];
         m.spmv(&x, &mut y_ref);
-
-        let mut y = vec![f64::NAN; n];
-        m.spmv_rows_unrolled(0..n, &x, &mut y, false);
-        assert!(crate::vecops::rel_error(&y, &y_ref) < 1e-13, "unrolled4");
-
-        let mut y = vec![f64::NAN; n];
-        m.spmv_rows_sliced(0..n, &x, &mut y, false);
-        assert_eq!(y, y_ref, "sliced kernel keeps scalar association order");
-    }
-
-    #[test]
-    fn fast_kernels_accumulate_with_add() {
-        let m = crate::synthetic::random_general(40, 40, 5, 3);
-        let x = crate::vecops::random_vec(40, 4);
-        let mut y_ref = vec![1.0; 40];
-        m.spmv_add(&x, &mut y_ref);
-
-        let mut y = vec![1.0; 40];
-        m.spmv_rows_unrolled(0..40, &x, &mut y, true);
-        assert!(crate::vecops::rel_error(&y, &y_ref) < 1e-13);
-
-        let mut y = vec![1.0; 40];
-        m.spmv_rows_sliced(0..40, &x, &mut y, true);
-        assert!(crate::vecops::rel_error(&y, &y_ref) < 1e-13);
+        for (i, &want) in y_ref.iter().enumerate() {
+            let (cols, vals) = m.row(i);
+            let unrolled = row_dot_unrolled4(cols, vals, &x);
+            assert!(
+                (unrolled - want).abs() <= 1e-13 * want.abs().max(1.0),
+                "row {i}"
+            );
+            let sliced = row_dot_sliced(cols, vals, &x);
+            assert_eq!(
+                sliced.to_bits(),
+                want.to_bits(),
+                "row {i}: sliced keeps scalar order"
+            );
+        }
     }
 
     #[test]
@@ -895,7 +907,9 @@ mod tests {
                 (got - reference).abs() < 1e-12,
                 "len {len}: {got} vs {reference}"
             );
-            assert_eq!(row_dot_sliced(&cols, &vals, &x), reference, "len {len}");
+            // bits, not `==`: -0.0 == +0.0 would hide an empty row's sign
+            let sliced = row_dot_sliced(&cols, &vals, &x);
+            assert_eq!(sliced.to_bits(), reference.to_bits(), "len {len}");
         }
     }
 }

@@ -42,7 +42,7 @@ pub mod synthetic;
 pub mod vecops;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrBuilder, CsrMatrix};
+pub use csr::{CsrBuilder, CsrMatrix, CsrView};
 pub use ell::EllMatrix;
 pub use perm::Permutation;
 pub use sell::SellMatrix;

@@ -22,7 +22,7 @@
 //! true nonzero — the `α ≥ 1` that multiplies the matrix-data term of the
 //! code balance (see `spmv-model::balance::code_balance_sell`).
 
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrView};
 use crate::perm::Permutation;
 
 /// A sparse matrix in SELL-C-σ storage.
@@ -50,11 +50,13 @@ pub struct SellMatrix {
 }
 
 impl SellMatrix {
-    /// Converts a CSR matrix into SELL-C-σ form.
+    /// Converts a CSR matrix, or a row-range view of one, into SELL-C-σ
+    /// form.
     ///
     /// # Panics
     /// If `c == 0` or `sigma == 0`.
-    pub fn from_csr(m: &CsrMatrix, c: usize, sigma: usize) -> Self {
+    pub fn from_csr<'a>(m: impl Into<CsrView<'a>>, c: usize, sigma: usize) -> Self {
+        let m = m.into();
         assert!(c >= 1, "chunk height C must be >= 1");
         assert!(sigma >= 1, "sorting scope sigma must be >= 1");
         let nrows = m.nrows();
@@ -69,6 +71,7 @@ impl SellMatrix {
             }
         }
         let row_len: Vec<usize> = order.iter().map(|&i| m.row_range(i).len()).collect();
+        let nnz = row_len.iter().sum();
 
         let n_chunks = nrows.div_ceil(c);
         let mut chunk_ptr = Vec::with_capacity(n_chunks + 1);
@@ -100,7 +103,7 @@ impl SellMatrix {
 
         Self {
             nrows,
-            ncols: m.ncols(),
+            ncols: m.ncols,
             c,
             sigma,
             chunk_ptr,
@@ -109,7 +112,7 @@ impl SellMatrix {
             order,
             col_idx,
             values,
-            nnz: m.nnz(),
+            nnz,
         }
     }
 
@@ -195,14 +198,6 @@ impl SellMatrix {
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
         // SAFETY: y is a valid &mut [f64] of length nrows.
         unsafe { self.spmv_rows_ptr(0..self.nrows, x, y.as_mut_ptr(), false) };
-    }
-
-    /// `y += A x` (accumulate form).
-    pub fn spmv_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
-        assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        // SAFETY: y is a valid &mut [f64] of length nrows.
-        unsafe { self.spmv_rows_ptr(0..self.nrows, x, y.as_mut_ptr(), true) };
     }
 
     /// SpMV restricted to the *original* row range `rows`: only rows whose

@@ -27,7 +27,7 @@
 //! * **bit-identical results** — all schedules converge to one concrete
 //!   terminal state, so the result vector is schedule-independent.
 
-use spmv_matrix::CsrMatrix;
+use spmv_core::split::BlockPart;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -83,15 +83,13 @@ pub enum MOp {
         /// Destination buffer id.
         dst: usize,
     },
-    /// Sparse matrix-vector kernel over `x = x_buf[x_off .. x_off + ncols]`
-    /// into `y_buf`, optionally accumulating (the split-kernel second pass).
+    /// Sparse matrix-vector kernel over `x = x_buf[..ncols]` into `y_buf`,
+    /// optionally accumulating (the split-kernel second pass).
     Spmv {
-        /// The (pre-split) matrix to apply.
-        mat: Rc<CsrMatrix>,
-        /// RHS buffer id.
+        /// The part of the rank's matrix to apply.
+        mat: BlockPart,
+        /// RHS buffer id (the extended RHS `[local | halo]`).
         x_buf: usize,
-        /// RHS offset (0 for local/full, `local_len` for the halo view).
-        x_off: usize,
         /// Result buffer id.
         y_buf: usize,
         /// `y += A x` instead of `y = A x`.
@@ -416,17 +414,12 @@ impl Search<'_> {
             MOp::Spmv {
                 mat,
                 x_buf,
-                x_off,
                 y_buf,
                 accumulate,
             } => {
-                let x: Vec<f64> = s.bufs[*x_buf][*x_off..*x_off + mat.ncols()].to_vec();
-                let y = &mut s.bufs[*y_buf];
-                if *accumulate {
-                    mat.spmv_add(&x, y);
-                } else {
-                    mat.spmv(&x, y);
-                }
+                let mat = mat.view();
+                let x: Vec<f64> = s.bufs[*x_buf][..mat.ncols].to_vec();
+                mat.spmv_rows(0..mat.nrows(), &x, &mut s.bufs[*y_buf], *accumulate);
             }
         }
         s.pcs[p] += 1;

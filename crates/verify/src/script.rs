@@ -56,19 +56,11 @@ pub fn build_world(
         let (xb, sb, yb) = (3 * r, 3 * r + 1, 3 * r + 2);
         let block = matrix.row_block(partition.range(r));
         let split = SplitMatrix::build(&block, plan);
-        let spmv = |part: Part| {
-            let (mat, x_off) = match part {
-                Part::Full => (&split.full, 0),
-                Part::Local => (&split.local, 0),
-                Part::Nonlocal => (&split.nonlocal, plan.local_len),
-            };
-            MOp::Spmv {
-                mat: Rc::new(mat.clone()),
-                x_buf: xb,
-                x_off,
-                y_buf: yb,
-                accumulate: part == Part::Nonlocal,
-            }
+        let spmv = |part: Part| MOp::Spmv {
+            mat: split.part(part).clone(),
+            x_buf: xb,
+            y_buf: yb,
+            accumulate: part == Part::Nonlocal,
         };
         // one op per send neighbour, over its segment of the send buffer
         let mut sends = Vec::new();
