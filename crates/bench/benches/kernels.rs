@@ -1,16 +1,13 @@
 //! Node-level kernel benches: every dispatchable SpMV kernel (scalar CSR,
-//! unrolled CSR, sliced CSR, SELL-C-σ)
-//! on both application matrices and a power-law stress matrix, the split
+//! unrolled CSR, SELL-C-σ) on both application matrices and a power-law stress matrix, the split
 //! (local + non-local) kernel against the unsplit one (Eq. 2 measured on
 //! real hardware), and the send-buffer gather.
 
 use spmv_bench::microbench::{Bench, Unit};
 use spmv_bench::{hmep, samg, Scale};
 use spmv_core::plan::build_plans_serial;
-use spmv_core::symmetric::{parallel_symmetric_spmv, SymmetricWorkspace};
 use spmv_core::{prepare_kernel, KernelKind, RowPartition, SplitMatrix};
-use spmv_matrix::{synthetic, vecops, CsrMatrix, SymmetricCsr};
-use spmv_smp::ThreadTeam;
+use spmv_matrix::{synthetic, vecops, CsrMatrix};
 
 fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
@@ -115,57 +112,9 @@ fn bench_gather(b: &Bench) {
     );
 }
 
-/// The symmetric-kernel study the paper declined (§1.3.1): upper-triangle
-/// storage halves the matrix traffic, but the shared-memory version pays a
-/// per-thread reduction. Compare the full kernel against serial symmetric
-/// and parallel symmetric at several thread counts.
-fn bench_symmetric(b: &Bench) {
-    let m = hmep(Scale::Test);
-    let sym = SymmetricCsr::from_full(&m, 1e-12).expect("Hamiltonian is symmetric");
-    let x = vecops::random_vec(m.nrows(), 9);
-    let mut y = vec![0.0; m.nrows()];
-
-    let flops = 2.0 * m.nnz() as f64;
-    b.run(
-        "symmetric_kernel",
-        "full_csr",
-        Some((flops, Unit::Flops)),
-        || {
-            m.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
-        },
-    );
-    b.run(
-        "symmetric_kernel",
-        "symmetric_serial",
-        Some((flops, Unit::Flops)),
-        || {
-            sym.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
-        },
-    );
-    for threads in [2usize, 4] {
-        let team = ThreadTeam::new(threads);
-        let mut ws = SymmetricWorkspace::new(&sym, threads);
-        b.run(
-            "symmetric_kernel",
-            &format!("symmetric_parallel/{threads}"),
-            Some((flops, Unit::Flops)),
-            || {
-                parallel_symmetric_spmv(
-                    &team,
-                    &sym,
-                    std::hint::black_box(&x),
-                    std::hint::black_box(&mut y),
-                    &mut ws,
-                );
-            },
-        );
-    }
-}
-
 fn main() {
     let b = Bench::new();
     bench_kernel_kinds(&b);
     bench_split_vs_full(&b);
     bench_gather(&b);
-    bench_symmetric(&b);
 }

@@ -6,7 +6,7 @@
 //! kernel from a fixed function into a selectable strategy:
 //!
 //! * [`KernelKind`] — the menu: scalar CSR (the reference), 4-way unrolled
-//!   CSR, iterator/slice-window CSR, and SELL-C-σ.
+//!   CSR, and SELL-C-σ.
 //! * [`SpmvKernel`] — the strategy trait: a row-range kernel over a
 //!   [`CsrView`] (a whole matrix or one part of a split block), writing
 //!   through a raw pointer so the engine's disjoint per-thread chunks work
@@ -17,7 +17,7 @@
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
 
-use spmv_matrix::csr::{row_dot_sliced, row_dot_unrolled4};
+use spmv_matrix::csr::row_dot_unrolled4;
 use spmv_matrix::{CsrView, SellMatrix};
 use std::ops::Range;
 
@@ -28,8 +28,6 @@ pub enum KernelKind {
     CsrScalar,
     /// 4-way unrolled CSR inner loop (independent partial sums).
     CsrUnrolled4,
-    /// Iterator/slice-window CSR form (LLVM removes row bounds checks).
-    CsrSliced,
     /// SELL-C-σ with chunk height `c` and sorting scope `sigma`; the
     /// matrix is converted once when the kernel is prepared.
     Sell { c: usize, sigma: usize },
@@ -41,7 +39,6 @@ impl KernelKind {
         vec![
             KernelKind::CsrScalar,
             KernelKind::CsrUnrolled4,
-            KernelKind::CsrSliced,
             KernelKind::Sell { c: 32, sigma: 256 },
         ]
     }
@@ -51,30 +48,27 @@ impl KernelKind {
         match self {
             KernelKind::CsrScalar => "csr-scalar".into(),
             KernelKind::CsrUnrolled4 => "csr-unrolled4".into(),
-            KernelKind::CsrSliced => "csr-sliced".into(),
             KernelKind::Sell { c, sigma } => format!("sell-{c}-{sigma}"),
         }
     }
 
     /// The CLI spellings [`KernelKind::parse`] accepts, for usage and
     /// error messages (`sell` alone means C=32, σ=256).
-    pub const SPELLINGS: &'static str = "csr-scalar|csr-unrolled4|csr-sliced|sell[-C-σ]";
+    pub const SPELLINGS: &'static str = "csr-scalar|csr-unrolled4|sell[-C-σ]";
 
     /// Parses a CLI spelling (see [`KernelKind::SPELLINGS`]; `scalar`,
-    /// `csr`, `unrolled`, `unrolled4` and `sliced` are accepted as aliases).
+    /// `csr`, `unrolled` and `unrolled4` are accepted as aliases). A SELL
+    /// shape needs C ≥ 1 and σ ≥ 1.
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s {
             "csr-scalar" | "scalar" | "csr" => Some(KernelKind::CsrScalar),
             "csr-unrolled4" | "unrolled" | "unrolled4" => Some(KernelKind::CsrUnrolled4),
-            "csr-sliced" | "sliced" => Some(KernelKind::CsrSliced),
             "sell" => Some(KernelKind::Sell { c: 32, sigma: 256 }),
             _ => {
                 let rest = s.strip_prefix("sell-")?;
                 let (c, sigma) = rest.split_once('-')?;
-                Some(KernelKind::Sell {
-                    c: c.parse().ok()?,
-                    sigma: sigma.parse().ok()?,
-                })
+                let (c, sigma) = (c.parse().ok()?, sigma.parse().ok()?);
+                (c >= 1 && sigma >= 1).then_some(KernelKind::Sell { c, sigma })
             }
         }
     }
@@ -159,13 +153,12 @@ impl SpmvKernel for CsrScalarKernel {
     }
 }
 
-/// A CSR kernel that sums each row with one `row_dot_*` helper: the 4-way
-/// unrolled one or the iterator/slice-window one.
-struct RowDotKernel<D>(KernelKind, D);
+/// 4-way unrolled CSR kernel: each row summed by [`row_dot_unrolled4`].
+struct CsrUnrolled4Kernel;
 
-impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for RowDotKernel<D> {
+impl SpmvKernel for CsrUnrolled4Kernel {
     fn kind(&self) -> KernelKind {
-        self.0
+        KernelKind::CsrUnrolled4
     }
 
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
@@ -179,7 +172,7 @@ impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for RowDotKe
     ) {
         for i in rows {
             let (cols, vals) = mat.row(i);
-            let sum = (self.1)(cols, vals, x);
+            let sum = row_dot_unrolled4(cols, vals, x);
             // SAFETY: the caller's contract covers row i.
             unsafe {
                 let dst = y.add(i);
@@ -232,8 +225,7 @@ impl SpmvKernel for SellKernel {
 pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<dyn SpmvKernel> {
     match kind {
         KernelKind::CsrScalar => Box::new(CsrScalarKernel),
-        KernelKind::CsrUnrolled4 => Box::new(RowDotKernel(kind, row_dot_unrolled4)),
-        KernelKind::CsrSliced => Box::new(RowDotKernel(kind, row_dot_sliced)),
+        KernelKind::CsrUnrolled4 => Box::new(CsrUnrolled4Kernel),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),
         }),
@@ -317,7 +309,8 @@ mod tests {
             KernelKind::parse("sell-8-64"),
             Some(KernelKind::Sell { c: 8, sigma: 64 })
         );
-        assert_eq!(KernelKind::parse("bogus"), None);
-        assert_eq!(KernelKind::parse("sell-x-1"), None);
+        for bad in ["bogus", "sell-x-1", "sell-0-4", "sell-4-0", "csr-sliced"] {
+            assert_eq!(KernelKind::parse(bad), None, "{bad}");
+        }
     }
 }

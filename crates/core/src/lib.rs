@@ -47,7 +47,6 @@ pub mod partition;
 pub mod plan;
 pub mod runner;
 pub mod split;
-pub mod symmetric;
 pub mod verify;
 pub mod workload;
 
@@ -60,6 +59,5 @@ pub use partition::RowPartition;
 pub use plan::{CommTraffic, NodeAwarePlan, RankPlan};
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};
 pub use split::{BlockPart, SplitMatrix};
-pub use symmetric::{parallel_symmetric_spmv, SymmetricWorkspace};
 pub use verify::{verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation};
 pub use workload::RankWorkload;

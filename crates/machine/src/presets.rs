@@ -148,20 +148,6 @@ pub fn westmere_cluster(num_nodes: usize) -> ClusterSpec {
     }
 }
 
-/// The Nehalem QDR-InfiniBand cluster used for the node-level analysis.
-pub fn nehalem_cluster(num_nodes: usize) -> ClusterSpec {
-    ClusterSpec {
-        name: format!("Nehalem QDR-IB cluster ({num_nodes} nodes)"),
-        node: nehalem_ep_node(),
-        num_nodes,
-        network: NetworkModel::FatTree(FatTreeParams {
-            latency_us: 1.3,
-            injection_gbs: 3.2,
-        }),
-        intranode: intranode_default(),
-    }
-}
-
 /// The Cray XE6: Magny Cours nodes on the Gemini interconnect, which the
 /// paper describes as a 2-D torus whose internode bandwidth is "beyond the
 /// capability of QDR InfiniBand". Gemini: ≈6 GB/s injection, ≈4.7 GB/s per
@@ -171,8 +157,7 @@ pub fn nehalem_cluster(num_nodes: usize) -> ClusterSpec {
 /// on the communication performance over the 2D torus network" (§4): the
 /// XE6 was a shared production machine (CSCS), so a job's nodes are
 /// *scattered* over a 24×24-node machine torus and its links carry other
-/// jobs' traffic (`background_load`). Use
-/// [`cray_xe6_cluster_dedicated`] for the compact/idle best case.
+/// jobs' traffic (`background_load`).
 pub fn cray_xe6_cluster(num_nodes: usize, background_load: f64) -> ClusterSpec {
     ClusterSpec {
         name: format!("Cray XE6 Gemini torus ({num_nodes} nodes, shared machine)"),
@@ -187,55 +172,6 @@ pub fn cray_xe6_cluster(num_nodes: usize, background_load: f64) -> ClusterSpec {
             placement: Placement::Scattered { seed: 0x5CC5 },
         }),
         intranode: intranode_default(),
-    }
-}
-
-/// The Cray XE6 as a dedicated machine with a compact job allocation — the
-/// counterfactual best case for the job-topology ablation.
-pub fn cray_xe6_cluster_dedicated(num_nodes: usize) -> ClusterSpec {
-    let dim_x = (num_nodes as f64).sqrt().ceil().max(1.0) as usize;
-    let dim_y = num_nodes.div_ceil(dim_x).max(1);
-    ClusterSpec {
-        name: format!("Cray XE6 Gemini torus ({num_nodes} nodes, dedicated compact)"),
-        node: magny_cours_node(),
-        num_nodes,
-        network: NetworkModel::Torus2D(TorusParams {
-            latency_us: 1.5,
-            injection_gbs: 6.0,
-            link_gbs: 4.7,
-            dims: (dim_x, dim_y),
-            background_load: 0.0,
-            placement: Placement::Compact,
-        }),
-        intranode: intranode_default(),
-    }
-}
-
-/// A "host" machine model for running the functional engine on the local
-/// development machine: `cores` cores in one LD with flat, generous
-/// bandwidth. Used by examples so they scale to whatever machine they run
-/// on; not used for paper-figure simulations.
-pub fn generic_host(cores: usize) -> NodeTopology {
-    let cores = cores.max(1);
-    let n = cores.max(2);
-    let stream_n = (12.0 * n as f64 * 0.9).min(25.0);
-    let spmv_n = (8.0 * n as f64 * 0.9).min(20.0);
-    NodeTopology {
-        name: format!("generic host ({cores} cores, 1 LD)"),
-        sockets: vec![SocketSpec {
-            name: "host".into(),
-            lds: vec![LdSpec {
-                cores,
-                smt: 1,
-                stream_bw: SaturationCurve::from_endpoints(12.0, stream_n, n),
-                spmv_bw: SaturationCurve::from_endpoints(8.0, spmv_n, n),
-                peak_bw_gbs: 40.0,
-                core_gflops: 16.0,
-                l3_mib: 16.0,
-                l2_kib: 512.0,
-                l1_kib: 32.0,
-            }],
-        }],
     }
 }
 
@@ -308,21 +244,5 @@ mod tests {
             }
             _ => panic!("XE6 must be a torus"),
         }
-        let d = cray_xe6_cluster_dedicated(32);
-        match d.network {
-            NetworkModel::Torus2D(p) => {
-                assert_eq!(p.placement, Placement::Compact);
-                assert!(p.dims.0 * p.dims.1 >= 32);
-            }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn generic_host_handles_tiny_core_counts() {
-        let n = generic_host(1);
-        assert_eq!(n.num_cores(), 1);
-        let n = generic_host(0);
-        assert_eq!(n.num_cores(), 1);
     }
 }

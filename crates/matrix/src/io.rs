@@ -154,101 +154,6 @@ pub fn write_matrix_market<W: Write>(m: &CsrMatrix, mut w: W) -> std::io::Result
     Ok(())
 }
 
-/// Magic bytes of the binary CSR container.
-const BINARY_MAGIC: &[u8; 8] = b"SPMVCSR1";
-
-/// Writes a matrix in the crate's fast binary format (little-endian,
-/// versioned header). Paper-scale matrices (10⁸ nonzeros) load in seconds
-/// instead of the minutes Matrix Market parsing takes.
-pub fn write_binary<W: Write>(m: &CsrMatrix, mut w: W) -> std::io::Result<()> {
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(m.nrows() as u64).to_le_bytes())?;
-    w.write_all(&(m.ncols() as u64).to_le_bytes())?;
-    w.write_all(&(m.nnz() as u64).to_le_bytes())?;
-    for &p in m.row_ptr() {
-        w.write_all(&(p as u64).to_le_bytes())?;
-    }
-    for &c in m.col_idx() {
-        w.write_all(&c.to_le_bytes())?;
-    }
-    for &v in m.values() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Byte-counting reader: every failed `read_exact` is reported as a
-/// [`MatrixError::BinaryAt`] carrying the offset where the read started.
-struct BinReader<R> {
-    r: R,
-    offset: u64,
-}
-
-impl<R: std::io::Read> BinReader<R> {
-    fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
-        self.r.read_exact(buf).map_err(|e| MatrixError::BinaryAt {
-            offset: self.offset,
-            msg: e.to_string(),
-        })?;
-        self.offset += buf.len() as u64;
-        Ok(())
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-}
-
-/// Reads a matrix written by [`write_binary`], validating the CRS
-/// invariants.
-///
-/// I/O failures are reported as [`MatrixError::BinaryAt`] with the byte
-/// offset (from the start of the stream) of the read that failed; the
-/// assembled arrays then pass through [`CsrMatrix::try_new`], so a file
-/// with corrupted structure is rejected rather than producing a matrix
-/// that violates the CSR invariants.
-pub fn read_binary<R: std::io::Read>(r: R) -> Result<CsrMatrix> {
-    let mut r = BinReader { r, offset: 0 };
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(MatrixError::BinaryAt {
-            offset: 0,
-            msg: "bad magic: not a SPMVCSR1 file".into(),
-        });
-    }
-    let header_off = r.offset;
-    let nrows = r.read_u64()? as usize;
-    let ncols = r.read_u64()? as usize;
-    let nnz = r.read_u64()? as usize;
-    // sanity cap: refuse absurd headers before allocating
-    if nrows > (1 << 40) || ncols > u32::MAX as usize || nnz > (1 << 40) {
-        return Err(MatrixError::BinaryAt {
-            offset: header_off,
-            msg: "implausible dimensions in header".into(),
-        });
-    }
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
-        row_ptr.push(r.read_u64()? as usize);
-    }
-    let mut col_idx = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        col_idx.push(u32::from_le_bytes(b));
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b)?;
-        values.push(f64::from_le_bytes(b));
-    }
-    CsrMatrix::try_new(nrows, ncols, row_ptr, col_idx, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,36 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip_exact() {
-        let m = crate::synthetic::random_banded_symmetric(80, 9, 5.0, 4);
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        let m2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(m, m2, "binary roundtrip must be bit-exact");
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(read_binary(&b"NOTACSR0"[..]).is_err());
-        assert!(read_binary(&b"SPMV"[..]).is_err());
-        // valid magic, truncated body
-        let m = crate::CsrMatrix::identity(4);
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        assert!(read_binary(&buf[..buf.len() - 3]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_corrupted_invariants() {
-        let m = crate::CsrMatrix::identity(3);
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        // corrupt a row_ptr entry (bytes 8+24 .. : first row_ptr word)
-        buf[8 + 24] = 0xFF;
-        assert!(read_binary(&buf[..]).is_err());
-    }
-
-    #[test]
     fn parse_errors_carry_line_numbers() {
         // bad value on the 4th physical line (header, comment, size, entry)
         let err = parse(
@@ -401,43 +276,5 @@ mod tests {
         // header problems always point at line 1
         let err = parse("%%MatrixMarket matrix array real general\n1 1\n1.0\n").unwrap_err();
         assert!(matches!(err, MatrixError::ParseAt { line: 1, .. }), "{err}");
-    }
-
-    #[test]
-    fn binary_errors_carry_byte_offsets() {
-        let err = read_binary(&b"NOTACSR0"[..]).unwrap_err();
-        assert!(
-            matches!(err, MatrixError::BinaryAt { offset: 0, .. }),
-            "{err}"
-        );
-
-        // truncated mid-header: magic(8) + one full u64 read ok, second fails
-        let m = crate::CsrMatrix::identity(4);
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        let err = read_binary(&buf[..20]).unwrap_err();
-        assert!(
-            matches!(err, MatrixError::BinaryAt { offset: 16, .. }),
-            "{err}"
-        );
-
-        // truncated in the value section: the offset identifies the read
-        // that failed — the last f64, which starts 8 bytes before the end
-        let err = read_binary(&buf[..buf.len() - 3]).unwrap_err();
-        let expect = (buf.len() - 8) as u64;
-        assert!(
-            matches!(err, MatrixError::BinaryAt { offset, .. } if offset == expect),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn binary_handles_empty_matrix() {
-        let m = crate::CooMatrix::new(0, 0).to_csr().unwrap();
-        let mut buf = Vec::new();
-        write_binary(&m, &mut buf).unwrap();
-        let m2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(m2.nrows(), 0);
-        assert_eq!(m2.nnz(), 0);
     }
 }

@@ -28,7 +28,6 @@
 
 pub mod coo;
 pub mod csr;
-pub mod ell;
 pub mod holstein;
 pub mod io;
 pub mod perm;
@@ -37,16 +36,13 @@ pub mod rng;
 pub mod samg;
 pub mod sell;
 pub mod stats;
-pub mod sym;
 pub mod synthetic;
 pub mod vecops;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrBuilder, CsrMatrix, CsrView};
-pub use ell::EllMatrix;
 pub use perm::Permutation;
 pub use sell::SellMatrix;
-pub use sym::SymmetricCsr;
 
 /// Errors produced while constructing or validating sparse matrices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,14 +63,11 @@ pub enum MatrixError {
     UnsortedRow { row: usize },
     /// A matrix dimension overflowed the 32-bit column index space.
     DimensionTooLarge { ncols: usize },
-    /// Input file / stream could not be parsed (Matrix Market, binary dumps).
+    /// Input file / stream could not be parsed (Matrix Market).
     Parse(String),
     /// A text input failed to parse at a specific line (1-based), so the
     /// user can jump straight to the offending record.
     ParseAt { line: usize, msg: String },
-    /// The binary container failed at a specific byte offset from the
-    /// start of the stream.
-    BinaryAt { offset: u64, msg: String },
     /// A permutation vector is not a bijection on `0..n`.
     InvalidPermutation { n: usize, detail: &'static str },
 }
@@ -104,9 +97,6 @@ impl std::fmt::Display for MatrixError {
             MatrixError::Parse(msg) => write!(f, "parse error: {msg}"),
             MatrixError::ParseAt { line, msg } => {
                 write!(f, "parse error at line {line}: {msg}")
-            }
-            MatrixError::BinaryAt { offset, msg } => {
-                write!(f, "binary read error at byte offset {offset}: {msg}")
             }
             MatrixError::InvalidPermutation { n, detail } => {
                 write!(f, "invalid permutation of length {n}: {detail}")

@@ -332,11 +332,21 @@ mod tests {
     #[test]
     fn matches_csr_across_c_and_sigma() {
         let m = synthetic::power_law_rows(150, 6.0, 1.0, 11);
-        for &c in &[1, 2, 4, 8, 32] {
+        for &c in &[1, 2, 4, 8, 32, m.nrows()] {
             for &sigma in &[1, 8, 64, 150, 1000] {
                 spmv_matches_csr(&m, c, sigma);
             }
         }
+        // C = nrows, σ = 1 is ELLPACK-R: every row padded to the longest,
+        // each summed in CSR order up to its true length
+        let ell = SellMatrix::from_csr(&m, m.nrows(), 1);
+        assert_eq!(ell.stored_entries(), m.max_nnz_per_row() * m.nrows());
+        let x = vecops::random_vec(m.ncols(), 4);
+        let (mut y_ref, mut y) = (vec![0.0; m.nrows()], vec![f64::NAN; m.nrows()]);
+        m.spmv(&x, &mut y_ref);
+        ell.spmv(&x, &mut y);
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&y_ref));
     }
 
     #[test]

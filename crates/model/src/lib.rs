@@ -12,15 +12,12 @@
 //! * [`roofline`] — the saturation roofline combining the in-core ceiling
 //!   with the bandwidth ceiling, giving the Fig. 3 performance-vs-cores
 //!   curves;
-//! * [`efficiency`] — strong-scaling parallel efficiency and the 50 %
-//!   efficiency point marked on every data set of Fig. 5;
 //! * [`comm`] — a hierarchical (intra-/inter-node) latency–bandwidth model
 //!   of the halo exchange, pricing the flat vs. node-aware strategies and
 //!   their crossover.
 
 pub mod balance;
 pub mod comm;
-pub mod efficiency;
 pub mod kappa;
 pub mod roofline;
 

@@ -61,13 +61,12 @@ pub mod prelude {
     pub use spmv_comm::{Comm, CommWorld};
     pub use spmv_core::engine::{CommStrategy, EngineConfig};
     pub use spmv_core::runner::{distributed_spmv, run_spmd};
-    pub use spmv_core::symmetric::{parallel_symmetric_spmv, SymmetricWorkspace};
     pub use spmv_core::{prepare_kernel, KernelKind, KernelMode, RankEngine, RowPartition};
     pub use spmv_machine::presets;
     pub use spmv_machine::{CommThreadPlacement, HybridLayout};
     pub use spmv_matrix::holstein::{self, HolsteinOrdering, HolsteinParams, PhononTruncation};
     pub use spmv_matrix::samg::{self, SamgParams};
-    pub use spmv_matrix::{synthetic, vecops, CsrMatrix, EllMatrix, SellMatrix, SymmetricCsr};
+    pub use spmv_matrix::{synthetic, vecops, CsrMatrix, SellMatrix};
     pub use spmv_model::{code_balance_crs, code_balance_sell, code_balance_split, estimate_kappa};
     pub use spmv_obs::{
         chrome_trace_json, metrics_json, text_timeline, ModelDrift, Phase, RunTrace, TraceMetrics,
