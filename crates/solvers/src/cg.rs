@@ -1,9 +1,8 @@
 //! Conjugate gradients for symmetric positive definite systems — the
 //! canonical consumer of SpMV for the sAMG-type Poisson matrices.
 
-use crate::operator::LinOp;
-use crate::operator::{iter_start, record_iter};
-use crate::ops::GlobalOps;
+use crate::operator::{iter_start, record_iter, LinOp};
+use crate::ops::{Checkpoints, GlobalOps};
 use crate::status::SolveStatus;
 use spmv_matrix::vecops;
 use spmv_obs::Phase;
@@ -36,31 +35,94 @@ pub fn cg_solve<O: LinOp, G: GlobalOps>(
     tol: f64,
     max_iter: usize,
 ) -> CgResult {
+    cg(op, ops, b, x, tol, max_iter, None).0
+}
+
+/// [`cg_solve`] with periodic checkpoints and collective rollback on
+/// failure, for long solves on faulty machines. `every >= 1` is the
+/// snapshot period in iterations; `failed` is the local health probe (true
+/// = this rank saw a fault since the last poll). Returns the result plus
+/// the number of rollbacks.
+///
+/// The probe is polled once per iteration, at the loop head, and agreed on
+/// by a max-reduction, so all ranks roll back together — detection never
+/// happens mid-exchange where ranks could disagree about the iteration
+/// count. With [`spmv_comm::FaultPlan::fail_rank_at_poll`] the probe is
+/// simply `|| comm.poll_failure()`. Because the solve is deterministic
+/// (fixed reduction order), a run with zero failures — and a recovered run,
+/// once re-iterated past the failure point — produces the plain solver's
+/// iterate and history bit for bit.
+#[allow(clippy::too_many_arguments)]
+pub fn cg_solve_checkpointed<O: LinOp, G: GlobalOps, H: FnMut() -> bool>(
+    op: &mut O,
+    ops: &G,
+    b: &[f64],
+    x: &mut [f64],
+    tol: f64,
+    max_iter: usize,
+    every: usize,
+    mut failed: H,
+) -> (CgResult, usize) {
+    cg(op, ops, b, x, tol, max_iter, Some((every, &mut failed)))
+}
+
+/// CG recurrence state: everything a rollback restores.
+#[derive(Clone)]
+struct CgState {
+    iterations: usize,
+    x: Vec<f64>,
+    r: Vec<f64>,
+    p: Vec<f64>,
+    /// Global `rᵀr`.
+    rr: f64,
+    history: Vec<f64>,
+}
+
+/// The CG loop behind both entry points; `checkpoints` is the snapshot
+/// period and failure probe of [`cg_solve_checkpointed`]. Returns the
+/// result plus the number of rollbacks.
+fn cg<O: LinOp, G: GlobalOps>(
+    op: &mut O,
+    ops: &G,
+    b: &[f64],
+    x: &mut [f64],
+    tol: f64,
+    max_iter: usize,
+    checkpoints: Option<(usize, &mut dyn FnMut() -> bool)>,
+) -> (CgResult, usize) {
     assert_eq!(b.len(), op.len());
     assert_eq!(x.len(), op.len());
     let n = op.len();
     let mut r = vec![0.0; n];
-    let mut p = vec![0.0; n];
     let mut ap = vec![0.0; n];
 
     // r = b - A x
     op.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
     }
-    p.copy_from_slice(&r);
 
     let b_norm = ops.norm2(b).max(f64::MIN_POSITIVE);
-    let mut rr = ops.dot(&r, &r);
-    let mut history = Vec::new();
+    let rr = ops.dot(&r, &r);
     let mut converged = rr.sqrt() / b_norm <= tol;
-    let mut iterations = 0;
+    let mut s = CgState {
+        iterations: 0,
+        x: x.to_vec(),
+        p: r.clone(),
+        r,
+        rr,
+        history: Vec::new(),
+    };
+    let mut ckpt = checkpoints.map(|(every, failed)| Checkpoints::new(every, failed, &s));
     let mut status = None;
 
-    while !converged && iterations < max_iter {
+    while !converged && s.iterations < max_iter {
         let t0 = iter_start(op);
-        op.apply(&p, &mut ap);
-        let pap = ops.dot(&p, &ap);
+        if ckpt.as_mut().is_some_and(|c| c.rolled_back(ops, &mut s)) {
+            continue;
+        }
+        op.apply(&s.p, &mut ap);
+        let pap = ops.dot(&s.p, &ap);
         if !pap.is_finite() {
             status = Some(SolveStatus::Diverged);
             break;
@@ -70,134 +132,51 @@ pub fn cg_solve<O: LinOp, G: GlobalOps>(
             status = Some(SolveStatus::Breakdown);
             break;
         }
-        let alpha = rr / pap;
-        vecops::axpy(alpha, &p, x);
-        vecops::axpy(-alpha, &ap, &mut r);
-        let rr_new = ops.dot(&r, &r);
+        let alpha = s.rr / pap;
+        vecops::axpy(alpha, &s.p, &mut s.x);
+        vecops::axpy(-alpha, &ap, &mut s.r);
+        let rr_new = ops.dot(&s.r, &s.r);
         if !rr_new.is_finite() {
             status = Some(SolveStatus::Diverged);
             break;
         }
-        let beta = rr_new / rr;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
+        let beta = rr_new / s.rr;
+        for (pi, ri) in s.p.iter_mut().zip(&s.r) {
+            *pi = ri + beta * *pi;
         }
-        rr = rr_new;
-        iterations += 1;
-        record_iter(op, Phase::CgIter, t0, iterations);
-        let rel = rr.sqrt() / b_norm;
-        history.push(rel);
+        s.rr = rr_new;
+        s.iterations += 1;
+        record_iter(op, Phase::CgIter, t0, s.iterations);
+        let rel = s.rr.sqrt() / b_norm;
+        s.history.push(rel);
         converged = rel <= tol;
+        if !converged {
+            if let Some(c) = &mut ckpt {
+                c.save_at(s.iterations, &s);
+            }
+        }
     }
 
-    CgResult {
-        iterations,
-        rel_residual: rr.sqrt() / b_norm,
+    x.copy_from_slice(&s.x);
+    let result = CgResult {
+        iterations: s.iterations,
+        rel_residual: s.rr.sqrt() / b_norm,
         converged,
         status: status.unwrap_or(if converged {
             SolveStatus::Converged
         } else {
             SolveStatus::MaxIterations
         }),
-        history,
-    }
-}
-
-/// Solves `A x = b` by Jacobi-preconditioned CG: `M = diag(A)` — the
-/// standard zero-setup preconditioner, communication-free because the
-/// diagonal is locally owned under row partitioning.
-///
-/// `diag` is the local part of the matrix diagonal (must be nonzero).
-pub fn pcg_solve_jacobi<O: LinOp, G: GlobalOps>(
-    op: &mut O,
-    ops: &G,
-    diag: &[f64],
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-) -> CgResult {
-    let n = op.len();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    assert_eq!(diag.len(), n);
-    assert!(
-        diag.iter().all(|&d| d != 0.0),
-        "Jacobi needs a nonzero diagonal"
-    );
-
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-
-    op.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-        z[i] = r[i] / diag[i];
-    }
-    p.copy_from_slice(&z);
-
-    let b_norm = ops.norm2(b).max(f64::MIN_POSITIVE);
-    let mut rz = ops.dot(&r, &z);
-    let mut history = Vec::new();
-    let mut converged = ops.norm2(&r) / b_norm <= tol;
-    let mut iterations = 0;
-    let mut status = None;
-
-    while !converged && iterations < max_iter {
-        let t0 = iter_start(op);
-        op.apply(&p, &mut ap);
-        let pap = ops.dot(&p, &ap);
-        if !pap.is_finite() {
-            status = Some(SolveStatus::Diverged);
-            break;
-        }
-        if pap <= 0.0 {
-            status = Some(SolveStatus::Breakdown);
-            break;
-        }
-        let alpha = rz / pap;
-        vecops::axpy(alpha, &p, x);
-        vecops::axpy(-alpha, &ap, &mut r);
-        for i in 0..n {
-            z[i] = r[i] / diag[i];
-        }
-        let rz_new = ops.dot(&r, &z);
-        if !rz_new.is_finite() {
-            status = Some(SolveStatus::Diverged);
-            break;
-        }
-        let beta = rz_new / rz;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-        rz = rz_new;
-        iterations += 1;
-        record_iter(op, Phase::CgIter, t0, iterations);
-        let rel = ops.norm2(&r) / b_norm;
-        history.push(rel);
-        converged = rel <= tol;
-    }
-
-    CgResult {
-        iterations,
-        rel_residual: ops.norm2(&r) / b_norm,
-        converged,
-        status: status.unwrap_or(if converged {
-            SolveStatus::Converged
-        } else {
-            SolveStatus::MaxIterations
-        }),
-        history,
-    }
+        history: s.history,
+    };
+    (result, ckpt.map_or(0, |c| c.rollbacks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::SerialOp;
-    use crate::ops::SerialOps;
+    use crate::ops::{fail_at, SerialOps};
     use spmv_matrix::{samg, synthetic, vecops};
 
     #[test]
@@ -292,16 +271,6 @@ mod tests {
         let r = cg_solve(&mut SerialOp::new(&m), &SerialOps, &b, &mut x, 1e-12, 50);
         assert_eq!(r.status, crate::status::SolveStatus::Diverged);
         assert!(!r.converged);
-        let rp = pcg_solve_jacobi(
-            &mut SerialOp::new(&m),
-            &SerialOps,
-            &[2.0; 10],
-            &b,
-            &mut x,
-            1e-12,
-            50,
-        );
-        assert_eq!(rp.status, crate::status::SolveStatus::Diverged);
     }
 
     #[test]
@@ -370,86 +339,148 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_pcg_solves_and_never_degrades() {
-        // diagonally-scaled Laplacian: plain CG struggles, Jacobi fixes the
-        // scaling exactly
-        let n = 150;
-        let mut coo = spmv_matrix::CooMatrix::new(n, n);
-        for i in 0..n {
-            let scale = 1.0 + (i % 7) as f64 * 20.0; // wildly varying diagonal
-            coo.push(i, i, 2.0 * scale);
-            if i > 0 {
-                coo.push(i, i - 1, -1.0);
-                coo.push(i - 1, i, -1.0);
-            }
-        }
-        let m = coo.to_csr().unwrap();
-        let diag: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
-        let x_true = vecops::random_vec(n, 3);
-        let mut b = vec![0.0; n];
-        m.spmv(&x_true, &mut b);
-
-        let mut x_plain = vec![0.0; n];
+    fn fault_free_run_matches_plain_cg_bitwise() {
+        let m = synthetic::tridiagonal(150, 2.0, -1.0);
+        let b = vecops::random_vec(150, 3);
+        let mut x_plain = vec![0.0; 150];
         let plain = cg_solve(
             &mut SerialOp::new(&m),
             &SerialOps,
             &b,
             &mut x_plain,
             1e-10,
-            2000,
+            300,
         );
-        let mut x_pcg = vec![0.0; n];
-        let pcg = pcg_solve_jacobi(
+        let mut x_ck = vec![0.0; 150];
+        let (ck, restarts) = cg_solve_checkpointed(
             &mut SerialOp::new(&m),
             &SerialOps,
-            &diag,
             &b,
-            &mut x_pcg,
+            &mut x_ck,
             1e-10,
-            2000,
-        );
-        assert!(pcg.converged, "PCG rel res {}", pcg.rel_residual);
-        assert!(vecops::max_abs_diff(&x_pcg, &x_true) < 1e-6);
-        assert!(
-            pcg.iterations <= plain.iterations,
-            "Jacobi must not be slower on a badly scaled system: {} vs {}",
-            pcg.iterations,
-            plain.iterations
-        );
-    }
-
-    #[test]
-    fn jacobi_pcg_on_identity_is_instant() {
-        let m = spmv_matrix::CsrMatrix::identity(30);
-        let diag = vec![1.0; 30];
-        let b = vecops::random_vec(30, 5);
-        let mut x = vec![0.0; 30];
-        let r = pcg_solve_jacobi(
-            &mut SerialOp::new(&m),
-            &SerialOps,
-            &diag,
-            &b,
-            &mut x,
-            1e-12,
+            300,
             5,
+            || false,
         );
-        assert!(r.converged);
-        assert!(r.iterations <= 1);
+        assert_eq!(restarts, 0);
+        assert_eq!(ck.iterations, plain.iterations);
+        assert_eq!(x_ck, x_plain, "checkpointing must not perturb the math");
+        assert_eq!(ck.history, plain.history);
+        assert!(ck.status.is_converged());
     }
 
     #[test]
-    #[should_panic(expected = "nonzero diagonal")]
-    fn jacobi_rejects_zero_diagonal() {
-        let m = spmv_matrix::CsrMatrix::identity(3);
-        let mut x = vec![0.0; 3];
-        let _ = pcg_solve_jacobi(
+    fn cg_recovers_bit_identically_after_injected_failure() {
+        let m = synthetic::tridiagonal(200, 2.0, -1.0);
+        let b = vecops::random_vec(200, 7);
+        let mut x_plain = vec![0.0; 200];
+        let plain = cg_solve(
             &mut SerialOp::new(&m),
             &SerialOps,
-            &[1.0, 0.0, 1.0],
-            &[1.0; 3],
+            &b,
+            &mut x_plain,
+            1e-10,
+            400,
+        );
+        assert!(plain.converged);
+        let mut x_ck = vec![0.0; 200];
+        let (ck, restarts) = cg_solve_checkpointed(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &b,
+            &mut x_ck,
+            1e-10,
+            400,
+            4,
+            fail_at(11),
+        );
+        assert_eq!(restarts, 1);
+        assert!(ck.converged);
+        assert_eq!(
+            x_ck, x_plain,
+            "recovered solve must reproduce the answer bitwise"
+        );
+        assert_eq!(ck.history, plain.history);
+        assert_eq!(ck.iterations, plain.iterations);
+    }
+
+    #[test]
+    fn cg_failure_before_first_checkpoint_restarts_from_scratch() {
+        let m = synthetic::tridiagonal(80, 2.0, -1.0);
+        let b = vecops::random_vec(80, 5);
+        let mut x_plain = vec![0.0; 80];
+        let plain = cg_solve(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &b,
+            &mut x_plain,
+            1e-10,
+            200,
+        );
+        let mut x_ck = vec![0.0; 80];
+        let (ck, restarts) = cg_solve_checkpointed(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &b,
+            &mut x_ck,
+            1e-10,
+            200,
+            50, // period longer than the failure point
+            fail_at(2),
+        );
+        assert_eq!(restarts, 1);
+        assert_eq!(x_ck, x_plain);
+        assert_eq!(ck.history, plain.history);
+    }
+
+    #[test]
+    fn repeated_failures_still_converge() {
+        let m = synthetic::tridiagonal(120, 2.0, -1.0);
+        let b = vecops::random_vec(120, 1);
+        let mut x_plain = vec![0.0; 120];
+        let plain = cg_solve(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &b,
+            &mut x_plain,
+            1e-10,
+            300,
+        );
+        assert!(plain.converged);
+        let mut polls = 0usize;
+        let mut x_ck = vec![0.0; 120];
+        let (ck, restarts) = cg_solve_checkpointed(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &b,
+            &mut x_ck,
+            1e-10,
+            300,
+            3,
+            move || {
+                polls += 1;
+                polls.is_multiple_of(20) && polls < 100
+            },
+        );
+        assert!(restarts >= 2);
+        assert!(ck.converged);
+        assert_eq!(x_ck, x_plain);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint period")]
+    fn zero_period_rejected() {
+        let m = spmv_matrix::CsrMatrix::identity(4);
+        let mut x = vec![0.0; 4];
+        let _ = cg_solve_checkpointed(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &[1.0; 4],
             &mut x,
             1e-10,
             10,
+            0,
+            || false,
         );
     }
 }

@@ -89,14 +89,14 @@ pub fn kpm_dos<O: LinOp, G: GlobalOps>(
         let r = global_slice_random(opts.seed, rv as u64, rank_offset, n);
         // t0 = r, t1 = Ã r
         t_prev.copy_from_slice(&r);
-        apply_scaled(op, &t_prev, &mut t_cur, a, b, &mut scratch);
+        apply_scaled(op, &t_prev, &mut t_cur, a, b);
         mu[0] += ops.dot(&r, &r);
         if opts.order > 1 {
             mu[1] += ops.dot(&r, &t_cur);
         }
         for m in mu.iter_mut().skip(2) {
             // t_{k+1} = 2 Ã t_k - t_{k-1}
-            apply_scaled(op, &t_cur, &mut scratch, a, b, &mut vec![0.0; 0]);
+            apply_scaled(op, &t_cur, &mut scratch, a, b);
             for i in 0..n {
                 let next = 2.0 * scratch[i] - t_prev[i];
                 t_prev[i] = t_cur[i];
@@ -145,14 +145,7 @@ pub fn kpm_dos<O: LinOp, G: GlobalOps>(
 }
 
 /// Applies the rescaled operator `Ã x = (A x - b x)/a`.
-fn apply_scaled<O: LinOp>(
-    op: &mut O,
-    x: &[f64],
-    y: &mut [f64],
-    a: f64,
-    b: f64,
-    _scratch: &mut Vec<f64>,
-) {
+fn apply_scaled<O: LinOp>(op: &mut O, x: &[f64], y: &mut [f64], a: f64, b: f64) {
     op.apply(x, y);
     for i in 0..x.len() {
         y[i] = (y[i] - b * x[i]) / a;

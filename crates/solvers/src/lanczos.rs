@@ -6,7 +6,7 @@
 //! values come from the Sturm-bisection tridiagonal eigensolver.
 
 use crate::operator::{iter_start, record_iter, LinOp};
-use crate::ops::GlobalOps;
+use crate::ops::{Checkpoints, GlobalOps};
 use crate::tridiag;
 use spmv_matrix::vecops;
 use spmv_obs::Phase;
@@ -58,6 +58,48 @@ pub fn lanczos<O: LinOp, G: GlobalOps>(
     v0: &[f64],
     opts: LanczosOptions,
 ) -> LanczosResult {
+    run(op, ops, v0, opts, None).0
+}
+
+/// [`lanczos`] with periodic checkpoints and collective rollback on
+/// failure; same contract as [`crate::cg::cg_solve_checkpointed`]. Returns
+/// the result plus the number of rollbacks.
+pub fn lanczos_checkpointed<O: LinOp, G: GlobalOps, H: FnMut() -> bool>(
+    op: &mut O,
+    ops: &G,
+    v0: &[f64],
+    opts: LanczosOptions,
+    every: usize,
+    mut failed: H,
+) -> (LanczosResult, usize) {
+    run(op, ops, v0, opts, Some((every, &mut failed)))
+}
+
+/// Lanczos recurrence state: everything a rollback restores.
+#[derive(Clone)]
+struct LanczosState {
+    /// Current basis vector `v_k` (local part).
+    v: Vec<f64>,
+    /// Previous basis vector `v_{k-1}` (local part).
+    v_prev: Vec<f64>,
+    /// `β_{k-1}` feeding the next three-term step.
+    beta_prev: f64,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+    /// Stored basis (full-reorthogonalization runs only).
+    basis: Vec<Vec<f64>>,
+}
+
+/// The Lanczos loop behind both entry points; `checkpoints` is the
+/// snapshot period and failure probe of [`lanczos_checkpointed`]. Returns
+/// the result plus the number of rollbacks.
+fn run<O: LinOp, G: GlobalOps>(
+    op: &mut O,
+    ops: &G,
+    v0: &[f64],
+    opts: LanczosOptions,
+    checkpoints: Option<(usize, &mut dyn FnMut() -> bool)>,
+) -> (LanczosResult, usize) {
     let n = op.len();
     assert_eq!(v0.len(), n);
     assert!(opts.max_steps >= 1);
@@ -67,121 +109,78 @@ pub fn lanczos<O: LinOp, G: GlobalOps>(
     assert!(norm > 0.0, "start vector must be nonzero");
     vecops::scale(1.0 / norm, &mut v);
 
-    let mut v_prev = vec![0.0; n];
     let mut w = vec![0.0; n];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut basis: Vec<Vec<f64>> = if opts.full_reorthogonalization {
-        vec![v.clone()]
-    } else {
-        Vec::new()
+    let mut s = LanczosState {
+        basis: if opts.full_reorthogonalization {
+            vec![v.clone()]
+        } else {
+            Vec::new()
+        },
+        v,
+        v_prev: vec![0.0; n],
+        beta_prev: 0.0,
+        alphas: Vec::new(),
+        betas: Vec::new(),
     };
-    let mut beta_prev = 0.0f64;
+    let mut ckpt = checkpoints.map(|(every, failed)| Checkpoints::new(every, failed, &s));
 
-    for _ in 0..opts.max_steps {
+    while s.alphas.len() < opts.max_steps {
         let t0 = iter_start(op);
-        // w = A v - β_{k-1} v_{k-1}
-        op.apply(&v, &mut w);
-        if beta_prev != 0.0 {
-            vecops::axpy(-beta_prev, &v_prev, &mut w);
+        if ckpt.as_mut().is_some_and(|c| c.rolled_back(ops, &mut s)) {
+            continue;
         }
-        let alpha = ops.dot(&w, &v);
-        vecops::axpy(-alpha, &v, &mut w);
-        alphas.push(alpha);
+        // w = A v - β_{k-1} v_{k-1}
+        op.apply(&s.v, &mut w);
+        if s.beta_prev != 0.0 {
+            vecops::axpy(-s.beta_prev, &s.v_prev, &mut w);
+        }
+        let alpha = ops.dot(&w, &s.v);
+        vecops::axpy(-alpha, &s.v, &mut w);
+        s.alphas.push(alpha);
 
         if opts.full_reorthogonalization {
-            for b in &basis {
+            for b in &s.basis {
                 let c = ops.dot(&w, b);
                 vecops::axpy(-c, b, &mut w);
             }
         }
 
         let beta = ops.norm2(&w);
-        record_iter(op, Phase::LanczosIter, t0, alphas.len());
-        if beta <= opts.breakdown_tol || alphas.len() == opts.max_steps {
+        record_iter(op, Phase::LanczosIter, t0, s.alphas.len());
+        if beta <= opts.breakdown_tol || s.alphas.len() == opts.max_steps {
             break;
         }
-        betas.push(beta);
+        s.betas.push(beta);
         // shift vectors
-        std::mem::swap(&mut v_prev, &mut v);
-        for i in 0..n {
-            v[i] = w[i] / beta;
+        std::mem::swap(&mut s.v_prev, &mut s.v);
+        for (vi, wi) in s.v.iter_mut().zip(&w) {
+            *vi = wi / beta;
         }
         if opts.full_reorthogonalization {
-            basis.push(v.clone());
+            s.basis.push(s.v.clone());
         }
-        beta_prev = beta;
+        s.beta_prev = beta;
+        if let Some(c) = &mut ckpt {
+            c.save_at(s.alphas.len(), &s);
+        }
     }
 
-    let (lo, hi) = tridiag::extreme_eigenvalues(&alphas, &betas, 1e-12);
-    LanczosResult {
-        iterations: alphas.len(),
-        alphas,
-        betas,
+    let (lo, hi) = tridiag::extreme_eigenvalues(&s.alphas, &s.betas, 1e-12);
+    let result = LanczosResult {
+        iterations: s.alphas.len(),
+        alphas: s.alphas,
+        betas: s.betas,
         eigenvalue_min: lo,
         eigenvalue_max: hi,
-    }
-}
-
-/// Computes the ground-state Ritz *vector* alongside the Lanczos run: a
-/// first pass builds the tridiagonal matrix, the tridiagonal ground-state
-/// eigenvector is obtained by inverse iteration, and a second pass re-runs
-/// the (deterministic) recurrence accumulating the linear combination
-/// `y = Σ_k s_k v_k`. Costs one extra operator application per step.
-///
-/// Uses the plain (non-reorthogonalized) recurrence so both passes generate
-/// identical basis vectors. Returns `(result, ground_state_local)` with the
-/// vector normalized globally; the residual `‖A y − θ y‖` is the caller's
-/// accuracy check (tests keep it below 1e-6 at modest step counts).
-pub fn lanczos_ground_state<O: LinOp, G: GlobalOps>(
-    op: &mut O,
-    ops: &G,
-    v0: &[f64],
-    opts: LanczosOptions,
-) -> (LanczosResult, Vec<f64>) {
-    let opts = LanczosOptions {
-        full_reorthogonalization: false,
-        ..opts
     };
-    let result = lanczos(op, ops, v0, opts);
-    let weights = crate::tridiag::eigenvector(&result.alphas, &result.betas, result.eigenvalue_min);
-
-    // second pass: regenerate v_k, accumulate y
-    let n = op.len();
-    let mut v = v0.to_vec();
-    let norm = ops.norm2(&v);
-    vecops::scale(1.0 / norm, &mut v);
-    let mut v_prev = vec![0.0; n];
-    let mut w = vec![0.0; n];
-    let mut y = vec![0.0; n];
-    vecops::axpy(weights[0], &v, &mut y);
-    let mut beta_prev = 0.0f64;
-    for k in 0..result.iterations - 1 {
-        op.apply(&v, &mut w);
-        if beta_prev != 0.0 {
-            vecops::axpy(-beta_prev, &v_prev, &mut w);
-        }
-        vecops::axpy(-result.alphas[k], &v, &mut w);
-        let beta = result.betas[k];
-        std::mem::swap(&mut v_prev, &mut v);
-        for i in 0..n {
-            v[i] = w[i] / beta;
-        }
-        vecops::axpy(weights[k + 1], &v, &mut y);
-        beta_prev = beta;
-    }
-    let ny = ops.norm2(&y);
-    if ny > 0.0 {
-        vecops::scale(1.0 / ny, &mut y);
-    }
-    (result, y)
+    (result, ckpt.map_or(0, |c| c.rollbacks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::SerialOp;
-    use crate::ops::SerialOps;
+    use crate::ops::{fail_at, SerialOps};
     use spmv_matrix::{synthetic, vecops, CsrMatrix};
 
     #[test]
@@ -362,87 +361,69 @@ mod tests {
     }
 
     #[test]
-    fn ground_state_vector_of_diagonal_matrix() {
-        let m = CsrMatrix::from_diagonal(&[4.0, -2.0, 1.0, 3.0]);
-        let v0 = vec![1.0; 4];
-        let (r, y) = lanczos_ground_state(
-            &mut SerialOp::new(&m),
-            &SerialOps,
-            &v0,
-            LanczosOptions {
-                max_steps: 4,
+    fn fault_free_run_matches_plain_lanczos_bitwise() {
+        let m = synthetic::random_banded_symmetric(120, 8, 5.0, 4);
+        let v0 = vecops::random_vec(120, 11);
+        for full_reorthogonalization in [false, true] {
+            let opts = LanczosOptions {
+                max_steps: 30,
+                full_reorthogonalization,
                 ..Default::default()
-            },
-        );
-        assert!((r.eigenvalue_min + 2.0).abs() < 1e-9);
-        assert!(y[1].abs() > 0.999, "{y:?}");
+            };
+            let plain = lanczos(&mut SerialOp::new(&m), &SerialOps, &v0, opts);
+            let (ck, restarts) =
+                lanczos_checkpointed(&mut SerialOp::new(&m), &SerialOps, &v0, opts, 4, || false);
+            let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(restarts, 0);
+            assert_eq!(bits(&ck.alphas), bits(&plain.alphas));
+            assert_eq!(bits(&ck.betas), bits(&plain.betas));
+            assert_eq!(ck.eigenvalue_min.to_bits(), plain.eigenvalue_min.to_bits());
+            assert_eq!(ck.eigenvalue_max.to_bits(), plain.eigenvalue_max.to_bits());
+        }
     }
 
     #[test]
-    fn ground_state_vector_residual_is_small() {
-        let m = synthetic::random_banded_symmetric(200, 10, 5.0, 12);
-        let v0 = vecops::random_vec(200, 6);
-        let (r, y) = lanczos_ground_state(
-            &mut SerialOp::new(&m),
-            &SerialOps,
-            &v0,
-            LanczosOptions {
-                max_steps: 120,
-                ..Default::default()
-            },
-        );
-        let mut ay = vec![0.0; 200];
-        m.spmv(&y, &mut ay);
-        let res: f64 = ay
-            .iter()
-            .zip(&y)
-            .map(|(a, v)| (a - r.eigenvalue_min * v).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        assert!(res < 1e-6, "residual {res}");
-        assert!((vecops::norm2(&y) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn distributed_ground_state_matches_serial() {
-        use crate::operator::DistOp;
-        use crate::ops::DistOps;
-        use spmv_core::runner::run_spmd;
-        use spmv_core::KernelMode;
-
-        let m = synthetic::random_banded_symmetric(180, 12, 5.0, 8);
-        let v0 = vecops::random_vec(180, 14);
+    fn lanczos_recovers_bit_identically_after_injected_failure() {
+        let m = synthetic::random_banded_symmetric(180, 12, 5.0, 9);
+        let v0 = vecops::random_vec(180, 2);
         let opts = LanczosOptions {
-            max_steps: 60,
+            max_steps: 40,
             ..Default::default()
         };
-        let (sr, sy) = lanczos_ground_state(&mut SerialOp::new(&m), &SerialOps, &v0, opts);
-
-        let results = run_spmd(
-            &m,
-            3,
-            spmv_core::engine::EngineConfig::task_mode(2),
-            |eng| {
-                let lo = eng.row_start();
-                let len = eng.local_len();
-                let v_local = v0[lo..lo + len].to_vec();
-                let comm = eng.comm().clone();
-                let ops = DistOps { comm: &comm };
-                let mut op = DistOp::new(eng, KernelMode::TaskMode);
-                let (r, y) = lanczos_ground_state(&mut op, &ops, &v_local, opts);
-                (lo, r.eigenvalue_min, y)
-            },
+        let plain = lanczos(&mut SerialOp::new(&m), &SerialOps, &v0, opts);
+        let (ck, restarts) = lanczos_checkpointed(
+            &mut SerialOp::new(&m),
+            &SerialOps,
+            &v0,
+            opts,
+            5,
+            fail_at(17),
         );
-        for (lo, e, y) in results {
-            assert!((e - sr.eigenvalue_min).abs() < 1e-9);
-            // sign convention may differ; compare up to sign
-            let direct = vecops::max_abs_diff(&y, &sy[lo..lo + y.len()]);
-            let flipped: f64 = y
-                .iter()
-                .zip(&sy[lo..lo + y.len()])
-                .map(|(a, b)| (a + b).abs())
-                .fold(0.0, f64::max);
-            assert!(direct.min(flipped) < 1e-7, "{direct} / {flipped}");
-        }
+        assert_eq!(restarts, 1);
+        assert_eq!(
+            ck.alphas, plain.alphas,
+            "recovered recurrence must match bitwise"
+        );
+        assert_eq!(ck.betas, plain.betas);
+        assert_eq!(ck.eigenvalue_min.to_bits(), plain.eigenvalue_min.to_bits());
+        assert_eq!(ck.eigenvalue_max.to_bits(), plain.eigenvalue_max.to_bits());
+    }
+
+    #[test]
+    fn lanczos_reorthogonalized_checkpoint_keeps_basis() {
+        let m = CsrMatrix::from_diagonal(&[-3.0, 1.0, 0.5, 9.0, 2.0]);
+        let v0 = vec![1.0; 5];
+        let opts = LanczosOptions {
+            max_steps: 5,
+            full_reorthogonalization: true,
+            ..Default::default()
+        };
+        let plain = lanczos(&mut SerialOp::new(&m), &SerialOps, &v0, opts);
+        let (ck, restarts) =
+            lanczos_checkpointed(&mut SerialOp::new(&m), &SerialOps, &v0, opts, 2, fail_at(4));
+        assert_eq!(restarts, 1);
+        assert_eq!(ck.alphas, plain.alphas);
+        assert!((ck.eigenvalue_min + 3.0).abs() < 1e-8);
+        assert!((ck.eigenvalue_max - 9.0).abs() < 1e-8);
     }
 }

@@ -20,12 +20,13 @@
 //!
 //! Provided solvers: conjugate gradients ([`cg`]), symmetric Lanczos with
 //! a Sturm-bisection tridiagonal eigensolver ([`lanczos`], [`tridiag`]),
-//! the kernel polynomial method with Jackson damping ([`kpm`]), and power
-//! iteration ([`power`]).
+//! the kernel polynomial method with Jackson damping ([`kpm`]), Chebyshev
+//! time evolution ([`chebyshev`]), and power iteration ([`power`]). CG and
+//! Lanczos each have one loop; their `*_checkpointed` entry points add
+//! periodic snapshots and collective rollback on failure.
 
 pub mod cg;
 pub mod chebyshev;
-pub mod checkpoint;
 pub mod kpm;
 pub mod lanczos;
 pub mod operator;
@@ -34,13 +35,10 @@ pub mod power;
 pub mod status;
 pub mod tridiag;
 
-pub use cg::{cg_solve, pcg_solve_jacobi, CgResult};
+pub use cg::{cg_solve, cg_solve_checkpointed, CgResult};
 pub use chebyshev::{bessel_jn, evolve, ChebyshevOptions, ComplexVec};
-pub use checkpoint::{
-    cg_solve_checkpointed, lanczos_checkpointed, CgCheckpoint, LanczosCheckpoint,
-};
 pub use kpm::{kpm_dos, KpmResult};
-pub use lanczos::{lanczos, lanczos_ground_state, LanczosResult};
+pub use lanczos::{lanczos, lanczos_checkpointed, LanczosResult};
 pub use operator::{DistOp, LinOp, SerialOp};
 pub use ops::{DistOps, GlobalOps, SerialOps};
 pub use power::{power_iteration, PowerResult};

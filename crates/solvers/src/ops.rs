@@ -1,4 +1,5 @@
-//! Global reductions over distributed vectors.
+//! Global reductions over distributed vectors, and the collective
+//! checkpoint/rollback protocol the solvers build on them.
 
 use spmv_comm::collectives::ReduceOp;
 use spmv_comm::Comm;
@@ -57,6 +58,60 @@ impl GlobalOps for DistOps<'_> {
 
     fn sum(&self, x: f64) -> f64 {
         self.comm.allreduce_scalar(x, ReduceOp::Sum)
+    }
+}
+
+/// Periodic snapshots of a solver's recurrence state `S` with collective
+/// rollback: the checkpoint/restart half of the CG and Lanczos loops.
+pub(crate) struct Checkpoints<'a, S> {
+    every: usize,
+    failed: &'a mut dyn FnMut() -> bool,
+    saved: S,
+    /// Rollbacks performed so far.
+    pub(crate) rollbacks: usize,
+}
+
+impl<'a, S: Clone> Checkpoints<'a, S> {
+    /// Snapshots every `every` steps, starting from `state`; `failed` is
+    /// the local health probe (true = this rank saw a fault since the last
+    /// poll).
+    pub(crate) fn new(every: usize, failed: &'a mut dyn FnMut() -> bool, state: &S) -> Self {
+        assert!(every >= 1, "checkpoint period must be at least 1");
+        Self {
+            every,
+            failed,
+            saved: state.clone(),
+            rollbacks: 0,
+        }
+    }
+
+    /// Polls the probe and agrees on the verdict by a max-reduction, so all
+    /// ranks roll back together. On a fault anywhere, restores `state` from
+    /// the last snapshot and returns `true`.
+    pub(crate) fn rolled_back<G: GlobalOps>(&mut self, ops: &G, state: &mut S) -> bool {
+        let fault = ops.max(if (self.failed)() { 1.0 } else { 0.0 }) > 0.0;
+        if fault {
+            state.clone_from(&self.saved);
+            self.rollbacks += 1;
+        }
+        fault
+    }
+
+    /// Snapshots `state` if `step` completes a period.
+    pub(crate) fn save_at(&mut self, step: usize, state: &S) {
+        if step.is_multiple_of(self.every) {
+            self.saved.clone_from(state);
+        }
+    }
+}
+
+/// A failure probe that reports one fault, at the `k`-th poll.
+#[cfg(test)]
+pub(crate) fn fail_at(k: usize) -> impl FnMut() -> bool {
+    let mut polls = 0usize;
+    move || {
+        polls += 1;
+        polls == k
     }
 }
 

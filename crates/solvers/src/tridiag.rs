@@ -90,141 +90,6 @@ pub fn extreme_eigenvalues(alpha: &[f64], beta: &[f64], tol: f64) -> (f64, f64) 
     )
 }
 
-/// Solves `(T − λI) x = b` for a symmetric tridiagonal `T` by Gaussian
-/// elimination with partial pivoting (fill-in limited to a second upper
-/// diagonal). Robust near-singular shifts, as inverse iteration needs.
-fn solve_shifted(alpha: &[f64], beta: &[f64], lambda: f64, b: &[f64]) -> Vec<f64> {
-    let n = alpha.len();
-    assert_eq!(b.len(), n);
-    // band representation: d (main), u1 (first upper), u2 (second upper)
-    let mut d: Vec<f64> = alpha.iter().map(|&a| a - lambda).collect();
-    let mut u1: Vec<f64> = beta.to_vec();
-    let mut u2 = vec![0.0f64; n.saturating_sub(2)];
-    let mut l: Vec<f64> = beta.to_vec(); // subdiagonal (symmetric)
-    let mut rhs = b.to_vec();
-    // relative pivot floor: keeps the solution amplitude bounded when the
-    // shift is (numerically) an exact eigenvalue
-    let scale = alpha
-        .iter()
-        .chain(beta.iter())
-        .fold(lambda.abs().max(1.0), |m, &v| m.max(v.abs()));
-    let pivfloor = scale * 1e-14;
-
-    for k in 0..n.saturating_sub(1) {
-        // pivot between rows k and k+1
-        if l[k].abs() > d[k].abs() {
-            // swap rows k, k+1 in the band
-            d.swap(k, k + 1); // careful: columns differ; do it explicitly
-                              // row k:   [d[k], u1[k], u2[k]]
-                              // row k+1: [l[k], d[k+1], u1[k+1]]
-                              // After the swap above d got mangled; rebuild properly:
-            d.swap(k, k + 1); // undo, redo explicitly below
-            let rk = [
-                d[k],
-                u1.get(k).copied().unwrap_or(0.0),
-                u2.get(k).copied().unwrap_or(0.0),
-            ];
-            let rk1 = [
-                l[k],
-                d[k + 1],
-                if k + 1 < u1.len() { u1[k + 1] } else { 0.0 },
-            ];
-            d[k] = rk1[0];
-            if k < u1.len() {
-                u1[k] = rk1[1];
-            }
-            if k < u2.len() {
-                u2[k] = rk1[2];
-            }
-            l[k] = rk[0];
-            d[k + 1] = rk[1];
-            if k + 1 < u1.len() {
-                u1[k + 1] = rk[2];
-            }
-            rhs.swap(k, k + 1);
-        }
-        let piv = if d[k].abs() >= pivfloor {
-            d[k]
-        } else {
-            pivfloor.copysign(d[k].signum())
-        };
-        let m = l[k] / piv;
-        d[k] = piv;
-        d[k + 1] -= m * u1[k];
-        if k < u2.len() && k + 1 < u1.len() {
-            u1[k + 1] -= m * u2[k];
-        }
-        rhs[k + 1] -= m * rhs[k];
-        l[k] = 0.0;
-    }
-    // back substitution
-    let mut x = vec![0.0f64; n];
-    for k in (0..n).rev() {
-        let mut s = rhs[k];
-        if k + 1 < n {
-            s -= u1.get(k).copied().unwrap_or(0.0) * x[k + 1];
-        }
-        if k + 2 < n {
-            s -= u2.get(k).copied().unwrap_or(0.0) * x[k + 2];
-        }
-        let piv = if d[k].abs() >= pivfloor {
-            d[k]
-        } else {
-            pivfloor.copysign(d[k].signum())
-        };
-        x[k] = s / piv;
-    }
-    x
-}
-
-/// Eigenvector of the symmetric tridiagonal matrix for (an approximation
-/// of) eigenvalue `lambda`, by two steps of inverse iteration. Returns a
-/// unit-norm vector.
-pub fn eigenvector(alpha: &[f64], beta: &[f64], lambda: f64) -> Vec<f64> {
-    let n = alpha.len();
-    assert!(n >= 1);
-    // deterministic, unlikely-orthogonal start
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| 1.0 + 0.618 * ((i * 2654435761) % 97) as f64 / 97.0)
-        .collect();
-    for _ in 0..3 {
-        // scale by the max magnitude first so the squared norm cannot
-        // overflow after a near-singular solve
-        let mx = x
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
-            .max(f64::MIN_POSITIVE);
-        for v in x.iter_mut() {
-            *v /= mx;
-        }
-        let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-        for v in x.iter_mut() {
-            *v /= norm;
-        }
-        x = solve_shifted(alpha, beta, lambda, &x);
-    }
-    let mx = x
-        .iter()
-        .fold(0.0f64, |m, v| m.max(v.abs()))
-        .max(f64::MIN_POSITIVE);
-    for v in x.iter_mut() {
-        *v /= mx;
-    }
-    let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    for v in x.iter_mut() {
-        *v /= norm;
-    }
-    // fix an overall sign for determinism: first significant entry positive
-    if let Some(first) = x.iter().find(|v| v.abs() > 1e-8) {
-        if *first < 0.0 {
-            for v in x.iter_mut() {
-                *v = -*v;
-            }
-        }
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,54 +167,5 @@ mod tests {
         let trace: f64 = alpha.iter().sum();
         let sum: f64 = ev.iter().sum();
         assert!((trace - sum).abs() < 1e-8);
-    }
-
-    #[test]
-    fn eigenvector_of_diagonal_matrix() {
-        let alpha = [1.0, 5.0, 3.0];
-        let beta = [0.0, 0.0];
-        let v = eigenvector(&alpha, &beta, 5.0);
-        assert!(v[1].abs() > 0.999, "{v:?}");
-        assert!(v[0].abs() < 1e-6 && v[2].abs() < 1e-6);
-    }
-
-    #[test]
-    fn eigenvector_satisfies_eigen_equation() {
-        let alpha = [2.0, 1.5, -0.5, 3.0, 0.7];
-        let beta = [0.8, -1.1, 0.4, 0.9];
-        let evs = eigenvalues(&alpha, &beta, 1e-13);
-        for &lam in &evs {
-            let v = eigenvector(&alpha, &beta, lam);
-            // residual ||T v - lam v||
-            let n = alpha.len();
-            let mut res = 0.0f64;
-            for i in 0..n {
-                let mut tv = alpha[i] * v[i];
-                if i > 0 {
-                    tv += beta[i - 1] * v[i - 1];
-                }
-                if i + 1 < n {
-                    tv += beta[i] * v[i + 1];
-                }
-                res += (tv - lam * v[i]).powi(2);
-            }
-            assert!(
-                res.sqrt() < 1e-8,
-                "residual {} for lambda {lam}",
-                res.sqrt()
-            );
-        }
-    }
-
-    #[test]
-    fn eigenvector_is_unit_norm_and_deterministic() {
-        let alpha = vec![2.0; 20];
-        let beta = vec![-1.0; 19];
-        let lam = eigenvalue_k(&alpha, &beta, 0, 1e-13);
-        let v1 = eigenvector(&alpha, &beta, lam);
-        let v2 = eigenvector(&alpha, &beta, lam);
-        assert_eq!(v1, v2);
-        let norm: f64 = v1.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-12);
     }
 }

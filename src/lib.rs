@@ -42,7 +42,7 @@
 //! | [`core`] | `spmv-core` | partitioning, halo plans, the three kernel modes |
 //! | [`obs`] | `spmv-obs` | measured-time tracing: phase spans, overlap metrics, chrome-trace export |
 //! | [`sim`] | `spmv-sim` | fluid-flow timing simulator (Figs. 4–6) |
-//! | [`solvers`] | `spmv-solvers` | Lanczos, CG, KPM, power iteration |
+//! | [`solvers`] | `spmv-solvers` | Lanczos and CG (with checkpoint/restart), KPM, Chebyshev time evolution, power iteration |
 //! | [`verify`] | `spmv-verify` | comm-plan verification, interleaving exploration, workspace lints |
 
 pub use spmv_comm as comm;
@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use spmv_solvers::chebyshev::{evolve, ChebyshevOptions, ComplexVec};
     pub use spmv_solvers::{
-        cg_solve, kpm_dos, lanczos, pcg_solve_jacobi, power_iteration, DistOp, DistOps, GlobalOps,
-        LinOp, SerialOp, SerialOps,
+        cg_solve, kpm_dos, lanczos, power_iteration, DistOp, DistOps, GlobalOps, LinOp, SerialOp,
+        SerialOps,
     };
 }

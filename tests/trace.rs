@@ -18,6 +18,8 @@ use spmv_obs::{
     chrome_trace_json, metrics_json, text_timeline, validate_json, Phase, RankTrace, RunTrace,
     TraceMetrics, FAULT_LANE,
 };
+use spmv_solvers::lanczos::LanczosOptions;
+use spmv_solvers::{cg_solve_checkpointed, lanczos_checkpointed, DistOp, DistOps, LinOp};
 use std::collections::BTreeSet;
 
 const RANKS: usize = 4;
@@ -280,4 +282,62 @@ fn exporters_round_trip_a_measured_run() {
     let sim_view = spmv_sim::Trace::from_measured(&trace);
     assert!(sim_view.time_in(0, Phase::Waitall) > 0.0);
     assert!(sim_view.render_rank_ascii(0, 60).contains("legend"));
+}
+
+/// Checkpointed solves stamp the same solver-lane spans as the plain
+/// loops, replayed iterations included: one `CgIter` per CG apply after
+/// the initial residual, one `LanczosIter` per Lanczos apply.
+#[test]
+fn checkpointed_solvers_record_solver_lane_spans() {
+    const SOLVER_RANKS: usize = 3;
+    let m = test_matrix();
+    let partition = RowPartition::by_nnz(&m, SOLVER_RANKS);
+    let world = CommWorld::builder(SOLVER_RANKS).build();
+    let cfg = cfg_for(KernelMode::TaskMode).with_tracing(true);
+    let per_rank = run_spmd_on_world(world, &m, &partition, cfg, |eng| {
+        let lo = eng.row_start();
+        let len = eng.local_len();
+        let b: Vec<f64> = (lo..lo + len).map(|i| (i as f64).sin() + 1.5).collect();
+        let comm = eng.comm().clone();
+        // only rank 1 sees a fault, once, at the given poll; the
+        // collective agreement rolls every rank back
+        let faulty = comm.rank() == 1;
+        let fire_once = |at: usize| {
+            let mut polls = 0usize;
+            move || {
+                polls += 1;
+                faulty && polls == at
+            }
+        };
+        let (cg_probe, lanczos_probe) = (fire_once(5), fire_once(7));
+        let ops = DistOps { comm: &comm };
+        let mut op = DistOp::new(eng, KernelMode::TaskMode);
+        let mut x = vec![0.0; len];
+        let (cg, cg_rollbacks) =
+            cg_solve_checkpointed(&mut op, &ops, &b, &mut x, 1e-10, 400, 3, cg_probe);
+        let cg_applies = op.applications();
+        let opts = LanczosOptions {
+            max_steps: 20,
+            ..LanczosOptions::default()
+        };
+        let (lanczos, lanczos_rollbacks) =
+            lanczos_checkpointed(&mut op, &ops, &b, opts, 3, lanczos_probe);
+        let lanczos_applies = op.applications() - cg_applies;
+        assert!(cg.converged, "CG must converge");
+        assert_eq!(lanczos.iterations, opts.max_steps);
+        assert_eq!((cg_rollbacks, lanczos_rollbacks), (1, 1));
+        let trace = eng.take_trace().expect("tracing enabled");
+        let spans = |phase| trace.events.iter().filter(|e| e.phase == phase).count() as u64;
+        (
+            (spans(Phase::CgIter), cg_applies - 1),
+            (spans(Phase::LanczosIter), lanczos_applies),
+        )
+    });
+    for (rank, (cg, lanczos)) in per_rank.into_iter().enumerate() {
+        assert_eq!(cg.0, cg.1, "rank {rank}: CgIter spans vs applies - 1");
+        assert_eq!(
+            lanczos.0, lanczos.1,
+            "rank {rank}: LanczosIter spans vs applies"
+        );
+    }
 }
