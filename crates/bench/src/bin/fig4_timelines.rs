@@ -1,13 +1,13 @@
 //! Fig. 4 regenerator: timeline views of the three kernel variants — not
 //! schematics, but actual simulated timelines of rank 0 on a two-node
-//! Westmere configuration, produced by the trace-enabled simulator.
+//! Westmere configuration, drawn from the simulator's trace.
 //!
 //! `cargo run --release -p spmv-bench --bin fig4_timelines [--scale ...]`
 
 use spmv_bench::{header, hmep, Scale};
 use spmv_core::{workload, KernelMode, RowPartition};
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout};
-use spmv_obs::Phase;
+use spmv_obs::{text_timeline, Phase};
 use spmv_sim::{simulate_spmv, SimConfig};
 
 fn main() {
@@ -31,9 +31,9 @@ fn main() {
         let layout = plan_layout(&cluster.node, nodes, HybridLayout::ProcessPerLd, comm).unwrap();
         let partition = RowPartition::by_nnz(&m, layout.num_ranks());
         let workloads = workload::analyze(&m, &partition);
-        let cfg = SimConfig::new(mode).with_kappa(2.5).with_trace();
+        let cfg = SimConfig::new(mode).with_kappa(2.5);
         let r = simulate_spmv(&cluster, &layout, &workloads, &cfg);
-        let trace = r.trace.expect("trace enabled");
+        let trace = &r.trace;
 
         println!(
             "\n--- {} ({:.1} GFlop/s, {:.1} µs makespan) ---",
@@ -41,7 +41,7 @@ fn main() {
             r.gflops,
             r.time_s * 1e6
         );
-        print!("{}", trace.render_rank_ascii(0, width));
+        print!("{}", text_timeline(trace, 0, width));
         println!(
             "rank 0 time in waitall: {:.1} µs, in compute: {:.1} µs",
             trace.time_in(0, Phase::Waitall) * 1e6,

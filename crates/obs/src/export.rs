@@ -1,5 +1,5 @@
-//! Exporters: chrome://tracing JSON, plain-text per-rank timelines, a
-//! JSON metrics summary, and a dependency-free JSON syntax validator.
+//! Exporters: chrome://tracing JSON, a text timeline per rank, and a
+//! dependency-free JSON syntax validator.
 //!
 //! The chrome export uses the Trace Event Format's complete-event form
 //! (`"ph": "X"`): one object per span with microsecond `ts`/`dur`,
@@ -11,9 +11,10 @@
 //! recursive-descent JSON parser — enough for the CI smoke job (and the
 //! trace tests) to prove an exported file *parses*, without serde.
 
-use crate::metrics::TraceMetrics;
+use crate::phase::Phase;
 use crate::recorder::SpanEvent;
 use crate::trace::{RunTrace, FAULT_LANE};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders `trace` in chrome://tracing `trace_events` JSON.
@@ -61,65 +62,90 @@ fn category(e: &SpanEvent) -> &'static str {
     }
 }
 
-/// Renders a plain-text per-rank timeline: one line per span, grouped by
-/// rank, with epoch-relative times in milliseconds.
+/// Renders one rank's timeline as text — the paper's Fig. 4, drawn from a
+/// simulated or a measured run. The axis runs `width` columns from the
+/// rank's first span to its last; there is one row per lane that holds
+/// events, labelled by what it holds (`comm`, `compute`, `solver` or
+/// `fault`), then a legend of the phase symbols.
 #[must_use]
-pub fn text_timeline(trace: &RunTrace) -> String {
+pub fn text_timeline(trace: &RunTrace, rank: usize, width: usize) -> String {
+    let mut lanes: BTreeMap<usize, Vec<&SpanEvent>> = BTreeMap::new();
+    for e in trace.rank_events(rank) {
+        lanes.entry(e.lane).or_default().push(e);
+    }
+    let events = || lanes.values().flatten();
+    let Some(start) = events().map(|e| e.t0).min_by(f64::total_cmp) else {
+        return String::from("(no events)\n");
+    };
+    let end = events().map(|e| e.t1).fold(start, f64::max);
+    let width = width.max(1);
+    let scale = if end > start {
+        width as f64 / (end - start)
+    } else {
+        0.0
+    };
     let mut out = String::new();
-    for rank in trace.ranks() {
-        let _ = writeln!(out, "rank {rank}:");
-        for e in trace.rank_events(rank) {
-            let lane = if e.lane == FAULT_LANE {
-                "fault".to_string()
-            } else {
-                format!("{:>5}", e.lane)
-            };
-            let _ = writeln!(
-                out,
-                "  [{:>10.3} .. {:>10.3} ms] lane {lane}  {:<15} bytes={:<9} nnz={}",
-                e.t0 * 1e3,
-                e.t1 * 1e3,
-                e.phase.label(),
-                e.bytes,
-                e.nnz,
-            );
+    for (&lane, evs) in &lanes {
+        let mut row = vec![b' '; width];
+        for e in evs {
+            let a = (((e.t0 - start) * scale).floor() as usize).min(width - 1);
+            let b = (((e.t1 - start) * scale).ceil() as usize).clamp(a + 1, width);
+            row[a..b].fill(symbol(e.phase));
         }
+        let row = String::from_utf8(row).expect("ascii");
+        let _ = writeln!(out, "rank {rank} {:<7} |{row}|", lane_label(lane, evs));
     }
-    if trace.dropped > 0 {
-        let _ = writeln!(out, "({} spans lost to ring overflow)", trace.dropped);
+    out.push_str(
+        "legend: g=gather s=send r=post-recvs w=waitall L=spmv(local) N=spmv(nonlocal) \
+         F=spmv(full) b=barrier",
+    );
+    if events().any(|e| is_solver(e.phase)) {
+        out.push_str(" i=iteration");
     }
+    if events().any(|e| e.phase.is_fault()) {
+        out.push_str(" x=fault");
+    }
+    out.push('\n');
     out
 }
 
-/// Renders the metrics summary as JSON (consumed by the bench harness).
-#[must_use]
-pub fn metrics_json(m: &TraceMetrics) -> String {
-    let mut out = String::from("{\n  \"per_rank\": [\n");
-    for (i, r) in m.per_rank.iter().enumerate() {
-        let comma = if i + 1 < m.per_rank.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"rank\": {}, \"comm_secs\": {:.6e}, \"hidden_comm_secs\": {:.6e}, \
-             \"overlap_efficiency\": {:.4}, \"achieved_gflops\": {:.4}, \
-             \"achieved_gbs\": {:.4}, \"comm_bytes\": {}}}{comma}",
-            r.rank,
-            r.comm_secs,
-            r.hidden_comm_secs,
-            r.overlap_efficiency,
-            r.achieved_gflops,
-            r.achieved_gbs,
-            r.comm_bytes,
-        );
+fn is_solver(phase: Phase) -> bool {
+    matches!(phase, Phase::CgIter | Phase::LanczosIter)
+}
+
+/// What a timeline row holds: a lane that only makes MPI calls is `comm`;
+/// one that also gathers or computes (a vector-mode lane) is `compute`.
+fn lane_label(lane: usize, evs: &[&SpanEvent]) -> &'static str {
+    let holds = |f: fn(Phase) -> bool| evs.iter().any(|e| f(e.phase));
+    if lane == FAULT_LANE {
+        "fault"
+    } else if holds(is_solver) {
+        "solver"
+    } else if holds(Phase::is_comm) && !holds(|p| p.is_compute() || p == Phase::Gather) {
+        "comm"
+    } else {
+        "compute"
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"mean_overlap_efficiency\": {:.4},\n  \"mean_gflops\": {:.4},\n  \
-         \"mean_gbs\": {:.4}\n}}",
-        m.mean_overlap_efficiency(),
-        m.mean_gflops(),
-        m.mean_gbs(),
-    );
-    out
+}
+
+fn symbol(phase: Phase) -> u8 {
+    match phase {
+        Phase::Gather => b'g',
+        Phase::Send => b's',
+        Phase::PostRecvs => b'r',
+        Phase::Waitall => b'w',
+        Phase::SpmvLocal => b'L',
+        Phase::SpmvNonlocal => b'N',
+        Phase::SpmvFull => b'F',
+        Phase::Barrier => b'b',
+        Phase::CgIter | Phase::LanczosIter => b'i',
+        Phase::FaultDelay
+        | Phase::FaultReorder
+        | Phase::FaultDuplicate
+        | Phase::FaultDrop
+        | Phase::FaultTruncate
+        | Phase::Stall => b'x',
+    }
 }
 
 /// Validates that `s` is one well-formed JSON value (RFC 8259 syntax; no
@@ -367,21 +393,41 @@ mod tests {
 
     #[test]
     fn text_timeline_mentions_every_phase() {
-        let txt = text_timeline(&sample());
-        assert!(txt.contains("rank 0:"));
-        assert!(txt.contains("waitall"));
-        assert!(txt.contains("spmv(local)"));
-        assert!(txt.contains("fault(delay)"));
-        assert!(txt.contains("lane fault"));
-        assert!(txt.contains("ring overflow"));
+        let txt = text_timeline(&sample(), 0, 20);
+        let lines: Vec<&str> = txt.lines().collect();
+        assert_eq!(
+            lines.len(),
+            4,
+            "comm, compute and fault rows + legend:\n{txt}"
+        );
+        assert!(lines[0].starts_with("rank 0 comm    |") && lines[0].contains('w'));
+        assert!(lines[1].starts_with("rank 0 compute |") && lines[1].contains('L'));
+        assert!(lines[2].starts_with("rank 0 fault   |") && lines[2].contains('x'));
+        assert!(lines[3].starts_with("legend:") && lines[3].ends_with("x=fault"));
     }
 
     #[test]
-    fn metrics_export_is_valid_json() {
-        let m = TraceMetrics::from_trace(&sample());
-        let json = metrics_json(&m);
-        validate_json(&json).unwrap();
-        assert!(json.contains("\"overlap_efficiency\""));
+    fn text_timeline_axis_spans_the_rank_and_labels_solver_lane() {
+        let span = |lane, phase, t0, t1| SpanEvent {
+            phase,
+            rank: 3,
+            lane,
+            t0,
+            t1,
+            bytes: 0,
+            nnz: 0,
+        };
+        // far from the epoch: the first span still starts in column 0
+        let t = RunTrace::from_events(vec![
+            span(1, Phase::Gather, 10.0, 11.0),
+            span(1, Phase::SpmvFull, 11.0, 12.0),
+            span(2, Phase::CgIter, 10.0, 12.0),
+        ]);
+        let txt = text_timeline(&t, 3, 10);
+        let lines: Vec<&str> = txt.lines().collect();
+        assert_eq!(lines[0], "rank 3 compute |gggggFFFFF|");
+        assert_eq!(lines[1], "rank 3 solver  |iiiiiiiiii|");
+        assert!(lines[2].ends_with("i=iteration"));
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! * [`TraceMetrics`] — derived per-rank achieved GB/s and flop/s, the
 //!   overlap-efficiency score (hidden comm time ÷ total comm time), and
 //!   [`ModelDrift`] against an `spmv-model` prediction.
-//! * [`export`] — chrome://tracing JSON (`trace_events` format), a
-//!   plain-text per-rank timeline, a JSON metrics summary, and a
-//!   dependency-free JSON syntax validator used by the CI smoke job.
+//! * [`export`] — chrome://tracing JSON (`trace_events` format), the
+//!   text timeline of one rank (the Fig. 4 view, for simulated and
+//!   measured runs alike), and a dependency-free JSON syntax validator
+//!   used by the CI smoke job.
 
 pub mod clock;
 pub mod export;
@@ -41,7 +42,7 @@ pub mod phase;
 pub mod recorder;
 pub mod trace;
 
-pub use export::{chrome_trace_json, metrics_json, text_timeline, validate_json};
+pub use export::{chrome_trace_json, text_timeline, validate_json};
 pub use metrics::{DriftVerdict, ModelDrift, RankMetrics, TraceMetrics};
 pub use phase::Phase;
 pub use recorder::{LaneRecorder, SpanEvent, TraceSink, DEFAULT_RING_CAPACITY};

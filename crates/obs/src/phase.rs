@@ -1,12 +1,12 @@
 //! The shared phase vocabulary.
 //!
 //! The first eight variants are the phases of the Fig. 4 schedule steps
-//! (`spmv_core::Step::phase` maps each step to one). The engine's spans
-//! and the simulator's trace events are both typed by `Phase`, so a
-//! measured chrome trace and a simulated ASCII timeline can be read side
-//! by side with no label table to keep in sync. Solver iterations and
-//! injected faults get their own typed variants — those exist only in
-//! measured traces.
+//! (`spmv_core::Step::phase` maps each step to one). The engine and the
+//! simulator both record spans typed by `Phase` into a
+//! [`RunTrace`](crate::RunTrace), so a measured and a simulated timeline
+//! go through the same queries and exporters with no label table to keep
+//! in sync. Solver iterations and injected faults get their own typed
+//! variants — those exist only in measured traces.
 
 use spmv_comm::FaultKind;
 

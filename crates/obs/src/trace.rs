@@ -82,12 +82,22 @@ impl RunTrace {
             events.extend(p.events);
             dropped += p.dropped;
         }
+        RunTrace {
+            dropped,
+            ..Self::from_events(events)
+        }
+    }
+
+    /// A trace of `events` from any number of ranks, sorted by
+    /// `(t0, rank, lane)` — how the simulator hands over its timeline.
+    #[must_use]
+    pub fn from_events(mut events: Vec<SpanEvent>) -> Self {
         events.sort_by(|a, b| {
             a.t0.total_cmp(&b.t0)
                 .then(a.rank.cmp(&b.rank))
                 .then(a.lane.cmp(&b.lane))
         });
-        RunTrace { events, dropped }
+        RunTrace { events, dropped: 0 }
     }
 
     /// Ranks present in the trace, ascending.
@@ -108,13 +118,20 @@ impl RunTrace {
         self.events.iter().filter(move |e| e.rank == rank)
     }
 
+    /// Total time `rank` spent in phases matching `pred`, summed across
+    /// lanes — e.g. [`Phase::is_compute`] sums the three SpMV kernels.
+    #[must_use]
+    pub fn time_where(&self, rank: usize, pred: impl Fn(Phase) -> bool) -> f64 {
+        self.rank_events(rank)
+            .filter(|e| pred(e.phase))
+            .map(SpanEvent::duration)
+            .sum()
+    }
+
     /// Total time `rank` spent in `phase`, summed across lanes.
     #[must_use]
     pub fn time_in(&self, rank: usize, phase: Phase) -> f64 {
-        self.rank_events(rank)
-            .filter(|e| e.phase == phase)
-            .map(SpanEvent::duration)
-            .sum()
+        self.time_where(rank, |p| p == phase)
     }
 
     /// Wall-clock extent of the trace (latest `t1` minus earliest `t0`).
@@ -213,6 +230,62 @@ mod tests {
             bytes: 0,
             nnz: 0,
         }
+    }
+
+    /// A task-mode-shaped rank 0 (comm lane 0, compute lane 1) next to a
+    /// one-span rank 1, handed over in completion order.
+    fn two_lane_sample() -> RunTrace {
+        RunTrace::from_events(vec![
+            span(0, 0, Phase::PostRecvs, 0.0, 0.1),
+            span(0, 1, Phase::Gather, 0.0, 0.2),
+            span(0, 1, Phase::SpmvLocal, 0.2, 0.8),
+            span(0, 0, Phase::Waitall, 0.1, 0.9),
+            span(1, 0, Phase::Waitall, 0.0, 0.5),
+            span(0, 1, Phase::SpmvNonlocal, 0.9, 1.0),
+        ])
+    }
+
+    #[test]
+    fn rank_events_filters_and_sorts() {
+        let t = two_lane_sample();
+        let ev: Vec<&SpanEvent> = t.rank_events(0).collect();
+        assert_eq!(ev.len(), 5);
+        assert!(ev.windows(2).all(|w| w[0].t0 <= w[1].t0));
+        assert_eq!(t.rank_events(1).count(), 1);
+        assert_eq!(t.rank_events(7).count(), 0);
+        assert_eq!(t.dropped, 0);
+    }
+
+    #[test]
+    fn ascii_render_has_two_lanes_and_legend() {
+        let art = crate::text_timeline(&two_lane_sample(), 0, 40);
+        let lines: Vec<&str> = art.lines().collect();
+        assert_eq!(lines.len(), 3, "two lanes + legend");
+        assert!(lines[0].starts_with("rank 0 comm    |") && lines[0].contains('w'));
+        assert!(lines[1].starts_with("rank 0 compute |") && lines[1].contains('L'));
+        assert!(lines[2].starts_with("legend"));
+    }
+
+    #[test]
+    fn empty_trace_renders_placeholder() {
+        assert_eq!(
+            crate::text_timeline(&RunTrace::default(), 0, 10),
+            "(no events)\n"
+        );
+        assert_eq!(
+            crate::text_timeline(&two_lane_sample(), 7, 10),
+            "(no events)\n"
+        );
+    }
+
+    #[test]
+    fn time_queries_sum_matching_segments() {
+        let t = two_lane_sample();
+        assert!((t.time_where(0, Phase::is_compute) - 0.7).abs() < 1e-12);
+        assert!((t.time_where(0, Phase::is_comm) - 0.9).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::SpmvLocal) - 0.6).abs() < 1e-12);
+        assert!((t.time_in(0, Phase::Waitall) - 0.8).abs() < 1e-12);
+        assert_eq!(t.time_in(1, Phase::Gather), 0.0);
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //! rates, and repeats. Messages additionally pay a latency phase that
 //! elapses only while the progress rule allows the message to move.
 
-use crate::program::{build_program, op_inside_mpi, Op, SimConfig};
-use crate::trace::{Trace, TraceEvent};
+use crate::program::{build_program, Op, SimConfig};
 use spmv_core::{Barrier, RankWorkload, Step};
 use spmv_machine::network::TorusLink;
 use spmv_machine::topology::ClusterSpec;
 use spmv_machine::LayoutPlan;
-use spmv_obs::Phase;
+use spmv_obs::{Phase, RunTrace, SpanEvent};
 use std::collections::HashMap;
 
 /// Result of one simulated SpMV.
@@ -38,8 +37,9 @@ pub struct SimResult {
     pub messages: usize,
     /// Total payload bytes moved between ranks.
     pub bytes_on_wire: f64,
-    /// Activity trace (present when `cfg.trace` was set).
-    pub trace: Option<Trace>,
+    /// Activity trace: one span per lane segment, typed by the step's
+    /// phase (`bytes` and `nnz` are 0), on the simulated clock.
+    pub trace: RunTrace,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +68,7 @@ impl Lane {
     fn inside_mpi(&self) -> bool {
         match self.state {
             LaneState::Timed { .. } | LaneState::Waiting => {
-                self.pc < self.ops.len() && op_inside_mpi(&self.ops[self.pc])
+                self.pc < self.ops.len() && self.ops[self.pc].step.is_comm()
             }
             _ => false,
         }
@@ -204,11 +204,7 @@ pub fn simulate_spmv(
     let mut now = 0.0f64;
     let mut rank_finish = vec![0.0f64; nranks];
     let mut lanes_done = 0usize;
-    let mut trace = if cfg.trace {
-        Some(Trace::default())
-    } else {
-        None
-    };
+    let mut spans: Vec<SpanEvent> = Vec::new();
     let total_flops: f64 = workloads.iter().map(|w| w.flops()).sum();
 
     // cached inside-MPI per rank (recomputed in cascade)
@@ -230,19 +226,19 @@ pub fn simulate_spmv(
     // without time passing.
     macro_rules! record_segment {
         ($lane:expr, $phase:expr) => {
-            if let Some(t) = trace.as_mut() {
-                if let Some(phase) = $lane.seg_phase.filter(|_| now > $lane.seg_start) {
-                    t.events.push(TraceEvent {
-                        rank: $lane.rank,
-                        lane: $lane.lane_idx,
-                        phase,
-                        t0: $lane.seg_start,
-                        t1: now,
-                    });
-                }
-                $lane.seg_start = now;
-                $lane.seg_phase = $phase;
+            if let Some(phase) = $lane.seg_phase.filter(|_| now > $lane.seg_start) {
+                spans.push(SpanEvent {
+                    phase,
+                    rank: $lane.rank,
+                    lane: $lane.lane_idx,
+                    t0: $lane.seg_start,
+                    t1: now,
+                    bytes: 0,
+                    nnz: 0,
+                });
             }
+            $lane.seg_start = now;
+            $lane.seg_phase = $phase;
         };
     }
 
@@ -318,7 +314,7 @@ pub fn simulate_spmv(
                 }
                 let w = &workloads[lane.rank];
                 let op: Op = lane.ops[lane.pc];
-                record_segment!(lane, Some(op.phase()));
+                record_segment!(lane, Some(op.step.phase()));
                 lane.state = match op.step {
                     Step::PostRecvs => LaneState::Timed {
                         remaining_s: w.recvs.len() as f64 * cfg.post_overhead_s,
@@ -537,7 +533,7 @@ pub fn simulate_spmv(
         per_rank_finish_s: rank_finish,
         messages: total_msgs,
         bytes_on_wire: total_wire_bytes,
-        trace,
+        trace: RunTrace::from_events(spans),
     }
 }
 
@@ -795,13 +791,8 @@ mod tests {
             HybridLayout::ProcessPerLd,
             CommThreadPlacement::SmtSibling,
         );
-        let r = simulate_spmv(
-            &cluster,
-            &plan,
-            &w,
-            &SimConfig::new(KernelMode::TaskMode).with_trace(),
-        );
-        let t = r.trace.expect("trace requested");
+        let r = simulate_spmv(&cluster, &plan, &w, &SimConfig::new(KernelMode::TaskMode));
+        let t = r.trace;
         let phases: std::collections::HashSet<_> = t.events.iter().map(|e| e.phase).collect();
         for want in [
             Phase::Waitall,
@@ -811,10 +802,13 @@ mod tests {
         ] {
             assert!(phases.contains(&want), "{want:?}");
         }
-        // events are well-formed
+        // events are well-formed and in `RunTrace::from_ranks` order
         for e in &t.events {
-            assert!(e.t1 >= e.t0);
+            assert!(e.t1 > e.t0 && e.bytes == 0 && e.nnz == 0, "{e:?}");
         }
+        let key = |e: &SpanEvent| (e.t0, e.rank, e.lane);
+        assert!(t.events.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+        assert_eq!(t.dropped, 0);
     }
 
     #[test]

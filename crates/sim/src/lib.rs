@@ -30,17 +30,20 @@
 //! in `Waitall` throughout the compute phase, giving genuine overlap.
 //! [`progress::ProgressModel::Async`] models a hypothetical library with
 //! true asynchronous progress (the paper's outlook, §5) as an ablation.
+//!
+//! Every simulated SpMV records its timeline in [`SimResult::trace`], an
+//! `spmv_obs::RunTrace` — the type a traced engine run produces — so the
+//! overlap metric and the exporters treat simulated and measured runs
+//! alike.
 
 pub mod fluid;
 pub mod iterative;
 pub mod program;
 pub mod progress;
 pub mod scaling;
-pub mod trace;
 
 pub use fluid::{simulate_spmv, SimResult};
 pub use iterative::{simulate_solver, SolverShape, SolverTime};
 pub use program::SimConfig;
 pub use progress::ProgressModel;
 pub use scaling::{simulate_job, strong_scaling, ScalingSeries};
-pub use trace::Trace;

@@ -18,7 +18,6 @@
 
 use crate::progress::ProgressModel;
 use spmv_core::{KernelMode, Part, RankWorkload, Step};
-use spmv_obs::Phase;
 
 /// One activity in a lane program: a schedule step with its cost. Gather
 /// and compute steps drain `bytes` of memory traffic; the communication
@@ -29,13 +28,6 @@ pub struct Op {
     pub step: Step,
     /// Traffic volume drained by a gather or compute step (0 otherwise).
     pub bytes: f64,
-}
-
-impl Op {
-    /// The trace phase of the activity.
-    pub fn phase(&self) -> Phase {
-        self.step.phase()
-    }
 }
 
 /// Simulation parameters.
@@ -57,13 +49,11 @@ pub struct SimConfig {
     /// which is what makes many small messages expensive ("the overhead of
     /// intranode message passing cannot be neglected", §4).
     pub post_overhead_s: f64,
-    /// Record a full activity trace (Fig. 4 regeneration).
-    pub trace: bool,
 }
 
 impl SimConfig {
     /// Defaults for a given mode: standard progress, κ = 0, 4 KiB eager
-    /// threshold, 1 µs per message posting overhead, no trace.
+    /// threshold, 1 µs per message posting overhead.
     pub fn new(mode: KernelMode) -> Self {
         Self {
             mode,
@@ -71,7 +61,6 @@ impl SimConfig {
             kappa: 0.0,
             eager_threshold_bytes: 4096,
             post_overhead_s: 1.0e-6,
-            trace: false,
         }
     }
 
@@ -84,12 +73,6 @@ impl SimConfig {
     /// Sets the progress model.
     pub fn with_progress(mut self, p: ProgressModel) -> Self {
         self.progress = p;
-        self
-    }
-
-    /// Enables trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 }
@@ -148,11 +131,6 @@ pub fn build_program(workload: &RankWorkload, cfg: &SimConfig) -> RankProgram {
             })
             .collect(),
     }
-}
-
-/// Whether an op counts as "inside MPI" for the progress rule.
-pub fn op_inside_mpi(op: &Op) -> bool {
-    op.step.is_comm()
 }
 
 #[cfg(test)]
@@ -230,21 +208,6 @@ mod tests {
         let balance = bytes / (2.0 * nnz as f64);
         let eq1 = spmv_model::code_balance_crs(nnzr, 2.5);
         assert!((balance - eq1).abs() < 1e-12, "{balance} vs {eq1}");
-    }
-
-    #[test]
-    fn inside_mpi_classification() {
-        let op = |step| Op { step, bytes: 0.0 };
-        for step in [Step::PostRecvs, Step::Send, Step::Waitall] {
-            assert!(op_inside_mpi(&op(step)));
-        }
-        for step in [
-            Step::Gather,
-            Step::Compute(Part::Local),
-            Step::Barrier(spmv_core::Barrier::B1),
-        ] {
-            assert!(!op_inside_mpi(&op(step)));
-        }
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! | [`machine`] | `spmv-machine` | node/cluster models (Westmere, Magny Cours, …) |
 //! | [`model`] | `spmv-model` | code balance (Eq. 1/2), κ estimation, roofline |
 //! | [`core`] | `spmv-core` | partitioning, halo plans, the three kernel modes |
-//! | [`obs`] | `spmv-obs` | measured-time tracing: phase spans, overlap metrics, chrome-trace export |
-//! | [`sim`] | `spmv-sim` | fluid-flow timing simulator (Figs. 4–6) |
+//! | [`obs`] | `spmv-obs` | the one run timeline (measured or simulated): phase spans, overlap metrics, chrome-trace and text export |
+//! | [`sim`] | `spmv-sim` | fluid-flow timing simulator (Figs. 4–6), recording its timeline as a `RunTrace` |
 //! | [`solvers`] | `spmv-solvers` | Lanczos and CG (with checkpoint/restart), KPM, Chebyshev time evolution, power iteration |
 //! | [`verify`] | `spmv-verify` | comm-plan verification, interleaving exploration, workspace lints |
 
@@ -69,8 +69,7 @@ pub mod prelude {
     pub use spmv_matrix::{synthetic, vecops, CsrMatrix, SellMatrix};
     pub use spmv_model::{code_balance_crs, code_balance_sell, code_balance_split, estimate_kappa};
     pub use spmv_obs::{
-        chrome_trace_json, metrics_json, text_timeline, ModelDrift, Phase, RunTrace, TraceMetrics,
-        TraceSink,
+        chrome_trace_json, text_timeline, ModelDrift, Phase, RunTrace, TraceMetrics, TraceSink,
     };
     pub use spmv_sim::{
         simulate_job, simulate_solver, strong_scaling, ProgressModel, SimConfig, SolverShape,

@@ -124,6 +124,28 @@ fn task_mode_advantage_grows_with_aggregation() {
     assert!(per_node > 1.0, "per-node advantage {per_node}");
 }
 
+/// Fig. 4, scored with the metric the measured trace suite uses: on rank 0
+/// of `fig4_timelines`' test-scale setup, neither vector mode hides any
+/// communication under compute, while task mode's comm lane waits
+/// through the compute lane's local SpMV.
+#[test]
+fn simulated_fig4_overlap_matches_the_measured_metric() {
+    let m = holstein::hamiltonian(&HolsteinParams::test_scale(
+        HolsteinOrdering::ElectronContiguous,
+    ));
+    let cluster = presets::westmere_cluster(2);
+    for mode in KernelMode::ALL {
+        let cfg = SimConfig::new(mode).with_kappa(2.5);
+        let r = simulate_job(&m, &cluster, 2, HybridLayout::ProcessPerLd, &cfg);
+        let eff = r.trace.overlap_efficiency(0);
+        if mode.needs_comm_thread() {
+            assert!(eff > 0.0, "{mode}: task mode must overlap, got {eff}");
+        } else {
+            assert_eq!(eff, 0.0, "{mode}: vector mode cannot overlap");
+        }
+    }
+}
+
 /// §3/§5: "MPI libraries with support for progress threads could follow the
 /// same strategy" — with async progress the naive-overlap variant catches
 /// up to task mode.

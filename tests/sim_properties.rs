@@ -163,8 +163,8 @@ fn trace_events_are_well_formed() {
         let (cluster, plan) = machine_setup(2, HybridLayout::ProcessPerLd, comm);
         let p = RowPartition::by_nnz(&m, plan.num_ranks());
         let w = workload::analyze(&m, &p);
-        let r = simulate_spmv(&cluster, &plan, &w, &SimConfig::new(mode).with_trace());
-        let t = r.trace.unwrap();
+        let r = simulate_spmv(&cluster, &plan, &w, &SimConfig::new(mode));
+        let t = r.trace;
         assert!(!t.events.is_empty(), "case {case}");
         for e in &t.events {
             assert!(e.t0 >= 0.0, "case {case}");

@@ -15,8 +15,8 @@ use spmv_comm::{CommWorld, FaultPlan};
 use spmv_core::{run_spmd_on_world, CommStrategy, EngineConfig, KernelMode, RowPartition};
 use spmv_matrix::{synthetic, CsrMatrix};
 use spmv_obs::{
-    chrome_trace_json, metrics_json, text_timeline, validate_json, Phase, RankTrace, RunTrace,
-    TraceMetrics, FAULT_LANE,
+    chrome_trace_json, text_timeline, validate_json, Phase, RankTrace, RunTrace, SpanEvent,
+    FAULT_LANE,
 };
 use spmv_solvers::lanczos::LanczosOptions;
 use spmv_solvers::{cg_solve_checkpointed, lanczos_checkpointed, DistOp, DistOps, LinOp};
@@ -270,18 +270,79 @@ fn exporters_round_trip_a_measured_run() {
         assert!(chrome.contains(want), "chrome export lacks {want}");
     }
 
-    let metrics = TraceMetrics::from_trace(&trace);
-    let mjson = metrics_json(&metrics);
-    validate_json(&mjson).expect("metrics summary must be valid JSON");
-    assert!(mjson.contains("overlap_efficiency"));
+    let text = text_timeline(&trace, 0, 60);
+    assert!(text.contains('w') && text.contains('L'), "{text}");
+    assert!(text.ends_with("b=barrier\n"), "{text}");
+}
 
-    let text = text_timeline(&trace);
-    assert!(text.lines().count() > RANKS, "one line per span at least");
+/// A measured run's clock starts long before its first span; the text
+/// timeline's axis starts at the rank's first span, not at the epoch.
+#[test]
+fn text_timeline_starts_at_the_ranks_first_span() {
+    let (trace, _) = traced_sweeps(&test_matrix(), KernelMode::TaskMode, None, 2);
+    let text = text_timeline(&trace, 0, 60);
+    let column_0 = |row: &str| row.split_once('|').map(|(_, cells)| cells.as_bytes()[0]);
+    assert!(
+        text.lines().filter_map(column_0).any(|c| c != b' '),
+        "no span starts in column 0:\n{text}"
+    );
+}
 
-    // the sim crate understands the measured vocabulary
-    let sim_view = spmv_sim::Trace::from_measured(&trace);
-    assert!(sim_view.time_in(0, Phase::Waitall) > 0.0);
-    assert!(sim_view.render_rank_ascii(0, 60).contains("legend"));
+/// Task mode with two compute threads records on lanes 0..=2; the row of
+/// lane 0, the communication thread, is labelled `comm`.
+#[test]
+fn text_timeline_labels_the_comm_lane_of_a_three_lane_trace() {
+    let (trace, _) = traced_sweeps(&test_matrix(), KernelMode::TaskMode, None, 2);
+    let lanes: BTreeSet<usize> = trace.rank_events(0).map(|e| e.lane).collect();
+    assert_eq!(lanes, BTreeSet::from([0, 1, 2]));
+    let text = text_timeline(&trace, 0, 60);
+    let labels: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("rank 0 "))
+        .map(|l| l.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(labels, ["comm", "compute", "compute"], "{text}");
+}
+
+/// Under the delay plan rank 0 also holds fault markers on `FAULT_LANE`;
+/// the timeline gets one row per occupied lane and the legend, not a row
+/// for every lane number up to the fault lane.
+#[test]
+fn text_timeline_has_one_row_per_occupied_lane() {
+    let (trace, _) = traced_sweeps(
+        &test_matrix(),
+        KernelMode::TaskMode,
+        Some(comm_bound_plan()),
+        3,
+    );
+    let lanes: BTreeSet<usize> = trace.rank_events(0).map(|e| e.lane).collect();
+    assert!(lanes.contains(&FAULT_LANE), "rank 0 sends delayed messages");
+    let text = text_timeline(&trace, 0, 60);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), lanes.len() + 1, "{text}");
+    assert!(lines[lines.len() - 2].starts_with("rank 0 fault"), "{text}");
+    assert!(lines[lines.len() - 1].starts_with("legend:"), "{text}");
+}
+
+/// A zero-length span at the end of the axis (a fault marker, say) lands
+/// in the last column instead of panicking.
+#[test]
+fn text_timeline_renders_a_zero_length_span_at_the_end() {
+    let span = |lane, phase, t0, t1| SpanEvent {
+        phase,
+        rank: 0,
+        lane,
+        t0,
+        t1,
+        bytes: 0,
+        nnz: 0,
+    };
+    let trace = RunTrace::from_events(vec![
+        span(1, Phase::SpmvFull, 0.0, 1.0),
+        span(FAULT_LANE, Phase::FaultDelay, 1.0, 1.0),
+    ]);
+    let text = text_timeline(&trace, 0, 8);
+    assert!(text.contains("rank 0 fault   |       x|"), "{text}");
 }
 
 /// Checkpointed solves stamp the same solver-lane spans as the plain
