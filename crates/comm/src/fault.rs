@@ -168,16 +168,6 @@ impl FaultPlan {
         self.degraded_leaders.push(rank);
         self
     }
-
-    /// True when no per-message fault has a nonzero probability.
-    #[must_use]
-    pub fn is_message_quiet(&self) -> bool {
-        self.delay_prob == 0.0
-            && self.reorder_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.drop_prob == 0.0
-            && self.truncate_prob == 0.0
-    }
 }
 
 /// Counters of faults actually fired, snapshot via `Comm::fault_stats`.

@@ -17,7 +17,7 @@
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
 
-use spmv_matrix::csr::row_dot_unrolled4;
+use spmv_matrix::csr::{row_dot_scalar, row_dot_unrolled4};
 use spmv_matrix::{CsrView, SellMatrix};
 use std::ops::Range;
 
@@ -131,12 +131,17 @@ impl dyn SpmvKernel {
     }
 }
 
-/// Scalar CSR reference kernel: the view's own row loop.
-struct CsrScalarKernel;
+/// A CSR kernel: the view's row walk, each row summed by `dot` —
+/// [`row_dot_scalar`] for `csr-scalar`, [`row_dot_unrolled4`] for
+/// `csr-unrolled4`.
+struct CsrKernel<D> {
+    kind: KernelKind,
+    dot: D,
+}
 
-impl SpmvKernel for CsrScalarKernel {
+impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for CsrKernel<D> {
     fn kind(&self) -> KernelKind {
-        KernelKind::CsrScalar
+        self.kind
     }
 
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
@@ -149,40 +154,7 @@ impl SpmvKernel for CsrScalarKernel {
         add: bool,
     ) {
         // SAFETY: the caller's contract is the view kernel's.
-        unsafe { mat.spmv_rows_ptr(rows, x, y, add) }
-    }
-}
-
-/// 4-way unrolled CSR kernel: each row summed by [`row_dot_unrolled4`].
-struct CsrUnrolled4Kernel;
-
-impl SpmvKernel for CsrUnrolled4Kernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::CsrUnrolled4
-    }
-
-    // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
-    unsafe fn spmv_rows_raw(
-        &self,
-        mat: CsrView<'_>,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        for i in rows {
-            let (cols, vals) = mat.row(i);
-            let sum = row_dot_unrolled4(cols, vals, x);
-            // SAFETY: the caller's contract covers row i.
-            unsafe {
-                let dst = y.add(i);
-                if add {
-                    *dst += sum;
-                } else {
-                    *dst = sum;
-                }
-            }
-        }
+        unsafe { mat.spmv_rows_ptr(rows, x, y, add, &self.dot) }
     }
 }
 
@@ -224,8 +196,14 @@ impl SpmvKernel for SellKernel {
 /// split block.
 pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<dyn SpmvKernel> {
     match kind {
-        KernelKind::CsrScalar => Box::new(CsrScalarKernel),
-        KernelKind::CsrUnrolled4 => Box::new(CsrUnrolled4Kernel),
+        KernelKind::CsrScalar => Box::new(CsrKernel {
+            kind,
+            dot: row_dot_scalar,
+        }),
+        KernelKind::CsrUnrolled4 => Box::new(CsrKernel {
+            kind,
+            dot: row_dot_unrolled4,
+        }),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),
         }),

@@ -186,7 +186,9 @@ mod tests {
     use crate::kernels::{prepare_kernel, KernelKind};
     use crate::partition::RowPartition;
     use crate::plan::build_plans_serial;
+    use spmv_matrix::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
     use spmv_matrix::{synthetic, vecops, CsrBuilder};
+    use std::ops::Range;
 
     fn split_on(m: &CsrMatrix, p: &RowPartition) -> Vec<SplitMatrix> {
         build_plans_serial(m, p)
@@ -227,14 +229,30 @@ mod tests {
         [full.build(), local.build(), nonlocal.build()]
     }
 
+    /// `csr-scalar`'s row sums as an indexed loop over the shared arrays:
+    /// the reference whose bits the per-row slice kernel must keep.
+    fn indexed_scalar(v: CsrView<'_>, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
+        for i in rows {
+            let mut sum = 0.0;
+            for j in v.begin[i]..v.end[i] {
+                sum += v.values[j] * x[v.col_idx[j] as usize];
+            }
+            y[i] = if add { y[i] + sum } else { sum };
+        }
+    }
+
     /// Every kernel gives the same bits on the views as on the separate
     /// copies, for the unsplit product and for the local-then-non-local
     /// one, and both match the global product; the full view is the
-    /// separate full copy, array for array.
+    /// separate full copy, array for array. `csr-scalar` also keeps the
+    /// indexed loop's bits on every view, serially and over odd rows.
     fn check_views(m: &CsrMatrix, p: &RowPartition) {
         let x = vecops::random_vec(m.ncols(), 17);
-        let mut y_global = vec![0.0; m.nrows()];
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut y_global, mut want) = (vec![0.0; m.nrows()], vec![0.0; m.nrows()]);
         m.spmv(&x, &mut y_global);
+        indexed_scalar(m.view(), 0..m.nrows(), &x, &mut want, false);
+        assert_eq!(bits(&y_global), bits(&want), "serial reference");
         let mut kinds = KernelKind::candidates();
         kinds.push(KernelKind::Sell { c: 4, sigma: 1 });
         for plan in build_plans_serial(m, p) {
@@ -250,7 +268,6 @@ mod tests {
             let halo: Vec<f64> = plan.halo_globals().iter().map(|&g| x[g as usize]).collect();
             let x_ext = [&x[range.clone()], &halo].concat();
             let (x_local, n) = (&x_ext[..plan.local_len], range.len());
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             for &kind in &kinds {
                 let run = |mat: CsrView<'_>, x: &[f64], y: &mut [f64], add: bool| {
                     prepare_kernel(kind, mat).spmv_rows(mat, 0..n, x, y, add);
@@ -268,6 +285,29 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "{kind} split, rank {rank}");
                 assert!(vecops::max_abs_diff(&got, &y_global[range.clone()]) < 1e-12);
             }
+            let views = [(s.full.view(), &x_ext[..]), (s.local.view(), x_local)];
+            for (v, x) in views.into_iter().chain([(s.nonlocal.view(), &x_ext[..])]) {
+                let scalar = prepare_kernel(KernelKind::CsrScalar, v);
+                for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
+                    let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
+                    indexed_scalar(v, rows.clone(), x, &mut want, add);
+                    scalar.spmv_rows(v, rows.clone(), x, &mut got, add);
+                    assert_eq!(bits(&got), bits(&want), "rank {rank} {rows:?} add {add}");
+                    for i in rows.filter(|&i| !add && v.row_range(i).is_empty()) {
+                        assert_eq!(got[i].to_bits(), 0, "empty row {i} gives +0.0");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_kernel_keeps_the_indexed_loop_bits_on_hmep_and_power_law() {
+        let hmep = hamiltonian(&HolsteinParams::test_scale(
+            HolsteinOrdering::ElectronContiguous,
+        ));
+        for m in [hmep, synthetic::power_law_rows(999, 9.0, 1.0, 5)] {
+            check_views(&m, &RowPartition::by_nnz(&m, 3));
         }
     }
 

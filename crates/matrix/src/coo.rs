@@ -45,11 +45,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of stored triplets (before duplicate summation).
-    pub fn nnz_stored(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The triplets in insertion order.
     pub fn entries(&self) -> &[(usize, usize, f64)] {
         &self.entries

@@ -492,32 +492,32 @@ impl<'a> CsrView<'a> {
         );
         // SAFETY: y covers every index below rows.end, and is borrowed
         // mutably for the whole call.
-        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add) }
+        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add, row_dot_scalar) }
     }
 
-    /// [`Self::spmv_rows`] writing through a raw pointer, so that threads
-    /// can fill disjoint row ranges of one shared `y`.
+    /// `y[i] (=|+=) dot(row i, x)` for every row `i` in `rows`, writing
+    /// through a raw pointer so that threads can fill disjoint row ranges
+    /// of one shared `y`. Each row is taken once as its column and value
+    /// slices; with [`row_dot_scalar`] this is [`Self::spmv_rows`].
     ///
     /// # Safety
     /// `y` must be valid for writes at every index in `rows`, and
     /// concurrent callers must use disjoint `rows` ranges.
-    #[allow(clippy::needless_range_loop)] // indexed loops mirror the paper's kernel
+    #[inline]
     pub unsafe fn spmv_rows_ptr(
         &self,
         rows: std::ops::Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
+        dot: impl Fn(&[u32], &[f64], &[f64]) -> f64,
     ) {
         let (col_idx, values) = (self.col_idx, self.values);
         // walking the two offset slices together drops their per-row
         // bounds checks (measurably faster on in-cache blocks)
         let bounds = self.begin[rows.clone()].iter().zip(&self.end[rows.clone()]);
         for (i, (&b, &e)) in rows.zip(bounds) {
-            let mut sum = 0.0;
-            for j in b..e {
-                sum += values[j] * x[col_idx[j] as usize];
-            }
+            let sum = dot(&col_idx[b..e], &values[b..e], x);
             // SAFETY: the caller guarantees y is writable at row i and
             // that no other thread writes it.
             unsafe {
@@ -541,17 +541,16 @@ impl<'a> From<&'a CsrMatrix> for CsrView<'a> {
 // --- per-row dot-product kernels -------------------------------------------
 //
 // The inner loop of the CRS SpMV is a sparse dot product of one row against
-// the RHS. `row_dot_unrolled4` is the row kernel of `spmv-core`'s
-// `csr-unrolled4`; `row_dot_scalar` is the reference the tests compare it
-// against.
+// the RHS. `row_dot_scalar` is the row kernel of `csr-scalar`, and
+// `row_dot_unrolled4` that of `spmv-core`'s `csr-unrolled4`.
 
-/// Scalar reference row kernel: a plain indexed loop, numerically identical
-/// to [`CsrMatrix::spmv`].
+/// Scalar reference row kernel: sums the row in storage order, the row
+/// dot of [`CsrMatrix::spmv`]. An empty row gives `+0.0`.
 #[inline(always)]
 pub fn row_dot_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     let mut sum = 0.0;
-    for k in 0..cols.len() {
-        sum += vals[k] * x[cols[k] as usize];
+    for (&c, &v) in cols.iter().zip(vals) {
+        sum += v * x[c as usize];
     }
     sum
 }

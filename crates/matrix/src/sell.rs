@@ -194,18 +194,16 @@ impl SellMatrix {
     /// # Panics
     /// If `x.len() != ncols` or `y.len() != nrows`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert_eq!(y.len(), self.nrows, "y length must equal nrows");
-        // SAFETY: y is a valid &mut [f64] of length nrows.
-        unsafe { self.spmv_rows_ptr(0..self.nrows, x, y.as_mut_ptr(), false) };
+        self.spmv_rows(0..self.nrows, x, y, false);
     }
 
     /// SpMV restricted to the *original* row range `rows`: only rows whose
-    /// original index falls in `rows` are computed and written. Because
-    /// σ-sorting scatters a contiguous original range across chunks, the
-    /// kernel walks all chunks and masks lanes — worksharing over original
-    /// row ranges stays correct (and disjoint ranges touch disjoint `y`
-    /// entries), at the cost of scanning chunk metadata.
+    /// original index falls in `rows` are computed and written. σ-sorting
+    /// scatters a contiguous original range inside its σ-windows, so the
+    /// kernel walks the sorted positions of the windows `rows` overlaps
+    /// and masks the rest — worksharing over original row ranges stays
+    /// correct, and disjoint ranges touch disjoint `y` entries.
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         assert!(rows.end <= self.nrows);
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
@@ -235,28 +233,28 @@ impl SellMatrix {
     ) {
         debug_assert!(rows.end <= self.nrows);
         debug_assert_eq!(x.len(), self.ncols);
-        let c = self.c;
-        for ch in 0..self.n_chunks() {
-            let base = self.chunk_ptr[ch];
-            let lanes = (self.nrows - ch * c).min(c);
-            for r in 0..lanes {
-                let p = ch * c + r;
-                let orig = self.order[p];
-                if orig < rows.start || orig >= rows.end {
-                    continue;
-                }
-                let mut sum = 0.0;
-                // Row p occupies slots 0..row_len[p] at stride C.
-                for k in 0..self.row_len[p] {
-                    let idx = base + k * c + r;
-                    sum += self.values[idx] * x[self.col_idx[idx] as usize];
-                }
-                let dst = y.add(orig);
-                if add {
-                    *dst += sum;
-                } else {
-                    *dst = sum;
-                }
+        let (c, sigma) = (self.c, self.sigma);
+        // σ-sorting only moves a row inside its window, so the rows of
+        // `rows` sit at the sorted positions of the windows they overlap
+        let window_start = rows.start / sigma * sigma;
+        let window_end = (rows.end.div_ceil(sigma) * sigma).min(self.nrows);
+        for p in window_start..window_end {
+            let orig = self.order[p];
+            if !rows.contains(&orig) {
+                continue;
+            }
+            let (base, r) = (self.chunk_ptr[p / c], p % c);
+            let mut sum = 0.0;
+            // Row p occupies slots 0..row_len[p] at stride C.
+            for k in 0..self.row_len[p] {
+                let idx = base + k * c + r;
+                sum += self.values[idx] * x[self.col_idx[idx] as usize];
+            }
+            let dst = y.add(orig);
+            if add {
+                *dst += sum;
+            } else {
+                *dst = sum;
             }
         }
     }
@@ -429,29 +427,24 @@ mod tests {
 
     #[test]
     fn row_range_spmv_masks_correctly() {
-        let m = synthetic::power_law_rows(64, 5.0, 1.0, 13);
-        let s = SellMatrix::from_csr(&m, 8, 64);
-        let x = vecops::random_vec(64, 3);
-        let mut y_ref = vec![0.0; 64];
-        m.spmv(&x, &mut y_ref);
-        // compute in three disjoint original-row ranges
-        let mut y = vec![f64::NAN; 64];
-        s.spmv_rows(0..20, &x, &mut y, false);
-        s.spmv_rows(20..50, &x, &mut y, false);
-        s.spmv_rows(50..64, &x, &mut y, false);
-        assert!(vecops::rel_error(&y, &y_ref) < 1e-13);
-        // and an add pass over a sub-range only
-        s.spmv_rows(10..30, &x, &mut y, true);
-        for (i, v) in y.iter().enumerate() {
-            let expect = if (10..30).contains(&i) {
-                2.0 * y_ref[i]
-            } else {
-                y_ref[i]
-            };
-            assert!(
-                (v - expect).abs() <= 1e-12 * expect.abs().max(1.0),
-                "row {i}"
-            );
+        // C ∤ σ and C ∤ nrows; the ranges start and end mid-window, and
+        // tiling the rows with them must give the whole product bitwise
+        let (m, x) = (ragged(103, 8), vecops::random_vec(103, 4));
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (c, sigma) in [(6, 16), (4, 7), (5, 103), (3, 1)] {
+            let s = SellMatrix::from_csr(&m, c, sigma);
+            let mut whole = vec![f64::NAN; 103];
+            s.spmv(&x, &mut whole);
+            let mut y = vec![f64::NAN; 103];
+            for rows in [0..5, 5..21, 21..22, 22..60, 60..60, 60..103] {
+                s.spmv_rows(rows.clone(), &x, &mut y, false);
+                assert!(y[rows.end..].iter().all(|v| v.is_nan()), "C={c} σ={sigma}");
+            }
+            assert_eq!(bits(&y), bits(&whole), "C={c} σ={sigma}");
+            // an add pass over a sub-range doubles that range only
+            s.spmv_rows(10..30, &x, &mut y, true);
+            let twice = |i: usize| whole[i] * if (10..30).contains(&i) { 2.0 } else { 1.0 };
+            assert_eq!(bits(&y), bits(&(0..103).map(twice).collect::<Vec<_>>()));
         }
     }
 

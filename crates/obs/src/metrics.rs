@@ -87,12 +87,6 @@ impl TraceMetrics {
     pub fn mean_gflops(&self) -> f64 {
         mean(self.per_rank.iter().map(|r| r.achieved_gflops))
     }
-
-    /// Mean achieved GB/s across ranks.
-    #[must_use]
-    pub fn mean_gbs(&self) -> f64 {
-        mean(self.per_rank.iter().map(|r| r.achieved_gbs))
-    }
 }
 
 /// Measured performance against an `spmv-model` prediction. The metrics
