@@ -7,7 +7,7 @@
 //!
 //! Collectives (and [`Comm::barrier`]) do not return a `Result`: on a
 //! fault — a dead peer or a poisoned world — they panic with the
-//! [`CommError`](crate::CommError) text (`peer dead: …` / `world poisoned
+//! [`CommError`] text (`peer dead: …` / `world poisoned
 //! …`). Their callers are setup code and solver reductions, which have no
 //! recovery path; the point-to-point API is where typed errors live.
 

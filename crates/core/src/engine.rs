@@ -25,11 +25,11 @@ use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
 use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
 use crate::plan::{build_plan_distributed, CommTraffic, RankPlan};
-use crate::split::SplitMatrix;
+use crate::split::{BlockPart, SplitMatrix};
 use spmv_comm::{Comm, CommError, CommStats};
 use spmv_matrix::CsrMatrix;
 use spmv_obs::{RankTrace, TraceSink};
-use spmv_smp::workshare::balanced_chunks;
+use spmv_smp::workshare::balanced_chunks_by;
 use spmv_smp::{TeamCtx, ThreadTeam};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -186,6 +186,14 @@ impl Bufs {
 /// per-thread row chunks and the nonzeros each chunk multiplies.
 type PartKernel = (Box<dyn SpmvKernel>, Vec<(Range<usize>, u64)>);
 
+/// `threads` nonzero-balanced row chunks of `part`, each with the
+/// nonzeros it multiplies; one thread takes every row.
+fn part_chunks(part: &BlockPart, threads: usize) -> Vec<(Range<usize>, u64)> {
+    let chunks = balanced_chunks_by(part.nrows(), threads, |i| part.nnz_before(i));
+    let nnz = |r: &Range<usize>| (part.nnz_before(r.end) - part.nnz_before(r.start)) as u64;
+    chunks.into_iter().map(|r| (r.clone(), nnz(&r))).collect()
+}
+
 /// The per-rank engine.
 pub struct RankEngine {
     comm: Comm,
@@ -207,7 +215,10 @@ pub struct RankEngine {
 
 impl RankEngine {
     /// Builds the engine collectively: every rank of `comm` passes its own
-    /// row block (global column indices) and the shared partition.
+    /// row block (global column indices) and the shared partition. The
+    /// engine shares the block's row pointers and values instead of
+    /// copying them, so it keeps the arrays the block points into alive
+    /// (a [`CsrMatrix::row_block`] points into its whole parent's).
     pub fn new(comm: Comm, block: &CsrMatrix, partition: &RowPartition, cfg: EngineConfig) -> Self {
         assert!(cfg.compute_threads >= 1, "need at least one compute thread");
         let strategy = cfg.comm_strategy.resolve(&comm, cfg.degraded);
@@ -225,11 +236,8 @@ impl RankEngine {
         let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
         let part = |part: Part| {
-            let m = mats.part(part).view();
-            let prefix = m.nnz_prefix();
-            let chunks = balanced_chunks(&prefix, c).into_iter();
-            let chunks = chunks.map(|r| (r.clone(), (prefix[r.end] - prefix[r.start]) as u64));
-            (prepare_kernel(cfg.kernel, m), chunks.collect())
+            let m = mats.part(part);
+            (prepare_kernel(cfg.kernel, m), part_chunks(m, c))
         };
         let kernels = [Part::Full, Part::Local, Part::Nonlocal].map(part);
 
@@ -861,6 +869,51 @@ mod tests {
             EngineConfig::pure_mpi(),
         );
         assert_eq!(eng.gather_program().total_elems(), 0, "single rank");
+    }
+
+    #[test]
+    fn part_chunks_match_chunks_of_the_stored_prefix() {
+        // ragged rows, three ranks: every part's chunks and weights, cut
+        // on `nnz_before`, equal those cut on a prefix summed from its rows
+        use spmv_smp::workshare::balanced_chunks;
+        let m = synthetic::power_law_rows(600, 7.0, 1.0, 13);
+        let p = RowPartition::by_nnz(&m, 3);
+        for plan in crate::plan::build_plans_serial(&m, &p) {
+            let s = SplitMatrix::build(&m.row_block(p.range(plan.rank)), &plan);
+            for part in [&s.full, &s.local, &s.nonlocal] {
+                let v = part.view();
+                let mut prefix = vec![0];
+                for i in 0..v.nrows() {
+                    prefix.push(prefix[i] + v.row_range(i).len());
+                }
+                for threads in [1, 3] {
+                    let want: Vec<_> = balanced_chunks(&prefix, threads)
+                        .into_iter()
+                        .map(|r| (r.clone(), (prefix[r.end] - prefix[r.start]) as u64))
+                        .collect();
+                    assert_eq!(part_chunks(part, threads), want, "rank {}", plan.rank);
+                }
+                assert_eq!(part_chunks(part, 1), [(0..v.nrows(), part.nnz() as u64)]);
+            }
+        }
+    }
+
+    #[test]
+    fn engine_reads_the_callers_values_in_place() {
+        let m = synthetic::power_law_rows(300, 6.0, 1.0, 4);
+        let p = RowPartition::by_nnz(&m, 1);
+        let comms = CommWorld::create(1);
+        let cfg = EngineConfig::pure_mpi();
+        let eng = RankEngine::new(comms.into_iter().next().unwrap(), &m, &p, cfg);
+        assert!(std::ptr::eq(eng.matrices().full.view().values, m.values()));
+        // each rank's row block points into the whole matrix's values
+        let values = m.values().as_ptr_range();
+        let (lo, hi) = (values.start as usize, values.end as usize);
+        let inside = crate::runner::run_spmd(&m, 3, cfg, |eng| {
+            let v = eng.matrices().full.view().values.as_ptr_range();
+            lo <= v.start as usize && v.end as usize <= hi
+        });
+        assert_eq!(inside, [true; 3]);
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub struct GatherProgram {
     /// Prefix sums of run lengths (`runs.len() + 1` entries) — the weight
     /// vector for balanced thread partitioning.
     run_prefix: Vec<usize>,
+    /// One past the largest source index any run reads.
+    src_end: usize,
 }
 
 impl GatherProgram {
@@ -53,7 +55,12 @@ impl GatherProgram {
         for r in &runs {
             run_prefix.push(run_prefix.last().expect("run_prefix is seeded with 0") + r.len);
         }
-        Self { runs, run_prefix }
+        let src_end = runs.iter().map(|r| r.src + r.len).max().unwrap_or(0);
+        Self {
+            runs,
+            run_prefix,
+            src_end,
+        }
     }
 
     /// The compiled runs, destination-ordered.
@@ -93,6 +100,10 @@ impl GatherProgram {
     /// Executes a subrange of runs through a raw destination pointer;
     /// returns the number of elements copied.
     ///
+    /// # Panics
+    /// If `src` is shorter than the largest source index of any run (the
+    /// whole program's, checked once per call).
+    ///
     /// # Safety
     /// `dst` must be valid for the whole destination buffer
     /// ([`GatherProgram::total_elems`] elements), and concurrent callers
@@ -104,9 +115,13 @@ impl GatherProgram {
         src: &[f64],
         dst: *mut f64,
     ) -> usize {
+        assert!(src.len() >= self.src_end, "source length");
         for r in &self.runs[run_range.clone()] {
-            debug_assert!(r.src + r.len <= src.len());
-            std::ptr::copy_nonoverlapping(src.as_ptr().add(r.src), dst.add(r.dst), r.len);
+            // SAFETY: every run reads below src_end <= src.len(); the
+            // caller vouches for dst.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src.as_ptr().add(r.src), dst.add(r.dst), r.len)
+            };
         }
         self.run_prefix[run_range.end] - self.run_prefix[run_range.start]
     }
@@ -204,6 +219,17 @@ mod tests {
         let prog = check(&indices, 8);
         assert_eq!(prog.runs().len(), 2);
         assert_eq!(prog.runs()[1].len, 2, "[4,5] merges after the repeat");
+    }
+
+    #[test]
+    #[should_panic(expected = "source length")]
+    fn execute_runs_raw_checks_source_length() {
+        // the last run reads src[8..10]; a 9-element source is one short
+        let prog = GatherProgram::compile(&[0, 1, 8, 9]);
+        let src = vec![1.0; 9];
+        let mut dst = vec![0.0; 4];
+        // SAFETY: dst holds total_elems elements; one caller.
+        unsafe { prog.execute_runs_raw(0..1, &src, dst.as_mut_ptr()) };
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! "MPI parallelization of spMVM is generally done by distributing the
 //! nonzeros (or, alternatively, the matrix rows), the right hand side
 //! vector B(:), and the result vector C(:) evenly across MPI processes"
-//! (§3.1). We implement both policies; the paper "use[s] a balanced
+//! (§3.1). We implement both policies; the paper "use\[s\] a balanced
 //! distribution of nonzeros across the MPI processes" (footnote 2), which
 //! is the default everywhere in this workspace.
 

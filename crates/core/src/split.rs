@@ -9,38 +9,49 @@
 //! "A disadvantage of splitting the spMVM in two parts is that the local
 //! result vector must be written twice, incurring additional memory
 //! traffic" (§3.1, Eq. 2); the non-overlapping kernel runs the unsplit
-//! matrix instead. The rank's block is stored once: its columns index the
-//! extended RHS `x_ext = [local | halo]`, and each row holds its local
-//! entries first, then its halo entries in ascending halo index, with a
-//! split offset `mid[i]` between the two. The parts are views of it:
+//! matrix instead. The rank's block is stored once, in the caller's storage
+//! order (each row by ascending global column), and shares the caller's
+//! row pointers and values. It owns only its column indices, remapped to
+//! index the extended RHS `x_ext = [local | halo]`, and where each row's
+//! local entries lie: a sorted row is `[halo left of the rank's rows |
+//! local | halo right of them]`, so its local entries are the middle
+//! segment `begin[i]..end[i]`. The parts are views of it:
 //!
 //! * `full` — row `i` is `row_ptr[i]..row_ptr[i + 1]`, over all of `x_ext`;
-//! * `local` — `row_ptr[i]..mid[i]`, over `x_ext[..local_len]`;
-//! * `nonlocal` — the entries `mid[i]..row_ptr[i + 1]`, over all of `x_ext`
-//!   (read only after the halo exchange completes), kept in a compact copy
-//!   of the halo entries alone. Read in place, each row's few halo entries
-//!   would cost the non-local pass a cache line of the block: on HMeP
-//!   (0.6 M rows per rank, 2.7 % halo entries) that pass took 4.9 ms in
-//!   place against 0.9 ms from the copy.
+//! * `local` — `begin[i]..end[i]`, over `x_ext[..local_len]`;
+//! * `nonlocal` — the entries outside `begin[i]..end[i]`, over all of
+//!   `x_ext` (read only after the halo exchange completes), kept in a
+//!   compact copy of the halo entries alone. Read in place, each row's few
+//!   halo entries would cost the non-local pass a cache line of the block:
+//!   on HMeP (0.6 M rows per rank, 2.7 % halo entries) that pass took
+//!   4.9 ms in place against 0.9 ms from the copy.
 //!
-//! Local columns precede halo columns in `x_ext`, so each stored row is
-//! sorted by its `x_ext` column: the block is exactly the CSR matrix a
-//! separate unsplit copy would be, and each part sums its entries in the
-//! order a separate copy of that part would.
+//! Halo columns follow the local ones in `x_ext` in ascending global order,
+//! so the local and non-local parts each sum their entries by ascending
+//! column, as a separate copy of that part would. The full part sums each
+//! row in the caller's order, the serial kernel's: with `csr-scalar`, the
+//! unsplit product equals [`CsrMatrix::spmv`] bit for bit. The stored
+//! block keeps the caller's arrays alive (see [`CsrMatrix::row_block`]).
 
 use crate::modes::Part;
 use crate::plan::RankPlan;
 use spmv_matrix::{CsrMatrix, CsrView};
 use std::sync::Arc;
 
-/// The stored block: columns in `x_ext` space, each row local-first.
+/// The stored block: the caller's rows in storage order, with their
+/// columns in `x_ext` space.
 #[derive(Debug)]
 struct Block {
+    /// The caller's block, whose row pointers and values are shared.
     csr: CsrMatrix,
-    /// Where row `i`'s local entries end and its halo entries begin.
-    mid: Vec<usize>,
+    /// `csr`'s column indices, remapped into `x_ext`.
+    col_idx: Vec<u32>,
+    /// Where row `i`'s local entries begin and end.
+    begin: Vec<usize>,
+    end: Vec<usize>,
     local_len: usize,
-    /// The halo entries alone, row `i` being `csr`'s `mid[i]..` part.
+    /// The halo entries alone, row `i` being row `i`'s entries outside
+    /// `begin[i]..end[i]`.
     nonlocal: CsrMatrix,
 }
 
@@ -57,16 +68,24 @@ impl BlockPart {
     pub fn view(&self) -> CsrView<'_> {
         let Block {
             csr,
-            mid,
+            col_idx,
+            begin,
+            end,
             local_len,
             nonlocal,
         } = &*self.block;
+        let full = CsrView {
+            col_idx,
+            ncols: nonlocal.ncols(),
+            ..csr.view()
+        };
         match self.part {
-            Part::Full => csr.view(),
+            Part::Full => full,
             Part::Local => CsrView {
-                end: mid,
+                begin,
+                end,
                 ncols: *local_len,
-                ..csr.view()
+                ..full
             },
             Part::Nonlocal => nonlocal.view(),
         }
@@ -74,7 +93,7 @@ impl BlockPart {
 
     /// Number of rows (the rank's local rows).
     pub fn nrows(&self) -> usize {
-        self.block.mid.len()
+        self.block.csr.nrows()
     }
 
     /// Length of the `x` this part reads: `local_len` for the local part,
@@ -83,9 +102,22 @@ impl BlockPart {
         self.view().ncols
     }
 
+    /// Stored entries of this part in rows `..i`, for `i` in `0..=nrows`:
+    /// the prefix nonzero-balanced worksharing cuts on. O(1): a row's local
+    /// entries are its entries less its halo entries.
+    pub fn nnz_before(&self, i: usize) -> usize {
+        let Block { csr, nonlocal, .. } = &*self.block;
+        let (all, halo) = (csr.row_ptr()[i], nonlocal.row_ptr()[i]);
+        match self.part {
+            Part::Full => all,
+            Part::Local => all - halo,
+            Part::Nonlocal => halo,
+        }
+    }
+
     /// Stored entries of this part.
     pub fn nnz(&self) -> usize {
-        self.view().nnz()
+        self.nnz_before(self.nrows())
     }
 }
 
@@ -109,7 +141,8 @@ pub struct SplitMatrix {
 impl SplitMatrix {
     /// Remaps a rank-local row block (global column indices, sorted per
     /// row) according to `plan`, in one pass over its entries that also
-    /// copies out the halo entries.
+    /// copies out the halo entries. The result shares `block`'s row
+    /// pointers and values.
     pub fn build(block: &CsrMatrix, plan: &RankPlan) -> Self {
         assert_eq!(
             block.nrows(),
@@ -128,34 +161,34 @@ impl SplitMatrix {
         };
 
         let mut col_idx = Vec::with_capacity(block.nnz());
-        let mut values = Vec::with_capacity(block.nnz());
-        let mut mid = Vec::with_capacity(nloc);
+        let (mut begin, mut end) = (Vec::with_capacity(nloc), Vec::with_capacity(nloc));
         let (mut nl_ptr, mut nl_cols, mut nl_vals) = (vec![0], Vec::new(), Vec::new());
         for i in 0..nloc {
             // a sorted row is [halo left of lo | local | halo from hi on]
             let (cols, vals) = block.row(i);
             let a = cols.partition_point(|&c| c < lo);
             let b = a + cols[a..].partition_point(|&c| c < hi);
-            col_idx.extend(cols[a..b].iter().map(|&c| c - lo));
-            values.extend_from_slice(&vals[a..b]);
-            mid.push(col_idx.len());
+            let first = col_idx.len();
+            begin.push(first + a);
+            end.push(first + b);
             col_idx.extend(cols[..a].iter().map(halo_col));
+            col_idx.extend(cols[a..b].iter().map(|&c| c - lo));
             col_idx.extend(cols[b..].iter().map(halo_col));
-            values.extend_from_slice(&vals[..a]);
-            values.extend_from_slice(&vals[b..]);
-            nl_cols.extend_from_slice(&col_idx[mid[i]..]);
-            nl_vals.extend_from_slice(&values[mid[i]..]);
+            nl_cols.extend_from_slice(&col_idx[first..first + a]);
+            nl_cols.extend_from_slice(&col_idx[first + b..]);
+            nl_vals.extend_from_slice(&vals[..a]);
+            nl_vals.extend_from_slice(&vals[b..]);
             nl_ptr.push(nl_cols.len());
         }
         let ncols = nloc + halo_globals.len();
         nl_cols.shrink_to_fit();
         nl_vals.shrink_to_fit();
         let nonlocal = CsrMatrix::from_parts_unchecked(nloc, ncols, nl_ptr, nl_cols, nl_vals);
-        let csr =
-            CsrMatrix::from_parts_unchecked(nloc, ncols, block.row_ptr().to_vec(), col_idx, values);
         let block = Arc::new(Block {
-            csr,
-            mid,
+            csr: block.clone(),
+            col_idx,
+            begin,
+            end,
             local_len: nloc,
             nonlocal,
         });
@@ -201,32 +234,53 @@ mod tests {
         split_on(m, &RowPartition::by_nnz(m, parts))
     }
 
-    /// The three separate copies the block replaces, built one
-    /// `CsrBuilder` per part: `full` over `x_ext`, `local` over the local
-    /// columns, `nonlocal` over the halo buffer alone.
-    fn three_copies(block: &CsrMatrix, plan: &RankPlan) -> [CsrMatrix; 3] {
+    /// The separate copies the block replaces: `full`, the block in
+    /// storage order with its columns remapped into `x_ext`, as row
+    /// pointers, columns and values (its rows are not sorted, so it is no
+    /// `CsrMatrix`); `local` over the local columns and `nonlocal` over
+    /// the halo buffer alone, one `CsrBuilder` each.
+    fn reference_copies(block: &CsrMatrix, plan: &RankPlan) -> (Csr, CsrMatrix, CsrMatrix) {
         let (nloc, halo) = (plan.local_len, plan.halo_globals());
         let lo = plan.row_start as u32;
-        let mut full = CsrBuilder::new(nloc + halo.len(), block.nnz());
+        let mut full_cols = Vec::new();
         let mut local = CsrBuilder::new(nloc, block.nnz());
         let mut nonlocal = CsrBuilder::new(halo.len(), block.nnz());
         for i in 0..block.nrows() {
             let (cols, vals) = block.row(i);
             for (&c, &v) in cols.iter().zip(vals) {
                 if (lo..lo + nloc as u32).contains(&c) {
-                    full.push((c - lo) as usize, v);
+                    full_cols.push(c - lo);
                     local.push((c - lo) as usize, v);
                 } else {
                     let h = halo.binary_search(&c).expect("halo column");
-                    full.push(nloc + h, v);
+                    full_cols.push((nloc + h) as u32);
                     nonlocal.push(h, v);
                 }
             }
-            full.finish_row();
             local.finish_row();
             nonlocal.finish_row();
         }
-        [full.build(), local.build(), nonlocal.build()]
+        let full = (
+            block.row_ptr().to_vec(),
+            full_cols,
+            block.values().to_vec(),
+            nloc + halo.len(),
+        );
+        (full, local.build(), nonlocal.build())
+    }
+
+    /// Row pointers, columns, values and column count of a CSR copy.
+    type Csr = (Vec<usize>, Vec<u32>, Vec<f64>, usize);
+
+    fn csr_view(c: &Csr) -> CsrView<'_> {
+        let n = c.0.len() - 1;
+        CsrView {
+            begin: &c.0[..n],
+            end: &c.0[1..],
+            col_idx: &c.1,
+            values: &c.2,
+            ncols: c.3,
+        }
     }
 
     /// `csr-scalar`'s row sums as an indexed loop over the shared arrays:
@@ -244,8 +298,10 @@ mod tests {
     /// Every kernel gives the same bits on the views as on the separate
     /// copies, for the unsplit product and for the local-then-non-local
     /// one, and both match the global product; the full view is the
-    /// separate full copy, array for array. `csr-scalar` also keeps the
-    /// indexed loop's bits on every view, serially and over odd rows.
+    /// block in storage order, array for array, reading the caller's
+    /// values in place. `csr-scalar` keeps the serial product's bits on
+    /// the full view, and the indexed loop's bits on every view, serially
+    /// and over odd rows. Every part's `nnz_before` counts its view's rows.
     fn check_views(m: &CsrMatrix, p: &RowPartition) {
         let x = vecops::random_vec(m.ncols(), 17);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -259,11 +315,25 @@ mod tests {
             let (rank, range) = (plan.rank, p.range(plan.rank));
             let block = m.row_block(range.clone());
             let s = SplitMatrix::build(&block, &plan);
-            let [full, local, nonlocal] = three_copies(&block, &plan);
-            let v = s.full.view();
-            assert_eq!(v.nnz_prefix(), full.row_ptr(), "rank {rank}");
-            assert_eq!((v.col_idx, v.values), (full.col_idx(), full.values()));
+            let (full, local, nonlocal) = reference_copies(&block, &plan);
+            let (v, full) = (s.full.view(), csr_view(&full));
+            assert_eq!((v.begin, v.end), (full.begin, full.end), "rank {rank}");
+            assert_eq!((v.col_idx, v.values), (full.col_idx, full.values));
+            assert!(std::ptr::eq(v.values, block.values()), "values shared");
             assert_eq!(s.local.nnz(), local.nnz(), "rank {rank}");
+            for part in [&s.full, &s.local, &s.nonlocal] {
+                let rows = (0..part.nrows()).map(|i| part.view().row_range(i).len());
+                let want: Vec<usize> = [0]
+                    .into_iter()
+                    .chain(rows)
+                    .scan(0, |acc, len| {
+                        *acc += len;
+                        Some(*acc)
+                    })
+                    .collect();
+                let got: Vec<usize> = (0..=part.nrows()).map(|i| part.nnz_before(i)).collect();
+                assert_eq!(got, want, "rank {rank}");
+            }
 
             let halo: Vec<f64> = plan.halo_globals().iter().map(|&g| x[g as usize]).collect();
             let x_ext = [&x[range.clone()], &halo].concat();
@@ -273,9 +343,12 @@ mod tests {
                     prepare_kernel(kind, mat).spmv_rows(mat, 0..n, x, y, add);
                 };
                 let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
-                run(full.view(), &x_ext, &mut want, false);
+                run(full, &x_ext, &mut want, false);
                 run(s.full.view(), &x_ext, &mut got, false);
                 assert_eq!(bits(&got), bits(&want), "{kind} full, rank {rank}");
+                if kind == KernelKind::CsrScalar {
+                    assert_eq!(bits(&got), bits(&y_global[range.clone()]), "rank {rank}");
+                }
                 assert!(vecops::max_abs_diff(&got, &y_global[range.clone()]) < 1e-12);
 
                 run(local.view(), x_local, &mut want, false);

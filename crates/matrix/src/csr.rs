@@ -11,8 +11,69 @@
 //!   do j = row_ptr(i), row_ptr(i+1) - 1
 //!     C(i) = C(i) + val(j) * B(col_idx(j))
 //! ```
+//!
+//! The arrays are shared rather than copied: a [`CsrMatrix`] takes over the
+//! `Vec`s it is built from, a clone shares all three, and a
+//! [`CsrMatrix::row_block`] shares the column indices and values.
 
 use crate::{MatrixError, Result};
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
+/// An immutable slice of a reference-counted `Vec`. Wrapping a `Vec` takes
+/// it over without copying it; a clone or a sub-slice shares the same
+/// allocation.
+#[derive(Clone)]
+struct Shared<T> {
+    data: Arc<Vec<T>>,
+    range: Range<usize>,
+}
+
+impl<T> Shared<T> {
+    /// Elements `r` of this slice, sharing its allocation.
+    fn slice(&self, r: Range<usize>) -> Self {
+        assert!(
+            r.start <= r.end && r.end <= self.len(),
+            "sub-slice out of range"
+        );
+        let start = self.range.start;
+        Self {
+            data: Arc::clone(&self.data),
+            range: start + r.start..start + r.end,
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Shared<T> {
+    fn from(v: Vec<T>) -> Self {
+        Self {
+            range: 0..v.len(),
+            data: Arc::new(v),
+        }
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.data[self.range.clone()]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
 
 /// A sparse matrix in Compressed Row Storage format.
 ///
@@ -42,13 +103,19 @@ use crate::{MatrixError, Result};
 ///   `row_ptr[nrows] == values.len() == col_idx.len()`;
 /// * inside each row, column indices are strictly increasing (sorted and
 ///   duplicate-free) and `< ncols`.
+///
+/// A matrix is immutable and holds its arrays as reference-counted
+/// slices: the constructors take over their `Vec`s without copying them,
+/// `clone` is O(1), and a [`CsrMatrix::row_block`] shares its parent's
+/// column indices and values. Any such matrix keeps the arrays it points
+/// into alive, all of them and not just its own rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
+    row_ptr: Shared<usize>,
+    col_idx: Shared<u32>,
+    values: Shared<f64>,
 }
 
 impl CsrMatrix {
@@ -104,9 +171,9 @@ impl CsrMatrix {
         Ok(Self {
             nrows,
             ncols,
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
         })
     }
 
@@ -133,24 +200,15 @@ impl CsrMatrix {
         Self {
             nrows,
             ncols,
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
         }
     }
 
     /// The `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let row_ptr = (0..=n).collect();
-        let col_idx = (0..n as u32).collect();
-        let values = vec![1.0; n];
-        Self {
-            nrows: n,
-            ncols: n,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        Self::from_diagonal(&vec![1.0; n])
     }
 
     /// A square matrix with the given diagonal.
@@ -159,9 +217,9 @@ impl CsrMatrix {
         Self {
             nrows: n,
             ncols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n as u32).collect(),
-            values: diag.to_vec(),
+            row_ptr: (0..=n).collect::<Vec<_>>().into(),
+            col_idx: (0..n as u32).collect::<Vec<_>>().into(),
+            values: diag.to_vec().into(),
         }
     }
 
@@ -220,7 +278,7 @@ impl CsrMatrix {
 
     /// Index range of row `i` into `col_idx` / `values`.
     #[inline]
-    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+    pub fn row_range(&self, i: usize) -> Range<usize> {
         self.row_ptr[i]..self.row_ptr[i + 1]
     }
 
@@ -277,7 +335,7 @@ impl CsrMatrix {
     /// The transpose `Aᵀ` as a new CSR matrix.
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
+        for &c in self.col_idx.iter() {
             counts[c as usize + 1] += 1;
         }
         for j in 0..self.ncols {
@@ -301,9 +359,9 @@ impl CsrMatrix {
         CsrMatrix {
             nrows: self.ncols,
             ncols: self.nrows,
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
         }
     }
 
@@ -322,10 +380,11 @@ impl CsrMatrix {
             .all(|(a, b)| (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0))
     }
 
-    /// Extracts a contiguous row block `rows` as a standalone matrix with
-    /// unchanged (global) column indices. This is exactly the per-process
-    /// chunk produced by the distributed row partitioning.
-    pub fn row_block(&self, rows: std::ops::Range<usize>) -> CsrMatrix {
+    /// The contiguous row block `rows` as a matrix of its own with
+    /// unchanged (global) column indices: the per-process chunk of the
+    /// distributed row partitioning. It shares this matrix's column
+    /// indices and values, and allocates only its rebased row pointers.
+    pub fn row_block(&self, rows: Range<usize>) -> CsrMatrix {
         assert!(rows.end <= self.nrows);
         let base = self.row_ptr[rows.start];
         let end = self.row_ptr[rows.end];
@@ -336,9 +395,9 @@ impl CsrMatrix {
         CsrMatrix {
             nrows: rows.len(),
             ncols: self.ncols,
-            row_ptr,
-            col_idx: self.col_idx[base..end].to_vec(),
-            values: self.values[base..end].to_vec(),
+            row_ptr: row_ptr.into(),
+            col_idx: self.col_idx.slice(base..end),
+            values: self.values.slice(base..end),
         }
     }
 
@@ -376,9 +435,9 @@ impl CsrMatrix {
         Ok(CsrMatrix {
             nrows: self.nrows,
             ncols: self.ncols,
-            row_ptr,
-            col_idx,
-            values,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
         })
     }
 
@@ -406,24 +465,13 @@ impl CsrMatrix {
     pub fn storage_bytes(&self) -> usize {
         self.values.len() * 8 + self.col_idx.len() * 4 + self.row_ptr.len() * 8
     }
-
-    /// Consumes the matrix, returning `(nrows, ncols, row_ptr, col_idx, values)`.
-    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<f64>) {
-        (
-            self.nrows,
-            self.ncols,
-            self.row_ptr,
-            self.col_idx,
-            self.values,
-        )
-    }
 }
 
 /// A row-range view of CSR storage: row `i` spans `begin[i]..end[i]` of
 /// the shared `col_idx` / `values`. A whole [`CsrMatrix`] is the view
 /// `(row_ptr[..n], row_ptr[1..])` ([`CsrMatrix::view`]); one stored block
 /// can also expose per-row parts of itself without copying them, as the
-/// local and non-local parts of `spmv-core`'s split matrix do.
+/// local part of `spmv-core`'s split matrix does.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     /// First entry of each row.
@@ -447,7 +495,7 @@ impl<'a> CsrView<'a> {
 
     /// Index range of row `i` into `col_idx` / `values`.
     #[inline]
-    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
+    pub fn row_range(&self, i: usize) -> Range<usize> {
         self.begin[i]..self.end[i]
     }
 
@@ -458,22 +506,6 @@ impl<'a> CsrView<'a> {
         (&self.col_idx[r.clone()], &self.values[r])
     }
 
-    /// Entries in rows `..i` for every `i` in `0..=nrows` (the weights
-    /// nonzero-balanced worksharing splits on; a whole matrix's `row_ptr`).
-    pub fn nnz_prefix(&self) -> Vec<usize> {
-        let mut prefix = Vec::with_capacity(self.nrows() + 1);
-        prefix.push(0);
-        for (b, e) in self.begin.iter().zip(self.end) {
-            prefix.push(prefix[prefix.len() - 1] + (e - b));
-        }
-        prefix
-    }
-
-    /// Stored entries over all rows.
-    pub fn nnz(&self) -> usize {
-        self.begin.iter().zip(self.end).map(|(b, e)| e - b).sum()
-    }
-
     /// `y[i] (=|+=) row i · x` for every row `i` in `rows`: the scalar CRS
     /// kernel of §1.2, summing each row in storage order. With `add` it is
     /// the accumulate form the split kernels' second pass uses (Eq. 2).
@@ -481,7 +513,7 @@ impl<'a> CsrView<'a> {
     /// # Panics
     /// If `x.len() != ncols`, `rows` reaches past the last row, or `y` is
     /// shorter than `rows.end`.
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
+    pub fn spmv_rows(&self, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         assert!(rows.end <= self.nrows());
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert!(
@@ -506,7 +538,7 @@ impl<'a> CsrView<'a> {
     #[inline]
     pub unsafe fn spmv_rows_ptr(
         &self,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
@@ -785,6 +817,25 @@ mod tests {
         assert_eq!(b.get(1, 0), 4.0);
         assert_eq!(b.get(1, 2), 5.0);
         assert_eq!(b.nnz(), 3);
+    }
+
+    #[test]
+    fn row_block_and_clone_share_the_parent_arrays() {
+        let a = small();
+        let b = a.row_block(1..3);
+        // row 1 starts at entry 2 of the parent
+        assert!(std::ptr::eq(&b.col_idx()[0], &a.col_idx()[2]));
+        assert!(std::ptr::eq(&b.values()[0], &a.values()[2]));
+        assert_eq!(b.row_ptr(), [0, 1, 3], "row pointers are rebased");
+        let c = b.clone();
+        assert!(std::ptr::eq(c.col_idx(), b.col_idx()));
+        assert!(std::ptr::eq(c.values(), b.values()));
+        assert!(std::ptr::eq(c.row_ptr(), b.row_ptr()));
+        // a block of a block still points into the first parent
+        let d = b.row_block(1..2);
+        assert!(std::ptr::eq(d.values(), &a.values()[3..5]));
+        assert_eq!(d, a.row_block(2..3));
+        assert!(a.row_block(3..3).values().is_empty());
     }
 
     #[test]

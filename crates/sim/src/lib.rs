@@ -15,7 +15,7 @@
 //!
 //! ## The progress rule — the paper's crux
 //!
-//! Standard MPI "support[s] progress, i.e. actual data transfer, only when
+//! Standard MPI "support\[s\] progress, i.e. actual data transfer, only when
 //! MPI library code is executed by the user process" (§3). The simulator
 //! encodes exactly that ([`progress::ProgressModel::InsideCallsOnly`]):
 //!

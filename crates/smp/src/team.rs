@@ -33,7 +33,7 @@ fn backoff(spins: &mut u32) {
 
 /// Reusable spin barrier for exactly `size` participants. Each arrival
 /// counts itself in; the last one resets the count and bumps a generation
-/// word, which the others spin on (see [`backoff`]).
+/// word, which the others spin on (spinning, then yielding).
 pub struct SpinBarrier {
     size: usize,
     count: AtomicUsize,

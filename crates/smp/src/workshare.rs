@@ -39,23 +39,41 @@ pub fn static_chunk(n: usize, nthreads: usize, tid: usize) -> Range<usize> {
 /// MPI distribution ("a balanced distribution of nonzeros across the MPI
 /// processes").
 pub fn balanced_chunks(prefix: &[usize], parts: usize) -> Vec<Range<usize>> {
-    assert!(parts > 0);
     assert!(!prefix.is_empty(), "prefix must have at least one entry");
     debug_assert!(
         prefix.windows(2).all(|w| w[0] <= w[1]),
         "prefix must be non-decreasing"
     );
-    let n = prefix.len() - 1;
-    let total = prefix[n] - prefix[0];
+    balanced_chunks_by(prefix.len() - 1, parts, |i| prefix[i])
+}
+
+/// [`balanced_chunks`] over `0..n` with the prefix given as a function
+/// of `i` in `0..=n`, for weights whose prefix sums are computed on demand
+/// rather than stored. It evaluates `prefix` at O(parts · log n) points,
+/// and only at `0` and `n` for one part.
+pub fn balanced_chunks_by(
+    n: usize,
+    parts: usize,
+    prefix: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    assert!(parts > 0);
+    let (first, total) = (prefix(0), prefix(n) - prefix(0));
     let mut bounds = Vec::with_capacity(parts + 1);
     bounds.push(0usize);
     for k in 1..parts {
-        let target = prefix[0] as u128 + (total as u128 * k as u128) / parts as u128;
-        // first index whose prefix value is >= target, clamped to be
-        // monotone with previous boundaries
-        let mut idx = prefix.partition_point(|&p| (p as u128) < target);
-        idx = idx.clamp(*bounds.last().unwrap(), n);
-        bounds.push(idx);
+        let target = first as u128 + (total as u128 * k as u128) / parts as u128;
+        // first index whose prefix value is >= target (a partition point
+        // over 0..=n), clamped to be monotone with previous boundaries
+        let (mut lo, mut hi) = (0, n + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (prefix(mid) as u128) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        bounds.push(lo.clamp(bounds[k - 1], n));
     }
     bounds.push(n);
     (0..parts).map(|k| bounds[k]..bounds[k + 1]).collect()
@@ -154,6 +172,33 @@ mod tests {
         let chunks = balanced_chunks(&prefix, 8);
         let imb = imbalance(&prefix, &chunks);
         assert!(imb < 1.05, "imbalance {imb} too high for fine-grained rows");
+    }
+
+    #[test]
+    fn balanced_chunks_by_cuts_at_the_slice_partition_points() {
+        // the bisection over 0..=n must land where partition_point on the
+        // stored prefix does, empty rows and more parts than rows included
+        let mut prefix = vec![0usize];
+        let mut state = 99u64;
+        for _ in 0..200 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            prefix.push(prefix.last().unwrap() + (state >> 60) as usize % 5);
+        }
+        for (n, parts) in [(200, 1), (200, 3), (200, 7), (3, 5), (0, 2)] {
+            let p = &prefix[..=n];
+            let total = p[n] as u128;
+            let mut want = vec![0usize];
+            for k in 1..parts {
+                let target = total * k as u128 / parts as u128;
+                let idx = p.partition_point(|&w| (w as u128) < target);
+                want.push(idx.clamp(want[k - 1], n));
+            }
+            want.push(n);
+            let want: Vec<_> = want.windows(2).map(|w| w[0]..w[1]).collect();
+            assert_eq!(balanced_chunks_by(n, parts, |i| p[i]), want, "{n} {parts}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chebyshev time evolution of quantum states — the paper's reference [11]
+//! Chebyshev time evolution of quantum states — the paper's reference \[11\]
 //! (Weiße & Fehske, "Chebyshev expansion techniques"): the other
 //! polynomial-expansion application its introduction names ("time evolution
 //! of quantum states"), whose run time is again dominated by SpMV.

@@ -1,4 +1,4 @@
-//! The kernel polynomial method (KPM) — the paper's reference [10]
+//! The kernel polynomial method (KPM) — the paper's reference \[10\]
 //! (Weiße, Wellein, Alvermann, Fehske, Rev. Mod. Phys. 78, 275): spectral
 //! densities from Chebyshev moments with Jackson damping. Each moment is
 //! one SpMV, which is why KPM workloads are SpMV-bound exactly like

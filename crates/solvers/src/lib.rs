@@ -19,7 +19,7 @@
 //! exactly how production iterative codes are structured.
 //!
 //! Provided solvers: conjugate gradients ([`cg`]), symmetric Lanczos with
-//! a Sturm-bisection tridiagonal eigensolver ([`lanczos`], [`tridiag`]),
+//! a Sturm-bisection tridiagonal eigensolver ([`lanczos()`], [`tridiag`]),
 //! the kernel polynomial method with Jackson damping ([`kpm`]), Chebyshev
 //! time evolution ([`chebyshev`]), and power iteration ([`power`]). CG and
 //! Lanczos each have one loop; their `*_checkpointed` entry points add

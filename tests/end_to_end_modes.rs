@@ -112,34 +112,51 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
 #[test]
 fn non_default_kernels_through_all_modes() {
     // the dispatcher end to end: every node-level kernel must drive all
-    // three modes to the serial result on a real application matrix, and
-    // two runs on fresh worlds must agree bit for bit
-    let m = holstein::hamiltonian(&HolsteinParams::test_scale(
+    // three modes to the serial result on real application matrices, and
+    // two runs on fresh worlds must agree bit for bit; `csr-scalar` in
+    // vector mode without overlap sums each row in the serial order, so
+    // it must give the serial bits at every rank and thread count
+    let hmep = holstein::hamiltonian(&HolsteinParams::test_scale(
         HolsteinOrdering::ElectronContiguous,
     ));
-    let x = vecops::random_vec(m.nrows(), 17);
-    let mut y_ref = vec![0.0; m.nrows()];
-    m.spmv(&x, &mut y_ref);
-
+    let samg = samg::poisson(&SamgParams::test_scale());
+    let ragged = synthetic::power_law_rows(900, 8.0, 1.0, 23);
     let mut kernels = KernelKind::candidates();
     kernels.push(KernelKind::Sell { c: 4, sigma: 1 });
     let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for kernel in kernels {
-        for mode in KernelMode::ALL {
-            let cfg = if mode.needs_comm_thread() {
-                EngineConfig::task_mode(2)
-            } else {
-                EngineConfig::hybrid(2)
+    for (label, m) in [("HMeP", hmep), ("sAMG", samg), ("power-law", ragged)] {
+        let x = vecops::random_vec(m.nrows(), 17);
+        let mut y_ref = vec![0.0; m.nrows()];
+        m.spmv(&x, &mut y_ref);
+        for &kernel in &kernels {
+            for mode in KernelMode::ALL {
+                let cfg = if mode.needs_comm_thread() {
+                    EngineConfig::task_mode(2)
+                } else {
+                    EngineConfig::hybrid(2)
+                }
+                .with_kernel(kernel);
+                let y = distributed_spmv(&m, &x, 4, cfg, mode);
+                let err = vecops::rel_error(&y, &y_ref);
+                assert!(err < 1e-10, "{label}: kernel {kernel} in {mode}: err {err}");
+                let again = distributed_spmv(&m, &x, 4, cfg, mode);
+                assert!(
+                    bits(&y) == bits(&again),
+                    "{label}: kernel {kernel} in {mode}: repeated run is not bit-identical"
+                );
             }
-            .with_kernel(kernel);
-            let y = distributed_spmv(&m, &x, 4, cfg, mode);
-            let err = vecops::rel_error(&y, &y_ref);
-            assert!(err < 1e-10, "kernel {kernel} in {mode}: err {err}");
-            let again = distributed_spmv(&m, &x, 4, cfg, mode);
-            assert!(
-                bits(&y) == bits(&again),
-                "kernel {kernel} in {mode}: repeated run is not bit-identical"
-            );
+        }
+        for ranks in 1..=4 {
+            for threads in 1..=2 {
+                let cfg = EngineConfig::hybrid(threads).with_kernel(KernelKind::CsrScalar);
+                let y = distributed_spmv(&m, &x, ranks, cfg, KernelMode::VectorNoOverlap);
+                let differ = bits(&y)
+                    .iter()
+                    .zip(bits(&y_ref))
+                    .filter(|(a, b)| *a != b)
+                    .count();
+                assert_eq!(differ, 0, "{label}: {ranks} ranks x {threads} threads");
+            }
         }
     }
 }
