@@ -6,9 +6,11 @@
 //! * `commthread` — SMT-sibling vs donated-physical-core comm thread;
 //! * `aggregation`— message counts/volumes across the three layouts;
 //! * `eager`      — eager-threshold sensitivity;
-//! * `kernel`     — node-level kernel dispatch (wall clock on this host);
+//! * `kernel`     — node-level kernel dispatch (wall clock on this host),
+//!   with each SELL-C-σ kind's padding factor α and storage;
 //! * `commstrategy` — flat vs node-aware halo exchange: per-level message
-//!   counts from the actual plans, priced by the hierarchical cost model.
+//!   counts over each rank's exchange op list, priced by the hierarchical
+//!   cost model.
 //!
 //! `cargo run --release -p spmv-bench --bin ablations [-- <which>] [--scale ...]
 //!  [--kernel <kind>] [--trace <path>]` (runs all ablations when no selector
@@ -20,10 +22,12 @@
 use spmv_bench::microbench::Bench;
 use spmv_bench::{header, hmep, Scale};
 use spmv_core::{
-    distributed_spmv, prepare_kernel, workload, EngineConfig, KernelKind, KernelMode, RowPartition,
+    distributed_spmv, prepare_kernel, workload, EngineConfig, ExchangeSchedule, KernelKind,
+    KernelMode, RowPartition,
 };
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout, RankNodeMap};
 use spmv_matrix::rcm::rcm_reorder;
+use spmv_matrix::SellMatrix;
 use spmv_model::comm::{crossover_messages, CommLevels, RankTraffic};
 use spmv_sim::{simulate_job, simulate_spmv, ProgressModel, SimConfig};
 
@@ -214,29 +218,23 @@ fn main() {
         let map = RankNodeMap::contiguous(ranks, rpn);
         let na_plans = spmv_core::plan::build_node_aware_serial(&plans, &map);
         let levels = CommLevels::from_cluster(&cluster);
-        let price = |traffics: Vec<spmv_core::CommTraffic>| {
-            let per_rank: Vec<RankTraffic> = traffics
-                .iter()
-                .map(|t| RankTraffic {
-                    intra_msgs: t.intra_msgs,
-                    intra_bytes: t.intra_bytes,
-                    inter_msgs: t.inter_msgs,
-                    inter_bytes: t.inter_bytes,
-                })
-                .collect();
+        // per-rank traffic counted over each rank's exchange op list
+        let price = |per_rank: Vec<RankTraffic>| {
             let model = levels.job_exchange_time(&per_rank);
-            let sum = per_rank
-                .iter()
-                .fold(RankTraffic::default(), |a, t| RankTraffic {
-                    intra_msgs: a.intra_msgs + t.intra_msgs,
-                    intra_bytes: a.intra_bytes + t.intra_bytes,
-                    inter_msgs: a.inter_msgs + t.inter_msgs,
-                    inter_bytes: a.inter_bytes + t.inter_bytes,
-                });
-            (sum, model)
+            (per_rank.into_iter().sum::<RankTraffic>(), model)
         };
-        let (flat_sum, flat_t) = price(plans.iter().map(|pl| pl.traffic(&map)).collect());
-        let (na_sum, na_t) = price(na_plans.iter().map(|pl| pl.traffic()).collect());
+        let (flat_sum, flat_t) = price(
+            plans
+                .iter()
+                .map(|pl| ExchangeSchedule::flat(pl).traffic(&map))
+                .collect(),
+        );
+        let (na_sum, na_t) = price(
+            na_plans
+                .iter()
+                .map(|pl| ExchangeSchedule::node_aware(pl).traffic(&map))
+                .collect(),
+        );
         for (name, s, t) in [("flat", flat_sum, flat_t), ("node-aware", na_sum, na_t)] {
             println!(
                 "  {name:<11} inter {:>4} msgs / {:>7.1} KiB, intra {:>4} msgs / {:>7.1} KiB, \
@@ -284,8 +282,18 @@ fn main() {
                     false,
                 );
             });
+            // SELL pads each chunk to its longest row: α stored slots per
+            // nonzero, and the storage that costs against CRS
+            let shape = match kind {
+                KernelKind::Sell { c, sigma } => {
+                    let sell = SellMatrix::from_csr(&m, c, sigma);
+                    let ratio = sell.storage_bytes() as f64 / m.storage_bytes() as f64;
+                    format!(", α {:.3}, storage {ratio:.2}x CRS", sell.padding_factor())
+                }
+                _ => String::new(),
+            };
             println!(
-                "  {:<16} {:.2} GFlop/s (serial, full matrix)",
+                "  {:<16} {:.2} GFlop/s (serial, full matrix){shape}",
                 kind.label(),
                 meas.gflops(flops)
             );

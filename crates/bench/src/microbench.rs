@@ -1,12 +1,10 @@
-//! Minimal dependency-free microbenchmark harness.
+//! Minimal dependency-free timing harness for the `ablations` binary.
 //!
-//! The `[[bench]]` targets in this crate use `harness = false` and this
-//! module instead of an external benchmarking crate, so the workspace
-//! builds fully offline. The methodology is the usual one: calibrate an
-//! inner iteration count until one sample lasts long enough for the clock
-//! to resolve, warm up, take several samples, and report the median and
-//! minimum per-iteration time. The *minimum* is the least-noise estimate
-//! and is what throughput numbers are derived from.
+//! The methodology is the usual one: calibrate an inner iteration count
+//! until one sample lasts long enough for the clock to resolve, warm up,
+//! take several samples, and report the median and minimum per-iteration
+//! time. The *minimum* is the least-noise estimate and is what throughput
+//! numbers are derived from.
 
 use std::time::Instant;
 
@@ -28,11 +26,6 @@ impl Measurement {
     pub fn gflops(&self, flops: f64) -> f64 {
         flops / self.min_s / 1e9
     }
-
-    /// Throughput in GB/s for a kernel moving `bytes` bytes per iteration.
-    pub fn gbs(&self, bytes: f64) -> f64 {
-        bytes / self.min_s / 1e9
-    }
 }
 
 /// Harness configuration.
@@ -47,22 +40,7 @@ pub struct Bench {
     pub max_iters: u64,
 }
 
-impl Default for Bench {
-    fn default() -> Self {
-        Bench {
-            samples: 9,
-            target_sample_s: 0.02,
-            max_iters: 1 << 20,
-        }
-    }
-}
-
 impl Bench {
-    /// The default configuration (9 samples of >= 20 ms each).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A faster configuration for expensive setups (5 samples of >= 5 ms).
     pub fn quick() -> Self {
         Bench {
@@ -107,59 +85,6 @@ impl Bench {
             samples: self.samples,
         }
     }
-
-    /// Measures `f` and prints a `group/name` report line. `throughput`
-    /// optionally adds a rate column: `(units_per_iter, "flops"|"bytes")`.
-    pub fn run<F: FnMut()>(
-        &self,
-        group: &str,
-        name: &str,
-        throughput: Option<(f64, Unit)>,
-        f: F,
-    ) -> Measurement {
-        let m = self.measure(f);
-        report(group, name, &m, throughput);
-        m
-    }
-}
-
-/// What one iteration's `throughput` units count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Floating-point operations: reported as GFlop/s.
-    Flops,
-    /// Bytes moved: reported as GB/s.
-    Bytes,
-}
-
-/// Formats seconds with an adaptive unit (ns / µs / ms / s).
-pub fn fmt_time(s: f64) -> String {
-    if s < 1e-6 {
-        format!("{:8.1} ns", s * 1e9)
-    } else if s < 1e-3 {
-        format!("{:8.2} µs", s * 1e6)
-    } else if s < 1.0 {
-        format!("{:8.2} ms", s * 1e3)
-    } else {
-        format!("{s:8.3} s ")
-    }
-}
-
-/// Prints one benchmark report line.
-pub fn report(group: &str, name: &str, m: &Measurement, throughput: Option<(f64, Unit)>) {
-    let label = format!("{group}/{name}");
-    let rate = match throughput {
-        Some((units, Unit::Flops)) => format!("  {:7.2} GFlop/s", m.gflops(units)),
-        Some((units, Unit::Bytes)) => format!("  {:7.2} GB/s", m.gbs(units)),
-        None => String::new(),
-    };
-    println!(
-        "{label:<44} {} /iter (median {}, {} x {} iters){rate}",
-        fmt_time(m.min_s),
-        fmt_time(m.median_s),
-        m.samples,
-        m.iters
-    );
 }
 
 #[cfg(test)]
@@ -193,14 +118,5 @@ mod tests {
             samples: 5,
         };
         assert!((m.gflops(2e6) - 2.0).abs() < 1e-12);
-        assert!((m.gbs(3e6) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_formatting_picks_units() {
-        assert!(fmt_time(5e-9).contains("ns"));
-        assert!(fmt_time(5e-6).contains("µs"));
-        assert!(fmt_time(5e-3).contains("ms"));
-        assert!(fmt_time(5.0).trim_end().ends_with('s'));
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! The engine has no per-mode code: it interprets the mode's step lists
 //! ([`KernelMode::lanes`]) one step at a time, stamping a trace span per
-//! step, with communication behind the strategy-blind `HaloExchange`.
+//! step; a communication step runs its group of the rank's exchange op
+//! list (`HaloExchange`, one interpreter for both strategies).
 //! Every SpMV is one region of the persistent [`ThreadTeam`], whose thread
 //! 0 is the calling (rank) thread and makes the communication calls. A
 //! one-lane (vector mode) schedule runs on every thread: each compute
@@ -24,10 +25,11 @@ use crate::gather::GatherProgram;
 use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
 use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
-use crate::plan::{build_plan_distributed, CommTraffic, RankPlan};
+use crate::plan::{build_plan_distributed, RankPlan};
 use crate::split::{BlockPart, SplitMatrix};
 use spmv_comm::{Comm, CommError, CommStats};
 use spmv_matrix::CsrMatrix;
+use spmv_model::RankTraffic;
 use spmv_obs::{RankTrace, TraceSink};
 use spmv_smp::workshare::balanced_chunks_by;
 use spmv_smp::{TeamCtx, ThreadTeam};
@@ -263,13 +265,13 @@ impl RankEngine {
     /// The halo-exchange strategy in effect (flat after a degraded-leader
     /// fallback or [`Self::demote_to_flat`]).
     pub fn active_strategy(&self) -> CommStrategy {
-        self.exchange.strategy()
+        self.exchange.strategy
     }
 
     /// Demotes a node-aware engine to the flat exchange mid-run: collective
     /// (every rank at the same point), but no communication.
     pub fn demote_to_flat(&mut self) {
-        self.exchange.demote_to_flat(&self.plan, self.comm.size());
+        self.exchange.demote_to_flat(&self.plan);
     }
 
     /// Number of locally owned rows.
@@ -417,7 +419,7 @@ impl RankEngine {
 
     /// The compiled gather program (compression diagnostics).
     pub fn gather_program(&self) -> &GatherProgram {
-        self.exchange.gather_program()
+        &self.exchange.gather
     }
 
     /// The halo part of the extended RHS (valid after an exchange).
@@ -425,10 +427,12 @@ impl RankEngine {
         &self.x_ext[self.plan.local_len..]
     }
 
-    /// Predicted per-exchange traffic of this rank under the active
-    /// strategy (flat counts every off-rank message as inter-node).
-    pub fn exchange_traffic(&self) -> CommTraffic {
-        self.exchange.traffic()
+    /// Predicted per-exchange traffic of this rank: a count over the sends
+    /// of the exchange it runs, classified by the active strategy's node
+    /// map (flat counts every off-rank message as inter-node).
+    pub fn exchange_traffic(&self) -> RankTraffic {
+        let map = self.active_strategy().rank_node_map(self.comm.size());
+        self.exchange.schedule.traffic(&map)
     }
 
     // -- the step interpreter ------------------------------------------------
@@ -514,7 +518,7 @@ impl RankEngine {
             Step::PostRecvs => {
                 // SAFETY: thread 0 is the halo's only user until its waitall.
                 let halo = unsafe { b.halo_mut() };
-                *pending = Some(ex.post_recvs(comm, halo));
+                *pending = Some(ex.post_recvs(comm, halo)?);
                 Ok((halo_bytes, 0))
             }
             Step::Gather => {
@@ -532,9 +536,7 @@ impl RankEngine {
                 Ok((send_bytes, 0))
             }
             Step::Waitall => {
-                // SAFETY: as for the send step.
-                let send = unsafe { b.send_buf() };
-                ex.finish(comm, send, pending.take().expect(POSTED))?;
+                ex.finish(comm, pending.take().expect(POSTED))?;
                 Ok((halo_bytes, 0))
             }
             Step::Compute(part) => Ok((0, self.compute(part, b, lane - 1))),
@@ -772,13 +774,14 @@ mod tests {
     }
 
     /// Runs one halo exchange on a world whose stats classify messages by
-    /// the given node map, returning the world-level deltas.
+    /// the given node map, returning the world-level deltas and the
+    /// world's predicted traffic.
     fn exchange_stats(
         matrix: &CsrMatrix,
         ranks: usize,
         ranks_per_node: usize,
         cfg: EngineConfig,
-    ) -> spmv_comm::CommStats {
+    ) -> (spmv_comm::CommStats, RankTraffic) {
         let partition = RowPartition::by_nnz(matrix, ranks);
         let map = spmv_machine::RankNodeMap::contiguous(ranks, ranks_per_node);
         let comms = CommWorld::create_with_nodes((0..ranks).map(|r| map.node_of(r)).collect());
@@ -790,21 +793,16 @@ mod tests {
                     scope.spawn(move || {
                         let block = matrix.row_block(partition.range(c.rank()));
                         let mut eng = RankEngine::new(c, &block, partition, cfg);
-                        let rank = eng.comm().rank();
                         // phase_delta brackets the exchange with the
                         // message-free barriers the world-global counters need
                         let (res, delta) = eng.phase_delta(|e| e.halo_exchange_checked());
                         res.expect("fault-free world");
-                        (rank, delta)
+                        (delta, eng.exchange_traffic())
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .find(|(r, _)| *r == 0)
-                .unwrap()
-                .1
+            let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            (out[0].0, out.iter().map(|(_, t)| *t).sum())
         })
     }
 
@@ -815,13 +813,13 @@ mod tests {
         let m = synthetic::random_banded_symmetric(600, 150, 5.0, 33);
         let (ranks, rpn) = (8, 4);
         // explicit Flat: immune to the SPMV_COMM_STRATEGY CI override
-        let flat = exchange_stats(
+        let (flat, _) = exchange_stats(
             &m,
             ranks,
             rpn,
             EngineConfig::pure_mpi().with_comm_strategy(CommStrategy::Flat),
         );
-        let na = exchange_stats(
+        let (na, _) = exchange_stats(
             &m,
             ranks,
             rpn,
@@ -841,6 +839,47 @@ mod tests {
         );
         // 2 nodes → at most one wire per direction
         assert!(na.inter_messages <= 2);
+    }
+
+    #[test]
+    fn predicted_traffic_matches_measured_traffic() {
+        // the traffic counted over each rank's op list equals what one
+        // exchange of those lists puts on the wire, on a world whose node
+        // map is the strategy's (flat: one rank per node, so every
+        // off-rank message is inter-node)
+        let m = synthetic::random_banded_symmetric(600, 150, 5.0, 33);
+        for (strategy, rpn) in [
+            (CommStrategy::Flat, 1),
+            (CommStrategy::NodeAware { ranks_per_node: 2 }, 2),
+            (CommStrategy::NodeAware { ranks_per_node: 4 }, 4),
+        ] {
+            let cfg = EngineConfig::pure_mpi().with_comm_strategy(strategy);
+            let (measured, predicted) = exchange_stats(&m, 8, rpn, cfg);
+            let as_u64 = |n: usize| n as u64;
+            let label = strategy.label();
+            assert_eq!(
+                (measured.intra_messages, measured.inter_messages),
+                (as_u64(predicted.intra_msgs), as_u64(predicted.inter_msgs)),
+                "{label}:{rpn} messages"
+            );
+            assert_eq!(
+                (measured.intra_bytes, measured.inter_bytes),
+                (as_u64(predicted.intra_bytes), as_u64(predicted.inter_bytes)),
+                "{label}:{rpn} bytes"
+            );
+            assert_eq!(
+                measured.messages,
+                measured.intra_messages + measured.inter_messages
+            );
+            if strategy == CommStrategy::Flat {
+                assert_eq!(
+                    predicted.intra_msgs, 0,
+                    "flat counts every message inter-node"
+                );
+            } else {
+                assert!(predicted.intra_msgs > 0 && predicted.inter_msgs > 0);
+            }
+        }
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! The halo exchange behind one interface: `HaloExchange` runs the three
-//! communication steps of every Fig. 4 schedule — post the receives, send,
-//! finish — under either routing strategy. Everything strategy-specific
-//! lives here: the gather order, which segment travels to or from which
-//! peer under which tag, the node leaders' relay (Bienz et al.), the
-//! predicted traffic, and demotion to flat. Both strategies reduce to the
-//! same segment tables, so only node leaders run extra code (the relay).
+//! The halo exchange, written once. Each rank's exchange is an
+//! [`ExchangeSchedule`]: a comm-free list of [`ExchangeOp`]s built from its
+//! [`RankPlan`] or [`NodeAwarePlan`] and grouped by the step of a Fig. 4
+//! schedule that issues it (post the receives, send, finish). The engine's
+//! `HaloExchange` interprets that list; the plan verifier
+//! ([`crate::verify`]), the predicted traffic
+//! ([`ExchangeSchedule::traffic`]) and the interleaving explorer read the
+//! same list. Everything strategy-specific lives here: the gather order,
+//! which segment travels to or from which peer under which tag, the node
+//! leaders' relay (Bienz et al.), and demotion to flat.
 
 use crate::gather::GatherProgram;
-use crate::plan::{build_node_aware_distributed, CommTraffic, LeaderPlan, NodeAwarePlan, RankPlan};
+use crate::modes::Step;
+use crate::plan::{build_node_aware_distributed, LeaderPlan, NodeAwarePlan, RankPlan};
 use spmv_comm::{Comm, CommError, Request, Tag};
 use spmv_machine::RankNodeMap;
+use spmv_model::RankTraffic;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -129,110 +134,261 @@ pub enum DegradedPolicy {
     FallbackToFlat,
 }
 
-/// Where a halo segment's data comes from.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    /// A message from `peer` under `tag`.
-    Peer(usize, Tag),
-    /// A node leader's own share of the wire from this remote node.
-    Wire(usize),
+/// A buffer an exchange op reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Src {
+    /// The gathered send buffer.
+    Send,
+    /// A node leader's relay buffer `k` ([`ExchangeSchedule::relay_lens`]).
+    Relay(usize),
 }
 
-/// One message of the send step: `(peer, tag, send-buffer range)`.
-type Segment = (usize, Tag, Range<usize>);
-
-/// A node leader's relay: its plan and persistent, preallocated buffers.
-struct Relay {
-    plan: LeaderPlan,
-    /// The leader's slot among its node's members.
-    my_slot: usize,
-    /// The leader's own inter-node payload, read in place.
-    ship_range: Range<usize>,
-    /// Per member slot, the member's shipment (the leader's own is unused:
-    /// its payload is read in place).
-    ship_bufs: Vec<Vec<f64>>,
-    /// One assembly buffer per outgoing wire message.
-    wire_out_bufs: Vec<Vec<f64>>,
-    /// One landing buffer per incoming wire message.
-    wire_in_bufs: Vec<Vec<f64>>,
+/// A buffer an exchange copy writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dst {
+    /// The rank's halo, the tail of its extended RHS.
+    Halo,
+    /// A node leader's relay buffer `k`.
+    Relay(usize),
 }
 
-impl Relay {
-    fn new(plan: LeaderPlan, my_slot: usize, ship_range: Range<usize>) -> Self {
+/// The rank at a message's other end, and the message's tag.
+pub type Peer = (usize, Tag);
+
+/// One operation of a rank's halo exchange; ranges count `f64` elements.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExchangeOp {
+    /// Nonblocking receive into `halo[range]`.
+    Irecv(Peer, Range<usize>),
+    /// Nonblocking send of `src[range]`: a send-buffer segment, or a
+    /// leader's wire or forwarded slice.
+    Isend(Peer, Src, Range<usize>),
+    /// `Recv(peer, k, len)`: a leader's blocking receive of a shipment or a
+    /// wire into relay buffer `k`, all `len` elements of it.
+    Recv(Peer, usize, usize),
+    /// `Copy(src, range, dst, at)`: `dst[at..]` gets `src[range]`, as a
+    /// leader assembles a wire or lands its own share of one.
+    Copy(Src, Range<usize>, Dst, usize),
+    /// Waits for every receive posted so far.
+    WaitRecvs,
+    /// Waits for every send posted so far.
+    WaitSends,
+}
+
+/// One rank's halo exchange as a comm-free op list, grouped by the step of
+/// a Fig. 4 schedule that issues it ([`Self::ops_of`]). The engine runs
+/// this list; the plan verifier, the traffic count and the interleaving
+/// explorer read it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExchangeSchedule {
+    rank: usize,
+    /// The ops of the post, send and waitall steps.
+    groups: [Vec<ExchangeOp>; 3],
+    /// The length of each relay buffer (none unless a node leader).
+    pub relay_lens: Vec<usize>,
+    /// The local indices gathered into the send buffer, in buffer order.
+    pub gather_indices: Vec<u32>,
+}
+
+impl ExchangeSchedule {
+    /// The flat exchange of `plan`: one message per neighbour each way.
+    pub fn flat(plan: &RankPlan) -> Self {
+        let offs = plan.halo_offsets();
+        let halo = plan.recv.iter().zip(offs.windows(2));
+        let post = halo.map(|(n, w)| ExchangeOp::Irecv((n.peer, TAG_HALO), w[0]..w[1]));
+        let (mut gather_indices, mut send) = (Vec::with_capacity(plan.send_len()), Vec::new());
+        for n in &plan.send {
+            let start = gather_indices.len();
+            gather_indices.extend_from_slice(&n.indices);
+            let range = start..gather_indices.len();
+            send.push(ExchangeOp::Isend((n.peer, TAG_HALO), Src::Send, range));
+        }
         Self {
-            ship_bufs: plan.ship_lens.iter().map(|&l| vec![0.0; l]).collect(),
-            wire_out_bufs: plan.wire_out.iter().map(|w| vec![0.0; w.len]).collect(),
-            wire_in_bufs: plan.wire_in.iter().map(|w| vec![0.0; w.len]).collect(),
-            plan,
-            my_slot,
-            ship_range,
+            rank: plan.rank,
+            groups: [post.collect(), send, waits(Vec::new())],
+            relay_lens: Vec::new(),
+            gather_indices,
         }
     }
 
-    /// Phases 2–3 of the node-aware exchange: collect member shipments,
-    /// exchange the aggregated wires, land the leader's share in `own`, and
-    /// forward the members' slices (joining `sends`). Deadlock-free: every
-    /// shipment is posted before a leader blocks, and ship → wire → forward
-    /// is acyclic.
-    fn run<'r>(
-        &'r mut self,
-        comm: &Comm,
-        send_buf: &[f64],
-        mut own: Vec<(usize, &mut [f64])>,
-        sends: &mut Vec<Request<'r>>,
-    ) -> Result<(), CommError> {
-        let lp = &self.plan;
-        let my_slot = self.my_slot;
-        for (slot, &member) in lp.members.iter().enumerate() {
-            if slot != my_slot && lp.ship_lens[slot] > 0 {
-                comm.recv(member, TAG_SHIP, &mut self.ship_bufs[slot])?;
-            }
+    /// The node-aware exchange of `na` (see [`NodeAwarePlan`]): same-node
+    /// segments travel directly, the rest through the node leaders' relay.
+    pub fn node_aware(na: &NodeAwarePlan) -> Self {
+        let leads = na.is_leader();
+        let fwd = |node: usize| (na.leader_rank, TAG_FWD_BASE + node as Tag);
+        let intra = na.intra_recv.iter().map(|(peer, r)| ((*peer, TAG_HALO), r));
+        let forwarded = na.recv_node_segments.iter().filter(|_| !leads);
+        let mut post: Vec<_> = intra.chain(forwarded.map(|(n, r)| (fwd(*n), r))).collect();
+        post.sort_by_key(|(_, r)| r.start);
+        let direct = na.intra_send.iter().map(|(peer, r)| ((*peer, TAG_HALO), r));
+        // a member ships all its inter-node payload to its leader at once
+        let ship = (!leads && !na.ship_range.is_empty())
+            .then_some(((na.leader_rank, TAG_SHIP), &na.ship_range));
+        let send = direct
+            .chain(ship)
+            .map(|(p, r)| ExchangeOp::Isend(p, Src::Send, r.clone()));
+        let (relay, relay_lens) = na
+            .leader
+            .as_ref()
+            .map_or_else(Default::default, |lp| relay(na, lp));
+        Self {
+            rank: na.flat.rank,
+            groups: [
+                post.into_iter()
+                    .map(|(p, r)| ExchangeOp::Irecv(p, r.clone()))
+                    .collect(),
+                send.collect(),
+                waits(relay),
+            ],
+            relay_lens,
+            gather_indices: na.gather_indices.clone(),
         }
-        let my_ship = &send_buf[self.ship_range.clone()];
-        for (w, buf) in lp.wire_out.iter().zip(self.wire_out_bufs.iter_mut()) {
-            let mut off = 0usize;
-            for ch in &w.chunks {
-                let src = if ch.slot == my_slot {
-                    my_ship
-                } else {
-                    &self.ship_bufs[ch.slot]
-                };
-                buf[off..off + ch.len].copy_from_slice(&src[ch.src_off..ch.src_off + ch.len]);
-                off += ch.len;
-            }
-            debug_assert_eq!(off, w.len);
-        }
-        for (w, buf) in lp.wire_out.iter().zip(&self.wire_out_bufs) {
-            sends.push(comm.isend_ref(w.dest_leader, TAG_WIRE, buf)?);
-        }
-        for (w, buf) in lp.wire_in.iter().zip(self.wire_in_bufs.iter_mut()) {
-            comm.recv(w.src_leader, TAG_WIRE, buf)?;
-        }
-        // cut each wire into contiguous per-member slices and forward; the
-        // leader's own slice lands directly in its halo
-        for (w, buf) in lp.wire_in.iter().zip(&self.wire_in_bufs) {
-            let mut off = 0usize;
-            for (slot, &len) in w.parts.iter().enumerate() {
-                if len == 0 {
-                    continue;
-                }
-                let seg = &buf[off..off + len];
-                if slot == my_slot {
-                    let (_, dst) = own
-                        .iter_mut()
-                        .find(|(node, _)| *node == w.node)
-                        .expect("leader wire part has a halo segment");
-                    dst.copy_from_slice(seg);
-                } else {
-                    let tag = TAG_FWD_BASE + w.node as Tag;
-                    sends.push(comm.isend_ref(lp.members[slot], tag, seg)?);
-                }
-                off += len;
-            }
-            debug_assert_eq!(off, w.len);
-        }
-        Ok(())
     }
+
+    /// The ops `step` issues, in order: [`Step::PostRecvs`], [`Step::Send`]
+    /// and [`Step::Waitall`] have some, the other steps none.
+    pub fn ops_of(&self, step: Step) -> &[ExchangeOp] {
+        match step {
+            Step::PostRecvs => &self.groups[0],
+            Step::Send => &self.groups[1],
+            Step::Waitall => &self.groups[2],
+            _ => &[],
+        }
+    }
+
+    /// Every op, in the order the post, send and waitall steps issue them.
+    pub fn ops(&self) -> impl Iterator<Item = &ExchangeOp> {
+        self.groups.iter().flatten()
+    }
+
+    /// The traffic this rank sends per exchange: its sends, counted by
+    /// whether `map` puts the receiver on this rank's node.
+    pub fn traffic(&self, map: &RankNodeMap) -> RankTraffic {
+        let mut t = RankTraffic::default();
+        for op in self.ops() {
+            if let ExchangeOp::Isend((peer, _), _, r) = op {
+                let (msgs, bytes) = if map.same_node(self.rank, *peer) {
+                    (&mut t.intra_msgs, &mut t.intra_bytes)
+                } else {
+                    (&mut t.inter_msgs, &mut t.inter_bytes)
+                };
+                *msgs += 1;
+                *bytes += 8 * r.len();
+            }
+        }
+        t
+    }
+}
+
+/// `ops` followed by the waits that end every exchange.
+fn waits(mut ops: Vec<ExchangeOp>) -> Vec<ExchangeOp> {
+    ops.extend([ExchangeOp::WaitRecvs, ExchangeOp::WaitSends]);
+    ops
+}
+
+/// A node leader's relay (Bienz et al.), run after its own sends: collect
+/// the member shipments, assemble and exchange the wires, land the
+/// leader's share of each incoming wire and forward the members'. Returns
+/// the ops and the relay buffer lengths. Deadlock-free: every shipment is
+/// posted before a leader blocks, and ship → wire → forward is acyclic.
+fn relay(na: &NodeAwarePlan, lp: &LeaderPlan) -> (Vec<ExchangeOp>, Vec<usize>) {
+    use ExchangeOp as E;
+    let me = na.flat.rank - lp.members[0];
+    let mut lens = Vec::new();
+    let mut buffer = |len| {
+        lens.push(len);
+        lens.len() - 1
+    };
+    let ships: Vec<Option<usize>> = (lp.ship_lens.iter().enumerate())
+        .map(|(slot, &len)| (slot != me && len > 0).then(|| buffer(len)))
+        .collect();
+    let outs: Vec<usize> = lp.wire_out.iter().map(|w| buffer(w.len)).collect();
+    let ins: Vec<usize> = lp.wire_in.iter().map(|w| buffer(w.len)).collect();
+    let mut ops: Vec<E> = (ships.iter().zip(&lp.members).zip(&lp.ship_lens))
+        .filter_map(|((k, &member), &len)| k.map(|k| E::Recv((member, TAG_SHIP), k, len)))
+        .collect();
+    for (w, &out) in lp.wire_out.iter().zip(&outs) {
+        let mut at = 0;
+        for ch in &w.chunks {
+            // the leader's own payload is read in place
+            let (from, start) = match ships[ch.slot] {
+                Some(k) => (Src::Relay(k), ch.src_off),
+                None => (Src::Send, na.ship_range.start + ch.src_off),
+            };
+            ops.push(E::Copy(from, start..start + ch.len, Dst::Relay(out), at));
+            at += ch.len;
+        }
+        ops.push(E::Isend(
+            (w.dest_leader, TAG_WIRE),
+            Src::Relay(out),
+            0..w.len,
+        ));
+    }
+    // each incoming wire is cut into contiguous per-member slices
+    for (w, &k) in lp.wire_in.iter().zip(&ins) {
+        ops.push(E::Recv((w.src_leader, TAG_WIRE), k, w.len));
+        let mut off = 0;
+        for (slot, &len) in w.parts.iter().enumerate().filter(|(_, &len)| len > 0) {
+            let range = off..off + len;
+            off += len;
+            ops.push(if slot == me {
+                let (_, seg) = (na.recv_node_segments.iter())
+                    .find(|(node, _)| *node == w.node)
+                    .expect("leader wire part has a halo segment");
+                E::Copy(Src::Relay(k), range, Dst::Halo, seg.start)
+            } else {
+                let to = (lp.members[slot], TAG_FWD_BASE + w.node as Tag);
+                E::Isend(to, Src::Relay(k), range)
+            });
+        }
+    }
+    (ops, lens)
+}
+
+/// A relay buffer during one exchange: writable until it is first read or
+/// sent, read-only from then on.
+enum Slot<'a> {
+    Free(&'a mut [f64]),
+    Shared(&'a [f64]),
+}
+
+impl<'a> Slot<'a> {
+    fn write(&mut self) -> &mut [f64] {
+        match self {
+            Slot::Free(buf) => buf,
+            Slot::Shared(_) => panic!("the exchange writes a relay buffer it already read"),
+        }
+    }
+
+    fn share(&mut self) -> &'a [f64] {
+        let buf: &'a [f64] = match std::mem::replace(self, Slot::Shared(&[])) {
+            Slot::Free(buf) => buf,
+            Slot::Shared(buf) => buf,
+        };
+        *self = Slot::Shared(buf);
+        buf
+    }
+}
+
+/// The elements an op reads: the send buffer's, or a relay buffer's.
+fn source<'a>(from: Src, send: &'a [f64], relay: &mut [Slot<'a>]) -> &'a [f64] {
+    match from {
+        Src::Send => send,
+        Src::Relay(k) => relay[k].share(),
+    }
+}
+
+/// Takes `halo[r]` out of the halo's unclaimed `(offset, piece)`s.
+fn carve<'a>(pieces: &mut Vec<(usize, &'a mut [f64])>, r: Range<usize>) -> &'a mut [f64] {
+    let k = (pieces.iter())
+        .position(|(at, p)| *at <= r.start && r.end <= at + p.len())
+        .expect("the exchange fills each halo segment once");
+    let (at, piece) = pieces.swap_remove(k);
+    let (head, rest) = piece.split_at_mut(r.start - at);
+    let (seg, tail) = rest.split_at_mut(r.len());
+    let rest = [(at, head), (r.end, tail)];
+    pieces.extend(rest.into_iter().filter(|(_, p)| !p.is_empty()));
+    seg
 }
 
 /// An exchange in flight between its post, send and finish steps.
@@ -240,112 +396,52 @@ impl Relay {
 pub(crate) struct Pending<'a> {
     recvs: Vec<Request<'a>>,
     sends: Vec<Request<'a>>,
-    /// Node leaders: the halo segments the relay fills from the wires.
-    own: Vec<(usize, &'a mut [f64])>,
+    /// The halo not yet handed to a receive or a landing copy.
+    halo: Vec<(usize, &'a mut [f64])>,
+    /// The gathered send buffer, from the send step on.
+    send: &'a [f64],
 }
 
-/// One rank's halo exchange under its active strategy.
+/// One rank's halo exchange under its active strategy: the op list, the
+/// compiled gather that fills the send buffer, and a leader's relay
+/// buffers.
 pub(crate) struct HaloExchange {
-    strategy: CommStrategy,
-    /// Halo segments in ascending offset order, with their sources.
-    recvs: Vec<(Range<usize>, Source)>,
-    /// Send-buffer segments, in posting order.
-    sends: Vec<Segment>,
-    /// The strategy's send-buffer fill and its per-compute-thread runs.
-    gather: GatherProgram,
+    /// The active strategy.
+    pub(crate) strategy: CommStrategy,
+    /// The op list this exchange runs.
+    pub(crate) schedule: ExchangeSchedule,
+    /// The send-buffer fill and its per-compute-thread runs.
+    pub(crate) gather: GatherProgram,
     gather_chunks: Vec<Range<usize>>,
-    traffic: CommTraffic,
-    /// Node-aware leaders only; locked by the lane finishing the exchange.
-    relay: Option<Mutex<Relay>>,
+    /// Locked by the lane finishing the exchange.
+    relay: Mutex<Vec<Vec<f64>>>,
 }
 
 impl HaloExchange {
     /// Builds the exchange of `plan` under `strategy`, gathering with `c`
     /// compute threads. Collective for the node-aware strategy.
     pub(crate) fn new(comm: &Comm, plan: &RankPlan, strategy: CommStrategy, c: usize) -> Self {
-        let map = strategy.rank_node_map(comm.size());
-        match strategy {
-            CommStrategy::Flat => Self::flat(plan, &map, c),
+        let schedule = match strategy {
+            CommStrategy::Flat => ExchangeSchedule::flat(plan),
             CommStrategy::NodeAware { .. } => {
+                let map = strategy.rank_node_map(comm.size());
                 let na = build_node_aware_distributed(comm, plan.clone(), &map);
-                Self::node_aware(na, strategy, c)
+                ExchangeSchedule::node_aware(&na)
             }
-        }
+        };
+        Self::with_schedule(schedule, strategy, c)
     }
 
-    fn flat(plan: &RankPlan, map: &RankNodeMap, threads: usize) -> Self {
-        let recvs = plan
-            .recv
-            .iter()
-            .zip(plan.halo_offsets().windows(2))
-            .map(|(n, w)| (w[0]..w[1], Source::Peer(n.peer, TAG_HALO)))
-            .collect();
-        let mut indices = Vec::with_capacity(plan.send_len());
-        let mut sends = Vec::with_capacity(plan.send.len());
-        for n in &plan.send {
-            let start = indices.len();
-            indices.extend_from_slice(&n.indices);
-            sends.push((n.peer, TAG_HALO, start..indices.len()));
-        }
-        let gather = GatherProgram::compile(&indices);
-        Self {
-            strategy: CommStrategy::Flat,
-            recvs,
-            sends,
-            gather_chunks: gather.thread_run_ranges(threads),
-            gather,
-            traffic: plan.traffic(map),
-            relay: None,
-        }
-    }
-
-    fn node_aware(mut na: NodeAwarePlan, strategy: CommStrategy, threads: usize) -> Self {
-        let leads = na.is_leader();
-        let mut recvs = Vec::with_capacity(na.intra_recv.len() + na.recv_node_segments.len());
-        for (peer, r) in &na.intra_recv {
-            recvs.push((r.clone(), Source::Peer(*peer, TAG_HALO)));
-        }
-        for (node, r) in &na.recv_node_segments {
-            let fwd = Source::Peer(na.leader_rank, TAG_FWD_BASE + *node as Tag);
-            recvs.push((r.clone(), if leads { Source::Wire(*node) } else { fwd }));
-        }
-        recvs.sort_by_key(|(r, _)| r.start);
-        let mut sends: Vec<Segment> = na
-            .intra_send
-            .iter()
-            .map(|(peer, r)| (*peer, TAG_HALO, r.clone()))
-            .collect();
-        if !leads && !na.ship_range.is_empty() {
-            sends.push((na.leader_rank, TAG_SHIP, na.ship_range.clone()));
-        }
-        let gather = GatherProgram::compile(&na.gather_indices);
+    fn with_schedule(schedule: ExchangeSchedule, strategy: CommStrategy, threads: usize) -> Self {
+        let gather = GatherProgram::compile(&schedule.gather_indices);
+        let relay = schedule.relay_lens.iter().map(|&l| vec![0.0; l]).collect();
         Self {
             strategy,
-            recvs,
-            sends,
             gather_chunks: gather.thread_run_ranges(threads),
             gather,
-            traffic: na.traffic(),
-            relay: na.leader.take().map(|lp| {
-                let my_slot = na.flat.rank - lp.members[0];
-                Mutex::new(Relay::new(lp, my_slot, na.ship_range.clone()))
-            }),
+            relay: Mutex::new(relay),
+            schedule,
         }
-    }
-
-    /// The active strategy.
-    pub(crate) fn strategy(&self) -> CommStrategy {
-        self.strategy
-    }
-
-    /// Predicted per-exchange traffic of this rank.
-    pub(crate) fn traffic(&self) -> CommTraffic {
-        self.traffic
-    }
-
-    /// The compiled send-buffer gather.
-    pub(crate) fn gather_program(&self) -> &GatherProgram {
-        &self.gather
     }
 
     /// Gathers compute thread `t`'s runs from `x_loc` into the send buffer;
@@ -363,62 +459,80 @@ impl HaloExchange {
 
     /// Switches to the flat exchange of `plan` (no communication; the send
     /// buffer keeps its length). No-op when already flat.
-    pub(crate) fn demote_to_flat(&mut self, plan: &RankPlan, world_size: usize) {
+    pub(crate) fn demote_to_flat(&mut self, plan: &RankPlan) {
         if self.strategy != CommStrategy::Flat {
-            let map = CommStrategy::Flat.rank_node_map(world_size);
-            *self = Self::flat(plan, &map, self.gather_chunks.len());
+            let threads = self.gather_chunks.len();
+            *self = Self::with_schedule(ExchangeSchedule::flat(plan), CommStrategy::Flat, threads);
         }
     }
 
-    /// Posts the halo receives into `halo`.
-    pub(crate) fn post_recvs<'a>(&self, comm: &Comm, halo: &'a mut [f64]) -> Pending<'a> {
-        let mut pending = Pending::default();
-        let (mut rest, mut base) = (halo, 0);
-        for (r, source) in &self.recvs {
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(r.start - base);
-            let (seg, tail) = tail.split_at_mut(r.len());
-            (rest, base) = (tail, r.end);
-            match *source {
-                Source::Peer(peer, tag) => pending.recvs.push(comm.irecv(peer, tag, seg)),
-                Source::Wire(node) => pending.own.push((node, seg)),
-            }
-        }
-        pending
+    /// The post step: posts the halo receives into `halo`.
+    pub(crate) fn post_recvs<'a>(
+        &self,
+        comm: &Comm,
+        halo: &'a mut [f64],
+    ) -> Result<Pending<'a>, CommError> {
+        let halo = vec![(0, halo)];
+        let mut pending = Pending {
+            halo,
+            ..Pending::default()
+        };
+        self.run(Step::PostRecvs, comm, &mut pending, &mut [])?;
+        Ok(pending)
     }
 
-    /// Posts the halo sends, borrowing `send_buf` until [`Self::finish`].
+    /// The send step, borrowing `send_buf` until [`Self::finish`].
     pub(crate) fn send<'a>(
         &self,
         comm: &Comm,
         send_buf: &'a [f64],
         pending: &mut Pending<'a>,
     ) -> Result<(), CommError> {
-        for (peer, tag, r) in &self.sends {
-            let req = comm.isend_ref(*peer, *tag, &send_buf[r.clone()])?;
-            pending.sends.push(req);
-        }
-        Ok(())
+        pending.send = send_buf;
+        self.run(Step::Send, comm, pending, &mut [])
     }
 
-    /// Completes the exchange: node leaders relay, then every request is
-    /// waited. On error the rest are dropped (poison-aware cleanup).
-    pub(crate) fn finish(
+    /// The waitall step: a leader's relay, then the waits. On error the
+    /// rest of the requests are dropped (poison-aware cleanup).
+    pub(crate) fn finish(&self, comm: &Comm, pending: Pending<'_>) -> Result<(), CommError> {
+        let mut bufs = self.relay.lock().expect("a lane panicked");
+        let mut relay: Vec<Slot<'_>> = bufs.iter_mut().map(|b| Slot::Free(b)).collect();
+        let mut pending = pending;
+        self.run(Step::Waitall, comm, &mut pending, &mut relay)
+    }
+
+    /// The interpreter: issues the ops of `step` in order.
+    fn run<'a>(
         &self,
+        step: Step,
         comm: &Comm,
-        send_buf: &[f64],
-        pending: Pending<'_>,
+        p: &mut Pending<'a>,
+        relay: &mut [Slot<'a>],
     ) -> Result<(), CommError> {
-        let Pending { recvs, sends, own } = pending;
-        let mut relay = self
-            .relay
-            .as_ref()
-            .map(|r| r.lock().expect("relay lock poisoned: a lane panicked"));
-        let mut sends: Vec<Request<'_>> = sends;
-        if let Some(relay) = relay.as_deref_mut() {
-            relay.run(comm, send_buf, own, &mut sends)?;
+        for op in self.schedule.ops_of(step) {
+            match op {
+                ExchangeOp::Irecv((peer, tag), r) => {
+                    let seg = carve(&mut p.halo, r.clone());
+                    p.recvs.push(comm.irecv(*peer, *tag, seg));
+                }
+                ExchangeOp::Isend((peer, tag), from, r) => {
+                    let buf = &source(*from, p.send, relay)[r.clone()];
+                    p.sends.push(comm.isend_ref(*peer, *tag, buf)?);
+                }
+                ExchangeOp::Recv((peer, tag), k, _) => comm.recv(*peer, *tag, relay[*k].write())?,
+                ExchangeOp::Copy(from, r, to, at) => {
+                    let buf = &source(*from, p.send, relay)[r.clone()];
+                    let dst = match *to {
+                        Dst::Halo => carve(&mut p.halo, *at..at + buf.len()),
+                        Dst::Relay(k) => &mut relay[k].write()[*at..at + buf.len()],
+                    };
+                    dst.copy_from_slice(buf);
+                }
+                ExchangeOp::WaitRecvs => comm.waitall(std::mem::take(&mut p.recvs))?,
+                ExchangeOp::WaitSends => comm.waitall(std::mem::take(&mut p.sends))?,
+            }
         }
-        comm.waitall(recvs)?;
-        comm.waitall(sends)
+        Ok(())
     }
 }
 

@@ -27,9 +27,9 @@
 //!      thread (Fig. 4c).
 //!
 //!    Each schedule is written once, as the step lists of
-//!    [`KernelMode::lanes`]; the engine interprets them, with the halo
-//!    exchange behind the three calls of the `exchange` module's `HaloExchange` (post
-//!    receives, send, finish) for both routing strategies.
+//!    [`KernelMode::lanes`]; the engine interprets them, and runs each
+//!    rank's halo exchange as the op list of its [`ExchangeSchedule`]
+//!    (post receives, send, finish) for both routing strategies.
 //! 5. [`runner`] — spawns one OS thread per MPI rank and drives whole jobs
 //!    (the harness tests and examples use this).
 //! 6. [`workload::RankWorkload`] — the per-rank compute/communication
@@ -51,12 +51,12 @@ pub mod verify;
 pub mod workload;
 
 pub use engine::{EngineConfig, RankEngine};
-pub use exchange::{CommStrategy, DegradedPolicy, TAG_HALO};
+pub use exchange::{CommStrategy, DegradedPolicy, ExchangeOp, ExchangeSchedule, TAG_HALO};
 pub use gather::{GatherProgram, GatherRun};
 pub use kernels::{prepare_kernel, KernelKind, SpmvKernel};
 pub use modes::{Barrier, KernelMode, Part, Step};
 pub use partition::RowPartition;
-pub use plan::{CommTraffic, NodeAwarePlan, RankPlan};
+pub use plan::{NodeAwarePlan, RankPlan};
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};
 pub use split::{BlockPart, SplitMatrix};
 pub use verify::{verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation};

@@ -251,51 +251,6 @@ pub fn build_plan_distributed(
 // Node-aware aggregation (Bienz, Gropp & Olson, arXiv:1612.08060)
 // ---------------------------------------------------------------------------
 
-/// Per-rank traffic accounting, split by link level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommTraffic {
-    /// Messages to ranks on the same node.
-    pub intra_msgs: usize,
-    /// Bytes to ranks on the same node.
-    pub intra_bytes: usize,
-    /// Messages crossing a node boundary.
-    pub inter_msgs: usize,
-    /// Bytes crossing a node boundary.
-    pub inter_bytes: usize,
-}
-
-impl CommTraffic {
-    /// Element-wise sum (for aggregating over ranks).
-    pub fn add(&self, other: &CommTraffic) -> CommTraffic {
-        CommTraffic {
-            intra_msgs: self.intra_msgs + other.intra_msgs,
-            intra_bytes: self.intra_bytes + other.intra_bytes,
-            inter_msgs: self.inter_msgs + other.inter_msgs,
-            inter_bytes: self.inter_bytes + other.inter_bytes,
-        }
-    }
-}
-
-impl RankPlan {
-    /// The traffic this rank sends per exchange under the *flat* strategy,
-    /// classified by the node map: one message per neighbour, each crossing
-    /// the network iff the peer lives on another node.
-    pub fn traffic(&self, map: &RankNodeMap) -> CommTraffic {
-        let mut t = CommTraffic::default();
-        for n in &self.send {
-            let bytes = n.indices.len() * 8;
-            if map.same_node(self.rank, n.peer) {
-                t.intra_msgs += 1;
-                t.intra_bytes += bytes;
-            } else {
-                t.inter_msgs += 1;
-                t.inter_bytes += bytes;
-            }
-        }
-        t
-    }
-}
-
 /// One assembly block copy on a leader: `len` elements starting at
 /// `src_off` of member `slot`'s shipped buffer, appended to the wire
 /// message being built.
@@ -406,36 +361,6 @@ impl NodeAwarePlan {
     /// Elements this rank ships to its leader per exchange.
     pub fn ship_len(&self) -> usize {
         self.ship_range.len()
-    }
-
-    /// The traffic this rank sends per exchange under the node-aware
-    /// strategy (intra: direct segments + shipment + leader forwards;
-    /// inter: the leader's wire messages only).
-    pub fn traffic(&self) -> CommTraffic {
-        let mut t = CommTraffic::default();
-        for (_, r) in &self.intra_send {
-            t.intra_msgs += 1;
-            t.intra_bytes += r.len() * 8;
-        }
-        if !self.is_leader() && !self.ship_range.is_empty() {
-            t.intra_msgs += 1;
-            t.intra_bytes += self.ship_range.len() * 8;
-        }
-        if let Some(lp) = &self.leader {
-            for w in &lp.wire_out {
-                t.inter_msgs += 1;
-                t.inter_bytes += w.len * 8;
-            }
-            for wi in &lp.wire_in {
-                for (slot, &len) in wi.parts.iter().enumerate() {
-                    if len > 0 && lp.members[slot] != self.flat.rank {
-                        t.intra_msgs += 1;
-                        t.intra_bytes += len * 8;
-                    }
-                }
-            }
-        }
-        t
     }
 }
 
@@ -713,8 +638,10 @@ pub fn build_node_aware_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::ExchangeSchedule;
     use spmv_comm::CommWorld;
     use spmv_matrix::synthetic;
+    use spmv_model::RankTraffic;
     use std::sync::Arc;
 
     #[test]
@@ -909,14 +836,14 @@ mod tests {
             }
         }
         // node-aware must not send more inter-node messages than flat
-        let flat_total: CommTraffic = plans
+        let flat_total: RankTraffic = plans
             .iter()
-            .map(|p| p.traffic(map))
-            .fold(CommTraffic::default(), |a, b| a.add(&b));
-        let na_total: CommTraffic = na
+            .map(|p| ExchangeSchedule::flat(p).traffic(map))
+            .sum();
+        let na_total: RankTraffic = na
             .iter()
-            .map(|p| p.traffic())
-            .fold(CommTraffic::default(), |a, b| a.add(&b));
+            .map(|p| ExchangeSchedule::node_aware(p).traffic(map))
+            .sum();
         assert!(na_total.inter_msgs <= flat_total.inter_msgs);
         assert_eq!(
             na_total.inter_bytes, flat_total.inter_bytes,
@@ -951,8 +878,12 @@ mod tests {
         let plans = build_plans_serial(&m, &p);
         let map = RankNodeMap::contiguous(8, 4);
         let na = build_node_aware_serial(&plans, &map);
-        let flat_inter: usize = plans.iter().map(|p| p.traffic(&map).inter_msgs).sum();
-        let na_inter: usize = na.iter().map(|p| p.traffic()).map(|t| t.inter_msgs).sum();
+        let inter = |s: ExchangeSchedule| s.traffic(&map).inter_msgs;
+        let flat_inter: usize = plans.iter().map(|p| inter(ExchangeSchedule::flat(p))).sum();
+        let na_inter: usize = na
+            .iter()
+            .map(|p| inter(ExchangeSchedule::node_aware(p)))
+            .sum();
         assert!(
             na_inter < flat_inter,
             "aggregation should cut inter-node messages ({na_inter} vs {flat_inter})"
@@ -971,7 +902,7 @@ mod tests {
         for p in &na {
             assert!(p.ship_range.is_empty());
             assert!(p.recv_node_segments.is_empty());
-            let t = p.traffic();
+            let t = ExchangeSchedule::node_aware(p).traffic(&map);
             assert_eq!(t.inter_msgs, 0);
             if let Some(lp) = &p.leader {
                 assert!(lp.wire_out.is_empty());

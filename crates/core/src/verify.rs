@@ -13,8 +13,9 @@
 //! * the node-aware ship → wire → forward schedule is acyclic (a wire
 //!   message routed back into its own node would deadlock the leader);
 //! * the whole exchange is deadlock-free under nonblocking semantics,
-//!   established by running the per-rank operation schedules — the exact
-//!   order `RankEngine` issues them — to a fixed point.
+//!   established by running the per-rank operation schedules — each rank's
+//!   [`ExchangeSchedule`], the op list `RankEngine` runs, in the order it
+//!   issues them — to a fixed point.
 //!
 //! Violations are typed [`PlanViolation`]s naming rank, peer, tag, and
 //! byte counts, so a corrupted plan fails with an actionable diagnostic
@@ -23,7 +24,7 @@
 //! [`EngineConfig::with_verification`](crate::engine::EngineConfig::with_verification)
 //! is on (the default in debug builds).
 
-use crate::exchange::{TAG_FWD_BASE, TAG_HALO, TAG_SHIP, TAG_WIRE};
+use crate::exchange::{ExchangeOp, ExchangeSchedule, Peer};
 use crate::plan::{build_node_aware_serial, NodeAwarePlan, RankPlan};
 use spmv_comm::{Comm, Tag};
 use spmv_machine::RankNodeMap;
@@ -212,132 +213,40 @@ impl fmt::Display for PlanSummary {
     }
 }
 
-/// One operation of a rank's exchange schedule, in engine issue order.
+/// One operation of a rank's exchange, as the deadlock check sees it; the
+/// peer is the rank at the message's other end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    /// Nonblocking send post (eager or rendezvous — never blocks here).
-    SendPost { dst: usize, tag: Tag, bytes: usize },
-    /// Blocking receive: completes once the matching send is posted.
-    RecvBlock { src: usize, tag: Tag, bytes: usize },
+    /// Nonblocking send post of `bytes` (never blocks here).
+    SendPost(Peer, usize),
+    /// Blocking receive of `bytes`: completes once the matching send is
+    /// posted.
+    RecvBlock(Peer, usize),
     /// Rendezvous send completion: blocks until the matching receive has
     /// consumed the payload.
-    SendWait { dst: usize, tag: Tag },
+    SendWait(Peer),
 }
 
-/// The flat exchange schedule of one rank, mirroring `HaloExchange`'s
-/// post / send / finish: all receives are posted nonblocking before
-/// anything blocks, so the blocking suffix is just the recv waits followed
-/// by the send waits.
-fn flat_ops(plan: &RankPlan) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(2 * (plan.recv.len() + plan.send.len()));
-    for n in &plan.send {
-        ops.push(Op::SendPost {
-            dst: n.peer,
-            tag: TAG_HALO,
-            bytes: n.indices.len() * 8,
-        });
-    }
-    for n in &plan.recv {
-        ops.push(Op::RecvBlock {
-            src: n.peer,
-            tag: TAG_HALO,
-            bytes: n.indices.len() * 8,
-        });
-    }
-    for n in &plan.send {
-        ops.push(Op::SendWait {
-            dst: n.peer,
-            tag: TAG_HALO,
-        });
-    }
-    ops
-}
-
-/// The node-aware exchange schedule of one rank, mirroring `HaloExchange`
-/// exactly: intra sends and the shipment are posted first; a leader then
-/// *blocks* on member shipments before posting wires — the mid-schedule
-/// block that makes the acyclicity of ship → wire → forward a real proof
-/// obligation. The halo receives (intra segments, and forwarded slices on
-/// non-leaders) complete last, in halo order.
-fn node_aware_ops(na: &NodeAwarePlan) -> Vec<Op> {
-    let mut ops = Vec::new();
-    let mut posted: Vec<(usize, Tag)> = Vec::new();
-    for (peer, r) in &na.intra_send {
-        ops.push(Op::SendPost {
-            dst: *peer,
-            tag: TAG_HALO,
-            bytes: r.len() * 8,
-        });
-        posted.push((*peer, TAG_HALO));
-    }
-    if !na.is_leader() && !na.ship_range.is_empty() {
-        ops.push(Op::SendPost {
-            dst: na.leader_rank,
-            tag: TAG_SHIP,
-            bytes: na.ship_range.len() * 8,
-        });
-        posted.push((na.leader_rank, TAG_SHIP));
-    }
-    if let Some(lp) = &na.leader {
-        let my_slot = na.flat.rank - lp.members[0];
-        for (slot, &member) in lp.members.iter().enumerate() {
-            if slot != my_slot && lp.ship_lens[slot] > 0 {
-                ops.push(Op::RecvBlock {
-                    src: member,
-                    tag: TAG_SHIP,
-                    bytes: lp.ship_lens[slot] * 8,
-                });
+/// A rank's exchange op list projected onto the ops that matter for
+/// matching and progress: receives block at the wait that completes them
+/// (a leader's relay receives where they stand), sends post where they
+/// stand and complete at the wait for sends, and copies drop out.
+fn project<'o>(ops: impl IntoIterator<Item = &'o ExchangeOp>) -> Vec<Op> {
+    let (mut out, mut recvs, mut sends) = (Vec::new(), Vec::new(), Vec::new());
+    for op in ops {
+        match *op {
+            ExchangeOp::Irecv(peer, ref r) => recvs.push(Op::RecvBlock(peer, 8 * r.len())),
+            ExchangeOp::Isend(peer, _, ref r) => {
+                out.push(Op::SendPost(peer, 8 * r.len()));
+                sends.push(Op::SendWait(peer));
             }
-        }
-        for w in &lp.wire_out {
-            ops.push(Op::SendPost {
-                dst: w.dest_leader,
-                tag: TAG_WIRE,
-                bytes: w.len * 8,
-            });
-            posted.push((w.dest_leader, TAG_WIRE));
-        }
-        for w in &lp.wire_in {
-            ops.push(Op::RecvBlock {
-                src: w.src_leader,
-                tag: TAG_WIRE,
-                bytes: w.len * 8,
-            });
-        }
-        for w in &lp.wire_in {
-            for (slot, &len) in w.parts.iter().enumerate() {
-                if len > 0 && slot != my_slot {
-                    let tag = TAG_FWD_BASE + w.node as Tag;
-                    ops.push(Op::SendPost {
-                        dst: lp.members[slot],
-                        tag,
-                        bytes: len * 8,
-                    });
-                    posted.push((lp.members[slot], tag));
-                }
-            }
+            ExchangeOp::Recv(peer, _, len) => out.push(Op::RecvBlock(peer, 8 * len)),
+            ExchangeOp::Copy(..) => {}
+            ExchangeOp::WaitRecvs => out.append(&mut recvs),
+            ExchangeOp::WaitSends => out.append(&mut sends),
         }
     }
-    let forwarded = na
-        .recv_node_segments
-        .iter()
-        .filter(|_| !na.is_leader())
-        .map(|(node, r)| (na.leader_rank, TAG_FWD_BASE + *node as Tag, r));
-    let mut halo_recvs: Vec<_> = na
-        .intra_recv
-        .iter()
-        .map(|(peer, r)| (*peer, TAG_HALO, r))
-        .chain(forwarded)
-        .collect();
-    halo_recvs.sort_by_key(|(_, _, r)| r.start);
-    for (src, tag, r) in halo_recvs {
-        let bytes = r.len() * 8;
-        ops.push(Op::RecvBlock { src, tag, bytes });
-    }
-    for (dst, tag) in posted {
-        ops.push(Op::SendWait { dst, tag });
-    }
-    ops
+    out
 }
 
 /// Per-flow tallies: (send count, send bytes, recv count, recv bytes).
@@ -349,17 +258,17 @@ fn check_matching(world: &[Vec<Op>], violations: &mut Vec<PlanViolation>) {
     for (rank, ops) in world.iter().enumerate() {
         for op in ops {
             match *op {
-                Op::SendPost { dst, tag, bytes } => {
+                Op::SendPost((dst, tag), bytes) => {
                     let e = flows.entry((rank, dst, tag)).or_default();
                     e.0 += 1;
                     e.1 = bytes;
                 }
-                Op::RecvBlock { src, tag, bytes } => {
+                Op::RecvBlock((src, tag), bytes) => {
                     let e = flows.entry((src, rank, tag)).or_default();
                     e.2 += 1;
                     e.3 = bytes;
                 }
-                Op::SendWait { .. } => {}
+                Op::SendWait(_) => {}
             }
         }
     }
@@ -412,10 +321,10 @@ fn check_deadlock(world: &[Vec<Op>]) -> Result<usize, Vec<(usize, usize, Tag)>> 
         for (rank, ops) in world.iter().enumerate() {
             while pc[rank] < ops.len() {
                 match ops[pc[rank]] {
-                    Op::SendPost { dst, tag, .. } => {
+                    Op::SendPost((dst, tag), _) => {
                         *sent.entry((rank, dst, tag)).or_default() += 1;
                     }
-                    Op::RecvBlock { src, tag, .. } => {
+                    Op::RecvBlock((src, tag), _) => {
                         let avail = sent.get(&(src, rank, tag)).copied().unwrap_or(0);
                         let taken = consumed.entry((src, rank, tag)).or_default();
                         if *taken >= avail {
@@ -424,7 +333,7 @@ fn check_deadlock(world: &[Vec<Op>]) -> Result<usize, Vec<(usize, usize, Tag)>> 
                         *taken += 1;
                         blocking_ops += 1;
                     }
-                    Op::SendWait { dst, tag } => {
+                    Op::SendWait((dst, tag)) => {
                         let done = consumed.get(&(rank, dst, tag)).copied().unwrap_or(0);
                         if done == 0 {
                             break; // receiver has not consumed the payload
@@ -445,9 +354,8 @@ fn check_deadlock(world: &[Vec<Op>]) -> Result<usize, Vec<(usize, usize, Tag)>> 
                 .enumerate()
                 .filter(|(r, ops)| pc[*r] < ops.len())
                 .map(|(r, ops)| match ops[pc[r]] {
-                    Op::RecvBlock { src, tag, .. } => (r, src, tag),
-                    Op::SendWait { dst, tag } => (r, dst, tag),
-                    Op::SendPost { dst, tag, .. } => (r, dst, tag),
+                    Op::RecvBlock((peer, tag), _) | Op::SendWait((peer, tag)) => (r, peer, tag),
+                    Op::SendPost((peer, tag), _) => (r, peer, tag),
                 })
                 .collect();
             return Err(blocked);
@@ -494,7 +402,7 @@ fn summarize(world: &[Vec<Op>], blocking_ops: usize) -> PlanSummary {
     let (mut messages, mut bytes) = (0usize, 0usize);
     for ops in world {
         for op in ops {
-            if let Op::SendPost { bytes: b, .. } = op {
+            if let Op::SendPost(_, b) = op {
                 messages += 1;
                 bytes += b;
             }
@@ -531,7 +439,10 @@ fn verify_world(
 pub fn verify_flat(plans: &[RankPlan]) -> Result<PlanSummary, Vec<PlanViolation>> {
     let mut violations = Vec::new();
     check_ownership(plans, &mut violations);
-    verify_world(plans.iter().map(flat_ops).collect(), violations)
+    let world = plans
+        .iter()
+        .map(|p| project(ExchangeSchedule::flat(p).ops()));
+    verify_world(world.collect(), violations)
 }
 
 /// Verifies a whole world of node-aware plans (`plans[r].flat.rank == r`):
@@ -572,7 +483,10 @@ pub fn verify_node_aware(plans: &[NodeAwarePlan]) -> Result<PlanSummary, Vec<Pla
             }
         }
     }
-    verify_world(plans.iter().map(node_aware_ops).collect(), violations)
+    let world = plans
+        .iter()
+        .map(|p| project(ExchangeSchedule::node_aware(p).ops()));
+    verify_world(world.collect(), violations)
 }
 
 // -- distributed entry point ------------------------------------------------
@@ -663,6 +577,7 @@ pub(crate) fn assert_verified(comm: &Comm, plan: &RankPlan, node_map: Option<&Ra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{TAG_HALO, TAG_WIRE};
     use crate::partition::RowPartition;
     use crate::plan::build_plans_serial;
     use spmv_matrix::synthetic;
@@ -802,36 +717,69 @@ mod tests {
     }
 
     #[test]
+    fn leaders_receiving_wires_before_sending_them_deadlock() {
+        // 4 ranks, 2 per node: leaders 0 and 2 exchange one wire each way
+        let plans = world(120, 4);
+        let na = build_node_aware_serial(&plans, &RankNodeMap::contiguous(4, 2));
+        let schedules: Vec<ExchangeSchedule> =
+            na.iter().map(ExchangeSchedule::node_aware).collect();
+        // the op list with a leader's wire receive moved ahead of its sends
+        let early_wire_recv = |s: &ExchangeSchedule| {
+            let mut ops: Vec<ExchangeOp> = s.ops().cloned().collect();
+            let wire_send = ops
+                .iter()
+                .position(|op| matches!(op, ExchangeOp::Isend((_, TAG_WIRE), ..)));
+            let wire_recv = ops
+                .iter()
+                .position(|op| matches!(op, ExchangeOp::Recv((_, TAG_WIRE), ..)));
+            let (send, recv) = wire_send.zip(wire_recv).expect("a leader wires both ways");
+            let op = ops.remove(recv);
+            ops.insert(send, op);
+            project(&ops)
+        };
+        let honest: Vec<Vec<Op>> = schedules.iter().map(|s| project(s.ops())).collect();
+        verify_world(honest.clone(), Vec::new()).expect("the real schedule verifies");
+        // one leader that receives first still completes: the other leader
+        // posts its wire before it blocks
+        let mut one = honest;
+        one[0] = early_wire_recv(&schedules[0]);
+        verify_world(one, Vec::new()).expect("one early receive cannot wedge");
+        // two such leaders wait on each other
+        let both = schedules
+            .iter()
+            .map(|s| {
+                if s.relay_lens.is_empty() {
+                    project(s.ops())
+                } else {
+                    early_wire_recv(s)
+                }
+            })
+            .collect();
+        let err = verify_world(both, Vec::new()).expect_err("head-to-head wires deadlock");
+        let [PlanViolation::Deadlock { blocked }] = err.as_slice() else {
+            panic!("expected one Deadlock, got {err:?}");
+        };
+        assert!(
+            blocked.contains(&(0, 2, TAG_WIRE)) && blocked.contains(&(2, 0, TAG_WIRE)),
+            "both leaders must block on each other's wire: {blocked:?}"
+        );
+    }
+
+    #[test]
     fn deadlock_sim_catches_mutual_blocking_recv() {
         // Hand-built schedules: both ranks block on a receive before
         // posting their send — the classic head-to-head deadlock the
         // engine's post-first order is designed to exclude.
         let world = vec![
             vec![
-                Op::RecvBlock {
-                    src: 1,
-                    tag: 1,
-                    bytes: 8,
-                },
-                Op::SendPost {
-                    dst: 1,
-                    tag: 1,
-                    bytes: 8,
-                },
-                Op::SendWait { dst: 1, tag: 1 },
+                Op::RecvBlock((1, 1), 8),
+                Op::SendPost((1, 1), 8),
+                Op::SendWait((1, 1)),
             ],
             vec![
-                Op::RecvBlock {
-                    src: 0,
-                    tag: 1,
-                    bytes: 8,
-                },
-                Op::SendPost {
-                    dst: 0,
-                    tag: 1,
-                    bytes: 8,
-                },
-                Op::SendWait { dst: 0, tag: 1 },
+                Op::RecvBlock((0, 1), 8),
+                Op::SendPost((0, 1), 8),
+                Op::SendWait((0, 1)),
             ],
         ];
         let blocked = check_deadlock(&world).expect_err("head-to-head must deadlock");

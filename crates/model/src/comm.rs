@@ -30,9 +30,9 @@ pub struct CommLevels {
     pub inter_bps: f64,
 }
 
-/// One rank's per-exchange traffic, counted by level. Mirrors the traffic
-/// summaries the engine reports (`spmv-core`'s `CommTraffic`), but as a
-/// plain struct so the model stays independent of the engine crates.
+/// One rank's per-exchange traffic, counted by level: what the engine
+/// predicts for its halo exchange (`spmv-core`'s
+/// `RankEngine::exchange_traffic`) and what this model prices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankTraffic {
     /// Intra-node messages sent.
@@ -43,6 +43,18 @@ pub struct RankTraffic {
     pub inter_msgs: usize,
     /// Inter-node bytes sent.
     pub inter_bytes: usize,
+}
+
+impl std::iter::Sum for RankTraffic {
+    /// Level-wise totals (for aggregating over ranks).
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, t| RankTraffic {
+            intra_msgs: a.intra_msgs + t.intra_msgs,
+            intra_bytes: a.intra_bytes + t.intra_bytes,
+            inter_msgs: a.inter_msgs + t.inter_msgs,
+            inter_bytes: a.inter_bytes + t.inter_bytes,
+        })
+    }
 }
 
 impl CommLevels {

@@ -8,7 +8,9 @@
 //!
 //! A region starts with a bump of a generation word that idle workers
 //! watch: they spin for [`SPIN_WINDOW`] after their last region, then park
-//! until woken. It ends at the team's [`SpinBarrier`].
+//! until woken. It ends when every worker has counted itself out. A thread
+//! that panics poisons the team's [`SpinBarrier`], so the others leave the
+//! region at their next barrier instead of waiting there forever.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr;
@@ -33,11 +35,14 @@ fn backoff(spins: &mut u32) {
 
 /// Reusable spin barrier for exactly `size` participants. Each arrival
 /// counts itself in; the last one resets the count and bumps a generation
-/// word, which the others spin on (spinning, then yielding).
+/// word, which the others spin on (spinning, then yielding). A participant
+/// that will never arrive poisons it ([`SpinBarrier::poison`]), and the
+/// others panic instead of waiting.
 pub struct SpinBarrier {
     size: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -48,11 +53,17 @@ impl SpinBarrier {
             size,
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
     /// Blocks until all `size` participants have called `wait`.
+    ///
+    /// # Panics
+    /// If the barrier is poisoned, on arrival or while waiting.
     pub fn wait(&self) {
+        const POISONED: &str = "barrier poisoned: a participant panicked";
+        assert!(!self.is_poisoned(), "{POISONED}");
         let gen = self.generation.load(Ordering::Acquire);
         let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
         if arrived == self.size {
@@ -61,9 +72,27 @@ impl SpinBarrier {
         } else {
             let mut spins = 0;
             while self.generation.load(Ordering::Acquire) == gen {
+                assert!(!self.is_poisoned(), "{POISONED}");
                 backoff(&mut spins);
             }
         }
+    }
+
+    /// Poisons the barrier: every participant waiting at it, or arriving
+    /// later, panics instead of waiting.
+    pub fn poison(&self) {
+        self.poisoned.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the barrier is poisoned.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Relaxed)
+    }
+
+    /// Clears the poison and the arrivals; only while nobody waits.
+    fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.poisoned.store(false, Ordering::Relaxed);
     }
 
     /// Number of participants.
@@ -83,8 +112,12 @@ pub struct TeamCtx<'a> {
 
 impl TeamCtx<'_> {
     /// Team-wide barrier: every thread of the team must call it, the same
-    /// number of times per region. A thread that panics before a barrier
-    /// leaves the others waiting at it.
+    /// number of times per region.
+    ///
+    /// # Panics
+    /// If another thread of the team panicked in this region: it poisoned
+    /// the barrier, so this thread leaves the region instead of waiting for
+    /// it, and [`ThreadTeam::run`] reports the panic.
     pub fn barrier(&self) {
         self.barrier.wait();
     }
@@ -221,15 +254,21 @@ impl ThreadTeam {
             w.thread().unpark();
         }
         let mine = catch_unwind(AssertUnwindSafe(|| region(s.ctx(0))));
-        s.barrier.wait();
-        // Threads that call `barrier` unequally can pass the end barrier
-        // early; `region` must still outlive every worker's use of it.
+        if mine.is_err() {
+            s.barrier.poison();
+        }
+        // the region ends when every worker has left `region`, which must
+        // outlive their use of it
         let mut spins = 0;
         while s.running.load(Ordering::Acquire) != 0 {
             backoff(&mut spins);
         }
         // ordered after every worker's store by `running` (Release/Acquire)
         let theirs = s.panicked.swap(false, Ordering::Relaxed);
+        if mine.is_err() || theirs {
+            // no thread is left in the region to wait at the barrier
+            s.barrier.reset();
+        }
         self.busy.store(false, Ordering::Release);
         if let Err(payload) = mine {
             resume_unwind(payload);
@@ -249,8 +288,8 @@ impl Drop for ThreadTeam {
     }
 }
 
-/// A worker's life: wait for a region, run it as thread `tid`, meet the
-/// others at the end barrier; stop on a null job.
+/// A worker's life: wait for a region, run it as thread `tid`, count
+/// itself out (poisoning the barrier if it panicked); stop on a null job.
 fn worker_loop(tid: usize, s: &Shared) {
     let mut seen = 0;
     loop {
@@ -266,9 +305,9 @@ fn worker_loop(tid: usize, s: &Shared) {
         let res = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(s.ctx(tid)) }));
         if res.is_err() {
             s.panicked.store(true, Ordering::Relaxed);
+            s.barrier.poison();
         }
         s.running.fetch_sub(1, Ordering::Release);
-        s.barrier.wait();
     }
 }
 
@@ -406,6 +445,51 @@ mod tests {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn panic_before_a_barrier_ends_the_region() {
+        // thread 1 panics before the two barriers the others wait at; run
+        // on a helper thread so that a hang fails the test after a timeout
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let team = ThreadTeam::new(3);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                team.run(|ctx| {
+                    if ctx.tid == 1 {
+                        panic!("boom");
+                    }
+                    ctx.barrier();
+                    ctx.barrier();
+                });
+            }));
+            // the team stays usable, barriers included
+            let hits = AtomicUsize::new(0);
+            team.run(|ctx| {
+                ctx.barrier();
+                hits.fetch_add(1, Ordering::SeqCst);
+                ctx.barrier();
+            });
+            let _ = tx.send((r.is_err(), hits.into_inner()));
+        });
+        let (panicked, hits) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the region hung after a worker panic");
+        assert!(panicked, "the panic must reach the caller");
+        assert_eq!(hits, 3);
+    }
+
+    #[test]
+    fn poisoned_spin_barrier_releases_waiters() {
+        let b = Arc::new(SpinBarrier::new(2));
+        let waiter = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || b.wait())
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        b.poison();
+        assert!(waiter.join().is_err(), "a poisoned wait panics");
+        assert!(b.is_poisoned());
     }
 
     #[test]

@@ -74,7 +74,8 @@ pub enum MOp {
         /// Barrier group id.
         id: usize,
     },
-    /// Gather: `dst[k] = src[indices[k]]` (the engine's send-buffer fill).
+    /// Gather: `dst[off + k] = src[indices[k]]` (the engine's send-buffer
+    /// fill, and a node leader's in-memory wire copies).
     Gather {
         /// Source buffer id.
         src: usize,
@@ -82,6 +83,8 @@ pub enum MOp {
         indices: Rc<Vec<u32>>,
         /// Destination buffer id.
         dst: usize,
+        /// Element offset within the destination buffer.
+        off: usize,
     },
     /// Sparse matrix-vector kernel over `x = x_buf[..ncols]` into `y_buf`,
     /// optionally accumulating (the split-kernel second pass).
@@ -406,9 +409,14 @@ impl Search<'_> {
                     }
                 }
             }
-            MOp::Gather { src, indices, dst } => {
+            MOp::Gather {
+                src,
+                indices,
+                dst,
+                off,
+            } => {
                 for (k, &i) in indices.iter().enumerate() {
-                    s.bufs[*dst][k] = s.bufs[*src][i as usize];
+                    s.bufs[*dst][off + k] = s.bufs[*src][i as usize];
                 }
             }
             MOp::Spmv {
@@ -599,6 +607,7 @@ mod tests {
                             src: 1,
                             indices: Rc::new(vec![0]),
                             dst: 0,
+                            off: 0,
                         },
                         MOp::Barrier { id: 0 },
                     ],
@@ -611,6 +620,7 @@ mod tests {
                             src: 0,
                             indices: Rc::new(vec![0]),
                             dst: 2,
+                            off: 0,
                         },
                     ],
                 },

@@ -227,7 +227,8 @@ fn explorer_is_reachable_through_the_facade() {
     // facade path end to end: real plans -> model world -> verdict
     let m = synthetic::tridiagonal(18, 2.0, -1.0);
     let x = vecops::random_vec(18, 3);
-    let (world, layout) = hybrid_spmv::verify::build_world(&m, &x, 3, KernelMode::TaskMode);
+    let (world, layout) =
+        hybrid_spmv::verify::build_world(&m, &x, 3, KernelMode::TaskMode, CommStrategy::Flat);
     let report = hybrid_spmv::verify::Explorer::new(world)
         .run()
         .expect("task mode on 3 ranks is deadlock-free");
