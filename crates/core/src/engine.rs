@@ -559,7 +559,7 @@ impl RankEngine {
         // the row chunks are disjoint, so the compute threads write
         // disjoint rows of y.
         unsafe {
-            kern.spmv_rows_raw(mat, rows, b.x(0..mat.ncols), b.y, part == Part::Nonlocal);
+            kern.spmv_rows_raw(mat, rows, b.x(0..mat.ncols()), b.y, part == Part::Nonlocal);
         }
         nnz
     }
@@ -944,12 +944,15 @@ mod tests {
         let comms = CommWorld::create(1);
         let cfg = EngineConfig::pure_mpi();
         let eng = RankEngine::new(comms.into_iter().next().unwrap(), &m, &p, cfg);
-        assert!(std::ptr::eq(eng.matrices().full.view().values, m.values()));
+        assert!(std::ptr::eq(
+            eng.matrices().full.view().values(),
+            m.values()
+        ));
         // each rank's row block points into the whole matrix's values
         let values = m.values().as_ptr_range();
         let (lo, hi) = (values.start as usize, values.end as usize);
         let inside = crate::runner::run_spmd(&m, 3, cfg, |eng| {
-            let v = eng.matrices().full.view().values.as_ptr_range();
+            let v = eng.matrices().full.view().values().as_ptr_range();
             lo <= v.start as usize && v.end as usize <= hi
         });
         assert_eq!(inside, [true; 3]);

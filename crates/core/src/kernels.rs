@@ -17,8 +17,7 @@
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
 
-use spmv_matrix::csr::{row_dot_scalar, row_dot_unrolled4};
-use spmv_matrix::{CsrView, SellMatrix};
+use spmv_matrix::{CsrView, RowDot, SellMatrix};
 use std::ops::Range;
 
 /// Selects the node-level kernel the engine runs.
@@ -94,7 +93,7 @@ pub trait SpmvKernel: Send + Sync {
     ///
     /// # Safety
     /// `y` must be valid for writes at every index in `rows`,
-    /// `rows.end <= mat.nrows()`, `x.len() == mat.ncols`, and concurrent
+    /// `rows.end <= mat.nrows()`, `x.len() == mat.ncols()`, and concurrent
     /// callers must use disjoint `rows` ranges.
     unsafe fn spmv_rows_raw(
         &self,
@@ -119,7 +118,7 @@ impl dyn SpmvKernel {
     ) {
         let mat = mat.into();
         assert!(rows.end <= mat.nrows());
-        assert_eq!(x.len(), mat.ncols, "x length must equal ncols");
+        assert_eq!(x.len(), mat.ncols(), "x length must equal ncols");
         assert!(
             y.len() >= rows.end,
             "y length {} too short for row block ending at {}",
@@ -132,14 +131,14 @@ impl dyn SpmvKernel {
 }
 
 /// A CSR kernel: the view's row walk, each row summed by `dot` —
-/// [`row_dot_scalar`] for `csr-scalar`, [`row_dot_unrolled4`] for
+/// [`RowDot::Scalar`] for `csr-scalar`, [`RowDot::Unrolled4`] for
 /// `csr-unrolled4`.
-struct CsrKernel<D> {
+struct CsrKernel {
     kind: KernelKind,
-    dot: D,
+    dot: RowDot,
 }
 
-impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for CsrKernel<D> {
+impl SpmvKernel for CsrKernel {
     fn kind(&self) -> KernelKind {
         self.kind
     }
@@ -154,7 +153,7 @@ impl<D: Fn(&[u32], &[f64], &[f64]) -> f64 + Send + Sync> SpmvKernel for CsrKerne
         add: bool,
     ) {
         // SAFETY: the caller's contract is the view kernel's.
-        unsafe { mat.spmv_rows_ptr(rows, x, y, add, &self.dot) }
+        unsafe { mat.spmv_rows_ptr(rows, x, y, add, self.dot) }
     }
 }
 
@@ -183,7 +182,7 @@ impl SpmvKernel for SellKernel {
         add: bool,
     ) {
         debug_assert_eq!(
-            (mat.nrows(), mat.ncols),
+            (mat.nrows(), mat.ncols()),
             (self.sell.nrows(), self.sell.ncols()),
             "kernel prepared for another matrix"
         );
@@ -198,11 +197,11 @@ pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<
     match kind {
         KernelKind::CsrScalar => Box::new(CsrKernel {
             kind,
-            dot: row_dot_scalar,
+            dot: RowDot::Scalar,
         }),
         KernelKind::CsrUnrolled4 => Box::new(CsrKernel {
             kind,
-            dot: row_dot_unrolled4,
+            dot: RowDot::Unrolled4,
         }),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),

@@ -74,18 +74,22 @@ impl BlockPart {
             local_len,
             nonlocal,
         } = &*self.block;
-        let full = CsrView {
-            col_idx,
-            ncols: nonlocal.ncols(),
-            ..csr.view()
-        };
+        let (rows, values) = (csr.row_ptr(), csr.values());
+        // `SplitMatrix::build`'s remap proves the bound of the full and local
+        // views, and debug builds re-check both there
         match self.part {
-            Part::Full => full,
-            Part::Local => CsrView {
-                begin,
-                end,
-                ncols: *local_len,
-                ..full
+            // SAFETY: a row's local entries became `c - lo` for a global `c`
+            // in `lo..hi`, so they are < local_len, and its halo entries
+            // `local_len + h` for an index `h` into the halo list, so they
+            // are < local_len + halo_len = `nonlocal.ncols()`.
+            Part::Full => unsafe {
+                let n = csr.nrows();
+                CsrView::new_unchecked(&rows[..n], &rows[1..], col_idx, values, nonlocal.ncols())
+            },
+            // SAFETY: `begin[i]..end[i]` holds row i's local entries, each
+            // `c - lo` for a global `c` in `lo..hi`, so < local_len.
+            Part::Local => unsafe {
+                CsrView::new_unchecked(begin, end, col_idx, values, *local_len)
             },
             Part::Nonlocal => nonlocal.view(),
         }
@@ -99,7 +103,7 @@ impl BlockPart {
     /// Length of the `x` this part reads: `local_len` for the local part,
     /// `local_len + halo_len` otherwise.
     pub fn ncols(&self) -> usize {
-        self.view().ncols
+        self.view().ncols()
     }
 
     /// Stored entries of this part in rows `..i`, for `i` in `0..=nrows`:
@@ -164,7 +168,8 @@ impl SplitMatrix {
         let (mut begin, mut end) = (Vec::with_capacity(nloc), Vec::with_capacity(nloc));
         let (mut nl_ptr, mut nl_cols, mut nl_vals) = (vec![0], Vec::new(), Vec::new());
         for i in 0..nloc {
-            // a sorted row is [halo left of lo | local | halo from hi on]
+            // a sorted row (a `CsrMatrix` invariant) is [halo left of lo |
+            // local | halo from hi on], so every column in a..b is in lo..hi
             let (cols, vals) = block.row(i);
             let a = cols.partition_point(|&c| c < lo);
             let b = a + cols[a..].partition_point(|&c| c < hi);
@@ -183,7 +188,11 @@ impl SplitMatrix {
         let ncols = nloc + halo_globals.len();
         nl_cols.shrink_to_fit();
         nl_vals.shrink_to_fit();
-        let nonlocal = CsrMatrix::from_parts_unchecked(nloc, ncols, nl_ptr, nl_cols, nl_vals);
+        // SAFETY: the halo entries' columns are `nloc + h` for an index `h`
+        // into `halo_globals`, so < ncols, and each row keeps them in the
+        // block's ascending global order, which `halo_col` preserves.
+        let nonlocal =
+            unsafe { CsrMatrix::from_parts_unchecked(nloc, ncols, nl_ptr, nl_cols, nl_vals) };
         let block = Arc::new(Block {
             csr: block.clone(),
             col_idx,
@@ -196,11 +205,18 @@ impl SplitMatrix {
             block: Arc::clone(&block),
             part,
         };
-        Self {
+        let split = Self {
             full: part(Part::Full),
             local: part(Part::Local),
             nonlocal: part(Part::Nonlocal),
+        };
+        if cfg!(debug_assertions) {
+            // re-check the bound `BlockPart::view` takes on trust
+            for v in [split.full.view(), split.local.view()] {
+                CsrView::new(v.begin(), v.end(), v.col_idx(), v.values(), v.ncols());
+            }
         }
+        split
     }
 
     /// The part a compute step multiplies.
@@ -274,23 +290,38 @@ mod tests {
 
     fn csr_view(c: &Csr) -> CsrView<'_> {
         let n = c.0.len() - 1;
-        CsrView {
-            begin: &c.0[..n],
-            end: &c.0[1..],
-            col_idx: &c.1,
-            values: &c.2,
-            ncols: c.3,
-        }
+        CsrView::new(&c.0[..n], &c.0[1..], &c.1, &c.2, c.3)
     }
 
-    /// `csr-scalar`'s row sums as an indexed loop over the shared arrays:
-    /// the reference whose bits the per-row slice kernel must keep.
-    fn indexed_scalar(v: CsrView<'_>, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
+    /// A kernel's row sums as an indexed loop over the view's shared
+    /// arrays, each `x` read checked: the reference whose bits the kernel
+    /// must keep. `csr-scalar` and SELL-C-σ sum each row in storage order
+    /// (SELL's slots keep the row's order), `csr-unrolled4` in four
+    /// partial sums by position mod 4 plus a tail.
+    fn indexed(
+        kind: KernelKind,
+        v: CsrView<'_>,
+        rows: Range<usize>,
+        x: &[f64],
+        y: &mut [f64],
+        add: bool,
+    ) {
         for i in rows {
-            let mut sum = 0.0;
-            for j in v.begin[i]..v.end[i] {
-                sum += v.values[j] * x[v.col_idx[j] as usize];
-            }
+            let r = v.row_range(i);
+            let term = |j: usize| v.values()[j] * x[v.col_idx()[j] as usize];
+            let sum = if kind == KernelKind::CsrUnrolled4 {
+                let n4 = r.start + (r.len() & !3);
+                let (mut s, mut tail) = ([0.0f64; 4], 0.0);
+                for j in r.start..n4 {
+                    s[(j - r.start) % 4] += term(j);
+                }
+                for j in n4..r.end {
+                    tail += term(j);
+                }
+                (s[0] + s[1]) + (s[2] + s[3]) + tail
+            } else {
+                r.fold(0.0, |sum, j| sum + term(j))
+            };
             y[i] = if add { y[i] + sum } else { sum };
         }
     }
@@ -300,14 +331,22 @@ mod tests {
     /// one, and both match the global product; the full view is the
     /// block in storage order, array for array, reading the caller's
     /// values in place. `csr-scalar` keeps the serial product's bits on
-    /// the full view, and the indexed loop's bits on every view, serially
-    /// and over odd rows. Every part's `nnz_before` counts its view's rows.
+    /// the full view, and every kernel keeps its indexed loop's bits on
+    /// every view, serially and over odd rows. Every part's `nnz_before`
+    /// counts its view's rows.
     fn check_views(m: &CsrMatrix, p: &RowPartition) {
         let x = vecops::random_vec(m.ncols(), 17);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let (mut y_global, mut want) = (vec![0.0; m.nrows()], vec![0.0; m.nrows()]);
         m.spmv(&x, &mut y_global);
-        indexed_scalar(m.view(), 0..m.nrows(), &x, &mut want, false);
+        indexed(
+            KernelKind::CsrScalar,
+            m.view(),
+            0..m.nrows(),
+            &x,
+            &mut want,
+            false,
+        );
         assert_eq!(bits(&y_global), bits(&want), "serial reference");
         let mut kinds = KernelKind::candidates();
         kinds.push(KernelKind::Sell { c: 4, sigma: 1 });
@@ -317,9 +356,13 @@ mod tests {
             let s = SplitMatrix::build(&block, &plan);
             let (full, local, nonlocal) = reference_copies(&block, &plan);
             let (v, full) = (s.full.view(), csr_view(&full));
-            assert_eq!((v.begin, v.end), (full.begin, full.end), "rank {rank}");
-            assert_eq!((v.col_idx, v.values), (full.col_idx, full.values));
-            assert!(std::ptr::eq(v.values, block.values()), "values shared");
+            assert_eq!(
+                (v.begin(), v.end()),
+                (full.begin(), full.end()),
+                "rank {rank}"
+            );
+            assert_eq!((v.col_idx(), v.values()), (full.col_idx(), full.values()));
+            assert!(std::ptr::eq(v.values(), block.values()), "values shared");
             assert_eq!(s.local.nnz(), local.nnz(), "rank {rank}");
             for part in [&s.full, &s.local, &s.nonlocal] {
                 let rows = (0..part.nrows()).map(|i| part.view().row_range(i).len());
@@ -360,14 +403,17 @@ mod tests {
             }
             let views = [(s.full.view(), &x_ext[..]), (s.local.view(), x_local)];
             for (v, x) in views.into_iter().chain([(s.nonlocal.view(), &x_ext[..])]) {
-                let scalar = prepare_kernel(KernelKind::CsrScalar, v);
-                for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
-                    let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
-                    indexed_scalar(v, rows.clone(), x, &mut want, add);
-                    scalar.spmv_rows(v, rows.clone(), x, &mut got, add);
-                    assert_eq!(bits(&got), bits(&want), "rank {rank} {rows:?} add {add}");
-                    for i in rows.filter(|&i| !add && v.row_range(i).is_empty()) {
-                        assert_eq!(got[i].to_bits(), 0, "empty row {i} gives +0.0");
+                for &kind in &kinds {
+                    let kern = prepare_kernel(kind, v);
+                    for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
+                        let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
+                        indexed(kind, v, rows.clone(), x, &mut want, add);
+                        kern.spmv_rows(v, rows.clone(), x, &mut got, add);
+                        let at = format!("{kind}, rank {rank} {rows:?} add {add}");
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                        for i in rows.filter(|&i| !add && v.row_range(i).is_empty()) {
+                            assert_eq!(got[i].to_bits(), 0, "{at}: empty row {i} gives +0.0");
+                        }
                     }
                 }
             }
@@ -375,12 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_kernel_keeps_the_indexed_loop_bits_on_hmep_and_power_law() {
+    fn every_kernel_keeps_the_indexed_loop_bits_on_one_to_four_ranks() {
         let hmep = hamiltonian(&HolsteinParams::test_scale(
             HolsteinOrdering::ElectronContiguous,
         ));
         for m in [hmep, synthetic::power_law_rows(999, 9.0, 1.0, 5)] {
-            check_views(&m, &RowPartition::by_nnz(&m, 3));
+            for ranks in 1..=4 {
+                check_views(&m, &RowPartition::by_nnz(&m, ranks));
+            }
         }
     }
 

@@ -91,9 +91,12 @@ impl CooMatrix {
             }
             row_ptr.push(col_idx.len());
         }
-        Ok(CsrMatrix::from_parts_unchecked(
-            self.nrows, self.ncols, row_ptr, col_idx, values,
-        ))
+        // SAFETY: `push` (and `from_csr`, from a valid matrix) keep every
+        // column < ncols <= u32::MAX, so the `as u32` above kept it; each
+        // row was sorted and coalesced, and `row_ptr` counts its entries.
+        Ok(unsafe {
+            CsrMatrix::from_parts_unchecked(self.nrows, self.ncols, row_ptr, col_idx, values)
+        })
     }
 
     /// Builds a COO matrix from a CSR matrix (used for round-trip I/O).

@@ -177,12 +177,15 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds a matrix without validation.
+    /// Builds a matrix without validation (debug builds still check it).
     ///
-    /// Callers must guarantee the invariants documented on [`CsrMatrix`];
-    /// all generators in this crate produce rows sorted by construction and
-    /// use this constructor on their (checked-in-debug) output.
-    pub fn from_parts_unchecked(
+    /// # Safety
+    /// The parts must satisfy every invariant documented on [`CsrMatrix`].
+    /// Unsafe code relies on two of them: the row kernels read `x` without
+    /// a bounds check because every column is `< ncols`, and a remap of a
+    /// row's columns may find its segments by binary search because each
+    /// row is sorted.
+    pub unsafe fn from_parts_unchecked(
         nrows: usize,
         ncols: usize,
         row_ptr: Vec<usize>,
@@ -323,12 +326,16 @@ impl CsrMatrix {
     /// `row_ptr[i]..row_ptr[i + 1]`.
     #[inline]
     pub fn view(&self) -> CsrView<'_> {
-        CsrView {
-            begin: &self.row_ptr[..self.nrows],
-            end: &self.row_ptr[1..],
-            col_idx: &self.col_idx,
-            values: &self.values,
-            ncols: self.ncols,
+        // SAFETY: every column of a matrix is < ncols (a `CsrMatrix`
+        // invariant), so every entry a row reaches is.
+        unsafe {
+            CsrView::new_unchecked(
+                &self.row_ptr[..self.nrows],
+                &self.row_ptr[1..],
+                &self.col_idx,
+                &self.values,
+                self.ncols,
+            )
         }
     }
 
@@ -472,25 +479,120 @@ impl CsrMatrix {
 /// `(row_ptr[..n], row_ptr[1..])` ([`CsrMatrix::view`]); one stored block
 /// can also expose per-row parts of itself without copying them, as the
 /// local part of `spmv-core`'s split matrix does.
+///
+/// Every entry a view's rows reach has a column `< ncols`. The bound is
+/// proven once, when the view is made, so the row kernels read `x`
+/// without a bounds check per nonzero once a product has checked
+/// `x.len() == ncols`. A view is made in three ways only:
+/// [`CsrMatrix::view`] (a matrix's columns are bounded by its
+/// constructors), [`CsrView::new`] (which scans every row) and the
+/// `unsafe` [`CsrView::new_unchecked`] (whose contract is the bound).
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
-    /// First entry of each row.
-    pub begin: &'a [usize],
-    /// One past the last entry of each row (as many rows as `begin`).
-    pub end: &'a [usize],
-    /// The column indices the rows index into.
-    pub col_idx: &'a [u32],
-    /// The values the rows index into.
-    pub values: &'a [f64],
-    /// Number of columns: the length of the `x` a product reads.
-    pub ncols: usize,
+    begin: &'a [usize],
+    end: &'a [usize],
+    col_idx: &'a [u32],
+    values: &'a [f64],
+    ncols: usize,
 }
 
 impl<'a> CsrView<'a> {
+    /// The view whose row `i` is `begin[i]..end[i]` of `col_idx` /
+    /// `values`, over an `x` of length `ncols`.
+    ///
+    /// # Panics
+    /// If `begin` and `end` differ in length, `col_idx` and `values` do,
+    /// a row's range is reversed or reaches past the arrays, or a row
+    /// reaches a column `>= ncols`.
+    pub fn new(
+        begin: &'a [usize],
+        end: &'a [usize],
+        col_idx: &'a [u32],
+        values: &'a [f64],
+        ncols: usize,
+    ) -> Self {
+        assert_eq!(
+            begin.len(),
+            end.len(),
+            "begin and end must have one entry per row"
+        );
+        assert_eq!(
+            col_idx.len(),
+            values.len(),
+            "col_idx and values must have one entry per nonzero"
+        );
+        for (i, (&b, &e)) in begin.iter().zip(end).enumerate() {
+            assert!(
+                b <= e && e <= col_idx.len(),
+                "row {i} spans {b}..{e}, outside the {} stored entries",
+                col_idx.len()
+            );
+            if let Some(&c) = col_idx[b..e].iter().find(|&&c| c as usize >= ncols) {
+                panic!("row {i} reaches column {c}, outside the view's {ncols} columns");
+            }
+        }
+        // SAFETY: the scan above found no reachable column >= ncols.
+        unsafe { Self::new_unchecked(begin, end, col_idx, values, ncols) }
+    }
+
+    /// [`CsrView::new`] without its scan.
+    ///
+    /// # Safety
+    /// For every row `i` and every `j` in `begin[i]..end[i]` that lies
+    /// inside `col_idx`, `col_idx[j] < ncols`: the products read `x` at
+    /// these columns without a bounds check. (A row range that reaches
+    /// past the arrays panics when the row is read, so it is no hazard.)
+    #[inline]
+    pub unsafe fn new_unchecked(
+        begin: &'a [usize],
+        end: &'a [usize],
+        col_idx: &'a [u32],
+        values: &'a [f64],
+        ncols: usize,
+    ) -> Self {
+        Self {
+            begin,
+            end,
+            col_idx,
+            values,
+            ncols,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
         self.begin.len()
+    }
+
+    /// Number of columns: the length of the `x` a product reads.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// First entry of each row.
+    #[inline]
+    pub fn begin(&self) -> &'a [usize] {
+        self.begin
+    }
+
+    /// One past the last entry of each row.
+    #[inline]
+    pub fn end(&self) -> &'a [usize] {
+        self.end
+    }
+
+    /// The column indices the rows index into.
+    #[inline]
+    pub fn col_idx(&self) -> &'a [u32] {
+        self.col_idx
+    }
+
+    /// The values the rows index into.
+    #[inline]
+    pub fn values(&self) -> &'a [f64] {
+        self.values
     }
 
     /// Index range of row `i` into `col_idx` / `values`.
@@ -515,7 +617,6 @@ impl<'a> CsrView<'a> {
     /// shorter than `rows.end`.
     pub fn spmv_rows(&self, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         assert!(rows.end <= self.nrows());
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         assert!(
             y.len() >= rows.end,
             "y length {} too short for row block ending at {}",
@@ -524,13 +625,16 @@ impl<'a> CsrView<'a> {
         );
         // SAFETY: y covers every index below rows.end, and is borrowed
         // mutably for the whole call.
-        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add, row_dot_scalar) }
+        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add, RowDot::Scalar) }
     }
 
     /// `y[i] (=|+=) dot(row i, x)` for every row `i` in `rows`, writing
     /// through a raw pointer so that threads can fill disjoint row ranges
     /// of one shared `y`. Each row is taken once as its column and value
-    /// slices; with [`row_dot_scalar`] this is [`Self::spmv_rows`].
+    /// slices; with [`RowDot::Scalar`] this is [`Self::spmv_rows`].
+    ///
+    /// # Panics
+    /// If `x.len() != ncols` or `rows` reaches past the last row.
     ///
     /// # Safety
     /// `y` must be valid for writes at every index in `rows`, and
@@ -542,14 +646,41 @@ impl<'a> CsrView<'a> {
         x: &[f64],
         y: *mut f64,
         add: bool,
-        dot: impl Fn(&[u32], &[f64], &[f64]) -> f64,
+        dot: RowDot,
+    ) {
+        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
+        // every column a row reaches is < ncols (the view's invariant) and
+        // ncols == x.len() (asserted above), so the row dots' unchecked
+        // gathers stay inside x
+        match dot {
+            // SAFETY: as just said; the caller's contract covers y.
+            RowDot::Scalar => unsafe { self.walk(rows, y, add, |c, v| row_dot_scalar(c, v, x)) },
+            // SAFETY: as for the scalar arm.
+            RowDot::Unrolled4 => unsafe {
+                self.walk(rows, y, add, |c, v| row_dot_unrolled4(c, v, x))
+            },
+        }
+    }
+
+    /// The row walk of [`Self::spmv_rows_ptr`], generic in the row dot so
+    /// that each kernel gets its own inlined loop.
+    ///
+    /// # Safety
+    /// As for [`Self::spmv_rows_ptr`]; `dot` must be sound on every row.
+    #[inline(always)]
+    unsafe fn walk(
+        &self,
+        rows: Range<usize>,
+        y: *mut f64,
+        add: bool,
+        dot: impl Fn(&[u32], &[f64]) -> f64,
     ) {
         let (col_idx, values) = (self.col_idx, self.values);
         // walking the two offset slices together drops their per-row
         // bounds checks (measurably faster on in-cache blocks)
         let bounds = self.begin[rows.clone()].iter().zip(&self.end[rows.clone()]);
         for (i, (&b, &e)) in rows.zip(bounds) {
-            let sum = dot(&col_idx[b..e], &values[b..e], x);
+            let sum = dot(&col_idx[b..e], &values[b..e]);
             // SAFETY: the caller guarantees y is writable at row i and
             // that no other thread writes it.
             unsafe {
@@ -574,37 +705,88 @@ impl<'a> From<&'a CsrMatrix> for CsrView<'a> {
 //
 // The inner loop of the CRS SpMV is a sparse dot product of one row against
 // the RHS. `row_dot_scalar` is the row kernel of `csr-scalar`, and
-// `row_dot_unrolled4` that of `spmv-core`'s `csr-unrolled4`.
+// `row_dot_unrolled4` that of `spmv-core`'s `csr-unrolled4`; both, and the
+// SELL-C-σ kernel, read `x` through `gather`.
 
-/// Scalar reference row kernel: sums the row in storage order, the row
-/// dot of [`CsrMatrix::spmv`]. An empty row gives `+0.0`.
+/// The row kernel a CSR product sums each row with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowDot {
+    /// The row in storage order: the sums of [`CsrMatrix::spmv`]
+    /// (`csr-scalar`). An empty row gives `+0.0`.
+    Scalar,
+    /// Four independent partial sums (`csr-unrolled4`), which break the
+    /// floating-point add dependency chain so out-of-order cores keep
+    /// several FMAs in flight. Reassociates the sum, so results differ
+    /// from [`RowDot::Scalar`] by rounding only.
+    Unrolled4,
+}
+
+/// `x[c]` without a bounds check: the gather of every row kernel. Debug
+/// builds check the bound.
+///
+/// # Safety
+/// `c < x.len()`. A kernel proves it once per call: a view's (or a SELL
+/// matrix's) columns are all `< ncols`, and the kernel asserts
+/// `x.len() == ncols`.
 #[inline(always)]
-pub fn row_dot_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+pub(crate) unsafe fn gather(x: &[f64], c: u32) -> f64 {
+    let c = c as usize;
+    debug_assert!(c < x.len(), "column {c} outside an x of length {}", x.len());
+    // SAFETY: the caller guarantees c < x.len().
+    unsafe { *x.get_unchecked(c) }
+}
+
+/// [`RowDot::Scalar`]'s row sum: one add after another, in storage order.
+///
+/// The loop takes four entries per step and the last `len % 4` after it.
+/// A one-entry loop over the unchecked gather is unrolled by the compiler
+/// with a remainder loop that ran slower than the checked loop on sAMG's
+/// ~7-entry rows; this form runs faster than it on both HMeP and sAMG.
+///
+/// # Safety
+/// Every column in `cols` is `< x.len()`.
+#[inline(always)]
+unsafe fn row_dot_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+    let (mut cs, mut vs) = (cols.chunks_exact(4), vals.chunks_exact(4));
     let mut sum = 0.0;
-    for (&c, &v) in cols.iter().zip(vals) {
-        sum += v * x[c as usize];
+    for (c, v) in (&mut cs).zip(&mut vs) {
+        // SAFETY: the caller guarantees every column is inside x.
+        unsafe {
+            sum += v[0] * gather(x, c[0]);
+            sum += v[1] * gather(x, c[1]);
+            sum += v[2] * gather(x, c[2]);
+            sum += v[3] * gather(x, c[3]);
+        }
+    }
+    for (&c, &v) in cs.remainder().iter().zip(vs.remainder()) {
+        // SAFETY: as above.
+        sum += v * unsafe { gather(x, c) };
     }
     sum
 }
 
-/// 4-way unrolled row kernel: four independent partial sums break the
-/// floating-point add dependency chain so out-of-order cores keep several
-/// FMAs in flight. Reassociates the sum, so results differ from the scalar
-/// kernel by FP rounding only.
+/// [`RowDot::Unrolled4`]'s row sum.
+///
+/// # Safety
+/// Every column in `cols` is `< x.len()`.
 #[inline(always)]
-pub fn row_dot_unrolled4(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+unsafe fn row_dot_unrolled4(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     debug_assert_eq!(cols.len(), vals.len());
     let n4 = cols.len() & !3;
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for (c, v) in cols[..n4].chunks_exact(4).zip(vals[..n4].chunks_exact(4)) {
-        s0 += v[0] * x[c[0] as usize];
-        s1 += v[1] * x[c[1] as usize];
-        s2 += v[2] * x[c[2] as usize];
-        s3 += v[3] * x[c[3] as usize];
+        // SAFETY: the caller guarantees every column is inside x.
+        unsafe {
+            s0 += v[0] * gather(x, c[0]);
+            s1 += v[1] * gather(x, c[1]);
+            s2 += v[2] * gather(x, c[2]);
+            s3 += v[3] * gather(x, c[3]);
+        }
     }
     let mut tail = 0.0;
     for (&c, &v) in cols[n4..].iter().zip(&vals[n4..]) {
-        tail += v * x[c as usize];
+        // SAFETY: as above.
+        tail += v * unsafe { gather(x, c) };
     }
     (s0 + s1) + (s2 + s3) + tail
 }
@@ -625,7 +807,14 @@ pub struct CsrBuilder {
 impl CsrBuilder {
     /// Starts a builder for a matrix with `ncols` columns, reserving space
     /// for `nnz_hint` nonzeros.
+    ///
+    /// # Panics
+    /// If `ncols` exceeds the 32-bit column index space.
     pub fn new(ncols: usize, nnz_hint: usize) -> Self {
+        assert!(
+            ncols <= u32::MAX as usize,
+            "ncols = {ncols} exceeds the 32-bit column index space"
+        );
         Self {
             ncols,
             row_ptr: vec![0],
@@ -637,9 +826,12 @@ impl CsrBuilder {
 
     /// Adds an entry to the row currently being assembled. Duplicate columns
     /// are summed when the row is finished.
+    ///
+    /// # Panics
+    /// If `col >= ncols`.
     #[inline]
     pub fn push(&mut self, col: usize, value: f64) {
-        debug_assert!(col < self.ncols, "column {col} out of range {}", self.ncols);
+        assert!(col < self.ncols, "column {col} out of range {}", self.ncols);
         self.current.push((col as u32, value));
     }
 
@@ -674,7 +866,18 @@ impl CsrBuilder {
             self.finish_row();
         }
         let nrows = self.row_ptr.len() - 1;
-        CsrMatrix::from_parts_unchecked(nrows, self.ncols, self.row_ptr, self.col_idx, self.values)
+        // SAFETY: `push` asserted every column < ncols <= u32::MAX (so the
+        // `as u32` kept it), and `finish_row` sorted and coalesced each row
+        // and recorded where it ends.
+        unsafe {
+            CsrMatrix::from_parts_unchecked(
+                nrows,
+                self.ncols,
+                self.row_ptr,
+                self.col_idx,
+                self.values,
+            )
+        }
     }
 }
 
@@ -724,6 +927,76 @@ mod tests {
     fn try_new_validates_column_range() {
         let err = CsrMatrix::try_new(1, 2, vec![0, 1], vec![5], vec![1.0]).unwrap_err();
         assert!(matches!(err, MatrixError::ColumnOutOfRange { .. }));
+        // the first column past the end, in a later row
+        let err = CsrMatrix::try_new(2, 3, vec![0, 1, 2], vec![1, 3], vec![1.0, 1.0]).unwrap_err();
+        assert_eq!(
+            err,
+            MatrixError::ColumnOutOfRange {
+                row: 1,
+                col: 3,
+                ncols: 3
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 out of range 4")]
+    fn builder_rejects_an_out_of_range_column() {
+        let mut b = CsrBuilder::new(4, 2);
+        b.push(1, 1.0);
+        b.push(4, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit column index space")]
+    fn builder_rejects_a_width_past_u32() {
+        CsrBuilder::new(u32::MAX as usize + 1, 0);
+    }
+
+    /// A local-part-style view: each row is the middle of a longer stored
+    /// row, whose outer entries index a wider `x`.
+    const BLOCK_COLS: [u32; 6] = [7, 0, 2, 1, 2, 9];
+    const BLOCK_VALS: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+
+    #[test]
+    fn view_new_accepts_rows_that_stay_inside_ncols() {
+        // rows 1..3 and 3..5; columns 7 and 9 lie outside both
+        let v = CsrView::new(&[1, 3], &[3, 5], &BLOCK_COLS, &BLOCK_VALS, 3);
+        let mut y = [0.0; 2];
+        v.spmv_rows(0..2, &[1.0, 10.0, 100.0], &mut y, false);
+        assert_eq!(y, [302.0, 540.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 reaches column 9, outside the view's 3 columns")]
+    fn view_new_rejects_a_local_row_that_reaches_past_ncols() {
+        CsrView::new(&[1, 3], &[3, 6], &BLOCK_COLS, &BLOCK_VALS, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 spans 4..7")]
+    fn view_new_rejects_a_row_past_the_arrays() {
+        CsrView::new(&[4], &[7], &BLOCK_COLS, &BLOCK_VALS, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "x length must equal ncols")]
+    fn spmv_rows_rejects_a_short_x() {
+        let a = small();
+        let mut y = vec![0.0; 3];
+        a.view().spmv_rows(0..3, &[1.0, 1.0], &mut y, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "x length must equal ncols")]
+    fn spmv_rows_ptr_rejects_a_long_x() {
+        let a = small();
+        let mut y = vec![0.0; 3];
+        // SAFETY: y is writable at rows 0..3 and has no other writer.
+        unsafe {
+            a.view()
+                .spmv_rows_ptr(0..3, &[1.0; 4], y.as_mut_ptr(), false, RowDot::Unrolled4)
+        };
     }
 
     #[test]
@@ -918,7 +1191,8 @@ mod tests {
         m.spmv(&x, &mut y_ref);
         for (i, &want) in y_ref.iter().enumerate() {
             let (cols, vals) = m.row(i);
-            let unrolled = row_dot_unrolled4(cols, vals, &x);
+            // SAFETY: a matrix's columns are < ncols == x.len().
+            let unrolled = unsafe { row_dot_unrolled4(cols, vals, &x) };
             assert!(
                 (unrolled - want).abs() <= 1e-13 * want.abs().max(1.0),
                 "row {i}"
@@ -933,8 +1207,13 @@ mod tests {
         for len in 0..=9usize {
             let cols: Vec<u32> = (0..len).map(|k| ((k * 7) % 32) as u32).collect();
             let vals: Vec<f64> = (0..len).map(|k| k as f64 - 2.5).collect();
-            let reference = row_dot_scalar(&cols, &vals, &x);
-            let got = row_dot_unrolled4(&cols, &vals, &x);
+            // SAFETY: every column is reduced mod 32 == x.len().
+            let (reference, got) = unsafe {
+                (
+                    row_dot_scalar(&cols, &vals, &x),
+                    row_dot_unrolled4(&cols, &vals, &x),
+                )
+            };
             assert!(
                 (got - reference).abs() < 1e-12,
                 "len {len}: {got} vs {reference}"

@@ -22,7 +22,7 @@
 //! true nonzero — the `α ≥ 1` that multiplies the matrix-data term of the
 //! code balance (see `spmv-model::balance::code_balance_sell`).
 
-use crate::csr::{CsrMatrix, CsrView};
+use crate::csr::{gather, CsrMatrix, CsrView};
 use crate::perm::Permutation;
 
 /// A sparse matrix in SELL-C-σ storage.
@@ -51,7 +51,8 @@ pub struct SellMatrix {
 
 impl SellMatrix {
     /// Converts a CSR matrix, or a row-range view of one, into SELL-C-σ
-    /// form.
+    /// form. It takes over the view's bound: every stored column is
+    /// `< ncols` (padding slots hold column 0 but are never read).
     ///
     /// # Panics
     /// If `c == 0` or `sigma == 0`.
@@ -103,7 +104,7 @@ impl SellMatrix {
 
         Self {
             nrows,
-            ncols: m.ncols,
+            ncols: m.ncols(),
             c,
             sigma,
             chunk_ptr,
@@ -221,6 +222,9 @@ impl SellMatrix {
     /// the multi-threaded dispatch in `spmv-core` (threads write disjoint
     /// original-row ranges of a shared `y` without aliasing `&mut`).
     ///
+    /// # Panics
+    /// If `x.len() != ncols`.
+    ///
     /// # Safety
     /// `y` must be valid for writes at every index in `rows`, and
     /// concurrent callers must use disjoint `rows` ranges.
@@ -232,7 +236,7 @@ impl SellMatrix {
         add: bool,
     ) {
         debug_assert!(rows.end <= self.nrows);
-        debug_assert_eq!(x.len(), self.ncols);
+        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         let (c, sigma) = (self.c, self.sigma);
         // σ-sorting only moves a row inside its window, so the rows of
         // `rows` sit at the sorted positions of the windows they overlap
@@ -248,7 +252,13 @@ impl SellMatrix {
             // Row p occupies slots 0..row_len[p] at stride C.
             for k in 0..self.row_len[p] {
                 let idx = base + k * c + r;
-                sum += self.values[idx] * x[self.col_idx[idx] as usize];
+                // SAFETY: row_len[p] is at most the chunk's width w and
+                // r < C, so idx < chunk_ptr[p / C] + w·C = chunk_ptr[p / C + 1]
+                // <= the stored slots; a slot below row_len[p] holds one of
+                // the source view's columns, all < ncols == x.len().
+                sum += unsafe {
+                    *self.values.get_unchecked(idx) * gather(x, *self.col_idx.get_unchecked(idx))
+                };
             }
             let dst = y.add(orig);
             if add {
@@ -261,6 +271,9 @@ impl SellMatrix {
 
     /// Converts back to CSR (exact inverse of [`Self::from_csr`]: padding
     /// dropped, rows restored to original order).
+    ///
+    /// # Panics
+    /// If the source's rows were not sorted by column.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut row_ptr = vec![0usize; self.nrows + 1];
         for (p, &orig) in self.order.iter().enumerate() {
@@ -282,9 +295,11 @@ impl SellMatrix {
                 values[dst + k] = self.values[idx];
             }
         }
-        // Rows were sorted within a row in the source CSR, and slots
-        // preserve that order, so the invariants hold by construction.
-        CsrMatrix::from_parts_unchecked(self.nrows, self.ncols, row_ptr, col_idx, values)
+        // slots keep each row's order, so a sorted source gives a valid
+        // matrix; a view's rows need not be sorted (a split block's full
+        // part is not), and such a copy is no `CsrMatrix`
+        CsrMatrix::try_new(self.nrows, self.ncols, row_ptr, col_idx, values)
+            .expect("the source's rows are sorted")
     }
 }
 
@@ -417,7 +432,7 @@ mod tests {
         let s = SellMatrix::from_csr(&m, 2, 4);
         assert_eq!(s.to_csr(), m);
 
-        let empty = CsrMatrix::from_parts_unchecked(0, 0, vec![0], vec![], vec![]);
+        let empty = CsrMatrix::try_new(0, 0, vec![0], vec![], vec![]).unwrap();
         let se = SellMatrix::from_csr(&empty, 4, 4);
         assert_eq!(se.nnz(), 0);
         assert_eq!(se.padding_factor(), 1.0);
@@ -446,6 +461,14 @@ mod tests {
             let twice = |i: usize| whole[i] * if (10..30).contains(&i) { 2.0 } else { 1.0 };
             assert_eq!(bits(&y), bits(&(0..103).map(twice).collect::<Vec<_>>()));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "x length must equal ncols")]
+    fn spmv_rows_rejects_a_short_x() {
+        let m = synthetic::random_general(20, 20, 3, 1);
+        let s = SellMatrix::from_csr(&m, 4, 8);
+        s.spmv_rows(0..20, &[1.0; 19], &mut [0.0; 20], false);
     }
 
     #[test]

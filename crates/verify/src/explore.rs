@@ -426,7 +426,7 @@ impl Search<'_> {
                 accumulate,
             } => {
                 let mat = mat.view();
-                let x: Vec<f64> = s.bufs[*x_buf][..mat.ncols].to_vec();
+                let x: Vec<f64> = s.bufs[*x_buf][..mat.ncols()].to_vec();
                 mat.spmv_rows(0..mat.nrows(), &x, &mut s.bufs[*y_buf], *accumulate);
             }
         }
