@@ -7,7 +7,9 @@
 //! * `aggregation`— message counts/volumes across the three layouts;
 //! * `eager`      — eager-threshold sensitivity;
 //! * `kernel`     — node-level kernel dispatch (wall clock on this host),
-//!   with each SELL-C-σ kind's padding factor α and storage;
+//!   with each SELL-C-σ kind's padding factor α and storage, and
+//!   `csr-scalar` on the engine's one-rank block (value-coded when its
+//!   values fit a table);
 //! * `commstrategy` — flat vs node-aware halo exchange: per-level message
 //!   counts over each rank's exchange op list, priced by the hierarchical
 //!   cost model.
@@ -21,9 +23,10 @@
 
 use spmv_bench::microbench::Bench;
 use spmv_bench::{header, hmep, Scale};
+use spmv_core::plan::build_plans_serial;
 use spmv_core::{
     distributed_spmv, prepare_kernel, workload, EngineConfig, ExchangeSchedule, KernelKind,
-    KernelMode, RowPartition,
+    KernelMode, RowPartition, SplitMatrix,
 };
 use spmv_machine::{plan_layout, presets, CommThreadPlacement, HybridLayout, RankNodeMap};
 use spmv_matrix::rcm::rcm_reorder;
@@ -298,6 +301,32 @@ fn main() {
                 meas.gflops(flops)
             );
         }
+        // the engine's storage of the same rows: a one-rank split block,
+        // which streams 4 bytes per nonzero when its values are coded
+        let p = RowPartition::by_nnz(&m, 1);
+        let block = m.row_block(p.range(0));
+        let split = SplitMatrix::build(&block, &build_plans_serial(&m, &p)[0]);
+        let full = &split.full;
+        let k = prepare_kernel(KernelKind::CsrScalar, full);
+        let meas = b.measure(|| {
+            k.spmv_rows(
+                full,
+                0..full.nrows(),
+                std::hint::black_box(&x),
+                std::hint::black_box(&mut y),
+                false,
+            );
+        });
+        let storage = if full.is_coded() {
+            "value-coded, 4 B/nnz against 12 plain"
+        } else {
+            "plain, 12 B/nnz: its values do not fit a table"
+        };
+        println!(
+            "  {:<16} {:.2} GFlop/s (serial, one-rank engine block, {storage})",
+            KernelKind::CsrScalar.label(),
+            meas.gflops(flops)
+        );
 
         // the chosen kernel through the full engine, all three modes
         println!("  functional engine (4 ranks x 2 threads, kernel {kernel}):");
@@ -320,6 +349,14 @@ fn main() {
                 dt * 1e3
             );
             assert!(err < 1e-9, "engine must match the serial kernel");
+            if mode == KernelMode::VectorNoOverlap {
+                // every kernel sums each unsplit row in storage order
+                let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(&y_eng) == bits(&y_ref),
+                    "vector mode without overlap must keep the serial bits"
+                );
+            }
         }
     }
 

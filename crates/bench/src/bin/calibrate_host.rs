@@ -3,7 +3,8 @@
 //! rank, Fig. 4a), fit the saturation model, predict SpMV from STREAM via
 //! the code balance, and extract the implied κ — exactly the analysis
 //! behind Fig. 3 and Table A, on real hardware instead of the modeled 2011
-//! nodes.
+//! nodes. The balance is that of the storage the engine used: Eq. 1 for
+//! plain CRS, 4 bytes/flop less for a value-coded block.
 //!
 //! `cargo run --release -p spmv-bench --bin calibrate_host [--scale ...]`
 //!
@@ -12,12 +13,12 @@
 //! is inferred from the model rather than from measured traffic — the
 //! inverse of the paper's procedure, clearly labeled.
 
-use spmv_bench::{header, hmep, Scale};
+use spmv_bench::{header, hmep, llc_bytes, Scale};
 use spmv_comm::CommWorld;
 use spmv_core::{EngineConfig, KernelMode, RankEngine, RowPartition};
 use spmv_machine::SaturationCurve;
 use spmv_matrix::CsrMatrix;
-use spmv_model::{code_balance_crs, kappa_from_measurement, predicted_gflops};
+use spmv_model::{code_balance_coded, code_balance_crs, kappa_over_balance, predicted_gflops};
 use spmv_smp::stream::run_stream;
 use spmv_smp::ThreadTeam;
 
@@ -29,11 +30,15 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(16);
-    let stream_len = 1 << 22; // 32 MiB per array: safely out of cache
+    // three arrays that together hold 4x the last-level cache
+    let llc = llc_bytes().unwrap_or(32 << 20);
+    let stream_len = 4 * llc / 3 / 8;
     let m = hmep(scale);
     let nnzr = m.avg_nnz_per_row();
     println!(
-        "\nhost: {max_threads} hardware threads; STREAM arrays 3x{} MiB; HMeP N = {}, N_nzr = {:.1}\n",
+        "\nhost: {max_threads} hardware threads, LLC {} MiB; STREAM arrays 3x{} MiB; \
+         HMeP N = {}, N_nzr = {:.1}\n",
+        llc >> 20,
         (stream_len * 8) >> 20,
         m.nrows(),
         nnzr
@@ -56,24 +61,35 @@ fn main() {
 
     let mut triads = Vec::new();
     let mut spmvs = Vec::new();
+    let mut storage = "";
     for &threads in &thread_counts {
         let team = ThreadTeam::new(threads);
         let stream = run_stream(&team, stream_len, 3);
-        let gf = engine_spmv_gflops(&m, threads, 3);
+        let (gf, coded) = engine_spmv_gflops(&m, threads, 3);
         // the paper's §2 relation: SpMV draws ≈85 % of STREAM; at κ = 0 the
         // prediction from STREAM is an upper bound
-        let b0 = code_balance_crs(nnzr, 0.0);
+        let b0 = if coded {
+            code_balance_coded(nnzr, 0.0)
+        } else {
+            code_balance_crs(nnzr, 0.0)
+        };
         let pred = predicted_gflops(0.85 * stream.triad_gbs, b0);
-        // implied κ: invert Eq. 1 against the measured GFlop/s, assuming the
-        // drawn bandwidth is 85 % of STREAM (no counters available)
-        let implied = kappa_from_measurement(nnzr, gf, 0.85 * stream.triad_gbs);
+        // implied κ: invert the balance against the measured GFlop/s,
+        // assuming the drawn bandwidth is 85 % of STREAM (no counters)
+        let implied = kappa_over_balance(b0, gf, 0.85 * stream.triad_gbs);
         println!(
             "{:>8} {:>15.1} {:>18.2} {:>20.2} {:>12.2}",
             threads, stream.triad_gbs, gf, pred, implied
         );
         triads.push(stream.triad_gbs);
         spmvs.push(gf);
+        storage = if coded {
+            "value-coded CRS, 4"
+        } else {
+            "plain CRS, 12"
+        };
     }
+    println!("(balance of {storage} B of matrix data per nonzero)");
 
     // fit the saturation law through the endpoints, as the machine models do
     let n = thread_counts.len();
@@ -112,8 +128,9 @@ fn main() {
 }
 
 /// Best-of-`reps` GFlop/s of the engine's Fig. 4a SpMV on a one-rank world
-/// with `threads` compute threads, after a warm-up that faults in the data.
-fn engine_spmv_gflops(m: &CsrMatrix, threads: usize, reps: usize) -> f64 {
+/// with `threads` compute threads, after a warm-up that faults in the data,
+/// and whether the engine stored the matrix value-coded.
+fn engine_spmv_gflops(m: &CsrMatrix, threads: usize, reps: usize) -> (f64, bool) {
     let comm = CommWorld::create(1).pop().expect("a one-rank world");
     let partition = RowPartition::by_nnz(m, 1);
     let mut eng = RankEngine::new(comm, m, &partition, EngineConfig::hybrid(threads));
@@ -127,5 +144,6 @@ fn engine_spmv_gflops(m: &CsrMatrix, threads: usize, reps: usize) -> f64 {
             best = best.min(t0.elapsed().as_secs_f64());
         }
     }
-    2.0 * m.nnz() as f64 / best / 1e9
+    let coded = eng.matrices().full.is_coded();
+    (2.0 * m.nnz() as f64 / best / 1e9, coded)
 }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p spmv-bench --bin spmv_file -- <matrix.mtx> [ranks] [threads] \
-//!     [--kernel csr-scalar|csr-unrolled4|sell[-C-σ]] \
+//!     [--kernel csr-scalar|sell[-C-σ]] \
 //!     [--comm-strategy flat|node-aware] [--ranks-per-node N] [--trace <path>]
 //! ```
 //!

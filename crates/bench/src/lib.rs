@@ -114,6 +114,35 @@ pub fn node_counts(scale: Scale) -> Vec<usize> {
     }
 }
 
+/// The size in bytes of the highest cache level CPU 0 reports through
+/// sysfs, or `None` where that is not readable (non-Linux hosts).
+pub fn llc_bytes() -> Option<usize> {
+    let dir = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").ok()?;
+    dir.flatten()
+        .filter_map(|entry| {
+            let read = |f: &str| std::fs::read_to_string(entry.path().join(f)).ok();
+            let level: u32 = read("level")?.trim().parse().ok()?;
+            Some((level, parse_cache_size(read("size")?.trim())?))
+        })
+        .max()
+        .map(|(_, bytes)| bytes)
+}
+
+/// Parses a sysfs cache size such as `307200K`, `4M` or `512`.
+fn parse_cache_size(s: &str) -> Option<usize> {
+    let (digits, unit) = match s.strip_suffix(['K', 'M', 'G']) {
+        Some(d) => (d, &s[d.len()..]),
+        None => (s, ""),
+    };
+    let shift = match unit {
+        "K" => 10,
+        "M" => 20,
+        "G" => 30,
+        _ => 0,
+    };
+    digits.parse::<usize>().ok().map(|d| d << shift)
+}
+
 /// Prints a report header with a rule line.
 pub fn header(title: &str) {
     println!("{title}");
@@ -142,6 +171,14 @@ mod tests {
         assert_eq!(t.nrows(), 1260);
         let s = samg(Scale::Test);
         assert!(s.nrows() > 500);
+    }
+
+    #[test]
+    fn cache_sizes_parse_with_their_units() {
+        assert_eq!(parse_cache_size("307200K"), Some(300 << 20));
+        assert_eq!(parse_cache_size("4M"), Some(4 << 20));
+        assert_eq!(parse_cache_size("512"), Some(512));
+        assert_eq!(parse_cache_size("lots"), None);
     }
 
     #[test]

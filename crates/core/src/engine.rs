@@ -937,25 +937,39 @@ mod tests {
         }
     }
 
+    /// A block whose values fit a value table reads its own words and
+    /// table, sharing only the caller's row pointers; any other block reads
+    /// the caller's values in place.
     #[test]
     fn engine_reads_the_callers_values_in_place() {
+        // random values: a plain block
         let m = synthetic::power_law_rows(300, 6.0, 1.0, 4);
         let p = RowPartition::by_nnz(&m, 1);
         let comms = CommWorld::create(1);
         let cfg = EngineConfig::pure_mpi();
         let eng = RankEngine::new(comms.into_iter().next().unwrap(), &m, &p, cfg);
+        assert!(!eng.matrices().full.is_coded());
         assert!(std::ptr::eq(
-            eng.matrices().full.view().values(),
+            eng.matrices().full.view().values().expect("a plain view"),
             m.values()
         ));
         // each rank's row block points into the whole matrix's values
         let values = m.values().as_ptr_range();
         let (lo, hi) = (values.start as usize, values.end as usize);
         let inside = crate::runner::run_spmd(&m, 3, cfg, |eng| {
-            let v = eng.matrices().full.view().values().as_ptr_range();
+            let full = eng.matrices().full.view();
+            let v = full.values().expect("a plain view").as_ptr_range();
             lo <= v.start as usize && v.end as usize <= hi
         });
         assert_eq!(inside, [true; 3]);
+        // two distinct values: coded blocks, whose views read no values
+        let t = synthetic::tridiagonal(300, 2.0, -1.0);
+        let coded = crate::runner::run_spmd(&t, 3, cfg, |eng| {
+            let s = eng.matrices();
+            let views = [s.full.view(), s.local.view()];
+            (s.full.is_coded(), views.map(|v| v.values().is_none()))
+        });
+        assert_eq!(coded, [(true, [true; 2]); 3]);
     }
 
     #[test]

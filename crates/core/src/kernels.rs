@@ -5,8 +5,8 @@
 //! the inner-loop code shape and the storage format. This module turns the
 //! kernel from a fixed function into a selectable strategy:
 //!
-//! * [`KernelKind`] — the menu: scalar CSR (the reference), 4-way unrolled
-//!   CSR, and SELL-C-σ.
+//! * [`KernelKind`] — the menu: scalar CSR (the reference, over plain or
+//!   value-coded storage alike) and SELL-C-σ.
 //! * [`SpmvKernel`] — the strategy trait: a row-range kernel over a
 //!   [`CsrView`] (a whole matrix or one part of a split block), writing
 //!   through a raw pointer so the engine's disjoint per-thread chunks work
@@ -17,16 +17,15 @@
 //! All three engine modes and both halves of the split local/non-local
 //! path dispatch through this layer — see `engine.rs`.
 
-use spmv_matrix::{CsrView, RowDot, SellMatrix};
+use spmv_matrix::{CsrView, SellMatrix};
 use std::ops::Range;
 
 /// Selects the node-level kernel the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Scalar CSR loop — the paper's reference kernel (§1.2).
+    /// Scalar CSR loop — the paper's reference kernel (§1.2), each row
+    /// summed in storage order over a plain or a value-coded view.
     CsrScalar,
-    /// 4-way unrolled CSR inner loop (independent partial sums).
-    CsrUnrolled4,
     /// SELL-C-σ with chunk height `c` and sorting scope `sigma`; the
     /// matrix is converted once when the kernel is prepared.
     Sell { c: usize, sigma: usize },
@@ -37,7 +36,6 @@ impl KernelKind {
     pub fn candidates() -> Vec<KernelKind> {
         vec![
             KernelKind::CsrScalar,
-            KernelKind::CsrUnrolled4,
             KernelKind::Sell { c: 32, sigma: 256 },
         ]
     }
@@ -46,22 +44,19 @@ impl KernelKind {
     pub fn label(&self) -> String {
         match self {
             KernelKind::CsrScalar => "csr-scalar".into(),
-            KernelKind::CsrUnrolled4 => "csr-unrolled4".into(),
             KernelKind::Sell { c, sigma } => format!("sell-{c}-{sigma}"),
         }
     }
 
     /// The CLI spellings [`KernelKind::parse`] accepts, for usage and
     /// error messages (`sell` alone means C=32, σ=256).
-    pub const SPELLINGS: &'static str = "csr-scalar|csr-unrolled4|sell[-C-σ]";
+    pub const SPELLINGS: &'static str = "csr-scalar|sell[-C-σ]";
 
-    /// Parses a CLI spelling (see [`KernelKind::SPELLINGS`]; `scalar`,
-    /// `csr`, `unrolled` and `unrolled4` are accepted as aliases). A SELL
-    /// shape needs C ≥ 1 and σ ≥ 1.
+    /// Parses a CLI spelling (see [`KernelKind::SPELLINGS`]; `scalar` and
+    /// `csr` are accepted as aliases). A SELL shape needs C ≥ 1 and σ ≥ 1.
     pub fn parse(s: &str) -> Option<KernelKind> {
         match s {
             "csr-scalar" | "scalar" | "csr" => Some(KernelKind::CsrScalar),
-            "csr-unrolled4" | "unrolled" | "unrolled4" => Some(KernelKind::CsrUnrolled4),
             "sell" => Some(KernelKind::Sell { c: 32, sigma: 256 }),
             _ => {
                 let rest = s.strip_prefix("sell-")?;
@@ -130,17 +125,13 @@ impl dyn SpmvKernel {
     }
 }
 
-/// A CSR kernel: the view's row walk, each row summed by `dot` —
-/// [`RowDot::Scalar`] for `csr-scalar`, [`RowDot::Unrolled4`] for
-/// `csr-unrolled4`.
-struct CsrKernel {
-    kind: KernelKind,
-    dot: RowDot,
-}
+/// The CSR kernel: the view's own row walk ([`CsrView::spmv_rows_ptr`]),
+/// which sums each row in storage order in either storage form.
+struct CsrKernel;
 
 impl SpmvKernel for CsrKernel {
     fn kind(&self) -> KernelKind {
-        self.kind
+        KernelKind::CsrScalar
     }
 
     // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
@@ -153,7 +144,7 @@ impl SpmvKernel for CsrKernel {
         add: bool,
     ) {
         // SAFETY: the caller's contract is the view kernel's.
-        unsafe { mat.spmv_rows_ptr(rows, x, y, add, self.dot) }
+        unsafe { mat.spmv_rows_ptr(rows, x, y, add) }
     }
 }
 
@@ -195,14 +186,7 @@ impl SpmvKernel for SellKernel {
 /// split block.
 pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<dyn SpmvKernel> {
     match kind {
-        KernelKind::CsrScalar => Box::new(CsrKernel {
-            kind,
-            dot: RowDot::Scalar,
-        }),
-        KernelKind::CsrUnrolled4 => Box::new(CsrKernel {
-            kind,
-            dot: RowDot::Unrolled4,
-        }),
+        KernelKind::CsrScalar => Box::new(CsrKernel),
         KernelKind::Sell { c, sigma } => Box::new(SellKernel {
             sell: SellMatrix::from_csr(mat, c, sigma),
         }),
@@ -286,7 +270,14 @@ mod tests {
             KernelKind::parse("sell-8-64"),
             Some(KernelKind::Sell { c: 8, sigma: 64 })
         );
-        for bad in ["bogus", "sell-x-1", "sell-0-4", "sell-4-0", "csr-sliced"] {
+        for bad in [
+            "bogus",
+            "sell-x-1",
+            "sell-0-4",
+            "sell-4-0",
+            "csr-sliced",
+            "csr-unrolled4",
+        ] {
             assert_eq!(KernelKind::parse(bad), None, "{bad}");
         }
     }

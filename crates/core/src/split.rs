@@ -11,41 +11,55 @@
 //! traffic" (§3.1, Eq. 2); the non-overlapping kernel runs the unsplit
 //! matrix instead. The rank's block is stored once, in the caller's storage
 //! order (each row by ascending global column), and shares the caller's
-//! row pointers and values. It owns only its column indices, remapped to
-//! index the extended RHS `x_ext = [local | halo]`, and where each row's
-//! local entries lie: a sorted row is `[halo left of the rank's rows |
-//! local | halo right of them]`, so its local entries are the middle
-//! segment `begin[i]..end[i]`. The parts are views of it:
+//! row pointers. It owns one `u32` word per entry, holding the entry's
+//! column remapped to index the extended RHS `x_ext = [local | halo]`, and
+//! where each row's local entries lie: a sorted row is `[halo left of the
+//! rank's rows | local | halo right of them]`, so its local entries are
+//! the middle segment `begin[i]..end[i]`.
+//!
+//! A block with at most 256 distinct values (by their bits) whose `x_ext`
+//! is narrower than `2^24` is *value-coded*: each word is
+//! `(column << 8) | code` over the block's table of values (see
+//! [`spmv_matrix::CsrView`]), so the kernels stream 4 bytes per nonzero
+//! instead of 12 and never read the caller's values. HMeP has 35 distinct
+//! values and sAMG 2. Any other block keeps plain columns and reads the
+//! caller's values in place. [`BlockPart::is_coded`] tells the two apart.
+//! The parts are views of the one block:
 //!
 //! * `full` — row `i` is `row_ptr[i]..row_ptr[i + 1]`, over all of `x_ext`;
 //! * `local` — `begin[i]..end[i]`, over `x_ext[..local_len]`;
 //! * `nonlocal` — the entries outside `begin[i]..end[i]`, over all of
 //!   `x_ext` (read only after the halo exchange completes), kept in a
-//!   compact copy of the halo entries alone. Read in place, each row's few
-//!   halo entries would cost the non-local pass a cache line of the block:
-//!   on HMeP (0.6 M rows per rank, 2.7 % halo entries) that pass took
-//!   4.9 ms in place against 0.9 ms from the copy.
+//!   compact plain copy of the halo entries alone. Read in place, each
+//!   row's few halo entries would cost the non-local pass a cache line of
+//!   the block: on HMeP (0.6 M rows per rank, 2.7 % halo entries) that
+//!   pass took 4.9 ms in place against 0.9 ms from the copy.
 //!
 //! Halo columns follow the local ones in `x_ext` in ascending global order,
 //! so the local and non-local parts each sum their entries by ascending
 //! column, as a separate copy of that part would. The full part sums each
 //! row in the caller's order, the serial kernel's: with `csr-scalar`, the
-//! unsplit product equals [`CsrMatrix::spmv`] bit for bit. The stored
+//! unsplit product equals [`CsrMatrix::spmv`] bit for bit, coded or not,
+//! since a code decodes to the bits of the value it stands for. The stored
 //! block keeps the caller's arrays alive (see [`CsrMatrix::row_block`]).
 
 use crate::modes::Part;
 use crate::plan::RankPlan;
-use spmv_matrix::{CsrMatrix, CsrView};
+use spmv_matrix::{CsrMatrix, CsrView, ValueCoder};
 use std::sync::Arc;
 
 /// The stored block: the caller's rows in storage order, with their
 /// columns in `x_ext` space.
 #[derive(Debug)]
 struct Block {
-    /// The caller's block, whose row pointers and values are shared.
+    /// The caller's block, whose row pointers (and, for a plain block,
+    /// values) are shared.
     csr: CsrMatrix,
-    /// `csr`'s column indices, remapped into `x_ext`.
-    col_idx: Vec<u32>,
+    /// One word per entry of `csr`: its column remapped into `x_ext`,
+    /// coded with its value when `table` is set.
+    words: Vec<u32>,
+    /// The value table of a coded block.
+    table: Option<Box<[f64; 256]>>,
     /// Where row `i`'s local entries begin and end.
     begin: Vec<usize>,
     end: Vec<usize>,
@@ -68,31 +82,39 @@ impl BlockPart {
     pub fn view(&self) -> CsrView<'_> {
         let Block {
             csr,
-            col_idx,
+            words,
+            table,
             begin,
             end,
             local_len,
             nonlocal,
         } = &*self.block;
-        let (rows, values) = (csr.row_ptr(), csr.values());
-        // `SplitMatrix::build`'s remap proves the bound of the full and local
-        // views, and debug builds re-check both there
-        match self.part {
-            // SAFETY: a row's local entries became `c - lo` for a global `c`
-            // in `lo..hi`, so they are < local_len, and its halo entries
-            // `local_len + h` for an index `h` into the halo list, so they
-            // are < local_len + halo_len = `nonlocal.ncols()`.
-            Part::Full => unsafe {
-                let n = csr.nrows();
-                CsrView::new_unchecked(&rows[..n], &rows[1..], col_idx, values, nonlocal.ncols())
-            },
-            // SAFETY: `begin[i]..end[i]` holds row i's local entries, each
-            // `c - lo` for a global `c` in `lo..hi`, so < local_len.
-            Part::Local => unsafe {
-                CsrView::new_unchecked(begin, end, col_idx, values, *local_len)
-            },
-            Part::Nonlocal => nonlocal.view(),
+        let (rows, n) = (csr.row_ptr(), csr.nrows());
+        // `SplitMatrix::build`'s remap proves the bound of the full and
+        // local views, and debug builds re-check both there: a row's local
+        // entries became `c - lo` for a global `c` in `lo..hi`, so they are
+        // < local_len, and its halo entries `local_len + h` for an index `h`
+        // into the halo list, so they are < local_len + halo_len =
+        // `nonlocal.ncols()`. A coded word holds that column in its top 24
+        // bits, which hold it whole since x_ext is narrower than 2^24.
+        let (begin, end, ncols) = match self.part {
+            Part::Full => (&rows[..n], &rows[1..], nonlocal.ncols()),
+            Part::Local => (&begin[..], &end[..], *local_len),
+            Part::Nonlocal => return nonlocal.view(),
+        };
+        match table {
+            // SAFETY: as just said, every column the rows reach is < ncols.
+            Some(table) => unsafe { CsrView::new_coded_unchecked(begin, end, words, table, ncols) },
+            // SAFETY: as for the coded arm.
+            None => unsafe { CsrView::new_unchecked(begin, end, words, csr.values(), ncols) },
         }
+    }
+
+    /// Whether this part's view is value-coded: the full and local parts
+    /// of a coded block (see the module doc). The non-local copy is
+    /// always plain.
+    pub fn is_coded(&self) -> bool {
+        self.block.table.is_some() && self.part != Part::Nonlocal
     }
 
     /// Number of rows (the rank's local rows).
@@ -145,8 +167,9 @@ pub struct SplitMatrix {
 impl SplitMatrix {
     /// Remaps a rank-local row block (global column indices, sorted per
     /// row) according to `plan`, in one pass over its entries that also
-    /// copies out the halo entries. The result shares `block`'s row
-    /// pointers and values.
+    /// codes each entry's value and copies out the halo entries. The
+    /// result shares `block`'s row pointers, and its values too when they
+    /// do not fit a value table (see the module doc).
     pub fn build(block: &CsrMatrix, plan: &RankPlan) -> Self {
         assert_eq!(
             block.nrows(),
@@ -163,29 +186,48 @@ impl SplitMatrix {
                 .expect("plan must cover every remote column");
             (nloc + h) as u32
         };
+        let ncols = nloc + halo_globals.len();
+        let mut coder = ValueCoder::fits_columns(ncols).then(ValueCoder::new);
 
-        let mut col_idx = Vec::with_capacity(block.nnz());
+        let mut words = Vec::with_capacity(block.nnz());
         let (mut begin, mut end) = (Vec::with_capacity(nloc), Vec::with_capacity(nloc));
         let (mut nl_ptr, mut nl_cols, mut nl_vals) = (vec![0], Vec::new(), Vec::new());
         for i in 0..nloc {
             // a sorted row (a `CsrMatrix` invariant) is [halo left of lo |
-            // local | halo from hi on], so every column in a..b is in lo..hi
+            // local | halo from hi on], so every column in a..b is in lo..hi,
+            // and a row whose ends are in lo..hi is all local
             let (cols, vals) = block.row(i);
-            let a = cols.partition_point(|&c| c < lo);
-            let b = a + cols[a..].partition_point(|&c| c < hi);
-            let first = col_idx.len();
-            begin.push(first + a);
-            end.push(first + b);
-            col_idx.extend(cols[..a].iter().map(halo_col));
-            col_idx.extend(cols[a..b].iter().map(|&c| c - lo));
-            col_idx.extend(cols[b..].iter().map(halo_col));
-            nl_cols.extend_from_slice(&col_idx[first..first + a]);
-            nl_cols.extend_from_slice(&col_idx[first + b..]);
-            nl_vals.extend_from_slice(&vals[..a]);
-            nl_vals.extend_from_slice(&vals[b..]);
+            let first = words.len();
+            // most rows reach no halo column: two compares instead of two
+            // binary searches and four empty copies
+            let local = |c: Option<&u32>| c.is_none_or(|c| (lo..hi).contains(c));
+            if local(cols.first()) && local(cols.last()) {
+                begin.push(first);
+                end.push(first + cols.len());
+                words.extend(cols.iter().map(|&c| c - lo));
+            } else {
+                let a = cols.partition_point(|&c| c < lo);
+                let b = a + cols[a..].partition_point(|&c| c < hi);
+                begin.push(first + a);
+                end.push(first + b);
+                words.extend(cols[..a].iter().map(halo_col));
+                words.extend(cols[a..b].iter().map(|&c| c - lo));
+                words.extend(cols[b..].iter().map(halo_col));
+                nl_cols.extend_from_slice(&words[first..first + a]);
+                nl_cols.extend_from_slice(&words[first + b..]);
+                nl_vals.extend_from_slice(&vals[..a]);
+                nl_vals.extend_from_slice(&vals[b..]);
+            }
             nl_ptr.push(nl_cols.len());
+            // code the row while it is in cache; a value that does not fit
+            // the table leaves the whole block plain
+            if let Some(c) = coder.as_mut() {
+                if !c.encode(&mut words[first..], vals) {
+                    ValueCoder::decode(&mut words[..first]);
+                    coder = None;
+                }
+            }
         }
-        let ncols = nloc + halo_globals.len();
         nl_cols.shrink_to_fit();
         nl_vals.shrink_to_fit();
         // SAFETY: the halo entries' columns are `nloc + h` for an index `h`
@@ -195,7 +237,8 @@ impl SplitMatrix {
             unsafe { CsrMatrix::from_parts_unchecked(nloc, ncols, nl_ptr, nl_cols, nl_vals) };
         let block = Arc::new(Block {
             csr: block.clone(),
-            col_idx,
+            words,
+            table: coder.map(ValueCoder::into_table),
             begin,
             end,
             local_len: nloc,
@@ -212,8 +255,13 @@ impl SplitMatrix {
         };
         if cfg!(debug_assertions) {
             // re-check the bound `BlockPart::view` takes on trust
-            for v in [split.full.view(), split.local.view()] {
-                CsrView::new(v.begin(), v.end(), v.col_idx(), v.values(), v.ncols());
+            for p in [&split.full, &split.local] {
+                let v = p.view();
+                let (b, e, words, n) = (v.begin(), v.end(), &block.words, v.ncols());
+                match &block.table {
+                    Some(table) => CsrView::new_coded(b, e, words, table, n),
+                    None => CsrView::new(b, e, words, block.csr.values(), n),
+                };
             }
         }
         split
@@ -236,6 +284,7 @@ mod tests {
     use crate::partition::RowPartition;
     use crate::plan::build_plans_serial;
     use spmv_matrix::holstein::{hamiltonian, HolsteinOrdering, HolsteinParams};
+    use spmv_matrix::samg::{poisson, SamgParams};
     use spmv_matrix::{synthetic, vecops, CsrBuilder};
     use std::ops::Range;
 
@@ -293,60 +342,35 @@ mod tests {
         CsrView::new(&c.0[..n], &c.0[1..], &c.1, &c.2, c.3)
     }
 
-    /// A kernel's row sums as an indexed loop over the view's shared
-    /// arrays, each `x` read checked: the reference whose bits the kernel
-    /// must keep. `csr-scalar` and SELL-C-σ sum each row in storage order
-    /// (SELL's slots keep the row's order), `csr-unrolled4` in four
-    /// partial sums by position mod 4 plus a tail.
-    fn indexed(
-        kind: KernelKind,
-        v: CsrView<'_>,
-        rows: Range<usize>,
-        x: &[f64],
-        y: &mut [f64],
-        add: bool,
-    ) {
+    /// The row sums of every kernel as an indexed loop over the view's
+    /// decoded entries, each `x` read checked: the reference whose bits
+    /// the kernels must keep. `csr-scalar` and SELL-C-σ sum each row in
+    /// storage order (SELL's slots keep the row's order).
+    fn indexed(v: CsrView<'_>, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         for i in rows {
-            let r = v.row_range(i);
-            let term = |j: usize| v.values()[j] * x[v.col_idx()[j] as usize];
-            let sum = if kind == KernelKind::CsrUnrolled4 {
-                let n4 = r.start + (r.len() & !3);
-                let (mut s, mut tail) = ([0.0f64; 4], 0.0);
-                for j in r.start..n4 {
-                    s[(j - r.start) % 4] += term(j);
-                }
-                for j in n4..r.end {
-                    tail += term(j);
-                }
-                (s[0] + s[1]) + (s[2] + s[3]) + tail
-            } else {
-                r.fold(0.0, |sum, j| sum + term(j))
-            };
+            let sum = v.row_range(i).fold(0.0, |sum, j| {
+                let (c, val) = v.entry(j);
+                sum + val * x[c as usize]
+            });
             y[i] = if add { y[i] + sum } else { sum };
         }
     }
 
     /// Every kernel gives the same bits on the views as on the separate
-    /// copies, for the unsplit product and for the local-then-non-local
-    /// one, and both match the global product; the full view is the
-    /// block in storage order, array for array, reading the caller's
-    /// values in place. `csr-scalar` keeps the serial product's bits on
-    /// the full view, and every kernel keeps its indexed loop's bits on
-    /// every view, serially and over odd rows. Every part's `nnz_before`
-    /// counts its view's rows.
-    fn check_views(m: &CsrMatrix, p: &RowPartition) {
+    /// plain copies, for the unsplit product and for the local-then-
+    /// non-local one, and both match the global product; the full view is
+    /// the block in storage order, entry for entry, on the caller's row
+    /// pointers. Each block is value-coded as `coded` says (the non-local
+    /// copy never is), and a plain one reads the caller's values in place.
+    /// `csr-scalar` keeps the serial product's bits on the full view, and
+    /// every kernel keeps the indexed loop's bits on every view, serially
+    /// and over odd rows. Every part's `nnz_before` counts its view's rows.
+    fn check_views(m: &CsrMatrix, p: &RowPartition, coded: bool) {
         let x = vecops::random_vec(m.ncols(), 17);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let (mut y_global, mut want) = (vec![0.0; m.nrows()], vec![0.0; m.nrows()]);
         m.spmv(&x, &mut y_global);
-        indexed(
-            KernelKind::CsrScalar,
-            m.view(),
-            0..m.nrows(),
-            &x,
-            &mut want,
-            false,
-        );
+        indexed(m.view(), 0..m.nrows(), &x, &mut want, false);
         assert_eq!(bits(&y_global), bits(&want), "serial reference");
         let mut kinds = KernelKind::candidates();
         kinds.push(KernelKind::Sell { c: 4, sigma: 1 });
@@ -361,8 +385,20 @@ mod tests {
                 (full.begin(), full.end()),
                 "rank {rank}"
             );
-            assert_eq!((v.col_idx(), v.values()), (full.col_idx(), full.values()));
-            assert!(std::ptr::eq(v.values(), block.values()), "values shared");
+            assert!(std::ptr::eq(v.begin(), &block.row_ptr()[..range.len()]));
+            let entries = |v: CsrView<'_>| {
+                let bits = |(c, val): (u32, f64)| (c, val.to_bits());
+                (0..block.nnz())
+                    .map(|j| bits(v.entry(j)))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(entries(v), entries(full), "rank {rank}");
+            let parts = [&s.full, &s.local, &s.nonlocal].map(|p| p.is_coded());
+            assert_eq!(parts, [coded, coded, false], "rank {rank}");
+            match v.values() {
+                Some(values) => assert!(!coded && std::ptr::eq(values, block.values())),
+                None => assert!(coded && s.local.view().values().is_none()),
+            }
             assert_eq!(s.local.nnz(), local.nnz(), "rank {rank}");
             for part in [&s.full, &s.local, &s.nonlocal] {
                 let rows = (0..part.nrows()).map(|i| part.view().row_range(i).len());
@@ -407,7 +443,7 @@ mod tests {
                     let kern = prepare_kernel(kind, v);
                     for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
                         let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
-                        indexed(kind, v, rows.clone(), x, &mut want, add);
+                        indexed(v, rows.clone(), x, &mut want, add);
                         kern.spmv_rows(v, rows.clone(), x, &mut got, add);
                         let at = format!("{kind}, rank {rank} {rows:?} add {add}");
                         assert_eq!(bits(&got), bits(&want), "{at}");
@@ -420,22 +456,37 @@ mod tests {
         }
     }
 
+    /// HMeP and sAMG blocks are value-coded, a power-law matrix's random
+    /// values are not.
     #[test]
     fn every_kernel_keeps_the_indexed_loop_bits_on_one_to_four_ranks() {
         let hmep = hamiltonian(&HolsteinParams::test_scale(
             HolsteinOrdering::ElectronContiguous,
         ));
-        for m in [hmep, synthetic::power_law_rows(999, 9.0, 1.0, 5)] {
+        let samg = poisson(&SamgParams::test_scale());
+        let power_law = synthetic::power_law_rows(999, 9.0, 1.0, 5);
+        for (m, coded) in [(hmep, true), (samg, true), (power_law, false)] {
             for ranks in 1..=4 {
-                check_views(&m, &RowPartition::by_nnz(&m, ranks));
+                check_views(&m, &RowPartition::by_nnz(&m, ranks), coded);
             }
+        }
+    }
+
+    #[test]
+    fn a_block_with_257_distinct_values_stays_plain() {
+        for (n, coded) in [(256, true), (257, false)] {
+            let values: Vec<f64> = (1..=n).map(|v| v as f64).collect();
+            let m = CsrMatrix::from_diagonal(&values);
+            check_views(&m, &RowPartition::by_nnz(&m, 1), coded);
+            // on two ranks each block holds half of the values
+            check_views(&m, &RowPartition::by_nnz(&m, 2), true);
         }
     }
 
     #[test]
     fn split_spmv_equals_full_spmv_per_rank() {
         let m = synthetic::random_general(150, 150, 8, 31);
-        check_views(&m, &RowPartition::by_nnz(&m, 3));
+        check_views(&m, &RowPartition::by_nnz(&m, 3), false);
     }
 
     #[test]
@@ -449,7 +500,7 @@ mod tests {
             let sides = (g[0] < start, g[g.len() - 1] > start);
             assert_eq!(sides, (plan.rank > 0, plan.rank < 4), "rank {}", plan.rank);
         }
-        check_views(&m, &p);
+        check_views(&m, &p, true);
     }
 
     #[test]
@@ -469,13 +520,13 @@ mod tests {
         let p = RowPartition::from_boundaries(vec![0, 3, 6]);
         let splits = split_on(&m, &p);
         let cols = |s: &SplitMatrix, i| {
-            let (l, n) = (s.local.view(), s.nonlocal.view());
-            (l.row(i).0.to_vec(), n.row(i).0.to_vec())
+            let row = |v: CsrView<'_>| v.row_range(i).map(|j| v.entry(j).0).collect();
+            (row(s.local.view()), row(s.nonlocal.view()))
         };
         assert_eq!(cols(&splits[0], 1), (vec![], vec![]));
         assert_eq!(cols(&splits[0], 2), (vec![], vec![3, 4]));
         assert_eq!(cols(&splits[1], 0), (vec![], vec![3]));
-        check_views(&m, &p);
+        check_views(&m, &p, true);
     }
 
     #[test]
@@ -522,7 +573,7 @@ mod tests {
     fn scattered_matrix_is_mostly_nonlocal() {
         let m = synthetic::scattered(128, 16, 3);
         let p = RowPartition::by_nnz(&m, 8);
-        check_views(&m, &p);
+        check_views(&m, &p, true);
         for s in split_on(&m, &p) {
             let fraction = s.nonlocal.nnz() as f64 / s.full.nnz() as f64;
             assert!(

@@ -475,29 +475,52 @@ impl CsrMatrix {
 }
 
 /// A row-range view of CSR storage: row `i` spans `begin[i]..end[i]` of
-/// the shared `col_idx` / `values`. A whole [`CsrMatrix`] is the view
+/// the stored entries. A whole [`CsrMatrix`] is the view
 /// `(row_ptr[..n], row_ptr[1..])` ([`CsrMatrix::view`]); one stored block
 /// can also expose per-row parts of itself without copying them, as the
 /// local part of `spmv-core`'s split matrix does.
 ///
+/// The entries are stored in one of two ways:
+///
+/// * *plain* — a `u32` column index and an `f64` value per entry, the
+///   paper's CRS (12 bytes per nonzero);
+/// * *value-coded* — one `u32` word per entry, `(column << 8) | code`,
+///   over a table of at most 256 distinct values (4 bytes per nonzero;
+///   see [`ValueCoder`]). A product reads `table[code] * x[column]`, the
+///   same factors as the plain form, so it keeps its bits.
+///
 /// Every entry a view's rows reach has a column `< ncols`. The bound is
 /// proven once, when the view is made, so the row kernels read `x`
 /// without a bounds check per nonzero once a product has checked
-/// `x.len() == ncols`. A view is made in three ways only:
-/// [`CsrMatrix::view`] (a matrix's columns are bounded by its
-/// constructors), [`CsrView::new`] (which scans every row) and the
-/// `unsafe` [`CsrView::new_unchecked`] (whose contract is the bound).
+/// `x.len() == ncols`. A code is a `u8` and the table has 256 entries, so
+/// a value lookup is in bounds by its type. A view is made in five ways
+/// only: [`CsrMatrix::view`] (a matrix's columns are bounded by its
+/// constructors), [`CsrView::new`] and [`CsrView::new_coded`] (which scan
+/// every row) and the `unsafe` [`CsrView::new_unchecked`] and
+/// [`CsrView::new_coded_unchecked`] (whose contract is the bound).
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     begin: &'a [usize],
     end: &'a [usize],
-    col_idx: &'a [u32],
-    values: &'a [f64],
+    entries: Entries<'a>,
     ncols: usize,
 }
 
+/// How a view's entries are stored (see [`CsrView`]).
+#[derive(Debug, Clone, Copy)]
+enum Entries<'a> {
+    Plain {
+        col_idx: &'a [u32],
+        values: &'a [f64],
+    },
+    Coded {
+        words: &'a [u32],
+        table: &'a [f64; 256],
+    },
+}
+
 impl<'a> CsrView<'a> {
-    /// The view whose row `i` is `begin[i]..end[i]` of `col_idx` /
+    /// The plain view whose row `i` is `begin[i]..end[i]` of `col_idx` /
     /// `values`, over an `x` of length `ncols`.
     ///
     /// # Panics
@@ -512,27 +535,58 @@ impl<'a> CsrView<'a> {
         ncols: usize,
     ) -> Self {
         assert_eq!(
-            begin.len(),
-            end.len(),
-            "begin and end must have one entry per row"
-        );
-        assert_eq!(
             col_idx.len(),
             values.len(),
             "col_idx and values must have one entry per nonzero"
         );
+        Self::checked(begin, end, Entries::Plain { col_idx, values }, ncols)
+    }
+
+    /// The value-coded view whose row `i` is `begin[i]..end[i]` of
+    /// `words`, each word `(column << 8) | code` standing for the entry
+    /// `table[code]` at `column`, over an `x` of length `ncols`.
+    ///
+    /// # Panics
+    /// As [`CsrView::new`]: unequal `begin` and `end`, a reversed or
+    /// out-of-array row, or a row reaching a column `>= ncols`.
+    pub fn new_coded(
+        begin: &'a [usize],
+        end: &'a [usize],
+        words: &'a [u32],
+        table: &'a [f64; 256],
+        ncols: usize,
+    ) -> Self {
+        Self::checked(begin, end, Entries::Coded { words, table }, ncols)
+    }
+
+    /// The view over `entries` once every row is checked to stay inside
+    /// the stored entries and below column `ncols`.
+    fn checked(begin: &'a [usize], end: &'a [usize], entries: Entries<'a>, ncols: usize) -> Self {
+        assert_eq!(
+            begin.len(),
+            end.len(),
+            "begin and end must have one entry per row"
+        );
+        let view = Self {
+            begin,
+            end,
+            entries,
+            ncols,
+        };
+        let stored = view.stored();
         for (i, (&b, &e)) in begin.iter().zip(end).enumerate() {
             assert!(
-                b <= e && e <= col_idx.len(),
-                "row {i} spans {b}..{e}, outside the {} stored entries",
-                col_idx.len()
+                b <= e && e <= stored,
+                "row {i} spans {b}..{e}, outside the {stored} stored entries"
             );
-            if let Some(&c) = col_idx[b..e].iter().find(|&&c| c as usize >= ncols) {
+            if let Some(c) = (b..e)
+                .map(|j| view.entry(j).0)
+                .find(|&c| c as usize >= ncols)
+            {
                 panic!("row {i} reaches column {c}, outside the view's {ncols} columns");
             }
         }
-        // SAFETY: the scan above found no reachable column >= ncols.
-        unsafe { Self::new_unchecked(begin, end, col_idx, values, ncols) }
+        view
     }
 
     /// [`CsrView::new`] without its scan.
@@ -553,8 +607,29 @@ impl<'a> CsrView<'a> {
         Self {
             begin,
             end,
-            col_idx,
-            values,
+            entries: Entries::Plain { col_idx, values },
+            ncols,
+        }
+    }
+
+    /// [`CsrView::new_coded`] without its scan.
+    ///
+    /// # Safety
+    /// For every row `i` and every `j` in `begin[i]..end[i]` that lies
+    /// inside `words`, `words[j] >> 8 < ncols`: the products read `x` at
+    /// these columns without a bounds check.
+    #[inline]
+    pub unsafe fn new_coded_unchecked(
+        begin: &'a [usize],
+        end: &'a [usize],
+        words: &'a [u32],
+        table: &'a [f64; 256],
+        ncols: usize,
+    ) -> Self {
+        Self {
+            begin,
+            end,
+            entries: Entries::Coded { words, table },
             ncols,
         }
     }
@@ -583,29 +658,40 @@ impl<'a> CsrView<'a> {
         self.end
     }
 
-    /// The column indices the rows index into.
+    /// The per-entry values of a plain view; `None` for a coded one.
     #[inline]
-    pub fn col_idx(&self) -> &'a [u32] {
-        self.col_idx
+    pub fn values(&self) -> Option<&'a [f64]> {
+        match self.entries {
+            Entries::Plain { values, .. } => Some(values),
+            Entries::Coded { .. } => None,
+        }
     }
 
-    /// The values the rows index into.
-    #[inline]
-    pub fn values(&self) -> &'a [f64] {
-        self.values
+    /// Number of stored entries the rows index into.
+    fn stored(&self) -> usize {
+        match self.entries {
+            Entries::Plain { col_idx, .. } => col_idx.len(),
+            Entries::Coded { words, .. } => words.len(),
+        }
     }
 
-    /// Index range of row `i` into `col_idx` / `values`.
+    /// Column and value of stored entry `j`, decoded: the one way to read
+    /// an entry whichever form the view stores.
+    ///
+    /// # Panics
+    /// If `j` lies past the stored entries.
+    #[inline]
+    pub fn entry(&self, j: usize) -> (u32, f64) {
+        match self.entries {
+            Entries::Plain { col_idx, values } => (col_idx[j], values[j]),
+            Entries::Coded { words, table } => (words[j] >> 8, table[(words[j] & 0xff) as usize]),
+        }
+    }
+
+    /// Index range of row `i` into the stored entries.
     #[inline]
     pub fn row_range(&self, i: usize) -> Range<usize> {
         self.begin[i]..self.end[i]
-    }
-
-    /// The column indices and values of row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&'a [u32], &'a [f64]) {
-        let r = self.row_range(i);
-        (&self.col_idx[r.clone()], &self.values[r])
     }
 
     /// `y[i] (=|+=) row i · x` for every row `i` in `rows`: the scalar CRS
@@ -625,13 +711,13 @@ impl<'a> CsrView<'a> {
         );
         // SAFETY: y covers every index below rows.end, and is borrowed
         // mutably for the whole call.
-        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add, RowDot::Scalar) }
+        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add) }
     }
 
-    /// `y[i] (=|+=) dot(row i, x)` for every row `i` in `rows`, writing
-    /// through a raw pointer so that threads can fill disjoint row ranges
-    /// of one shared `y`. Each row is taken once as its column and value
-    /// slices; with [`RowDot::Scalar`] this is [`Self::spmv_rows`].
+    /// [`Self::spmv_rows`] writing through a raw pointer, so that threads
+    /// can fill disjoint row ranges of one shared `y`. Each row is summed
+    /// in storage order, as its column and value slices in a plain view
+    /// and as its word slice in a coded one.
     ///
     /// # Panics
     /// If `x.len() != ncols` or `rows` reaches past the last row.
@@ -640,47 +726,44 @@ impl<'a> CsrView<'a> {
     /// `y` must be valid for writes at every index in `rows`, and
     /// concurrent callers must use disjoint `rows` ranges.
     #[inline]
-    pub unsafe fn spmv_rows_ptr(
-        &self,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-        dot: RowDot,
-    ) {
+    pub unsafe fn spmv_rows_ptr(&self, rows: Range<usize>, x: &[f64], y: *mut f64, add: bool) {
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         // every column a row reaches is < ncols (the view's invariant) and
         // ncols == x.len() (asserted above), so the row dots' unchecked
         // gathers stay inside x
-        match dot {
+        match self.entries {
             // SAFETY: as just said; the caller's contract covers y.
-            RowDot::Scalar => unsafe { self.walk(rows, y, add, |c, v| row_dot_scalar(c, v, x)) },
-            // SAFETY: as for the scalar arm.
-            RowDot::Unrolled4 => unsafe {
-                self.walk(rows, y, add, |c, v| row_dot_unrolled4(c, v, x))
+            Entries::Plain { col_idx, values } => unsafe {
+                self.walk(rows, y, add, |r| {
+                    row_dot_scalar(&col_idx[r.clone()], &values[r], x)
+                })
+            },
+            // SAFETY: as for the plain arm.
+            Entries::Coded { words, table } => unsafe {
+                self.walk(rows, y, add, |r| row_dot_coded(&words[r], table, x))
             },
         }
     }
 
     /// The row walk of [`Self::spmv_rows_ptr`], generic in the row dot so
-    /// that each kernel gets its own inlined loop.
+    /// that each storage form gets its own inlined loop.
     ///
     /// # Safety
-    /// As for [`Self::spmv_rows_ptr`]; `dot` must be sound on every row.
+    /// As for [`Self::spmv_rows_ptr`]; `dot` must be sound on every row's
+    /// entry range.
     #[inline(always)]
     unsafe fn walk(
         &self,
         rows: Range<usize>,
         y: *mut f64,
         add: bool,
-        dot: impl Fn(&[u32], &[f64]) -> f64,
+        dot: impl Fn(Range<usize>) -> f64,
     ) {
-        let (col_idx, values) = (self.col_idx, self.values);
         // walking the two offset slices together drops their per-row
         // bounds checks (measurably faster on in-cache blocks)
         let bounds = self.begin[rows.clone()].iter().zip(&self.end[rows.clone()]);
         for (i, (&b, &e)) in rows.zip(bounds) {
-            let sum = dot(&col_idx[b..e], &values[b..e]);
+            let sum = dot(b..e);
             // SAFETY: the caller guarantees y is writable at row i and
             // that no other thread writes it.
             unsafe {
@@ -701,25 +784,118 @@ impl<'a> From<&'a CsrMatrix> for CsrView<'a> {
     }
 }
 
+/// Builds the table of a value-coded view (see [`CsrView`]): each distinct
+/// value gets the next of at most 256 codes, told apart by its bits, so
+/// `+0.0` and `-0.0`, and NaNs with different payloads, get codes of their
+/// own and decode to the bits they were given.
+///
+/// A value's code is found through a hash table of codes, at the slot
+/// its bits hash to or, on a collision, at one of the slots after it. The
+/// coder holds its tables inline (3 KiB) and allocates only the table it
+/// hands out.
+#[derive(Debug, Clone)]
+pub struct ValueCoder {
+    table: [f64; 256],
+    len: usize,
+    /// The code of the value whose bits hash to a slot, `EMPTY` marking a
+    /// free slot. Twice as many slots as codes keep a probe short and
+    /// always end it at a free slot.
+    slots: [u16; 512],
+}
+
+impl ValueCoder {
+    const EMPTY: u16 = u16::MAX;
+
+    /// A coder with an empty table.
+    pub fn new() -> Self {
+        Self {
+            table: [0.0; 256],
+            len: 0,
+            slots: [Self::EMPTY; 512],
+        }
+    }
+
+    /// Whether a coded word can hold every column of an `x` of length
+    /// `ncols`: 24 bits are left for the column, and a block as wide as
+    /// `2^24` stays plain.
+    pub fn fits_columns(ncols: usize) -> bool {
+        ncols < 1 << 24
+    }
+
+    /// The code of `v`, which is added to the table if it is new; `None`
+    /// if it is new and the table already holds 256 values.
+    #[inline]
+    fn code(&mut self, v: f64) -> Option<u8> {
+        let bits = v.to_bits();
+        // the top 9 bits of a multiplicative hash depend on every bit
+        let mut slot = (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55) as usize;
+        loop {
+            let code = self.slots[slot];
+            if code == Self::EMPTY {
+                break;
+            }
+            if self.table[code as usize].to_bits() == bits {
+                return Some(code as u8);
+            }
+            slot = (slot + 1) % 512;
+        }
+        if self.len == 256 {
+            return None;
+        }
+        self.table[self.len] = v;
+        self.slots[slot] = self.len as u16;
+        self.len += 1;
+        Some((self.len - 1) as u8)
+    }
+
+    /// Codes a row in place: each column `cols[k]` becomes the word of
+    /// `cols[k]` and `vals[k]`. Returns `false`, leaving `cols` as it was,
+    /// when a value does not fit in the table.
+    ///
+    /// Every column must be below `2^24` ([`ValueCoder::fits_columns`]);
+    /// a larger one loses its top bits.
+    ///
+    /// # Panics
+    /// If `cols` and `vals` differ in length.
+    pub fn encode(&mut self, cols: &mut [u32], vals: &[f64]) -> bool {
+        assert_eq!(cols.len(), vals.len(), "one value per column");
+        for (k, (w, &v)) in cols.iter_mut().zip(vals).enumerate() {
+            debug_assert!(*w < 1 << 24, "column {w} does not fit a coded word");
+            let Some(code) = self.code(v) else {
+                Self::decode(&mut cols[..k]);
+                return false;
+            };
+            *w = *w << 8 | code as u32;
+        }
+        true
+    }
+
+    /// Turns coded words back into their plain columns.
+    pub fn decode(words: &mut [u32]) {
+        for w in words {
+            *w >>= 8;
+        }
+    }
+
+    /// The table, indexed by code; slots past the last value coded hold
+    /// `0.0`.
+    pub fn into_table(self) -> Box<[f64; 256]> {
+        Box::new(self.table)
+    }
+}
+
+impl Default for ValueCoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 // --- per-row dot-product kernels -------------------------------------------
 //
 // The inner loop of the CRS SpMV is a sparse dot product of one row against
-// the RHS. `row_dot_scalar` is the row kernel of `csr-scalar`, and
-// `row_dot_unrolled4` that of `spmv-core`'s `csr-unrolled4`; both, and the
-// SELL-C-σ kernel, read `x` through `gather`.
-
-/// The row kernel a CSR product sums each row with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowDot {
-    /// The row in storage order: the sums of [`CsrMatrix::spmv`]
-    /// (`csr-scalar`). An empty row gives `+0.0`.
-    Scalar,
-    /// Four independent partial sums (`csr-unrolled4`), which break the
-    /// floating-point add dependency chain so out-of-order cores keep
-    /// several FMAs in flight. Reassociates the sum, so results differ
-    /// from [`RowDot::Scalar`] by rounding only.
-    Unrolled4,
-}
+// the RHS, summed in storage order: `row_dot_scalar` over a plain view's
+// column and value slices, `row_dot_coded` over a coded view's words. Both,
+// and the SELL-C-σ kernel, read `x` through `gather`.
 
 /// `x[c]` without a bounds check: the gather of every row kernel. Debug
 /// builds check the bound.
@@ -736,7 +912,8 @@ pub(crate) unsafe fn gather(x: &[f64], c: u32) -> f64 {
     unsafe { *x.get_unchecked(c) }
 }
 
-/// [`RowDot::Scalar`]'s row sum: one add after another, in storage order.
+/// A plain row's sum: one add after another, in storage order. An empty
+/// row gives `+0.0`.
 ///
 /// The loop takes four entries per step and the last `len % 4` after it.
 /// A one-entry loop over the unchecked gather is unrolled by the compiler
@@ -765,30 +942,31 @@ unsafe fn row_dot_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     sum
 }
 
-/// [`RowDot::Unrolled4`]'s row sum.
+/// A coded row's sum: [`row_dot_scalar`] with each value read from the
+/// table by its code, so the same products are added in the same order.
 ///
 /// # Safety
-/// Every column in `cols` is `< x.len()`.
+/// Every word's column, `w >> 8`, is `< x.len()`.
 #[inline(always)]
-unsafe fn row_dot_unrolled4(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n4 = cols.len() & !3;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (c, v) in cols[..n4].chunks_exact(4).zip(vals[..n4].chunks_exact(4)) {
+unsafe fn row_dot_coded(words: &[u32], table: &[f64; 256], x: &[f64]) -> f64 {
+    // a u8 code indexes the 256-entry table in bounds
+    let value = |w: u32| table[(w & 0xff) as usize];
+    let mut ws = words.chunks_exact(4);
+    let mut sum = 0.0;
+    for w in &mut ws {
         // SAFETY: the caller guarantees every column is inside x.
         unsafe {
-            s0 += v[0] * gather(x, c[0]);
-            s1 += v[1] * gather(x, c[1]);
-            s2 += v[2] * gather(x, c[2]);
-            s3 += v[3] * gather(x, c[3]);
+            sum += value(w[0]) * gather(x, w[0] >> 8);
+            sum += value(w[1]) * gather(x, w[1] >> 8);
+            sum += value(w[2]) * gather(x, w[2] >> 8);
+            sum += value(w[3]) * gather(x, w[3] >> 8);
         }
     }
-    let mut tail = 0.0;
-    for (&c, &v) in cols[n4..].iter().zip(&vals[n4..]) {
+    for &w in ws.remainder() {
         // SAFETY: as above.
-        tail += v * unsafe { gather(x, c) };
+        sum += value(w) * unsafe { gather(x, w >> 8) };
     }
-    (s0 + s1) + (s2 + s3) + tail
+    sum
 }
 
 /// Incremental row-by-row CSR builder used by all matrix generators.
@@ -995,7 +1173,7 @@ mod tests {
         // SAFETY: y is writable at rows 0..3 and has no other writer.
         unsafe {
             a.view()
-                .spmv_rows_ptr(0..3, &[1.0; 4], y.as_mut_ptr(), false, RowDot::Unrolled4)
+                .spmv_rows_ptr(0..3, &[1.0; 4], y.as_mut_ptr(), false)
         };
     }
 
@@ -1181,22 +1359,41 @@ mod tests {
         a.view().spmv_rows(0..3, &x, &mut y, false);
     }
 
-    /// The unrolled row kernel against the scalar reference, row by row on a
-    /// matrix with row lengths 0..~20 so every unroll tail case is exercised.
+    /// `m` with each value rounded to a multiple of 1/4: few distinct
+    /// values, in `m`'s structure.
+    fn quantized(m: &CsrMatrix) -> CsrMatrix {
+        let values = m.values().iter().map(|v| (v * 4.0).round() / 4.0).collect();
+        let (rows, cols) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
+        CsrMatrix::try_new(m.nrows(), m.ncols(), rows, cols, values).unwrap()
+    }
+
+    /// `m`'s entries coded in place of its columns, and the table.
+    fn coded(m: &CsrMatrix) -> (Vec<u32>, Box<[f64; 256]>) {
+        let (mut words, mut coder) = (m.col_idx().to_vec(), ValueCoder::new());
+        assert!(coder.encode(&mut words, m.values()), "values fit the table");
+        (words, coder.into_table())
+    }
+
+    /// The coded kernel against the plain one, bit for bit, on a matrix
+    /// with row lengths 0..~20 so every unroll tail case is exercised,
+    /// for the overwriting and the accumulating product.
     #[test]
     fn fast_kernels_match_scalar_reference() {
-        let m = crate::synthetic::power_law_rows(120, 6.0, 1.0, 42);
+        let m = quantized(&crate::synthetic::power_law_rows(120, 6.0, 1.0, 42));
+        let (words, table) = coded(&m);
+        let n = m.nrows();
+        let v = CsrView::new_coded(&m.row_ptr()[..n], &m.row_ptr()[1..], &words, &table, n);
+        assert!(v.values().is_none(), "a coded view has no per-entry values");
+        for j in 0..m.nnz() {
+            assert_eq!(v.entry(j), (m.col_idx()[j], m.values()[j]), "entry {j}");
+        }
         let x = crate::vecops::random_vec(m.ncols(), 7);
-        let mut y_ref = vec![0.0; m.nrows()];
-        m.spmv(&x, &mut y_ref);
-        for (i, &want) in y_ref.iter().enumerate() {
-            let (cols, vals) = m.row(i);
-            // SAFETY: a matrix's columns are < ncols == x.len().
-            let unrolled = unsafe { row_dot_unrolled4(cols, vals, &x) };
-            assert!(
-                (unrolled - want).abs() <= 1e-13 * want.abs().max(1.0),
-                "row {i}"
-            );
+        let bits = |y: &[f64]| y.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for add in [false, true] {
+            let (mut want, mut got) = (x.clone(), x.clone());
+            m.view().spmv_rows(0..n, &x, &mut want, add);
+            v.spmv_rows(0..n, &x, &mut got, add);
+            assert_eq!(bits(&got), bits(&want), "add {add}");
         }
     }
 
@@ -1204,20 +1401,68 @@ mod tests {
     fn row_dot_helpers_handle_tails() {
         // lengths 0..=9 hit every chunks_exact(4) remainder case
         let x: Vec<f64> = (0..32).map(|i| i as f64 * 0.5 - 3.0).collect();
+        let mut table = [0.0; 256];
+        for (k, t) in table.iter_mut().enumerate().take(5) {
+            *t = k as f64 * 0.3 - 0.7;
+        }
         for len in 0..=9usize {
             let cols: Vec<u32> = (0..len).map(|k| ((k * 7) % 32) as u32).collect();
-            let vals: Vec<f64> = (0..len).map(|k| k as f64 - 2.5).collect();
+            let codes: Vec<u32> = (0..len).map(|k| (k % 5) as u32).collect();
+            let vals: Vec<f64> = codes.iter().map(|&k| table[k as usize]).collect();
+            let words: Vec<u32> = cols.iter().zip(&codes).map(|(c, k)| c << 8 | k).collect();
             // SAFETY: every column is reduced mod 32 == x.len().
             let (reference, got) = unsafe {
                 (
                     row_dot_scalar(&cols, &vals, &x),
-                    row_dot_unrolled4(&cols, &vals, &x),
+                    row_dot_coded(&words, &table, &x),
                 )
             };
-            assert!(
-                (got - reference).abs() < 1e-12,
-                "len {len}: {got} vs {reference}"
-            );
+            assert_eq!(got.to_bits(), reference.to_bits(), "len {len}");
         }
+    }
+
+    #[test]
+    fn coder_tells_signed_zeros_and_nan_payloads_apart() {
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let vals = [0.0, -0.0, nan(1), nan(2), 0.0, nan(2), -0.0];
+        let mut coder = ValueCoder::new();
+        let codes: Vec<_> = vals.iter().map(|&v| coder.code(v)).collect();
+        let want = [0, 1, 2, 3, 0, 3, 1].map(Some);
+        assert_eq!(codes, want);
+        // one entry per row, each decoding to and multiplying the bits it was given
+        let m = CsrMatrix::try_new(7, 1, (0..=7).collect(), vec![0; 7], vals.to_vec()).unwrap();
+        let (words, table) = coded(&m);
+        let v = CsrView::new_coded(&m.row_ptr()[..7], &m.row_ptr()[1..], &words, &table, 1);
+        for (j, &val) in vals.iter().enumerate() {
+            assert_eq!(v.entry(j).1.to_bits(), val.to_bits(), "entry {j}");
+        }
+        let bits = |y: &[f64]| y.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut want, mut got) = ([0.0; 7], [0.0; 7]);
+        m.view().spmv_rows(0..7, &[-2.0], &mut want, false);
+        v.spmv_rows(0..7, &[-2.0], &mut got, false);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got[3].to_bits(), nan(2).to_bits(), "the payload survives");
+    }
+
+    #[test]
+    fn coder_refuses_a_257th_value_and_a_2_pow_24_column_space() {
+        let mut coder = ValueCoder::new();
+        for k in 0..256 {
+            assert_eq!(coder.code(k as f64), Some(k as u8));
+        }
+        assert_eq!(coder.code(256.0), None);
+        assert_eq!(coder.code(17.0), Some(17), "known values still code");
+        let mut cols = [4, 5, 6];
+        assert!(!coder.encode(&mut cols, &[1.0, 2.0, 0.5]));
+        assert_eq!(cols, [4, 5, 6], "a refused row is left plain");
+        assert!(ValueCoder::fits_columns((1 << 24) - 1));
+        assert!(!ValueCoder::fits_columns(1 << 24));
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 reaches column 3, outside the view's 3 columns")]
+    fn coded_view_new_rejects_a_column_past_ncols() {
+        let words = [0 << 8, 2 << 8 | 1, 3 << 8];
+        CsrView::new_coded(&[0, 1], &[1, 3], &words, &[1.0; 256], 3);
     }
 }

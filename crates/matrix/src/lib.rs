@@ -40,7 +40,7 @@ pub mod synthetic;
 pub mod vecops;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrBuilder, CsrMatrix, CsrView, RowDot};
+pub use csr::{CsrBuilder, CsrMatrix, CsrView, ValueCoder};
 pub use perm::Permutation;
 pub use sell::SellMatrix;
 

@@ -51,8 +51,9 @@ pub struct SellMatrix {
 
 impl SellMatrix {
     /// Converts a CSR matrix, or a row-range view of one, into SELL-C-σ
-    /// form. It takes over the view's bound: every stored column is
-    /// `< ncols` (padding slots hold column 0 but are never read).
+    /// form, with a value per slot also when the view is value-coded. It
+    /// takes over the view's bound: every stored column is `< ncols`
+    /// (padding slots hold column 0 but are never read).
     ///
     /// # Panics
     /// If `c == 0` or `sigma == 0`.
@@ -94,10 +95,8 @@ impl SellMatrix {
                 if p >= nrows {
                     break;
                 }
-                let (cols, vals) = m.row(order[p]);
-                for (k, (&cc, &vv)) in cols.iter().zip(vals).enumerate() {
-                    col_idx[base + k * c + r] = cc;
-                    values[base + k * c + r] = vv;
+                for (k, j) in m.row_range(order[p]).enumerate() {
+                    (col_idx[base + k * c + r], values[base + k * c + r]) = m.entry(j);
                 }
             }
         }

@@ -28,6 +28,16 @@ pub fn code_balance_split(nnzr: f64, kappa: f64) -> f64 {
     6.0 + 20.0 / nnzr + kappa / 2.0
 }
 
+/// Code balance of the value-coded CRS kernel in bytes/flop: Eq. (1) with
+/// one 4-byte word per nonzero (column and value code) instead of an 8-byte
+/// value and a 4-byte column index. The value table is 2 KiB and stays in
+/// cache, so it adds nothing per nonzero:
+///
+/// `B_coded = (4 + 24/N_nzr + κ)/2 = 2 + 12/N_nzr + κ/2`.
+pub fn code_balance_coded(nnzr: f64, kappa: f64) -> f64 {
+    code_balance_crs(nnzr, kappa) - 4.0
+}
+
 /// SELL-C-σ code balance in bytes/flop.
 ///
 /// Relative to CRS the matrix-data term (8 B value + 4 B column index per
@@ -60,9 +70,16 @@ pub fn predicted_gflops(bandwidth_gbs: f64, balance_bytes_per_flop: f64) -> f64 
 /// The result is clamped at zero (measurement noise can push it slightly
 /// negative for cache-resident problems).
 pub fn kappa_from_measurement(nnzr: f64, gflops: f64, bandwidth_gbs: f64) -> f64 {
+    kappa_over_balance(code_balance_crs(nnzr, 0.0), gflops, bandwidth_gbs)
+}
+
+/// [`kappa_from_measurement`] for any kernel whose balance at κ = 0 is
+/// `balance_at_zero` (such as [`code_balance_coded`]): κ enters every
+/// balance as `κ/2`.
+pub fn kappa_over_balance(balance_at_zero: f64, gflops: f64, bandwidth_gbs: f64) -> f64 {
     assert!(gflops > 0.0 && bandwidth_gbs > 0.0);
     let measured_balance = bandwidth_gbs / gflops;
-    (2.0 * (measured_balance - 6.0 - 12.0 / nnzr)).max(0.0)
+    (2.0 * (measured_balance - balance_at_zero)).max(0.0)
 }
 
 /// Relative node-level performance penalty of the split kernel:
@@ -179,6 +196,21 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_nnzr_rejected() {
         let _ = code_balance_crs(0.0, 0.0);
+    }
+
+    #[test]
+    fn coded_balance_is_eq1_less_four_bytes_per_flop() {
+        for nnzr in [7.0, 11.6, 15.0] {
+            for kappa in [0.0, 2.5] {
+                let coded = code_balance_coded(nnzr, kappa);
+                assert!((coded - (2.0 + 12.0 / nnzr + kappa / 2.0)).abs() < 1e-12);
+                assert!((code_balance_crs(nnzr, kappa) - coded - 4.0).abs() < 1e-12);
+            }
+        }
+        // κ inverts against the coded balance as against Eq. 1
+        let b = code_balance_coded(15.0, 2.5);
+        let k = kappa_over_balance(code_balance_coded(15.0, 0.0), 18.1 / b, 18.1);
+        assert!((k - 2.5).abs() < 1e-9, "κ = {k}");
     }
 
     #[test]

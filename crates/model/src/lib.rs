@@ -3,8 +3,9 @@
 //! The paper's analytic node-level performance model (§1.2 and §2):
 //!
 //! * [`balance`] — the CRS code balance, Eq. (1): `B_CRS = 6 + 12/N_nzr +
-//!   κ/2` bytes/flop, its split-kernel variant Eq. (2), predicted
-//!   performance `bandwidth / balance`, and experimental κ extraction;
+//!   κ/2` bytes/flop, its split-kernel variant Eq. (2), the balance of
+//!   value-coded CRS (4 bytes/flop less), predicted performance
+//!   `bandwidth / balance`, and experimental κ extraction;
 //! * [`kappa`] — a cache model (fully associative LRU over cache lines,
 //!   simulated on the matrix's actual column access stream) that *derives*
 //!   the RHS-reload parameter κ from the sparsity structure and cache
@@ -22,8 +23,8 @@ pub mod kappa;
 pub mod roofline;
 
 pub use balance::{
-    code_balance_crs, code_balance_sell, code_balance_split, kappa_from_measurement,
-    predicted_gflops,
+    code_balance_coded, code_balance_crs, code_balance_sell, code_balance_split,
+    kappa_from_measurement, kappa_over_balance, predicted_gflops,
 };
 pub use comm::{CommLevels, RankTraffic};
 pub use kappa::{estimate_kappa, KappaEstimate};
