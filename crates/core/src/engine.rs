@@ -20,13 +20,16 @@
 //! explicitly into nonzero-balanced chunks: OpenMP has "no concept of
 //! 'subteams'" (§3.2).
 
-use crate::exchange::{HaloExchange, Pending};
+use crate::exchange::{ExchangeSchedule, HaloExchange, Pending};
 use crate::gather::GatherProgram;
-use crate::kernels::{prepare_kernel, KernelKind, SpmvKernel};
+use crate::kernels::{prepare_kernel, Kernel, KernelKind};
 use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
-use crate::plan::{build_plan_distributed, RankPlan};
+use crate::plan::{
+    build_node_aware_serial, build_plan_distributed, gather_plans, node_aware_plan, RankPlan,
+};
 use crate::split::{BlockPart, SplitMatrix};
+use crate::verify::{assert_verified, verify_distributed, verify_node_aware};
 use spmv_comm::{Comm, CommError, CommStats};
 use spmv_matrix::CsrMatrix;
 use spmv_model::RankTraffic;
@@ -54,8 +57,8 @@ pub struct EngineConfig {
     /// Reaction to a degraded (injected-dead) node-aware leader rank.
     pub degraded: DegradedPolicy,
     /// Measured-time tracing (see `spmv-obs`). Zero-cost when false: the
-    /// engine carries no recorder. Defaults to on when the `SPMV_TRACE`
-    /// environment variable is set, mirroring `SPMV_COMM_STRATEGY`.
+    /// engine carries no recorder. Off unless
+    /// [`Self::with_tracing`] turns it on.
     pub tracing: bool,
     /// Static communication-plan verification at construction (a
     /// collective check of the whole world's message graph, see
@@ -73,7 +76,7 @@ impl Default for EngineConfig {
             kernel: KernelKind::CsrScalar,
             comm_strategy: CommStrategy::from_env().unwrap_or(CommStrategy::Flat),
             degraded: DegradedPolicy::Strict,
-            tracing: std::env::var_os("SPMV_TRACE").is_some(),
+            tracing: false,
             verification: cfg!(debug_assertions),
         }
     }
@@ -186,7 +189,7 @@ impl Bufs {
 
 /// A prepared node-level kernel for one part of the matrix, with its
 /// per-thread row chunks and the nonzeros each chunk multiplies.
-type PartKernel = (Box<dyn SpmvKernel>, Vec<(Range<usize>, u64)>);
+type PartKernel = (Kernel, Vec<(Range<usize>, u64)>);
 
 /// `threads` nonzero-balanced row chunks of `part`, each with the
 /// nonzeros it multiplies; one thread takes every row.
@@ -194,6 +197,40 @@ fn part_chunks(part: &BlockPart, threads: usize) -> Vec<(Range<usize>, u64)> {
     let chunks = balanced_chunks_by(part.nrows(), threads, |i| part.nnz_before(i));
     let nnz = |r: &Range<usize>| (part.nnz_before(r.end) - part.nnz_before(r.start)) as u64;
     chunks.into_iter().map(|r| (r.clone(), nnz(&r))).collect()
+}
+
+/// The exchange `strategy` runs for `plan`, verified over the whole world
+/// first when `verify` is set. Collective when it verifies or routes
+/// node-aware, which gather the world's flat plans once: the node-aware
+/// plan is built from that gather, and a verified engine checks the world
+/// of such plans and runs its own one of them.
+fn exchange_schedule(
+    comm: &Comm,
+    plan: &RankPlan,
+    strategy: CommStrategy,
+    verify: bool,
+) -> ExchangeSchedule {
+    let me = comm.rank();
+    match strategy {
+        CommStrategy::Flat => {
+            if verify {
+                assert_verified(me, verify_distributed(comm, plan, None));
+            }
+            ExchangeSchedule::flat(plan)
+        }
+        CommStrategy::NodeAware { .. } => {
+            let map = strategy.rank_node_map(comm.size());
+            let world = gather_plans(comm, plan);
+            let na = if verify {
+                let mut all = build_node_aware_serial(&world, &map);
+                assert_verified(me, verify_node_aware(&all));
+                all.swap_remove(me)
+            } else {
+                node_aware_plan(&world, me, &map)
+            };
+            ExchangeSchedule::node_aware(&na)
+        }
+    }
 }
 
 /// The per-rank engine.
@@ -226,14 +263,12 @@ impl RankEngine {
         let strategy = cfg.comm_strategy.resolve(&comm, cfg.degraded);
         let plan = build_plan_distributed(&comm, block, partition);
         // prove the world's exchange schedule sound before any halo payload
-        // moves (collective; chaos worlds exist to violate it)
-        if cfg.verification && comm.fault_stats().is_none() {
-            let map = strategy.verified_node_map(comm.size());
-            crate::verify::assert_verified(&comm, &plan, map.as_ref());
-        }
+        // moves (chaos worlds exist to violate it)
+        let verify = cfg.verification && comm.fault_stats().is_none();
+        let schedule = exchange_schedule(&comm, &plan, strategy, verify);
         let mats = SplitMatrix::build(block, &plan);
         let c = cfg.compute_threads;
-        let exchange = HaloExchange::new(&comm, &plan, strategy, c);
+        let exchange = HaloExchange::new(schedule, strategy, c);
 
         let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
@@ -893,6 +928,35 @@ mod tests {
         let flat_traffic = crate::runner::run_spmd(&m, 8, cfg_flat, |eng| eng.exchange_traffic());
         let flat_inter: usize = flat_traffic.iter().map(|t| t.inter_msgs).sum();
         assert!(total_inter < flat_inter, "{total_inter} vs {flat_inter}");
+    }
+
+    /// Construction's messages: the all-to-all of the column requests, and
+    /// one all-gather of the flat plans when the engine verifies or routes
+    /// node-aware, never more.
+    #[test]
+    fn construction_gathers_the_world_plans_at_most_once() {
+        let m = synthetic::scattered(256, 16, 9);
+        let ranks = 6;
+        let p = RowPartition::by_nnz(&m, ranks);
+        let na = CommStrategy::NodeAware { ranks_per_node: 2 };
+        for (strategy, verify, collectives) in [
+            (CommStrategy::Flat, false, 1),
+            (CommStrategy::Flat, true, 2),
+            (na, false, 2),
+            (na, true, 2),
+        ] {
+            let cfg = EngineConfig::pure_mpi()
+                .with_comm_strategy(strategy)
+                .with_verification(verify);
+            let comms = crate::runner::create_world(ranks, &cfg);
+            let stats = comms[0].clone();
+            crate::runner::run_spmd_on_world(comms, &m, &p, cfg, |_| ());
+            assert_eq!(
+                stats.stats().snapshot().messages,
+                collectives * (ranks * (ranks - 1)) as u64,
+                "{strategy:?}, verify {verify}"
+            );
+        }
     }
 
     #[test]

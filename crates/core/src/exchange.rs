@@ -11,7 +11,7 @@
 
 use crate::gather::GatherProgram;
 use crate::modes::Step;
-use crate::plan::{build_node_aware_distributed, LeaderPlan, NodeAwarePlan, RankPlan};
+use crate::plan::{LeaderPlan, NodeAwarePlan, RankPlan};
 use spmv_comm::{Comm, CommError, Request, Tag};
 use spmv_machine::RankNodeMap;
 use spmv_model::RankTraffic;
@@ -101,12 +101,6 @@ impl CommStrategy {
                 RankNodeMap::contiguous(size, *ranks_per_node)
             }
         }
-    }
-
-    /// The node map the plan verifier checks the node-aware schedule
-    /// against; `None` for the flat strategy.
-    pub(crate) fn verified_node_map(&self, size: usize) -> Option<RankNodeMap> {
-        (*self != CommStrategy::Flat).then(|| self.rank_node_map(size))
     }
 
     /// The strategy to build under `policy`: node-aware falls back to flat
@@ -402,9 +396,10 @@ pub(crate) struct Pending<'a> {
     send: &'a [f64],
 }
 
-/// One rank's halo exchange under its active strategy: the op list, the
-/// compiled gather that fills the send buffer, and a leader's relay
-/// buffers.
+/// One rank's halo exchange under its active strategy: the op list the
+/// engine built from the plan it verified (when it verifies), the compiled
+/// gather that fills the send buffer, and a leader's relay buffers. It
+/// holds no communicator; each step borrows the engine's.
 pub(crate) struct HaloExchange {
     /// The active strategy.
     pub(crate) strategy: CommStrategy,
@@ -418,21 +413,10 @@ pub(crate) struct HaloExchange {
 }
 
 impl HaloExchange {
-    /// Builds the exchange of `plan` under `strategy`, gathering with `c`
-    /// compute threads. Collective for the node-aware strategy.
-    pub(crate) fn new(comm: &Comm, plan: &RankPlan, strategy: CommStrategy, c: usize) -> Self {
-        let schedule = match strategy {
-            CommStrategy::Flat => ExchangeSchedule::flat(plan),
-            CommStrategy::NodeAware { .. } => {
-                let map = strategy.rank_node_map(comm.size());
-                let na = build_node_aware_distributed(comm, plan.clone(), &map);
-                ExchangeSchedule::node_aware(&na)
-            }
-        };
-        Self::with_schedule(schedule, strategy, c)
-    }
-
-    fn with_schedule(schedule: ExchangeSchedule, strategy: CommStrategy, threads: usize) -> Self {
+    /// Runs `schedule` under `strategy`, gathering with `threads` compute
+    /// threads. Comm-free: the caller builds the schedule, from the flat
+    /// plan or from the node-aware plan it verified.
+    pub(crate) fn new(schedule: ExchangeSchedule, strategy: CommStrategy, threads: usize) -> Self {
         let gather = GatherProgram::compile(&schedule.gather_indices);
         let relay = schedule.relay_lens.iter().map(|&l| vec![0.0; l]).collect();
         Self {
@@ -462,7 +446,7 @@ impl HaloExchange {
     pub(crate) fn demote_to_flat(&mut self, plan: &RankPlan) {
         if self.strategy != CommStrategy::Flat {
             let threads = self.gather_chunks.len();
-            *self = Self::with_schedule(ExchangeSchedule::flat(plan), CommStrategy::Flat, threads);
+            *self = Self::new(ExchangeSchedule::flat(plan), CommStrategy::Flat, threads);
         }
     }
 

@@ -7,10 +7,10 @@
 //!
 //! * [`KernelKind`] — the menu: scalar CSR (the reference, over plain or
 //!   value-coded storage alike) and SELL-C-σ.
-//! * [`SpmvKernel`] — the strategy trait: a row-range kernel over a
-//!   [`CsrView`] (a whole matrix or one part of a split block), writing
-//!   through a raw pointer so the engine's disjoint per-thread chunks work
-//!   without aliasing `&mut` slices.
+//! * [`Kernel`] — a prepared kernel: a row-range kernel over a [`CsrView`]
+//!   (a whole matrix or one part of a split block), writing through a raw
+//!   pointer so the engine's disjoint per-thread chunks work without
+//!   aliasing `&mut` slices.
 //! * [`prepare_kernel`] — builds a kernel for a concrete matrix or part
 //!   (SELL-C-σ converts it once at build time).
 //!
@@ -76,13 +76,35 @@ impl std::fmt::Display for KernelKind {
 
 /// A prepared node-level kernel for one matrix.
 ///
-/// Implementations may carry per-matrix state (SELL-C-σ holds the converted
-/// matrix); the CSR variants are stateless and use the `mat` passed to each
-/// call, which must be the view the kernel was prepared for. A view's rows
-/// may be parts of rows of a larger block (see [`crate::split`]).
-pub trait SpmvKernel: Send + Sync {
+/// The CSR kernel is stateless and runs the view passed to each call, the
+/// view's own row walk ([`CsrView::spmv_rows_ptr`]), which sums each row in
+/// storage order in either storage form. SELL-C-σ owns the converted
+/// matrix; its row ranges refer to the *original* row numbering, so the
+/// engine's nonzero-balanced chunks and per-thread disjointness carry over
+/// unchanged. Either way the view passed must be the one the kernel was
+/// prepared for; a view's rows may be parts of rows of a larger block (see
+/// [`crate::split`]).
+#[derive(Debug, Clone)]
+pub enum Kernel {
+    /// [`KernelKind::CsrScalar`].
+    Csr,
+    /// [`KernelKind::Sell`], over the matrix converted once; boxed so a
+    /// kernel stays pointer-sized (an inline one made each engine ~0.5 kB
+    /// larger, a page more resident for a small engine).
+    Sell(Box<SellMatrix>),
+}
+
+impl Kernel {
     /// The kind this kernel implements.
-    fn kind(&self) -> KernelKind;
+    pub fn kind(&self) -> KernelKind {
+        match self {
+            Kernel::Csr => KernelKind::CsrScalar,
+            Kernel::Sell(sell) => KernelKind::Sell {
+                c: sell.chunk_height(),
+                sigma: sell.sorting_scope(),
+            },
+        }
+    }
 
     /// Computes `y[rows] (=|+=) mat[rows] · x` writing through `y`.
     ///
@@ -90,17 +112,29 @@ pub trait SpmvKernel: Send + Sync {
     /// `y` must be valid for writes at every index in `rows`,
     /// `rows.end <= mat.nrows()`, `x.len() == mat.ncols()`, and concurrent
     /// callers must use disjoint `rows` ranges.
-    unsafe fn spmv_rows_raw(
+    pub unsafe fn spmv_rows_raw(
         &self,
         mat: CsrView<'_>,
         rows: Range<usize>,
         x: &[f64],
         y: *mut f64,
         add: bool,
-    );
-}
+    ) {
+        match self {
+            // SAFETY: the caller's contract is the view kernel's.
+            Kernel::Csr => unsafe { mat.spmv_rows_ptr(rows, x, y, add) },
+            Kernel::Sell(sell) => {
+                debug_assert_eq!(
+                    (mat.nrows(), mat.ncols()),
+                    (sell.nrows(), sell.ncols()),
+                    "kernel prepared for another matrix"
+                );
+                // SAFETY: the caller's contract is the SELL kernel's.
+                unsafe { sell.spmv_rows_ptr(rows, x, y, add) }
+            }
+        }
+    }
 
-impl dyn SpmvKernel {
     /// Safe convenience wrapper over a full `&mut` result slice; `mat` is a
     /// [`spmv_matrix::CsrMatrix`] or a part of a split block.
     pub fn spmv_rows<'a>(
@@ -125,71 +159,14 @@ impl dyn SpmvKernel {
     }
 }
 
-/// The CSR kernel: the view's own row walk ([`CsrView::spmv_rows_ptr`]),
-/// which sums each row in storage order in either storage form.
-struct CsrKernel;
-
-impl SpmvKernel for CsrKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::CsrScalar
-    }
-
-    // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
-    unsafe fn spmv_rows_raw(
-        &self,
-        mat: CsrView<'_>,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        // SAFETY: the caller's contract is the view kernel's.
-        unsafe { mat.spmv_rows_ptr(rows, x, y, add) }
-    }
-}
-
-/// SELL-C-σ kernel: owns the converted matrix; row ranges refer to the
-/// *original* row numbering, so the engine's nonzero-balanced chunks and
-/// per-thread disjointness carry over unchanged.
-struct SellKernel {
-    sell: SellMatrix,
-}
-
-impl SpmvKernel for SellKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Sell {
-            c: self.sell.chunk_height(),
-            sigma: self.sell.sorting_scope(),
-        }
-    }
-
-    // SAFETY: caller contract documented on `SpmvKernel::spmv_rows_raw`.
-    unsafe fn spmv_rows_raw(
-        &self,
-        mat: CsrView<'_>,
-        rows: Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        debug_assert_eq!(
-            (mat.nrows(), mat.ncols()),
-            (self.sell.nrows(), self.sell.ncols()),
-            "kernel prepared for another matrix"
-        );
-        // SAFETY: the caller's contract is the SELL kernel's.
-        unsafe { self.sell.spmv_rows_ptr(rows, x, y, add) };
-    }
-}
-
 /// Builds a kernel for `mat`, a [`spmv_matrix::CsrMatrix`] or a part of a
 /// split block.
-pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Box<dyn SpmvKernel> {
+pub fn prepare_kernel<'a>(kind: KernelKind, mat: impl Into<CsrView<'a>>) -> Kernel {
     match kind {
-        KernelKind::CsrScalar => Box::new(CsrKernel),
-        KernelKind::Sell { c, sigma } => Box::new(SellKernel {
-            sell: SellMatrix::from_csr(mat, c, sigma),
-        }),
+        KernelKind::CsrScalar => Kernel::Csr,
+        KernelKind::Sell { c, sigma } => {
+            Kernel::Sell(Box::new(SellMatrix::from_csr(mat, c, sigma)))
+        }
     }
 }
 

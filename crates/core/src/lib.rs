@@ -53,7 +53,7 @@ pub mod workload;
 pub use engine::{EngineConfig, RankEngine};
 pub use exchange::{CommStrategy, DegradedPolicy, ExchangeOp, ExchangeSchedule, TAG_HALO};
 pub use gather::{GatherProgram, GatherRun};
-pub use kernels::{prepare_kernel, KernelKind, SpmvKernel};
+pub use kernels::{prepare_kernel, Kernel, KernelKind};
 pub use modes::{Barrier, KernelMode, Part, Step};
 pub use partition::RowPartition;
 pub use plan::{NodeAwarePlan, RankPlan};

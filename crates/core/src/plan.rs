@@ -16,14 +16,11 @@
 //!   we must gather into a contiguous send buffer for it.
 
 use crate::partition::RowPartition;
-use spmv_comm::{Comm, Tag};
+use spmv_comm::Comm;
 use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
 use std::collections::BTreeSet;
 use std::ops::Range;
-
-/// Tag used for the one-time node-aware plan metadata exchange.
-const TAG_NA_META: Tag = 29;
 
 /// One neighbour's worth of halo traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,9 +128,45 @@ fn needed_columns(
     grouped
 }
 
+/// Assembles rank `me`'s plan from the columns it needs (grouped by owner,
+/// as [`needed_columns`] returns them) and the global columns each peer
+/// requests from it (ascending peer, non-empty lists).
+fn assemble_plan(
+    partition: &RowPartition,
+    me: usize,
+    needed: Vec<(usize, Vec<u32>)>,
+    requests: impl IntoIterator<Item = (usize, Vec<u32>)>,
+) -> RankPlan {
+    let my_start = partition.range(me).start;
+    let my_len = partition.len(me);
+    let send = requests
+        .into_iter()
+        .map(|(peer, req)| {
+            let indices = req
+                .into_iter()
+                .map(|g| {
+                    let l = g as usize - my_start;
+                    assert!(l < my_len, "peer {peer} requested column {g} we do not own");
+                    l as u32
+                })
+                .collect();
+            Neighbor { peer, indices }
+        })
+        .collect();
+    RankPlan {
+        rank: me,
+        row_start: my_start,
+        local_len: my_len,
+        recv: needed
+            .into_iter()
+            .map(|(peer, indices)| Neighbor { peer, indices })
+            .collect(),
+        send,
+    }
+}
+
 /// Builds all rank plans centrally from the full matrix (used by tests, the
 /// workload analyzer, and the simulator — no communication involved).
-#[allow(clippy::needless_range_loop)] // rank-indexed cross-references between plans
 pub fn build_plans_serial(matrix: &CsrMatrix, partition: &RowPartition) -> Vec<RankPlan> {
     assert_eq!(
         matrix.nrows(),
@@ -146,45 +179,23 @@ pub fn build_plans_serial(matrix: &CsrMatrix, partition: &RowPartition) -> Vec<R
         "distributed SpMV needs a square matrix"
     );
     let parts = partition.parts();
-    let mut plans: Vec<RankPlan> = (0..parts)
-        .map(|r| RankPlan {
-            rank: r,
-            row_start: partition.range(r).start,
-            local_len: partition.len(r),
-            recv: Vec::new(),
-            send: Vec::new(),
-        })
+    let needed: Vec<_> = (0..parts)
+        .map(|me| needed_columns(&matrix.row_block(partition.range(me)), partition, me))
         .collect();
-    // recv sides
-    for me in 0..parts {
-        let block = matrix.row_block(partition.range(me));
-        let needed = needed_columns(&block, partition, me);
-        plans[me].recv = needed
-            .iter()
-            .map(|(p, v)| Neighbor {
-                peer: *p,
-                indices: v.clone(),
-            })
-            .collect();
-    }
-    // send sides: transpose of the recv relation
-    for me in 0..parts {
-        let my_start = partition.range(me).start;
-        let mut send: Vec<Neighbor> = Vec::new();
-        for other in 0..parts {
-            if other == me {
-                continue;
-            }
-            if let Some(n) = plans[other].recv.iter().find(|n| n.peer == me) {
-                send.push(Neighbor {
-                    peer: other,
-                    indices: n.indices.iter().map(|&g| g - my_start as u32).collect(),
-                });
-            }
+    // each rank's requests: the transpose of the needed relation, in
+    // ascending requester order
+    let mut requests = vec![Vec::new(); parts];
+    for (other, cols) in needed.iter().enumerate() {
+        for (peer, v) in cols {
+            requests[*peer].push((other, v.clone()));
         }
-        plans[me].send = send;
     }
-    plans
+    needed
+        .into_iter()
+        .zip(requests)
+        .enumerate()
+        .map(|(me, (needed, requests))| assemble_plan(partition, me, needed, requests))
+        .collect()
 }
 
 /// Builds this rank's plan collectively: every rank contributes its local
@@ -214,35 +225,62 @@ pub fn build_plan_distributed(
     for (peer, cols) in &needed {
         outgoing[*peer] = cols.clone();
     }
-    let incoming = comm.alltoallv(&outgoing);
+    let requests = (comm.alltoallv(&outgoing).into_iter().enumerate())
+        .filter(|(peer, req)| *peer != me && !req.is_empty());
+    assemble_plan(partition, me, needed, requests)
+}
 
-    let my_start = partition.range(me).start;
-    let my_len = partition.len(me);
-    let send: Vec<Neighbor> = incoming
-        .into_iter()
-        .enumerate()
-        .filter(|(peer, req)| *peer != me && !req.is_empty())
-        .map(|(peer, req)| {
-            let indices: Vec<u32> = req
-                .into_iter()
-                .map(|g| {
-                    let l = g as usize - my_start;
-                    assert!(l < my_len, "peer {peer} requested column {g} we do not own");
-                    l as u32
-                })
-                .collect();
-            Neighbor { peer, indices }
-        })
-        .collect();
+/// Every rank's flat plan, in rank order, from one `allgatherv` of this
+/// rank's (collective; on the reserved collective tags, which injected
+/// point-to-point faults never touch).
+pub fn gather_plans(comm: &Comm, plan: &RankPlan) -> Vec<RankPlan> {
+    let encoded = comm.allgatherv(&encode_plan(plan));
+    encoded.iter().map(|w| decode_plan(w)).collect()
+}
 
+/// Flat-plan wire format: a `u32` word stream
+/// `[rank, row_start, local_len, nrecv, nsend, {peer, len, indices...}*]`.
+fn encode_plan(plan: &RankPlan) -> Vec<u32> {
+    let mut w = Vec::with_capacity(5 + plan.halo_len() + plan.send_len());
+    w.push(plan.rank as u32);
+    w.push(u32::try_from(plan.row_start).expect("row_start exceeds the u32 column space"));
+    w.push(plan.local_len as u32);
+    w.push(plan.recv.len() as u32);
+    w.push(plan.send.len() as u32);
+    for list in [&plan.recv, &plan.send] {
+        for n in list {
+            w.push(n.peer as u32);
+            w.push(n.indices.len() as u32);
+            w.extend_from_slice(&n.indices);
+        }
+    }
+    w
+}
+
+fn decode_plan(w: &[u32]) -> RankPlan {
+    let mut it = w.iter().copied();
+    let mut next = || it.next().expect("truncated plan encoding") as usize;
+    let (rank, row_start, local_len) = (next(), next(), next());
+    let (nrecv, nsend) = (next(), next());
+    let mut read_list = |count: usize| {
+        (0..count)
+            .map(|_| {
+                let peer = next();
+                let len = next();
+                Neighbor {
+                    peer,
+                    indices: (0..len).map(|_| next() as u32).collect(),
+                }
+            })
+            .collect()
+    };
+    let recv = read_list(nrecv);
+    let send = read_list(nsend);
     RankPlan {
-        rank: me,
-        row_start: my_start,
-        local_len: my_len,
-        recv: needed
-            .into_iter()
-            .map(|(peer, indices)| Neighbor { peer, indices })
-            .collect(),
+        rank,
+        row_start,
+        local_len,
+        recv,
         send,
     }
 }
@@ -364,51 +402,37 @@ impl NodeAwarePlan {
     }
 }
 
-/// Per-rank metadata the leader needs: inter-node send lengths per
-/// destination rank, and halo lengths per source node.
-fn inter_send_meta(plan: &RankPlan, map: &RankNodeMap) -> Vec<(u32, u32)> {
-    plan.send
-        .iter()
-        .filter(|n| !map.same_node(plan.rank, n.peer))
-        .map(|n| (n.peer as u32, n.indices.len() as u32))
-        .collect()
-}
-
-fn recv_node_meta(plan: &RankPlan, map: &RankNodeMap) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
+/// A rank's halo length per remote source node, source-node-ascending.
+fn recv_node_lens(plan: &RankPlan, map: &RankNodeMap) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = Vec::new();
     for n in plan
         .recv
         .iter()
         .filter(|n| !map.same_node(plan.rank, n.peer))
     {
-        let node = map.node_of(n.peer) as u32;
-        let len = n.indices.len() as u32;
+        let node = map.node_of(n.peer);
         match out.last_mut() {
-            Some((p, l)) if *p == node => *l += len,
-            _ => out.push((node, len)),
+            Some((p, l)) if *p == node => *l += n.indices.len(),
+            _ => out.push((node, n.indices.len())),
         }
     }
     out
 }
 
-/// Builds the leader's wire programs from all members' metadata.
-fn build_leader_plan(
-    members: Vec<usize>,
-    inter_send: &[Vec<(u32, u32)>],
-    recv_nodes: &[Vec<(u32, u32)>],
-    map: &RankNodeMap,
-) -> LeaderPlan {
+/// Builds the wire programs of the leader of `members` from their flat
+/// plans (`plans` is the whole world, in rank order).
+fn build_leader_plan(members: Vec<usize>, plans: &[RankPlan], map: &RankNodeMap) -> LeaderPlan {
     // Per slot: (dest rank, offset within the slot's ship buffer, len),
     // destination-ascending — the order the member gathers its ship region.
-    let slot_entries: Vec<Vec<(usize, usize, usize)>> = inter_send
+    let slot_entries: Vec<Vec<(usize, usize, usize)>> = members
         .iter()
-        .map(|entries| {
+        .map(|&r| {
             let mut off = 0usize;
-            entries
-                .iter()
-                .map(|&(peer, len)| {
-                    let e = (peer as usize, off, len as usize);
-                    off += len as usize;
+            (plans[r].send.iter())
+                .filter(|n| !map.same_node(r, n.peer))
+                .map(|n| {
+                    let e = (n.peer, off, n.indices.len());
+                    off += n.indices.len();
                     e
                 })
                 .collect()
@@ -460,11 +484,11 @@ fn build_leader_plan(
 
     // Incoming: one wire message per source node, split across members in
     // slot order.
-    let src_nodes: BTreeSet<usize> = recv_nodes
+    let recv_nodes: Vec<Vec<(usize, usize)>> = members
         .iter()
-        .flatten()
-        .map(|&(node, _)| node as usize)
+        .map(|&r| recv_node_lens(&plans[r], map))
         .collect();
+    let src_nodes: BTreeSet<usize> = recv_nodes.iter().flatten().map(|&(node, _)| node).collect();
     let wire_in = src_nodes
         .into_iter()
         .map(|p_node| {
@@ -472,8 +496,8 @@ fn build_leader_plan(
                 .iter()
                 .map(|rn| {
                     rn.iter()
-                        .find(|&&(n, _)| n as usize == p_node)
-                        .map_or(0, |&(_, l)| l as usize)
+                        .find(|&&(n, _)| n == p_node)
+                        .map_or(0, |&(_, l)| l)
                 })
                 .collect();
             WireIn {
@@ -547,92 +571,23 @@ fn node_aware_member_side(
     }
 }
 
-/// Builds all node-aware plans centrally (tests, traffic accounting, the
-/// cost model) from pre-built flat plans.
-pub fn build_node_aware_serial(plans: &[RankPlan], map: &RankNodeMap) -> Vec<NodeAwarePlan> {
+/// Builds rank `me`'s node-aware plan from the whole world's flat plans
+/// (`plans[r].rank == r`): the engine calls it on the world it gathered
+/// ([`gather_plans`]), [`build_node_aware_serial`] on every rank.
+pub fn node_aware_plan(plans: &[RankPlan], me: usize, map: &RankNodeMap) -> NodeAwarePlan {
     assert_eq!(plans.len(), map.num_ranks(), "one plan per mapped rank");
-    plans
-        .iter()
-        .map(|flat| {
-            let me = flat.rank;
-            let leader = if map.is_leader(me) {
-                let members: Vec<usize> = map.ranks_of(map.node_of(me)).collect();
-                let inter_send: Vec<Vec<(u32, u32)>> = members
-                    .iter()
-                    .map(|&r| inter_send_meta(&plans[r], map))
-                    .collect();
-                let recv_nodes: Vec<Vec<(u32, u32)>> = members
-                    .iter()
-                    .map(|&r| recv_node_meta(&plans[r], map))
-                    .collect();
-                Some(build_leader_plan(members, &inter_send, &recv_nodes, map))
-            } else {
-                None
-            };
-            node_aware_member_side(flat.clone(), map, leader)
-        })
-        .collect()
+    let leader = map
+        .is_leader(me)
+        .then(|| build_leader_plan(map.ranks_of(map.node_of(me)).collect(), plans, map));
+    node_aware_member_side(plans[me].clone(), map, leader)
 }
 
-/// Builds this rank's node-aware plan collectively: each member sends its
-/// leader the (tiny, one-time) metadata the wire programs need.
-pub fn build_node_aware_distributed(
-    comm: &Comm,
-    flat: RankPlan,
-    map: &RankNodeMap,
-) -> NodeAwarePlan {
-    assert_eq!(
-        comm.size(),
-        map.num_ranks(),
-        "node map must cover the world"
-    );
-    let me = flat.rank;
-    let my_meta_send = inter_send_meta(&flat, map);
-    let my_meta_recv = recv_node_meta(&flat, map);
-
-    let leader = if map.is_leader(me) {
-        let members: Vec<usize> = map.ranks_of(map.node_of(me)).collect();
-        let mut inter_send = Vec::with_capacity(members.len());
-        let mut recv_nodes = Vec::with_capacity(members.len());
-        for &r in &members {
-            if r == me {
-                inter_send.push(my_meta_send.clone());
-                recv_nodes.push(my_meta_recv.clone());
-            } else {
-                let raw: Vec<u32> = comm.recv_vec(r, TAG_NA_META).expect(
-                    "node-aware setup needs a healthy world: every member reports its metadata",
-                );
-                let ns = raw[0] as usize;
-                let send_part = raw[1..1 + 2 * ns]
-                    .chunks_exact(2)
-                    .map(|c| (c[0], c[1]))
-                    .collect();
-                let recv_part = raw[1 + 2 * ns..]
-                    .chunks_exact(2)
-                    .map(|c| (c[0], c[1]))
-                    .collect();
-                inter_send.push(send_part);
-                recv_nodes.push(recv_part);
-            }
-        }
-        Some(build_leader_plan(members, &inter_send, &recv_nodes, map))
-    } else {
-        let mut raw: Vec<u32> =
-            Vec::with_capacity(1 + 2 * (my_meta_send.len() + my_meta_recv.len()));
-        raw.push(my_meta_send.len() as u32);
-        for &(p, l) in &my_meta_send {
-            raw.push(p);
-            raw.push(l);
-        }
-        for &(n, l) in &my_meta_recv {
-            raw.push(n);
-            raw.push(l);
-        }
-        comm.send(map.leader_of(me), TAG_NA_META, &raw)
-            .expect("node-aware setup needs a healthy world: the node leader collects metadata");
-        None
-    };
-    node_aware_member_side(flat, map, leader)
+/// Builds all node-aware plans centrally (tests, traffic accounting, the
+/// cost model, the plan verifier) from the world's flat plans.
+pub fn build_node_aware_serial(plans: &[RankPlan], map: &RankNodeMap) -> Vec<NodeAwarePlan> {
+    (0..plans.len())
+        .map(|me| node_aware_plan(plans, me, map))
+        .collect()
 }
 
 #[cfg(test)]
@@ -755,6 +710,14 @@ mod tests {
             .collect();
         let dist: Vec<RankPlan> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(dist, serial);
+    }
+
+    #[test]
+    fn plan_encoding_round_trips() {
+        let m = synthetic::random_banded_symmetric(100, 9, 4.0, 7);
+        for p in build_plans_serial(&m, &RowPartition::by_nnz(&m, 5)) {
+            assert_eq!(decode_plan(&encode_plan(&p)), p);
+        }
     }
 
     #[test]
@@ -927,7 +890,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let block = m.row_block(p.range(c.rank()));
                     let flat = build_plan_distributed(&c, &block, &p);
-                    build_node_aware_distributed(&c, flat, &map)
+                    node_aware_plan(&gather_plans(&c, &flat), c.rank(), &map)
                 })
             })
             .collect();

@@ -19,13 +19,14 @@
 //!
 //! Violations are typed [`PlanViolation`]s naming rank, peer, tag, and
 //! byte counts, so a corrupted plan fails with an actionable diagnostic
-//! instead of a 1024-rank hang. The engine runs the distributed entry
-//! point [`verify_distributed`] at construction when
+//! instead of a 1024-rank hang. The engine runs these checks at
+//! construction, on the world's plans it gathers once, when
 //! [`EngineConfig::with_verification`](crate::engine::EngineConfig::with_verification)
-//! is on (the default in debug builds).
+//! is on (the default in debug builds); [`verify_distributed`] is the same
+//! gather and checks as a stand-alone collective.
 
 use crate::exchange::{ExchangeOp, ExchangeSchedule, Peer};
-use crate::plan::{build_node_aware_serial, NodeAwarePlan, RankPlan};
+use crate::plan::{build_node_aware_serial, gather_plans, NodeAwarePlan, RankPlan};
 use spmv_comm::{Comm, Tag};
 use spmv_machine::RankNodeMap;
 use std::collections::BTreeMap;
@@ -491,60 +492,13 @@ pub fn verify_node_aware(plans: &[NodeAwarePlan]) -> Result<PlanSummary, Vec<Pla
 
 // -- distributed entry point ------------------------------------------------
 
-/// Flat-plan wire format: a `u32` word stream
-/// `[rank, row_start, local_len, nrecv, nsend, {peer, len, indices...}*]`.
-fn encode_plan(plan: &RankPlan) -> Vec<u32> {
-    let mut w = Vec::with_capacity(5 + plan.halo_len() + plan.send_len());
-    w.push(plan.rank as u32);
-    w.push(u32::try_from(plan.row_start).expect("row_start exceeds the u32 column space"));
-    w.push(plan.local_len as u32);
-    w.push(plan.recv.len() as u32);
-    w.push(plan.send.len() as u32);
-    for list in [&plan.recv, &plan.send] {
-        for n in list {
-            w.push(n.peer as u32);
-            w.push(n.indices.len() as u32);
-            w.extend_from_slice(&n.indices);
-        }
-    }
-    w
-}
-
-fn decode_plan(w: &[u32]) -> RankPlan {
-    let mut it = w.iter().copied();
-    let mut next = || it.next().expect("truncated plan encoding") as usize;
-    let (rank, row_start, local_len) = (next(), next(), next());
-    let (nrecv, nsend) = (next(), next());
-    let mut read_list = |count: usize| {
-        (0..count)
-            .map(|_| {
-                let peer = next();
-                let len = next();
-                crate::plan::Neighbor {
-                    peer,
-                    indices: (0..len).map(|_| next() as u32).collect(),
-                }
-            })
-            .collect()
-    };
-    let recv = read_list(nrecv);
-    let send = read_list(nsend);
-    RankPlan {
-        rank,
-        row_start,
-        local_len,
-        recv,
-        send,
-    }
-}
-
-/// Collective plan verification: every rank contributes its own flat plan
-/// via an allgather (on the reserved collective tag space, so injected
-/// point-to-point faults cannot corrupt the exchange), reconstructs the
-/// whole world, and runs the strategy-appropriate checks. For the
-/// node-aware strategy the world's `NodeAwarePlan`s are rebuilt serially
-/// from the gathered flat plans — the same pure function the distributed
-/// builder mirrors — and verified as a set.
+/// Collective plan verification: [`gather_plans`] (one allgather on the
+/// reserved collective tags, so injected point-to-point faults cannot
+/// corrupt it) reconstructs the whole world, then the strategy's checks
+/// run on it: [`verify_flat`], or [`verify_node_aware`] on the world's
+/// `NodeAwarePlan`s built from the gathered plans by the builder the
+/// engine runs. `RankEngine::new` makes the same gather and verifies the
+/// node-aware plan it then runs.
 ///
 /// Returns this rank's view; all ranks compute identical results.
 pub fn verify_distributed(
@@ -552,22 +506,20 @@ pub fn verify_distributed(
     plan: &RankPlan,
     node_map: Option<&RankNodeMap>,
 ) -> Result<PlanSummary, Vec<PlanViolation>> {
-    let encoded = comm.allgatherv(&encode_plan(plan));
-    let plans: Vec<RankPlan> = encoded.iter().map(|w| decode_plan(w)).collect();
+    let plans = gather_plans(comm, plan);
     match node_map {
         None => verify_flat(&plans),
         Some(map) => verify_node_aware(&build_node_aware_serial(&plans, map)),
     }
 }
 
-/// [`verify_distributed`] at engine construction, which has no error
-/// channel: panics listing every violation.
-pub(crate) fn assert_verified(comm: &Comm, plan: &RankPlan, node_map: Option<&RankNodeMap>) {
-    if let Err(violations) = verify_distributed(comm, plan, node_map) {
+/// A verdict at engine construction, which has no error channel: panics
+/// on `rank` listing every violation.
+pub(crate) fn assert_verified(rank: usize, verdict: Result<PlanSummary, Vec<PlanViolation>>) {
+    if let Err(violations) = verdict {
         let list: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         panic!(
-            "communication-plan verification failed on rank {} ({} violation(s)):\n  {}",
-            comm.rank(),
+            "communication-plan verification failed on rank {rank} ({} violation(s)):\n  {}",
             violations.len(),
             list.join("\n  ")
         );
@@ -784,13 +736,6 @@ mod tests {
         ];
         let blocked = check_deadlock(&world).expect_err("head-to-head must deadlock");
         assert_eq!(blocked, vec![(0, 1, 1), (1, 0, 1)]);
-    }
-
-    #[test]
-    fn plan_encoding_round_trips() {
-        for p in world(100, 5) {
-            assert_eq!(decode_plan(&encode_plan(&p)), p);
-        }
     }
 
     #[test]

@@ -115,8 +115,6 @@ pub fn simulate_spmv(
     );
     let lds_per_node = cluster.node.num_lds();
     let ld_specs = cluster.node.lds();
-    let num_lds = lds_per_node * cluster.node.num_cores().max(1); // upper bound unused
-    let _ = num_lds;
 
     // ---- build lanes -------------------------------------------------------
     let mut lanes: Vec<Lane> = Vec::new();

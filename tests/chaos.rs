@@ -255,6 +255,40 @@ fn truncated_message_is_detected() {
     }
 }
 
+/// Node-aware engines set up on a world that truncates every
+/// point-to-point message: construction moves its plans on the collective
+/// tags only, so every rank builds its engine and its first SpMV returns a
+/// typed error; no rank panics and none hangs.
+#[test]
+fn node_aware_setup_survives_a_truncating_world() {
+    let m = test_matrix();
+    let partition = RowPartition::by_nnz(&m, RANKS);
+    let na = CommStrategy::NodeAware {
+        ranks_per_node: RPN,
+    };
+    for mode in KernelMode::ALL {
+        let comms = CommWorld::builder(RANKS)
+            .node_map(node_map())
+            .faults(FaultPlan::new(21).truncate(1.0))
+            .watchdog(Duration::from_secs(2))
+            .build();
+        let errors = run_spmd_on_world(comms, &m, &partition, cfg_for(mode, na), |eng| {
+            eng.x_local_mut().fill(1.0);
+            eng.spmv_checked(mode).err()
+        });
+        for (rank, err) in errors.into_iter().enumerate() {
+            match err {
+                Some(
+                    CommError::Truncated { .. }
+                    | CommError::PeerDead { .. }
+                    | CommError::Poisoned { .. },
+                ) => {}
+                other => panic!("{mode:?}: rank {rank}: expected a comm error, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// Distributed CG rides through an injected rank failure via
 /// checkpoint/restart and recovers the *bit-identical* trajectory.
 #[test]
