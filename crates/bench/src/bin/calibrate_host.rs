@@ -93,8 +93,9 @@ fn main() {
 
     // fit the saturation law through the endpoints, as the machine models do
     let n = thread_counts.len();
-    if n >= 2 && thread_counts[n - 1] as f64 * triads[0] > triads[n - 1] {
-        let curve = SaturationCurve::from_endpoints(triads[0], triads[n - 1], thread_counts[n - 1]);
+    let max = thread_counts[n - 1];
+    if let Some((curve, sat)) = SaturationCurve::saturation_seen(triads[0], triads[n - 1], max, 0.9)
+    {
         println!(
             "\nfitted STREAM saturation: b_inf = {:.1} GB/s, k_half = {:.2} threads",
             curve.b_inf, curve.k_half
@@ -109,14 +110,16 @@ fn main() {
             );
         }
         println!(" (GB/s fit/meas)");
-        let sat = curve.saturation_point(thread_counts[n - 1], 0.9);
         println!(
-            "90% saturation at {sat} of {} threads — the paper's spare-core argument applies\n\
-             here iff that leaves idle hardware threads for a communication thread.",
-            thread_counts[n - 1]
+            "90% saturation at {sat} of {max} threads — the paper's spare-core argument applies\n\
+             here iff that leaves idle hardware threads for a communication thread."
         );
     } else {
-        println!("\nscaling too linear to fit a saturation law (cache-resident or single point).");
+        println!(
+            "\nno STREAM saturation in the measured range: {max} threads draw {:.2}x one \
+             thread's triad,\nwithin 10% of linear, so no saturation law is fitted.",
+            triads[n - 1] / triads[0]
+        );
     }
 
     println!(

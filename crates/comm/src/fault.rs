@@ -60,9 +60,12 @@ pub struct FailSpec {
 /// Build one with the fluent constructors and attach it via
 /// [`CommWorld::builder`](crate::CommWorld::builder):
 ///
-/// ```ignore
+/// ```
+/// use spmv_comm::{CommWorld, FaultPlan};
+///
 /// let plan = FaultPlan::new(42).delay(0.2, 2).drop_with_retransmit(0.1, 3);
 /// let comms = CommWorld::builder(4).faults(plan).build();
+/// assert_eq!(comms.len(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {

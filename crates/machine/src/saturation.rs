@@ -53,6 +53,23 @@ impl SaturationCurve {
         Self { b_inf, k_half }
     }
 
+    /// The saturation that a measured scaling shows: the fit through its
+    /// endpoints (`b1` GB/s on one thread, `bn` on `n`) and the fit's
+    /// `frac` [saturation point](Self::saturation_point).
+    ///
+    /// `None` when `n` threads still draw at least `frac` of `n` times one
+    /// thread's bandwidth. Such a curve is near-linear in the measured range,
+    /// and a fit through it extrapolates far past that range: 12.9 → 25.7
+    /// GB/s on two threads fits a `k_half` of hundreds of threads. Bandwidth
+    /// that falls with more threads fits a flat curve, saturated at one.
+    pub fn saturation_seen(b1: f64, bn: f64, n: usize, frac: f64) -> Option<(Self, usize)> {
+        if n < 2 || bn >= frac * n as f64 * b1 {
+            return None;
+        }
+        let curve = Self::from_endpoints(b1, bn.max(b1), n);
+        Some((curve, curve.saturation_point(n, frac)))
+    }
+
     /// Bandwidth drawn by `k` active cores (GB/s). `k = 0` draws nothing.
     pub fn bandwidth(&self, k: usize) -> f64 {
         if k == 0 {
@@ -152,6 +169,23 @@ mod tests {
             "STREAM saturates at {s_sat}, SpMV at {m_sat}"
         );
         assert!(m_sat >= 4);
+    }
+
+    #[test]
+    fn saturation_seen_only_in_sublinear_scaling() {
+        // a 2-core host whose triad doubles shows no saturation
+        assert_eq!(SaturationCurve::saturation_seen(12.9, 25.7, 2, 0.9), None);
+        // the paper's Nehalem SpMV saturates at its fourth core
+        let (curve, sat) = SaturationCurve::saturation_seen(7.3, 18.1, 4, 0.9).unwrap();
+        assert_eq!(curve, nehalem_spmv());
+        assert_eq!(sat, 4);
+        // bandwidth that falls is saturated from the first thread
+        assert_eq!(
+            SaturationCurve::saturation_seen(10.0, 9.0, 2, 0.9)
+                .unwrap()
+                .1,
+            1
+        );
     }
 
     #[test]

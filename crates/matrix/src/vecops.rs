@@ -26,32 +26,12 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `w ← a·x + b·y` (the STREAM-triad-shaped kernel when `b = 1`).
-#[inline]
-pub fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(x.len(), w.len());
-    for i in 0..w.len() {
-        w[i] = a * x[i] + b * y[i];
-    }
-}
-
 /// `x ← a·x`.
 #[inline]
 pub fn scale(a: f64, x: &mut [f64]) {
     for xi in x {
         *xi *= a;
     }
-}
-
-/// Normalizes `x` to unit 2-norm, returning the original norm.
-/// Leaves a zero vector untouched and returns `0.0`.
-pub fn normalize(x: &mut [f64]) -> f64 {
-    let n = norm2(x);
-    if n > 0.0 {
-        scale(1.0 / n, x);
-    }
-    n
 }
 
 /// Maximum absolute componentwise difference `‖x - y‖_∞`.
@@ -92,24 +72,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, -1.0], &mut y);
         assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn waxpby_triad() {
-        let mut w = vec![0.0; 3];
-        waxpby(2.0, &[1.0, 2.0, 3.0], 1.0, &[10.0, 10.0, 10.0], &mut w);
-        assert_eq!(w, vec![12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn normalize_unit_norm() {
-        let mut x = vec![3.0, 4.0];
-        let n = normalize(&mut x);
-        assert_eq!(n, 5.0);
-        assert!((norm2(&x) - 1.0).abs() < 1e-15);
-        let mut z = vec![0.0, 0.0];
-        assert_eq!(normalize(&mut z), 0.0);
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 
     #[test]

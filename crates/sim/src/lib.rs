@@ -37,13 +37,11 @@
 //! alike.
 
 pub mod fluid;
-pub mod iterative;
 pub mod program;
 pub mod progress;
 pub mod scaling;
 
 pub use fluid::{simulate_spmv, SimResult};
-pub use iterative::{simulate_solver, SolverShape, SolverTime};
 pub use program::SimConfig;
 pub use progress::ProgressModel;
 pub use scaling::{simulate_job, strong_scaling, ScalingSeries};

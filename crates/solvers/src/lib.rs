@@ -18,28 +18,20 @@
 //! The same solver source therefore runs single-node or distributed —
 //! exactly how production iterative codes are structured.
 //!
-//! Provided solvers: conjugate gradients ([`cg`]), symmetric Lanczos with
-//! a Sturm-bisection tridiagonal eigensolver ([`lanczos()`], [`tridiag`]),
-//! the kernel polynomial method with Jackson damping ([`kpm`]), Chebyshev
-//! time evolution ([`chebyshev`]), and power iteration ([`power`]). CG and
-//! Lanczos each have one loop; their `*_checkpointed` entry points add
+//! Provided solvers: conjugate gradients ([`cg`]) and symmetric Lanczos
+//! with a Sturm-bisection tridiagonal eigensolver ([`lanczos()`],
+//! [`tridiag`]). Each has one loop; its `*_checkpointed` entry point adds
 //! periodic snapshots and collective rollback on failure.
 
 pub mod cg;
-pub mod chebyshev;
-pub mod kpm;
 pub mod lanczos;
 pub mod operator;
 pub mod ops;
-pub mod power;
 pub mod status;
 pub mod tridiag;
 
 pub use cg::{cg_solve, cg_solve_checkpointed, CgResult};
-pub use chebyshev::{bessel_jn, evolve, ChebyshevOptions, ComplexVec};
-pub use kpm::{kpm_dos, KpmResult};
 pub use lanczos::{lanczos, lanczos_checkpointed, LanczosResult};
 pub use operator::{DistOp, LinOp, SerialOp};
 pub use ops::{DistOps, GlobalOps, SerialOps};
-pub use power::{power_iteration, PowerResult};
 pub use status::SolveStatus;

@@ -132,7 +132,7 @@ impl LinOp for DistOp<'_> {
 
 /// Gershgorin disc bounds on the spectrum of a symmetric matrix:
 /// `(min_i(a_ii - r_i), max_i(a_ii + r_i))` with `r_i` the off-diagonal
-/// absolute row sum. Used to rescale operators for Chebyshev expansions.
+/// absolute row sum. Used to shift an indefinite operator to a definite one.
 pub fn gershgorin_bounds(matrix: &CsrMatrix) -> (f64, f64) {
     assert_eq!(matrix.nrows(), matrix.ncols());
     let mut lo = f64::INFINITY;

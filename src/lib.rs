@@ -42,8 +42,8 @@
 //! | [`core`] | `spmv-core` | partitioning, halo plans, the three kernel modes |
 //! | [`obs`] | `spmv-obs` | the one run timeline (measured or simulated): phase spans, overlap metrics, chrome-trace and text export |
 //! | [`sim`] | `spmv-sim` | fluid-flow timing simulator (Figs. 4–6), recording its timeline as a `RunTrace` |
-//! | [`solvers`] | `spmv-solvers` | Lanczos and CG (with checkpoint/restart), KPM, Chebyshev time evolution, power iteration |
-//! | [`verify`] | `spmv-verify` | comm-plan verification, interleaving exploration, workspace lints |
+//! | [`solvers`] | `spmv-solvers` | Lanczos and CG (with checkpoint/restart) |
+//! | [`verify`] | `spmv-verify` | comm-plan verification, interleaving exploration |
 
 pub use spmv_comm as comm;
 pub use spmv_core as core;
@@ -71,12 +71,8 @@ pub mod prelude {
     pub use spmv_obs::{
         chrome_trace_json, text_timeline, ModelDrift, Phase, RunTrace, TraceMetrics, TraceSink,
     };
-    pub use spmv_sim::{
-        simulate_job, simulate_solver, strong_scaling, ProgressModel, SimConfig, SolverShape,
-    };
-    pub use spmv_solvers::chebyshev::{evolve, ChebyshevOptions, ComplexVec};
+    pub use spmv_sim::{simulate_job, strong_scaling, ProgressModel, SimConfig};
     pub use spmv_solvers::{
-        cg_solve, kpm_dos, lanczos, power_iteration, DistOp, DistOps, GlobalOps, LinOp, SerialOp,
-        SerialOps,
+        cg_solve, lanczos, DistOp, DistOps, GlobalOps, LinOp, SerialOp, SerialOps,
     };
 }

@@ -98,8 +98,8 @@ fn kappa_pipeline_directionality() {
     assert!(p_small <= p_large);
 }
 
-/// A solver run on the functional engine must execute exactly the number of
-/// SpMVs the solver shape declares — the count `spmv-sim::iterative` prices.
+/// A CG run on the functional engine applies the operator exactly once per
+/// iteration, plus once for the initial residual.
 #[test]
 fn functional_spmv_count_matches_solver_shape() {
     let m = samg::poisson(&SamgParams {
@@ -125,6 +125,10 @@ fn functional_spmv_count_matches_solver_shape() {
     });
     for (iters, spmvs) in counts {
         // CG: one apply for the initial residual + one per iteration
-        assert_eq!(spmvs, iters + 1, "SolverShape::cg() declares 1 SpMV/iter");
+        assert_eq!(
+            spmvs,
+            iters + 1,
+            "CG applies the operator once per iteration"
+        );
     }
 }

@@ -4,7 +4,6 @@
 
 use hybrid_spmv::prelude::*;
 use spmv_solvers::lanczos::LanczosOptions;
-use spmv_solvers::operator::gershgorin_bounds;
 use spmv_solvers::tridiag;
 
 /// Dense Jacobi eigenvalue iteration — an independent reference for small
@@ -155,64 +154,6 @@ fn distributed_and_serial_lanczos_agree_on_hmep() {
             );
         }
     }
-}
-
-#[test]
-fn cg_and_power_iteration_consistency() {
-    // power iteration's dominant eigenvalue must match Lanczos' max
-    let m = synthetic::random_banded_symmetric(300, 15, 6.0, 13);
-    let v0 = vecops::random_vec(300, 17);
-    let lz = lanczos(
-        &mut SerialOp::new(&m),
-        &SerialOps,
-        &v0,
-        LanczosOptions {
-            max_steps: 100,
-            ..Default::default()
-        },
-    );
-    let pw = power_iteration(&mut SerialOp::new(&m), &SerialOps, &v0, 1e-12, 50_000);
-    // power iteration converges to the eigenvalue of largest magnitude;
-    // this SPD-ish matrix has its largest magnitude at the max
-    assert!(
-        (pw.eigenvalue - lz.eigenvalue_max).abs() < 1e-4
-            || (pw.eigenvalue - lz.eigenvalue_min).abs() < 1e-4,
-        "power {} vs lanczos [{}, {}]",
-        pw.eigenvalue,
-        lz.eigenvalue_min,
-        lz.eigenvalue_max
-    );
-}
-
-#[test]
-fn kpm_dos_integrates_to_one_for_samg() {
-    let m = samg::poisson(&SamgParams {
-        nx: 12,
-        ny: 8,
-        nz: 8,
-        perforation: 0.0,
-        seed: 2,
-        car_mask: false,
-    });
-    let (lo, hi) = gershgorin_bounds(&m);
-    let r = kpm_dos(
-        &mut SerialOp::new(&m),
-        &SerialOps,
-        lo,
-        hi,
-        0,
-        spmv_solvers::kpm::KpmOptions {
-            order: 64,
-            random_vectors: 8,
-            grid: 256,
-            ..Default::default()
-        },
-    );
-    let mut integral = 0.0;
-    for k in 1..r.energies.len() {
-        integral += 0.5 * (r.dos[k] + r.dos[k - 1]) * (r.energies[k] - r.energies[k - 1]);
-    }
-    assert!((integral - 1.0).abs() < 0.05, "DOS integral {integral}");
 }
 
 #[test]
