@@ -6,20 +6,18 @@
 //! * `commthread` — SMT-sibling vs donated-physical-core comm thread;
 //! * `aggregation`— message counts/volumes across the three layouts;
 //! * `eager`      — eager-threshold sensitivity;
-//! * `kernel`     — node-level kernel dispatch (wall clock on this host),
-//!   with each SELL-C-σ kind's padding factor α and storage, and
-//!   `csr-scalar` on the engine's one-rank block (value-coded when its
-//!   values fit a table);
+//! * `kernel`     — node-level kernels (wall clock on this host): serial
+//!   `csr-scalar` against two SELL-C-σ shapes (with their padding factor α
+//!   and storage), `csr-scalar` on the engine's one-rank block (value-coded
+//!   when its values fit a table), and the engine in all three modes;
 //! * `commstrategy` — flat vs node-aware halo exchange: per-level message
 //!   counts over each rank's exchange op list, priced by the hierarchical
 //!   cost model.
 //!
 //! `cargo run --release -p spmv-bench --bin ablations [-- <which>] [--scale ...]
-//!  [--kernel <kind>] [--trace <path>]` (runs all ablations when no selector
-//! is given; the `--kernel` choice, default `csr-scalar`, feeds the
-//! functional-engine rows of the `kernel` ablation; `--trace` additionally
-//! writes a measured task-mode chrome://tracing JSON of the HMeP matrix to
-//! `<path>`)
+//!  [--trace <path>]` (runs all ablations when no selector is given;
+//! `--trace` additionally writes a measured task-mode chrome://tracing
+//! JSON of the HMeP matrix to `<path>`)
 
 use spmv_bench::microbench::Bench;
 use spmv_bench::{header, hmep, Scale};
@@ -36,7 +34,6 @@ use spmv_sim::{simulate_job, simulate_spmv, ProgressModel, SimConfig};
 
 fn main() {
     let scale = Scale::from_args();
-    let mut kernel = KernelKind::CsrScalar;
     let mut trace_path: Option<String> = None;
     let mut which: Vec<String> = Vec::new();
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -45,12 +42,6 @@ fn main() {
         match a.as_str() {
             "--scale" => {
                 it.next(); // value already consumed by Scale::from_args
-            }
-            "--kernel" => {
-                let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v).unwrap_or_else(|| {
-                    panic!("unknown kernel '{v}' (use {})", KernelKind::SPELLINGS)
-                });
             }
             "--trace" => {
                 trace_path = Some(it.next().expect("--trace needs a path").clone());
@@ -265,40 +256,42 @@ fn main() {
     }
 
     if run("kernel") {
-        println!("--- ablation: node-level kernel dispatch (wall clock on this host) ---");
+        println!("--- ablation: node-level kernels (wall clock on this host) ---");
         let b = Bench::quick();
         let flops = 2.0 * m.nnz() as f64;
         let x = spmv_matrix::vecops::random_vec(m.ncols(), 11);
         let mut y = vec![0.0; m.nrows()];
-        let mut kinds = KernelKind::candidates();
-        if !kinds.contains(&kernel) {
-            kinds.push(kernel);
-        }
-        for kind in kinds {
-            let k = prepare_kernel(kind, &m);
+        let csr = KernelKind::CsrScalar;
+        let k = prepare_kernel(csr, &m);
+        let meas = b.measure(|| {
+            k.spmv_rows(
+                &m,
+                0..m.nrows(),
+                std::hint::black_box(&x),
+                std::hint::black_box(&mut y),
+                false,
+            );
+        });
+        println!(
+            "  {:<16} {:.2} GFlop/s (serial, full matrix)",
+            csr.label(),
+            meas.gflops(flops)
+        );
+        // SELL pads each chunk to its longest row: α stored slots per
+        // nonzero, and the storage that costs against CRS
+        for (c, sigma) in [(32, 256), (8, 64)] {
+            let sell = SellMatrix::from_csr(&m, c, sigma);
             let meas = b.measure(|| {
-                k.spmv_rows(
-                    &m,
-                    0..m.nrows(),
-                    std::hint::black_box(&x),
-                    std::hint::black_box(&mut y),
-                    false,
-                );
+                sell.spmv(std::hint::black_box(&x), std::hint::black_box(&mut y));
             });
-            // SELL pads each chunk to its longest row: α stored slots per
-            // nonzero, and the storage that costs against CRS
-            let shape = match kind {
-                KernelKind::Sell { c, sigma } => {
-                    let sell = SellMatrix::from_csr(&m, c, sigma);
-                    let ratio = sell.storage_bytes() as f64 / m.storage_bytes() as f64;
-                    format!(", α {:.3}, storage {ratio:.2}x CRS", sell.padding_factor())
-                }
-                _ => String::new(),
-            };
+            let (label, ratio) = (
+                format!("sell-{c}-{sigma}"),
+                sell.storage_bytes() as f64 / m.storage_bytes() as f64,
+            );
             println!(
-                "  {:<16} {:.2} GFlop/s (serial, full matrix){shape}",
-                kind.label(),
-                meas.gflops(flops)
+                "  {label:<16} {:.2} GFlop/s (serial, full matrix), α {:.3}, storage {ratio:.2}x CRS",
+                meas.gflops(flops),
+                sell.padding_factor()
             );
         }
         // the engine's storage of the same rows: a one-rank split block,
@@ -307,7 +300,7 @@ fn main() {
         let block = m.row_block(p.range(0));
         let split = SplitMatrix::build(&block, &build_plans_serial(&m, &p)[0]);
         let full = &split.full;
-        let k = prepare_kernel(KernelKind::CsrScalar, full);
+        let k = prepare_kernel(csr, full);
         let meas = b.measure(|| {
             k.spmv_rows(
                 full,
@@ -324,12 +317,12 @@ fn main() {
         };
         println!(
             "  {:<16} {:.2} GFlop/s (serial, one-rank engine block, {storage})",
-            KernelKind::CsrScalar.label(),
+            csr.label(),
             meas.gflops(flops)
         );
 
-        // the chosen kernel through the full engine, all three modes
-        println!("  functional engine (4 ranks x 2 threads, kernel {kernel}):");
+        // csr-scalar through the full engine, all three modes
+        println!("  functional engine (4 ranks x 2 threads, kernel {csr}):");
         let mut y_ref = vec![0.0; m.nrows()];
         m.spmv(&x, &mut y_ref);
         for mode in KernelMode::ALL {
@@ -337,8 +330,7 @@ fn main() {
                 EngineConfig::task_mode(2)
             } else {
                 EngineConfig::hybrid(2)
-            }
-            .with_kernel(kernel);
+            };
             let t0 = std::time::Instant::now();
             let y_eng = distributed_spmv(&m, &x, 4, cfg, mode);
             let dt = t0.elapsed().as_secs_f64();
@@ -350,7 +342,7 @@ fn main() {
             );
             assert!(err < 1e-9, "engine must match the serial kernel");
             if mode == KernelMode::VectorNoOverlap {
-                // every kernel sums each unsplit row in storage order
+                // the kernel sums each unsplit row in storage order
                 let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert!(
                     bits(&y_eng) == bits(&y_ref),
@@ -366,9 +358,7 @@ fn main() {
         let traces = spmv_core::runner::run_spmd(
             &m,
             4,
-            EngineConfig::task_mode(2)
-                .with_kernel(kernel)
-                .with_tracing(true),
+            EngineConfig::task_mode(2).with_tracing(true),
             |eng| {
                 let lo = eng.row_start();
                 let n = eng.local_len();

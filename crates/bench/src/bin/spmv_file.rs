@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release -p spmv-bench --bin spmv_file -- <matrix.mtx> [ranks] [threads] \
-//!     [--kernel csr-scalar|sell[-C-σ]] \
 //!     [--comm-strategy flat|node-aware] [--ranks-per-node N] [--trace <path>]
 //! ```
 //!
@@ -18,9 +17,8 @@
 //!
 //! Reports: sparsity statistics, the cache-model κ, the code-balance
 //! prediction for a Westmere socket, per-layout communication summaries,
-//! functional validation of all three kernel modes (real threads) through
-//! the selected node-level kernel, and the simulated strong-scaling
-//! ranking at 8 nodes.
+//! functional validation of all three kernel modes (real threads), and the
+//! simulated strong-scaling ranking at 8 nodes.
 //!
 //! `--trace <path>` (or the `SPMV_TRACE=<path>` environment override,
 //! mirroring `SPMV_COMM_STRATEGY`) re-runs the three kernel modes with
@@ -41,7 +39,7 @@ use spmv_bench::{header, holstein_params, samg_params, Scale};
 use spmv_core::engine::{CommStrategy, EngineConfig};
 use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
 use spmv_core::runner::{distributed_spmv, run_spmd};
-use spmv_core::{verify_flat, verify_node_aware, workload, KernelKind, KernelMode, RowPartition};
+use spmv_core::{verify_flat, verify_node_aware, workload, KernelMode, RowPartition};
 use spmv_machine::{presets, HybridLayout};
 use spmv_matrix::CsrMatrix;
 use spmv_model::{code_balance_crs, estimate_kappa, predicted_gflops};
@@ -52,7 +50,7 @@ use std::io::BufReader;
 
 const USAGE: &str =
     "usage: spmv_file <matrix.mtx|holstein:<scale>|samg:<scale>> [ranks] [threads] \
-     [--kernel <kind>] [--comm-strategy flat|node-aware] [--ranks-per-node N] \
+     [--comm-strategy flat|node-aware] [--ranks-per-node N] \
      [--trace <path>] [--verify-plan]";
 
 /// Loads the matrix argument: `holstein:<scale>` and `samg:<scale>` build
@@ -91,13 +89,11 @@ fn load_matrix(path: &str) -> CsrMatrix {
 /// trace to `out`, and self-validates the export — the trace smoke job's
 /// contract. Panics (nonzero exit) when the JSON or the phase vocabulary
 /// is broken.
-#[allow(clippy::too_many_arguments)]
 fn traced_runs(
     m: &CsrMatrix,
     x: &[f64],
     ranks: usize,
     threads: usize,
-    kernel: KernelKind,
     comm_strategy: CommStrategy,
     predicted: f64,
     out: &str,
@@ -111,7 +107,6 @@ fn traced_runs(
         } else {
             EngineConfig::hybrid(threads)
         }
-        .with_kernel(kernel)
         .with_comm_strategy(comm_strategy)
         .with_tracing(true);
         let traces = run_spmd(m, ranks, cfg, |eng| {
@@ -184,7 +179,6 @@ fn traced_runs(
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut kernel = KernelKind::CsrScalar;
     let mut strategy_arg: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut ranks_per_node = 4usize;
@@ -193,12 +187,6 @@ fn main() {
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--kernel" => {
-                let v = it.next().expect("--kernel needs a value");
-                kernel = KernelKind::parse(v).unwrap_or_else(|| {
-                    panic!("unknown kernel '{v}' (use {})", KernelKind::SPELLINGS)
-                });
-            }
             "--comm-strategy" => {
                 strategy_arg = Some(it.next().expect("--comm-strategy needs a value").clone());
             }
@@ -335,8 +323,7 @@ fn main() {
 
     // functional validation with real threads
     println!(
-        "\nfunctional check ({ranks} ranks x {threads} threads, real threads, kernel {kernel}, \
-         {} exchange):",
+        "\nfunctional check ({ranks} ranks x {threads} threads, real threads, {} exchange):",
         comm_strategy.label()
     );
     let x = spmv_matrix::vecops::random_vec(m.nrows(), 42);
@@ -348,7 +335,6 @@ fn main() {
         } else {
             EngineConfig::hybrid(threads)
         }
-        .with_kernel(kernel)
         .with_comm_strategy(comm_strategy);
         if verify_plan {
             // static check passed; also run the distributed verifier
@@ -389,7 +375,6 @@ fn main() {
             &x,
             ranks,
             threads,
-            kernel,
             comm_strategy,
             predicted_gflops(ld.spmv_saturated_gbs(), balance),
             out,

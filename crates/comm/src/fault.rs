@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] is a seeded description of adversity: per-message
 //! probabilities for delay, reorder, duplication, drop-with-retransmit and
-//! truncation, plus per-rank stall/kill points and advisory leader
-//! degradation. The *decision* for each message is a pure function of
+//! truncation, plus per-rank stall/kill points and a one-shot solver
+//! failure. The *decision* for each message is a pure function of
 //! `(seed, src, dst, tag, seq)` — independent of thread scheduling — so a
 //! plan replays the same faults on every run even though arrival timing
 //! varies. Sequence-number reassembly on the receive side (see
@@ -96,11 +96,6 @@ pub struct FaultPlan {
     pub kills: Vec<KillSpec>,
     /// One-shot solver-visible failure (see [`FailSpec`]).
     pub fail: Option<FailSpec>,
-    /// Ranks flagged as degraded node leaders. Purely advisory: point-to-
-    /// point traffic still works, but `Comm::is_degraded` reports them so
-    /// the engine's degraded-mode policy can avoid routing aggregation
-    /// through them.
-    pub degraded_leaders: Vec<usize>,
 }
 
 impl FaultPlan {
@@ -163,12 +158,6 @@ impl FaultPlan {
     /// `poll_failure` call.
     pub fn fail_rank_at_poll(mut self, rank: usize, at_poll: u64) -> Self {
         self.fail = Some(FailSpec { rank, at_poll });
-        self
-    }
-
-    /// Flag `rank` as a degraded node leader (advisory; see field docs).
-    pub fn degrade_leader(mut self, rank: usize) -> Self {
-        self.degraded_leaders.push(rank);
         self
     }
 }
@@ -443,10 +432,6 @@ impl ChaosState {
 
     pub fn is_dead(&self, rank: usize) -> bool {
         self.dead[rank].load(Ordering::Acquire)
-    }
-
-    pub fn is_degraded(&self, rank: usize) -> bool {
-        self.plan.degraded_leaders.contains(&rank)
     }
 
     /// One `poll_failure` tick for `rank`; true exactly once, at the

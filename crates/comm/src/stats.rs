@@ -162,7 +162,6 @@ mod tests {
         assert_eq!(s.messages(), 2);
         assert_eq!(s.bytes(), 150);
         assert_eq!(s.max_message_bytes(), 100);
-        assert_eq!(s.avg_message_bytes(), 75.0);
         assert_eq!(s.intra_messages(), 1);
         assert_eq!(s.intra_bytes(), 50);
         assert_eq!(s.inter_messages(), 1);
@@ -205,7 +204,6 @@ mod tests {
         s.reset();
         assert_eq!(s.messages(), 0);
         assert_eq!(s.bytes(), 0);
-        assert_eq!(s.avg_message_bytes(), 0.0);
         assert_eq!(s.snapshot(), CommStats::default());
     }
 }

@@ -1109,16 +1109,6 @@ impl Comm {
         }
     }
 
-    /// Whether the fault plan flags `rank` as a degraded node leader
-    /// (advisory health signal consumed by the engine's degraded-mode
-    /// policy; never set without a plan).
-    pub fn is_degraded(&self, rank: usize) -> bool {
-        match &self.shared.chaos {
-            Some(chaos) => chaos.is_degraded(rank),
-            None => false,
-        }
-    }
-
     /// Counters of injected faults, when a plan is attached.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.shared.chaos.as_ref().map(|c| c.stats())
@@ -1548,6 +1538,5 @@ mod tests {
         let comms = CommWorld::create(1);
         assert!(comms[0].fault_stats().is_none());
         assert!(!comms[0].poll_failure());
-        assert!(!comms[0].is_degraded(0));
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::exchange::{ExchangeSchedule, HaloExchange, Pending};
 use crate::gather::GatherProgram;
-use crate::kernels::{prepare_kernel, Kernel, KernelKind};
+use crate::kernels::KernelKind;
 use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
 use crate::plan::{
@@ -39,7 +39,7 @@ use spmv_smp::{TeamCtx, ThreadTeam};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-pub use crate::exchange::{CommStrategy, DegradedPolicy};
+pub use crate::exchange::CommStrategy;
 
 /// Threading configuration of one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +49,11 @@ pub struct EngineConfig {
     /// Whether to add a communication thread ([`KernelMode::TaskMode`]).
     pub comm_thread: bool,
     /// Node-level kernel run by all modes and by both halves of the split
-    /// path (see [`crate::kernels`]).
+    /// path (see [`crate::kernels`]); `csr-scalar` is its only value.
     pub kernel: KernelKind,
     /// Halo-exchange routing; defaults to [`CommStrategy::from_env`], else
     /// flat.
     pub comm_strategy: CommStrategy,
-    /// Reaction to a degraded (injected-dead) node-aware leader rank.
-    pub degraded: DegradedPolicy,
     /// Measured-time tracing (see `spmv-obs`). Zero-cost when false: the
     /// engine carries no recorder. Off unless
     /// [`Self::with_tracing`] turns it on.
@@ -75,7 +73,6 @@ impl Default for EngineConfig {
             comm_thread: false,
             kernel: KernelKind::CsrScalar,
             comm_strategy: CommStrategy::from_env().unwrap_or(CommStrategy::Flat),
-            degraded: DegradedPolicy::Strict,
             tracing: false,
             verification: cfg!(debug_assertions),
         }
@@ -117,11 +114,6 @@ impl EngineConfig {
             comm_strategy,
             ..self
         }
-    }
-
-    /// Returns the config with a different degraded-leader policy.
-    pub fn with_degraded_policy(self, degraded: DegradedPolicy) -> Self {
-        Self { degraded, ..self }
     }
 
     /// Returns the config with measured-time tracing switched on or off.
@@ -187,10 +179,6 @@ impl Bufs {
     }
 }
 
-/// A prepared node-level kernel for one part of the matrix, with its
-/// per-thread row chunks and the nonzeros each chunk multiplies.
-type PartKernel = (Kernel, Vec<(Range<usize>, u64)>);
-
 /// `threads` nonzero-balanced row chunks of `part`, each with the
 /// nonzeros it multiplies; one thread takes every row.
 fn part_chunks(part: &BlockPart, threads: usize) -> Vec<(Range<usize>, u64)> {
@@ -244,9 +232,9 @@ pub struct RankEngine {
     y: Vec<f64>,
     send_buf: Vec<f64>,
     exchange: HaloExchange,
-    // prepared kernels for the full, local and non-local parts, in
-    // `Part` order
-    kernels: [PartKernel; 3],
+    // per-thread row chunks of the full, local and non-local parts, in
+    // `Part` order, with the nonzeros each chunk multiplies
+    chunks: [Vec<(Range<usize>, u64)>; 3],
     spmv_calls: u64,
     // measured-time recorder (None unless cfg.tracing; see spmv-obs)
     trace: Option<Box<TraceSink>>,
@@ -260,30 +248,26 @@ impl RankEngine {
     /// (a [`CsrMatrix::row_block`] points into its whole parent's).
     pub fn new(comm: Comm, block: &CsrMatrix, partition: &RowPartition, cfg: EngineConfig) -> Self {
         assert!(cfg.compute_threads >= 1, "need at least one compute thread");
-        let strategy = cfg.comm_strategy.resolve(&comm, cfg.degraded);
         let plan = build_plan_distributed(&comm, block, partition);
         // prove the world's exchange schedule sound before any halo payload
         // moves (chaos worlds exist to violate it)
         let verify = cfg.verification && comm.fault_stats().is_none();
-        let schedule = exchange_schedule(&comm, &plan, strategy, verify);
+        let schedule = exchange_schedule(&comm, &plan, cfg.comm_strategy, verify);
         let mats = SplitMatrix::build(block, &plan);
         let c = cfg.compute_threads;
-        let exchange = HaloExchange::new(schedule, strategy, c);
+        let exchange = HaloExchange::new(schedule, c);
 
         let team = ThreadTeam::new(c + usize::from(cfg.comm_thread));
 
-        let part = |part: Part| {
-            let m = mats.part(part);
-            (prepare_kernel(cfg.kernel, m), part_chunks(m, c))
-        };
-        let kernels = [Part::Full, Part::Local, Part::Nonlocal].map(part);
+        let chunks =
+            [Part::Full, Part::Local, Part::Nonlocal].map(|p| part_chunks(mats.part(p), c));
 
         let trace = cfg
             .tracing
             .then(|| Box::new(TraceSink::new(comm.rank(), c)));
         Self {
             trace,
-            kernels,
+            chunks,
             x_ext: vec![0.0; plan.local_len + plan.halo_len()],
             y: vec![0.0; plan.local_len],
             send_buf: vec![0.0; plan.send_len()],
@@ -295,18 +279,6 @@ impl RankEngine {
             team,
             spmv_calls: 0,
         }
-    }
-
-    /// The halo-exchange strategy in effect (flat after a degraded-leader
-    /// fallback or [`Self::demote_to_flat`]).
-    pub fn active_strategy(&self) -> CommStrategy {
-        self.exchange.strategy
-    }
-
-    /// Demotes a node-aware engine to the flat exchange mid-run: collective
-    /// (every rank at the same point), but no communication.
-    pub fn demote_to_flat(&mut self) {
-        self.exchange.demote_to_flat(&self.plan);
     }
 
     /// Number of locally owned rows.
@@ -334,9 +306,9 @@ impl RankEngine {
         &self.comm
     }
 
-    /// The threading configuration, with the strategy in effect.
+    /// The configuration the engine runs.
     pub fn config(&self) -> EngineConfig {
-        self.cfg.with_comm_strategy(self.active_strategy())
+        self.cfg
     }
 
     /// Mutable access to the local part of the RHS vector.
@@ -352,12 +324,6 @@ impl RankEngine {
     /// The local part of the result vector.
     pub fn y_local(&self) -> &[f64] {
         &self.y
-    }
-
-    /// Copies the result back into the RHS (power-iteration style chaining).
-    pub fn promote_y_to_x(&mut self) {
-        let nloc = self.plan.local_len;
-        self.x_ext[..nloc].copy_from_slice(&self.y);
     }
 
     /// Number of SpMV calls executed so far.
@@ -449,7 +415,7 @@ impl RankEngine {
 
     /// The node-level kernel in use.
     pub fn kernel_kind(&self) -> KernelKind {
-        self.kernels[0].0.kind()
+        self.cfg.kernel
     }
 
     /// The compiled gather program (compression diagnostics).
@@ -463,10 +429,10 @@ impl RankEngine {
     }
 
     /// Predicted per-exchange traffic of this rank: a count over the sends
-    /// of the exchange it runs, classified by the active strategy's node
-    /// map (flat counts every off-rank message as inter-node).
+    /// of the exchange it runs, classified by its strategy's node map
+    /// (flat counts every off-rank message as inter-node).
     pub fn exchange_traffic(&self) -> RankTraffic {
-        let map = self.active_strategy().rank_node_map(self.comm.size());
+        let map = self.cfg.comm_strategy.rank_node_map(self.comm.size());
         self.exchange.schedule.traffic(&map)
     }
 
@@ -588,13 +554,12 @@ impl RankEngine {
     /// non-local part accumulates into `y` (the Eq. 2 second write).
     fn compute(&self, part: Part, b: &Bufs, t: usize) -> u64 {
         let mat = self.mats.part(part).view();
-        let (kern, chunks) = &self.kernels[part as usize];
-        let (rows, nnz) = chunks[t].clone();
+        let (rows, nnz) = self.chunks[part as usize][t].clone();
         // SAFETY: the schedule reads the halo only after its waitall, and
         // the row chunks are disjoint, so the compute threads write
         // disjoint rows of y.
         unsafe {
-            kern.spmv_rows_raw(mat, rows, b.x(0..mat.ncols()), b.y, part == Part::Nonlocal);
+            mat.spmv_rows_ptr(rows, b.x(0..mat.ncols()), b.y, part == Part::Nonlocal);
         }
         nnz
     }
@@ -751,9 +716,9 @@ mod tests {
                             .comm()
                             .allreduce_scalar(local_ss, spmv_comm::collectives::ReduceOp::Sum);
                         let norm = global_ss.sqrt();
-                        eng.promote_y_to_x();
-                        for v in eng.x_local_mut() {
-                            *v /= norm;
+                        let y = eng.y_local().to_vec();
+                        for (v, y) in eng.x_local_mut().iter_mut().zip(y) {
+                            *v = y / norm;
                         }
                     }
                     (range, eng.x_local().to_vec())
@@ -770,9 +735,8 @@ mod tests {
     #[test]
     fn all_modes_with_every_kernel_kind() {
         let m = synthetic::random_banded_symmetric(300, 25, 6.0, 19);
-        for kind in crate::kernels::KernelKind::candidates() {
-            check_all_modes(m.clone(), 3, EngineConfig::task_mode(2).with_kernel(kind));
-        }
+        let cfg = EngineConfig::task_mode(2).with_kernel(KernelKind::CsrScalar);
+        check_all_modes(m, 3, cfg);
     }
 
     #[test]
@@ -1094,38 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn demote_to_flat_midrun_matches_reference() {
-        let n = 400;
-        let m = synthetic::random_banded_symmetric(n, 60, 6.0, 21);
-        let x = vecops::random_vec(n, 9);
-        let mut y_ref = vec![0.0; n];
-        m.spmv(&x, &mut y_ref);
-        let cfg = EngineConfig::task_mode(2)
-            .with_comm_strategy(CommStrategy::NodeAware { ranks_per_node: 4 });
-        let ys = crate::runner::run_spmd(&m, 8, cfg, |eng| {
-            let range = eng.row_start()..eng.row_start() + eng.local_len();
-            eng.x_local_mut().copy_from_slice(&x[range]);
-            eng.spmv_checked(KernelMode::VectorNoOverlap)
-                .expect("fault-free world");
-            let y_na = eng.y_local().to_vec();
-            assert_eq!(eng.active_strategy().label(), "node-aware");
-            eng.demote_to_flat();
-            assert_eq!(eng.active_strategy(), CommStrategy::Flat);
-            // same mode → same summation order → bit-identical result
-            eng.spmv_checked(KernelMode::VectorNoOverlap)
-                .expect("fault-free world");
-            assert_eq!(y_na, eng.y_local(), "demotion changed the result");
-            eng.spmv_checked(KernelMode::TaskMode)
-                .expect("flat task mode still healthy");
-            (eng.row_start(), eng.y_local().to_vec())
-        });
-        for (start, part) in ys {
-            let err = vecops::max_abs_diff(&part, &y_ref[start..start + part.len()]);
-            assert!(err < 1e-11, "flat-demoted result off by {err}");
-        }
-    }
-
-    #[test]
     fn tracing_records_expected_phases_per_mode() {
         use spmv_obs::RunTrace;
         let m = synthetic::random_banded_symmetric(300, 40, 5.0, 3);
@@ -1172,47 +1104,5 @@ mod tests {
         eng.spmv_checked(KernelMode::VectorNoOverlap)
             .expect("fault-free world");
         assert!(eng.take_trace().is_none());
-    }
-
-    #[test]
-    fn degraded_leader_triggers_flat_fallback() {
-        use spmv_comm::{CommWorld, FaultPlan};
-        let m = synthetic::random_banded_symmetric(300, 40, 5.0, 3);
-        let p = RowPartition::by_nnz(&m, 8);
-        let na = CommStrategy::NodeAware { ranks_per_node: 4 };
-        // rank 4 leads the second node; plan-degrading it must flip
-        // FallbackToFlat engines to the flat exchange on every rank
-        let comms = CommWorld::builder(8)
-            .node_map((0..8).map(|r| r / 4).collect())
-            .faults(FaultPlan::new(7).degrade_leader(4))
-            .build();
-        let strategies = crate::runner::run_spmd_on_world(
-            comms,
-            &m,
-            &p,
-            EngineConfig::hybrid(2)
-                .with_comm_strategy(na)
-                .with_degraded_policy(DegradedPolicy::FallbackToFlat),
-            |eng| {
-                eng.x_local_mut().fill(1.0);
-                eng.spmv_checked(KernelMode::VectorNaiveOverlap)
-                    .expect("degraded leaders only mark the plan");
-                eng.active_strategy()
-            },
-        );
-        assert!(strategies.iter().all(|s| *s == CommStrategy::Flat));
-        // Strict engines keep the requested routing
-        let comms = CommWorld::builder(8)
-            .node_map((0..8).map(|r| r / 4).collect())
-            .faults(FaultPlan::new(7).degrade_leader(4))
-            .build();
-        let strategies = crate::runner::run_spmd_on_world(
-            comms,
-            &m,
-            &p,
-            EngineConfig::hybrid(2).with_comm_strategy(na),
-            |eng| eng.active_strategy(),
-        );
-        assert!(strategies.iter().all(|s| *s == na));
     }
 }

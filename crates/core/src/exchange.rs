@@ -6,8 +6,8 @@
 //! ([`crate::verify`]), the predicted traffic
 //! ([`ExchangeSchedule::traffic`]) and the interleaving explorer read the
 //! same list. Everything strategy-specific lives here: the gather order,
-//! which segment travels to or from which peer under which tag, the node
-//! leaders' relay (Bienz et al.), and demotion to flat.
+//! which segment travels to or from which peer under which tag, and the
+//! node leaders' relay (Bienz et al.).
 
 use crate::gather::GatherProgram;
 use crate::modes::Step;
@@ -102,30 +102,6 @@ impl CommStrategy {
             }
         }
     }
-
-    /// The strategy to build under `policy`: node-aware falls back to flat
-    /// when the fault plan degrades a would-be leader (a node's first
-    /// rank). Every rank reads the same plan, so all take the same branch.
-    pub(crate) fn resolve(self, comm: &Comm, policy: DegradedPolicy) -> Self {
-        let map = self.rank_node_map(comm.size());
-        let leads = |r: usize| r == 0 || map.node_of(r - 1) != map.node_of(r);
-        let degraded = (0..comm.size()).any(|r| leads(r) && comm.is_degraded(r));
-        match policy {
-            DegradedPolicy::FallbackToFlat if degraded => CommStrategy::Flat,
-            _ => self,
-        }
-    }
-}
-
-/// What the engine does when the fault plan marks a node-aware leader
-/// rank as degraded (injected dead) before construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedPolicy {
-    /// Keep the strategy; a dead leader surfaces as [`CommError::PeerDead`].
-    #[default]
-    Strict,
-    /// Fall back to the flat exchange (on every rank alike).
-    FallbackToFlat,
 }
 
 /// A buffer an exchange op reads.
@@ -396,13 +372,11 @@ pub(crate) struct Pending<'a> {
     send: &'a [f64],
 }
 
-/// One rank's halo exchange under its active strategy: the op list the
-/// engine built from the plan it verified (when it verifies), the compiled
-/// gather that fills the send buffer, and a leader's relay buffers. It
-/// holds no communicator; each step borrows the engine's.
+/// One rank's halo exchange: the op list the engine built from the plan
+/// it verified (when it verifies), the compiled gather that fills the send
+/// buffer, and a leader's relay buffers. It holds no communicator; each
+/// step borrows the engine's.
 pub(crate) struct HaloExchange {
-    /// The active strategy.
-    pub(crate) strategy: CommStrategy,
     /// The op list this exchange runs.
     pub(crate) schedule: ExchangeSchedule,
     /// The send-buffer fill and its per-compute-thread runs.
@@ -413,14 +387,13 @@ pub(crate) struct HaloExchange {
 }
 
 impl HaloExchange {
-    /// Runs `schedule` under `strategy`, gathering with `threads` compute
-    /// threads. Comm-free: the caller builds the schedule, from the flat
-    /// plan or from the node-aware plan it verified.
-    pub(crate) fn new(schedule: ExchangeSchedule, strategy: CommStrategy, threads: usize) -> Self {
+    /// Runs `schedule`, gathering with `threads` compute threads.
+    /// Comm-free: the caller builds the schedule, from the flat plan or
+    /// from the node-aware plan it verified.
+    pub(crate) fn new(schedule: ExchangeSchedule, threads: usize) -> Self {
         let gather = GatherProgram::compile(&schedule.gather_indices);
         let relay = schedule.relay_lens.iter().map(|&l| vec![0.0; l]).collect();
         Self {
-            strategy,
             gather_chunks: gather.thread_run_ranges(threads),
             gather,
             relay: Mutex::new(relay),
@@ -439,15 +412,6 @@ impl HaloExchange {
         // SAFETY: the caller's guarantee, and distinct threads' runs have
         // disjoint destinations.
         unsafe { self.gather.execute_runs_raw(runs, x_loc, send_buf) }
-    }
-
-    /// Switches to the flat exchange of `plan` (no communication; the send
-    /// buffer keeps its length). No-op when already flat.
-    pub(crate) fn demote_to_flat(&mut self, plan: &RankPlan) {
-        if self.strategy != CommStrategy::Flat {
-            let threads = self.gather_chunks.len();
-            *self = Self::new(ExchangeSchedule::flat(plan), CommStrategy::Flat, threads);
-        }
     }
 
     /// The post step: posts the halo receives into `halo`.

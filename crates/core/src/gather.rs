@@ -73,16 +73,6 @@ impl GatherProgram {
         *self.run_prefix.last().expect("run_prefix is seeded with 0")
     }
 
-    /// Mean run length — the compression ratio vs. an element-wise gather
-    /// (0 for an empty program).
-    pub fn avg_run_len(&self) -> f64 {
-        if self.runs.is_empty() {
-            0.0
-        } else {
-            self.total_elems() as f64 / self.runs.len() as f64
-        }
-    }
-
     /// Executes the whole program serially.
     pub fn execute(&self, src: &[f64], dst: &mut [f64]) {
         assert_eq!(dst.len(), self.total_elems(), "destination length");
@@ -170,7 +160,6 @@ mod tests {
                 len: 40
             }
         );
-        assert_eq!(prog.avg_run_len(), 40.0);
     }
 
     #[test]
@@ -180,7 +169,6 @@ mod tests {
         let prog = check(&indices, 64);
         assert_eq!(prog.runs().len(), 30);
         assert!(prog.runs().iter().all(|r| r.len == 1));
-        assert_eq!(prog.avg_run_len(), 1.0);
     }
 
     #[test]
@@ -207,7 +195,6 @@ mod tests {
         let prog = check(&[], 8);
         assert_eq!(prog.runs().len(), 0);
         assert_eq!(prog.total_elems(), 0);
-        assert_eq!(prog.avg_run_len(), 0.0);
         // thread partition of an empty program: empty ranges, no panic
         assert!(prog.thread_run_ranges(3).iter().all(|r| r.is_empty()));
     }

@@ -51,7 +51,7 @@ pub mod verify;
 pub mod workload;
 
 pub use engine::{EngineConfig, RankEngine};
-pub use exchange::{CommStrategy, DegradedPolicy, ExchangeOp, ExchangeSchedule, TAG_HALO};
+pub use exchange::{CommStrategy, ExchangeOp, ExchangeSchedule, TAG_HALO};
 pub use gather::{GatherProgram, GatherRun};
 pub use kernels::{prepare_kernel, Kernel, KernelKind};
 pub use modes::{Barrier, KernelMode, Part, Step};

@@ -109,12 +109,6 @@ impl KernelMode {
         }
     }
 
-    /// Whether this mode runs the split (local + non-local) kernel and
-    /// therefore pays the Eq.-2 code balance.
-    pub fn uses_split_kernel(&self) -> bool {
-        !matches!(self, KernelMode::VectorNoOverlap)
-    }
-
     /// Whether this mode requires a dedicated communication thread.
     pub fn needs_comm_thread(&self) -> bool {
         matches!(self, KernelMode::TaskMode)
@@ -174,9 +168,20 @@ mod tests {
 
     #[test]
     fn split_kernel_flags() {
-        assert!(!KernelMode::VectorNoOverlap.uses_split_kernel());
-        assert!(KernelMode::VectorNaiveOverlap.uses_split_kernel());
-        assert!(KernelMode::TaskMode.uses_split_kernel());
+        // only the overlapping modes run the split kernel (and pay Eq. 2)
+        let parts = |mode: KernelMode| -> Vec<Part> {
+            let steps = mode.lanes().iter().flat_map(|l| l.iter());
+            steps
+                .filter_map(|s| match s {
+                    Compute(p) => Some(*p),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(parts(KernelMode::VectorNoOverlap), [Part::Full]);
+        for mode in [KernelMode::VectorNaiveOverlap, KernelMode::TaskMode] {
+            assert_eq!(parts(mode), [Part::Local, Part::Nonlocal], "{mode}");
+        }
     }
 
     #[test]

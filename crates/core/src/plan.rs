@@ -82,11 +82,6 @@ impl RankPlan {
         out
     }
 
-    /// Number of messages this rank sends per SpMV.
-    pub fn messages_out(&self) -> usize {
-        self.send.len()
-    }
-
     /// Bytes this rank sends per SpMV (8-byte elements).
     pub fn bytes_out(&self) -> usize {
         self.send_len() * 8
@@ -687,7 +682,6 @@ mod tests {
         for plan in build_plans_serial(&m, &p) {
             assert_eq!(plan.halo_len(), 0);
             assert_eq!(plan.send_len(), 0);
-            assert_eq!(plan.messages_out(), 0);
         }
     }
 
@@ -737,7 +731,6 @@ mod tests {
         let plans = build_plans_serial(&m, &p);
         assert_eq!(plans[0].bytes_in(), 8);
         assert_eq!(plans[0].bytes_out(), 8);
-        assert_eq!(plans[0].messages_out(), 1);
     }
 
     /// Structural invariants every node-aware plan set must satisfy.

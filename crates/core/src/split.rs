@@ -342,10 +342,9 @@ mod tests {
         CsrView::new(&c.0[..n], &c.0[1..], &c.1, &c.2, c.3)
     }
 
-    /// The row sums of every kernel as an indexed loop over the view's
+    /// The row sums of the kernel as an indexed loop over the view's
     /// decoded entries, each `x` read checked: the reference whose bits
-    /// the kernels must keep. `csr-scalar` and SELL-C-σ sum each row in
-    /// storage order (SELL's slots keep the row's order).
+    /// `csr-scalar` must keep, since it sums each row in storage order.
     fn indexed(v: CsrView<'_>, rows: Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         for i in rows {
             let sum = v.row_range(i).fold(0.0, |sum, j| {
@@ -362,9 +361,8 @@ mod tests {
     /// the block in storage order, entry for entry, on the caller's row
     /// pointers. Each block is value-coded as `coded` says (the non-local
     /// copy never is), and a plain one reads the caller's values in place.
-    /// `csr-scalar` keeps the serial product's bits on the full view, and
-    /// every kernel keeps the indexed loop's bits on every view, serially
-    /// and over odd rows. Every part's `nnz_before` counts its view's rows.
+    /// `csr-scalar` keeps the serial product's bits on the full view and
+    /// the indexed loop's bits on every view, serially and over odd rows. Every part's `nnz_before` counts its view's rows.
     fn check_views(m: &CsrMatrix, p: &RowPartition, coded: bool) {
         let x = vecops::random_vec(m.ncols(), 17);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -372,8 +370,6 @@ mod tests {
         m.spmv(&x, &mut y_global);
         indexed(m.view(), 0..m.nrows(), &x, &mut want, false);
         assert_eq!(bits(&y_global), bits(&want), "serial reference");
-        let mut kinds = KernelKind::candidates();
-        kinds.push(KernelKind::Sell { c: 4, sigma: 1 });
         for plan in build_plans_serial(m, p) {
             let (rank, range) = (plan.rank, p.range(plan.rank));
             let block = m.row_block(range.clone());
@@ -417,39 +413,33 @@ mod tests {
             let halo: Vec<f64> = plan.halo_globals().iter().map(|&g| x[g as usize]).collect();
             let x_ext = [&x[range.clone()], &halo].concat();
             let (x_local, n) = (&x_ext[..plan.local_len], range.len());
-            for &kind in &kinds {
-                let run = |mat: CsrView<'_>, x: &[f64], y: &mut [f64], add: bool| {
-                    prepare_kernel(kind, mat).spmv_rows(mat, 0..n, x, y, add);
-                };
-                let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
-                run(full, &x_ext, &mut want, false);
-                run(s.full.view(), &x_ext, &mut got, false);
-                assert_eq!(bits(&got), bits(&want), "{kind} full, rank {rank}");
-                if kind == KernelKind::CsrScalar {
-                    assert_eq!(bits(&got), bits(&y_global[range.clone()]), "rank {rank}");
-                }
-                assert!(vecops::max_abs_diff(&got, &y_global[range.clone()]) < 1e-12);
+            let run = |mat: CsrView<'_>, x: &[f64], y: &mut [f64], add: bool| {
+                prepare_kernel(KernelKind::CsrScalar, mat).spmv_rows(mat, 0..n, x, y, add);
+            };
+            let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+            run(full, &x_ext, &mut want, false);
+            run(s.full.view(), &x_ext, &mut got, false);
+            assert_eq!(bits(&got), bits(&want), "full, rank {rank}");
+            assert_eq!(bits(&got), bits(&y_global[range.clone()]), "rank {rank}");
 
-                run(local.view(), x_local, &mut want, false);
-                run(nonlocal.view(), &halo, &mut want, true);
-                run(s.local.view(), x_local, &mut got, false);
-                run(s.nonlocal.view(), &x_ext, &mut got, true);
-                assert_eq!(bits(&got), bits(&want), "{kind} split, rank {rank}");
-                assert!(vecops::max_abs_diff(&got, &y_global[range.clone()]) < 1e-12);
-            }
+            run(local.view(), x_local, &mut want, false);
+            run(nonlocal.view(), &halo, &mut want, true);
+            run(s.local.view(), x_local, &mut got, false);
+            run(s.nonlocal.view(), &x_ext, &mut got, true);
+            assert_eq!(bits(&got), bits(&want), "split, rank {rank}");
+            assert!(vecops::max_abs_diff(&got, &y_global[range.clone()]) < 1e-12);
+
             let views = [(s.full.view(), &x_ext[..]), (s.local.view(), x_local)];
             for (v, x) in views.into_iter().chain([(s.nonlocal.view(), &x_ext[..])]) {
-                for &kind in &kinds {
-                    let kern = prepare_kernel(kind, v);
-                    for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
-                        let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
-                        indexed(v, rows.clone(), x, &mut want, add);
-                        kern.spmv_rows(v, rows.clone(), x, &mut got, add);
-                        let at = format!("{kind}, rank {rank} {rows:?} add {add}");
-                        assert_eq!(bits(&got), bits(&want), "{at}");
-                        for i in rows.filter(|&i| !add && v.row_range(i).is_empty()) {
-                            assert_eq!(got[i].to_bits(), 0, "{at}: empty row {i} gives +0.0");
-                        }
+                let kern = prepare_kernel(KernelKind::CsrScalar, v);
+                for (rows, add) in [(0..n, false), (1..(n - 1) | 1, false), (0..n, true)] {
+                    let (mut want, mut got) = (x_local.to_vec(), x_local.to_vec());
+                    indexed(v, rows.clone(), x, &mut want, add);
+                    kern.spmv_rows(v, rows.clone(), x, &mut got, add);
+                    let at = format!("rank {rank} {rows:?} add {add}");
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    for i in rows.filter(|&i| !add && v.row_range(i).is_empty()) {
+                        assert_eq!(got[i].to_bits(), 0, "{at}: empty row {i} gives +0.0");
                     }
                 }
             }

@@ -126,11 +126,6 @@ impl LayoutPlan {
         self.ranks.len() / self.num_nodes
     }
 
-    /// Total compute threads across all ranks.
-    pub fn total_compute_threads(&self) -> usize {
-        self.ranks.iter().map(|r| r.compute_threads).sum()
-    }
-
     /// The rank → node mapping of this plan, for topology-aware
     /// communication. Placement is node-major by construction, so the map
     /// is always contiguous.
@@ -362,7 +357,8 @@ mod tests {
         let node = presets::westmere_ep_node();
         for layout in HybridLayout::ALL {
             let plan = plan_layout(&node, 2, layout, CommThreadPlacement::None).unwrap();
-            assert_eq!(plan.total_compute_threads(), 24, "{layout:?}");
+            let threads: usize = plan.ranks.iter().map(|r| r.compute_threads).sum();
+            assert_eq!(threads, 24, "{layout:?}");
         }
     }
 }

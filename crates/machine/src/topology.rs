@@ -188,18 +188,6 @@ pub struct ClusterSpec {
     pub intranode: IntranodeComm,
 }
 
-impl ClusterSpec {
-    /// Total physical cores in the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.node.num_cores() * self.num_nodes
-    }
-
-    /// Total locality domains in the cluster.
-    pub fn total_lds(&self) -> usize {
-        self.node.num_lds() * self.num_nodes
-    }
-}
-
 /// A rank → node mapping for topology-aware communication.
 ///
 /// Node-aware halo aggregation (Bienz/Gropp/Olson-style: route all traffic
@@ -366,8 +354,8 @@ mod tests {
     fn cluster_totals() {
         let c = presets::westmere_cluster(32);
         assert_eq!(c.num_nodes, 32);
-        assert_eq!(c.total_cores(), 384);
-        assert_eq!(c.total_lds(), 64);
+        assert_eq!(c.node.num_cores() * c.num_nodes, 384);
+        assert_eq!(c.node.num_lds() * c.num_nodes, 64);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! The sort permutes rows, so the format carries a [`Permutation`] mapping
 //! original row indices to sorted positions; the SpMV writes `y` in
-//! *original* order, making the format a drop-in kernel for the engine
-//! (`x` is untouched because columns are never permuted).
+//! *original* order, so it computes the source matrix's product (`x` is
+//! untouched because columns are never permuted). It is a serial format
+//! study (the `kernel` ablation), not an engine kernel.
 //!
 //! [`SellMatrix::padding_factor`] reports stored slots (incl. padding) per
 //! true nonzero — the `α ≥ 1` that multiplies the matrix-data term of the
@@ -169,11 +170,6 @@ impl SellMatrix {
         }
     }
 
-    /// Fraction of stored slots that carry real data (`1 / α`).
-    pub fn fill_efficiency(&self) -> f64 {
-        1.0 / self.padding_factor()
-    }
-
     /// The row permutation introduced by σ-sorting: `old row → sorted
     /// position`. Identity when `σ = 1`.
     pub fn permutation(&self) -> Permutation {
@@ -204,6 +200,10 @@ impl SellMatrix {
     /// kernel walks the sorted positions of the windows `rows` overlaps
     /// and masks the rest — worksharing over original row ranges stays
     /// correct, and disjoint ranges touch disjoint `y` entries.
+    ///
+    /// # Panics
+    /// If `x.len() != ncols`, `rows` reaches past the last row, or `y` is
+    /// shorter than `rows.end`.
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64], add: bool) {
         assert!(rows.end <= self.nrows);
         assert_eq!(x.len(), self.ncols, "x length must equal ncols");
@@ -213,29 +213,6 @@ impl SellMatrix {
             y.len(),
             rows.end
         );
-        // SAFETY: y covers indices < rows.end.
-        unsafe { self.spmv_rows_ptr(rows, x, y.as_mut_ptr(), add) };
-    }
-
-    /// Raw-pointer row-range kernel backing all the safe entry points and
-    /// the multi-threaded dispatch in `spmv-core` (threads write disjoint
-    /// original-row ranges of a shared `y` without aliasing `&mut`).
-    ///
-    /// # Panics
-    /// If `x.len() != ncols`.
-    ///
-    /// # Safety
-    /// `y` must be valid for writes at every index in `rows`, and
-    /// concurrent callers must use disjoint `rows` ranges.
-    pub unsafe fn spmv_rows_ptr(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        y: *mut f64,
-        add: bool,
-    ) {
-        debug_assert!(rows.end <= self.nrows);
-        assert_eq!(x.len(), self.ncols, "x length must equal ncols");
         let (c, sigma) = (self.c, self.sigma);
         // σ-sorting only moves a row inside its window, so the rows of
         // `rows` sit at the sorted positions of the windows they overlap
@@ -259,11 +236,10 @@ impl SellMatrix {
                     *self.values.get_unchecked(idx) * gather(x, *self.col_idx.get_unchecked(idx))
                 };
             }
-            let dst = y.add(orig);
             if add {
-                *dst += sum;
+                y[orig] += sum;
             } else {
-                *dst = sum;
+                y[orig] = sum;
             }
         }
     }
@@ -476,7 +452,6 @@ mod tests {
         let s = SellMatrix::from_csr(&m, 16, 32);
         assert_eq!(s.nnz(), m.nnz());
         assert!(s.stored_entries() >= s.nnz());
-        assert!((s.fill_efficiency() * s.padding_factor() - 1.0).abs() < 1e-15);
         assert_eq!(s.n_chunks(), 100usize.div_ceil(16));
         assert!(s.storage_bytes() >= s.stored_entries() * 12);
     }

@@ -97,12 +97,6 @@ pub fn split_penalty_paper_convention(nnzr: f64, kappa: f64) -> f64 {
     code_balance_split(nnzr, kappa) / code_balance_crs(nnzr, kappa) - 1.0
 }
 
-/// Extra bytes per row moved on `B(:)` for a given κ: `κ · N_nzr` bytes of
-/// inner-loop traffic, as in the paper's "37.3 bytes per row" example.
-pub fn extra_b_bytes_per_row(nnzr: f64, kappa: f64) -> f64 {
-    kappa * nnzr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +135,8 @@ mod tests {
     fn paper_bytes_per_row() {
         // §2: κ = 2.5 means "2.5 additional bytes of memory traffic on B(:)
         // per inner loop iteration (37.3 bytes per row)".
-        let extra = extra_b_bytes_per_row(15.0, 2.5);
+        // Eq. 1 prices κ per flop; a row of N_nzr entries is 2·N_nzr flops
+        let extra = (code_balance_crs(15.0, 2.5) - code_balance_crs(15.0, 0.0)) * 2.0 * 15.0;
         assert!((extra - 37.5).abs() < 0.5, "got {extra}");
     }
 

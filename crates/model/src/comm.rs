@@ -68,15 +68,6 @@ impl CommLevels {
         }
     }
 
-    /// Time for one message of `bytes` at the given level.
-    pub fn message_time(&self, bytes: usize, inter_node: bool) -> f64 {
-        if inter_node {
-            self.inter_latency_s + bytes as f64 / self.inter_bps
-        } else {
-            self.intra_latency_s + bytes as f64 / self.intra_bps
-        }
-    }
-
     /// Predicted time one rank spends driving its exchange traffic.
     pub fn exchange_time(&self, t: &RankTraffic) -> f64 {
         t.intra_msgs as f64 * self.intra_latency_s
@@ -162,10 +153,27 @@ mod tests {
     #[test]
     fn message_time_orders_levels() {
         let l = westmere_levels();
+        // the time of one message of `bytes` at either level
+        let one = |bytes: usize, inter_node: bool| {
+            let t = if inter_node {
+                RankTraffic {
+                    inter_msgs: 1,
+                    inter_bytes: bytes,
+                    ..RankTraffic::default()
+                }
+            } else {
+                RankTraffic {
+                    intra_msgs: 1,
+                    intra_bytes: bytes,
+                    ..RankTraffic::default()
+                }
+            };
+            l.exchange_time(&t)
+        };
         // same payload: the network message is strictly more expensive
-        assert!(l.message_time(4096, true) > l.message_time(4096, false));
+        assert!(one(4096, true) > one(4096, false));
         // latency floor at zero bytes
-        assert_eq!(l.message_time(0, true), l.inter_latency_s);
+        assert_eq!(one(0, true), l.inter_latency_s);
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl TraceSink {
         self.rank
     }
 
-    /// Number of lanes (comm + compute + solver).
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The lane index reserved for solver iteration spans.
     #[must_use]
     pub fn solver_lane(&self) -> usize {
@@ -225,7 +219,6 @@ mod tests {
     #[test]
     fn sink_routes_lanes_and_drains_chronologically() {
         let sink = TraceSink::with_capacity(3, 2, 16);
-        assert_eq!(sink.lane_count(), 4); // comm + 2 compute + solver
         sink.record(1, Phase::Gather, 2.0, 3.0, 8, 0);
         sink.record(0, Phase::Waitall, 1.0, 4.0, 64, 0);
         sink.record_solver(Phase::CgIter, 0.5, 4.5, 7);
@@ -246,6 +239,7 @@ mod tests {
         sink.record(999, Phase::Barrier, 0.0, 1.0, 0, 0);
         let t = sink.drain();
         assert_eq!(t.events.len(), 1);
-        assert_eq!(t.events[0].lane, sink.lane_count() - 1);
+        // the last lane: comm, one compute, solver
+        assert_eq!(t.events[0].lane, 2);
     }
 }

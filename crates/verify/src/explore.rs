@@ -297,12 +297,6 @@ impl Explorer {
         }
     }
 
-    /// Overrides the state-space bound.
-    pub fn with_max_states(mut self, max_states: usize) -> Self {
-        self.max_states = max_states;
-        self
-    }
-
     /// Exhaustively explores every interleaving. `Ok` proves: no schedule
     /// deadlocks, no message is lost, and all schedules produce the same
     /// bit-exact terminal buffers.
@@ -676,10 +670,11 @@ mod tests {
             buffers: vec![vec![1.0]],
             barrier_groups: vec![],
         };
-        let err = Explorer::new(world)
-            .with_max_states(2)
-            .run()
-            .expect_err("bound must trip");
+        let explorer = Explorer {
+            world,
+            max_states: 2,
+        };
+        let err = explorer.run().expect_err("bound must trip");
         assert_eq!(err, ExploreError::StateLimit { limit: 2 });
     }
 }

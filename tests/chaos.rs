@@ -14,9 +14,7 @@
 //! to prove faults actually fired.
 
 use spmv_comm::{CommError, CommWorld, FaultPlan};
-use spmv_core::{
-    run_spmd_on_world, CommStrategy, DegradedPolicy, EngineConfig, KernelMode, RowPartition,
-};
+use spmv_core::{run_spmd_on_world, CommStrategy, EngineConfig, KernelMode, RowPartition};
 use spmv_matrix::{synthetic, vecops, CsrMatrix};
 use spmv_solvers::lanczos::LanczosOptions;
 use spmv_solvers::{cg_solve_checkpointed, lanczos_checkpointed, DistOp, DistOps};
@@ -200,24 +198,29 @@ fn stall_triggers_watchdog_dump_not_hang() {
 
 /// A killed rank surfaces as `PeerDead` on itself and its partners and the
 /// watchdog converts any secondary stall into `Poisoned` — never a hang —
-/// in every schedule.
+/// in every schedule. The killed rank is rank 1, a member of node 0 under
+/// the node-aware map, or rank 0, node 0's leader, which relays rank 1's
+/// inter-node halo.
 #[test]
 fn killed_rank_fails_fast_with_typed_errors() {
     let m = synthetic::random_banded_symmetric(60, 9, 4.0, 3);
     let ranks = 3; // band 9 over 20-row blocks: every rank talks to rank 1
     let partition = RowPartition::by_nnz(&m, ranks);
-    for (mode, strategy) in all_schedules() {
-        let comms = CommWorld::builder(ranks)
-            .faults(FaultPlan::new(9).kill_rank(1, 100))
-            .watchdog(Duration::from_millis(100))
-            .build();
-        let errors = first_errors(comms, &m, &partition, mode, strategy);
-        for (rank, err) in errors.into_iter().enumerate() {
-            match err {
-                Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
-                other => panic!(
-                    "{mode:?}/{strategy:?}: rank {rank}: expected PeerDead or Poisoned, got {other:?}"
-                ),
+    for killed in [1, 0] {
+        for (mode, strategy) in all_schedules() {
+            let comms = CommWorld::builder(ranks)
+                .faults(FaultPlan::new(9).kill_rank(killed, 100))
+                .watchdog(Duration::from_millis(100))
+                .build();
+            let errors = first_errors(comms, &m, &partition, mode, strategy);
+            for (rank, err) in errors.into_iter().enumerate() {
+                match err {
+                    Some(CommError::PeerDead { .. }) | Some(CommError::Poisoned { .. }) => {}
+                    other => panic!(
+                        "rank {killed} killed, {mode:?}/{strategy:?}: rank {rank}: \
+                         expected PeerDead or Poisoned, got {other:?}"
+                    ),
+                }
             }
         }
     }
@@ -384,53 +387,4 @@ fn distributed_lanczos_checkpoint_restart_recovers_bit_identically() {
             "rank {rank}: recovered extremal eigenvalue differs"
         );
     }
-}
-
-/// A dead leader rank under `FallbackToFlat` demotes the whole job to the
-/// flat strategy at construction — bit-identical to a flat fault-free run.
-#[test]
-fn degraded_leader_falls_back_to_flat_end_to_end() {
-    let m = test_matrix();
-    let partition = RowPartition::by_nnz(&m, RANKS);
-    let na = CommStrategy::NodeAware {
-        ranks_per_node: RPN,
-    };
-    let mode = KernelMode::VectorNoOverlap;
-
-    // leader of node 1 (rank 2 under the r/2 map) is marked degraded
-    let build = || {
-        CommWorld::builder(RANKS)
-            .node_map(node_map())
-            .faults(FaultPlan::new(77).degrade_leader(2))
-            .build()
-    };
-
-    let fallback_cfg = cfg_for(mode, na).with_degraded_policy(DegradedPolicy::FallbackToFlat);
-    let result = run_sweeps(build(), &m, &partition, fallback_cfg, mode, 2);
-    let flat_ref = run_sweeps(
-        CommWorld::create_with_nodes(node_map()),
-        &m,
-        &partition,
-        cfg_for(mode, CommStrategy::Flat),
-        mode,
-        2,
-    );
-    for (rank, (r, f)) in result.iter().zip(&flat_ref).enumerate() {
-        assert!(
-            r.0.iter()
-                .zip(&f.0)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "rank {rank}: fallback result must equal the flat strategy's"
-        );
-    }
-
-    // Strict policy keeps the node-aware plan in place
-    let strict = run_spmd_on_world(
-        build(),
-        &m,
-        &partition,
-        cfg_for(mode, na).with_degraded_policy(DegradedPolicy::Strict),
-        |eng| eng.active_strategy(),
-    );
-    assert!(strict.iter().all(|s| *s == na));
 }

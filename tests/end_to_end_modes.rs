@@ -96,9 +96,9 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
             let comm = eng.comm().clone();
             let ops = DistOps { comm: &comm };
             let norm = ops.sum(local_ss).sqrt();
-            eng.promote_y_to_x();
-            for v in eng.x_local_mut() {
-                *v /= norm;
+            let y = eng.y_local().to_vec();
+            for (v, y) in eng.x_local_mut().iter_mut().zip(y) {
+                *v = y / norm;
             }
         }
         (lo, eng.x_local().to_vec())
@@ -110,41 +110,36 @@ fn repeated_spmv_iteration_matches_serial_power_step() {
 }
 
 #[test]
-fn non_default_kernels_through_all_modes() {
-    // the dispatcher end to end: every node-level kernel must drive all
-    // three modes to the serial result on real application matrices, and
-    // two runs on fresh worlds must agree bit for bit; `csr-scalar` in
-    // vector mode without overlap sums each row in the serial order, so
-    // it must give the serial bits at every rank and thread count
+fn the_kernel_keeps_its_bits_through_all_modes() {
+    // the engine's kernel end to end: it must drive all three modes to the
+    // serial result on real application matrices, and two runs on fresh
+    // worlds must agree bit for bit; in vector mode without overlap it
+    // sums each row in the serial order, so it must give the serial bits
+    // at every rank and thread count
     let hmep = holstein::hamiltonian(&HolsteinParams::test_scale(
         HolsteinOrdering::ElectronContiguous,
     ));
     let samg = samg::poisson(&SamgParams::test_scale());
     let ragged = synthetic::power_law_rows(900, 8.0, 1.0, 23);
-    let mut kernels = KernelKind::candidates();
-    kernels.push(KernelKind::Sell { c: 4, sigma: 1 });
     let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (label, m) in [("HMeP", hmep), ("sAMG", samg), ("power-law", ragged)] {
         let x = vecops::random_vec(m.nrows(), 17);
         let mut y_ref = vec![0.0; m.nrows()];
         m.spmv(&x, &mut y_ref);
-        for &kernel in &kernels {
-            for mode in KernelMode::ALL {
-                let cfg = if mode.needs_comm_thread() {
-                    EngineConfig::task_mode(2)
-                } else {
-                    EngineConfig::hybrid(2)
-                }
-                .with_kernel(kernel);
-                let y = distributed_spmv(&m, &x, 4, cfg, mode);
-                let err = vecops::rel_error(&y, &y_ref);
-                assert!(err < 1e-10, "{label}: kernel {kernel} in {mode}: err {err}");
-                let again = distributed_spmv(&m, &x, 4, cfg, mode);
-                assert!(
-                    bits(&y) == bits(&again),
-                    "{label}: kernel {kernel} in {mode}: repeated run is not bit-identical"
-                );
-            }
+        for mode in KernelMode::ALL {
+            let cfg = if mode.needs_comm_thread() {
+                EngineConfig::task_mode(2)
+            } else {
+                EngineConfig::hybrid(2)
+            };
+            let y = distributed_spmv(&m, &x, 4, cfg, mode);
+            let err = vecops::rel_error(&y, &y_ref);
+            assert!(err < 1e-10, "{label}: {mode}: err {err}");
+            let again = distributed_spmv(&m, &x, 4, cfg, mode);
+            assert!(
+                bits(&y) == bits(&again),
+                "{label}: {mode}: repeated run is not bit-identical"
+            );
         }
         for ranks in 1..=4 {
             for threads in 1..=2 {
