@@ -487,6 +487,96 @@ impl HaloExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::RowPartition;
+    use crate::plan::{build_node_aware_serial, build_plans_serial};
+
+    fn node_aware_world(plans: &[RankPlan], map: &RankNodeMap) -> Vec<ExchangeSchedule> {
+        let na = build_node_aware_serial(plans, map);
+        na.iter().map(ExchangeSchedule::node_aware).collect()
+    }
+
+    /// The node-aware protocol, spelled out on `tridiagonal(8)` over 4
+    /// ranks, 2 per node. That world uses every kind of op: direct
+    /// segments, a ship, a wire each way, a forward, a landing copy and a
+    /// leader's own payload read from its send buffer.
+    #[test]
+    fn node_aware_op_lists_are_pinned() {
+        use ExchangeOp::{Copy, Irecv, Isend, Recv, WaitRecvs, WaitSends};
+        let m = spmv_matrix::synthetic::tridiagonal(8, 2.0, -1.0);
+        let plans = build_plans_serial(&m, &RowPartition::by_rows(8, 4));
+        let schedule =
+            |rank, groups, relay_lens: &[usize], gather_indices: &[u32]| ExchangeSchedule {
+                rank,
+                groups,
+                relay_lens: relay_lens.to_vec(),
+                gather_indices: gather_indices.to_vec(),
+            };
+        let want = [
+            schedule(
+                0,
+                [
+                    vec![Irecv((1, 17), 0..1)],
+                    vec![Isend((1, 17), Src::Send, 0..1)],
+                    vec![
+                        Recv((1, 18), 0, 1),
+                        Copy(Src::Relay(0), 0..1, Dst::Relay(1), 0),
+                        Isend((2, 19), Src::Relay(1), 0..1),
+                        Recv((2, 19), 2, 1),
+                        Isend((1, 1025), Src::Relay(2), 0..1),
+                        WaitRecvs,
+                        WaitSends,
+                    ],
+                ],
+                &[1, 1, 1],
+                &[1],
+            ),
+            schedule(
+                1,
+                [
+                    vec![Irecv((0, 17), 0..1), Irecv((0, 1025), 1..2)],
+                    vec![
+                        Isend((0, 17), Src::Send, 0..1),
+                        Isend((0, 18), Src::Send, 1..2),
+                    ],
+                    vec![WaitRecvs, WaitSends],
+                ],
+                &[],
+                &[0, 1],
+            ),
+            schedule(
+                2,
+                [
+                    vec![Irecv((3, 17), 1..2)],
+                    vec![Isend((3, 17), Src::Send, 0..1)],
+                    vec![
+                        Copy(Src::Send, 1..2, Dst::Relay(0), 0),
+                        Isend((0, 19), Src::Relay(0), 0..1),
+                        Recv((0, 19), 1, 1),
+                        Copy(Src::Relay(1), 0..1, Dst::Halo, 0),
+                        WaitRecvs,
+                        WaitSends,
+                    ],
+                ],
+                &[1, 1],
+                &[1, 0],
+            ),
+            schedule(
+                3,
+                [
+                    vec![Irecv((2, 17), 0..1)],
+                    vec![Isend((2, 17), Src::Send, 0..1)],
+                    vec![WaitRecvs, WaitSends],
+                ],
+                &[],
+                &[0],
+            ),
+        ];
+        let got = node_aware_world(&plans, &RankNodeMap::contiguous(4, 2));
+        for (got, want) in got.iter().zip(&want) {
+            assert_eq!(got, want, "rank {}", want.rank);
+        }
+        assert_eq!(got.len(), want.len());
+    }
 
     #[test]
     fn env_value_accepts_the_documented_forms() {
