@@ -210,25 +210,18 @@ fn main() {
         let p = RowPartition::by_nnz(&m, ranks);
         let plans = spmv_core::plan::build_plans_serial(&m, &p);
         let map = RankNodeMap::contiguous(ranks, rpn);
-        let na_plans = spmv_core::plan::build_node_aware_serial(&plans, &map);
         let levels = CommLevels::from_cluster(&cluster);
         // per-rank traffic counted over each rank's exchange op list
-        let price = |per_rank: Vec<RankTraffic>| {
+        let price = |node_map: Option<&RankNodeMap>| {
+            let per_rank: Vec<RankTraffic> = ExchangeSchedule::world(&plans, node_map)
+                .iter()
+                .map(|s| s.traffic(&map))
+                .collect();
             let model = levels.job_exchange_time(&per_rank);
             (per_rank.into_iter().sum::<RankTraffic>(), model)
         };
-        let (flat_sum, flat_t) = price(
-            plans
-                .iter()
-                .map(|pl| ExchangeSchedule::flat(pl).traffic(&map))
-                .collect(),
-        );
-        let (na_sum, na_t) = price(
-            na_plans
-                .iter()
-                .map(|pl| ExchangeSchedule::node_aware(pl).traffic(&map))
-                .collect(),
-        );
+        let (flat_sum, flat_t) = price(None);
+        let (na_sum, na_t) = price(Some(&map));
         for (name, s, t) in [("flat", flat_sum, flat_t), ("node-aware", na_sum, na_t)] {
             println!(
                 "  {name:<11} inter {:>4} msgs / {:>7.1} KiB, intra {:>4} msgs / {:>7.1} KiB, \

@@ -37,9 +37,9 @@
 
 use spmv_bench::{header, holstein_params, samg_params, Scale};
 use spmv_core::engine::{CommStrategy, EngineConfig};
-use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
+use spmv_core::plan::build_plans_serial;
 use spmv_core::runner::{distributed_spmv, run_spmd};
-use spmv_core::{verify_flat, verify_node_aware, workload, KernelMode, RowPartition};
+use spmv_core::{verify_plans, workload, KernelMode, RowPartition};
 use spmv_machine::{presets, HybridLayout};
 use spmv_matrix::CsrMatrix;
 use spmv_model::{code_balance_crs, estimate_kappa, predicted_gflops};
@@ -298,15 +298,8 @@ fn main() {
             comm_strategy.label()
         );
         let p = RowPartition::by_nnz(&m, ranks);
-        let plans = build_plans_serial(&m, &p);
-        let res = match comm_strategy {
-            CommStrategy::Flat => verify_flat(&plans),
-            CommStrategy::NodeAware { .. } => {
-                let map = comm_strategy.rank_node_map(ranks);
-                verify_node_aware(&build_node_aware_serial(&plans, &map))
-            }
-        };
-        match res {
+        let map = comm_strategy.rank_node_map(ranks);
+        match verify_plans(&build_plans_serial(&m, &p), map.as_ref()) {
             Ok(sum) => println!("  plan verified: {sum}"),
             Err(violations) => {
                 eprintln!(

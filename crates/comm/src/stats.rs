@@ -85,16 +85,6 @@ impl WorldStats {
         self.max_message_bytes.load(Ordering::Relaxed)
     }
 
-    /// Average message size in bytes (0 if no messages).
-    pub fn avg_message_bytes(&self) -> f64 {
-        let m = self.messages();
-        if m == 0 {
-            0.0
-        } else {
-            self.bytes() as f64 / m as f64
-        }
-    }
-
     /// Messages between ranks sharing a node.
     pub fn intra_messages(&self) -> u64 {
         self.intra_messages.load(Ordering::Relaxed)

@@ -25,12 +25,11 @@ use crate::gather::GatherProgram;
 use crate::kernels::KernelKind;
 use crate::modes::{KernelMode, Part, Step};
 use crate::partition::RowPartition;
-use crate::plan::{
-    build_node_aware_serial, build_plan_distributed, gather_plans, node_aware_plan, RankPlan,
-};
+use crate::plan::{build_plan_distributed, gather_plans, RankPlan};
 use crate::split::{BlockPart, SplitMatrix};
-use crate::verify::{assert_verified, verify_distributed, verify_node_aware};
+use crate::verify::{assert_verified, verify_schedules};
 use spmv_comm::{Comm, CommError, CommStats};
+use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
 use spmv_model::RankTraffic;
 use spmv_obs::{RankTrace, TraceSink};
@@ -190,8 +189,8 @@ fn part_chunks(part: &BlockPart, threads: usize) -> Vec<(Range<usize>, u64)> {
 /// The exchange `strategy` runs for `plan`, verified over the whole world
 /// first when `verify` is set. Collective when it verifies or routes
 /// node-aware, which gather the world's flat plans once: the node-aware
-/// plan is built from that gather, and a verified engine checks the world
-/// of such plans and runs its own one of them.
+/// exchange is built from that gather, and a verified engine checks the
+/// world's op lists and runs its own one of them.
 fn exchange_schedule(
     comm: &Comm,
     plan: &RankPlan,
@@ -199,24 +198,14 @@ fn exchange_schedule(
     verify: bool,
 ) -> ExchangeSchedule {
     let me = comm.rank();
-    match strategy {
-        CommStrategy::Flat => {
-            if verify {
-                assert_verified(me, verify_distributed(comm, plan, None));
-            }
-            ExchangeSchedule::flat(plan)
-        }
-        CommStrategy::NodeAware { .. } => {
-            let map = strategy.rank_node_map(comm.size());
+    match (strategy.rank_node_map(comm.size()), verify) {
+        (None, false) => ExchangeSchedule::flat(plan),
+        (Some(map), false) => ExchangeSchedule::node_aware(&gather_plans(comm, plan), me, &map),
+        (map, true) => {
             let world = gather_plans(comm, plan);
-            let na = if verify {
-                let mut all = build_node_aware_serial(&world, &map);
-                assert_verified(me, verify_node_aware(&all));
-                all.swap_remove(me)
-            } else {
-                node_aware_plan(&world, me, &map)
-            };
-            ExchangeSchedule::node_aware(&na)
+            let mut all = ExchangeSchedule::world(&world, map.as_ref());
+            assert_verified(me, verify_schedules(&world, map.as_ref(), &all));
+            all.swap_remove(me)
         }
     }
 }
@@ -432,7 +421,9 @@ impl RankEngine {
     /// of the exchange it runs, classified by its strategy's node map
     /// (flat counts every off-rank message as inter-node).
     pub fn exchange_traffic(&self) -> RankTraffic {
-        let map = self.cfg.comm_strategy.rank_node_map(self.comm.size());
+        let size = self.comm.size();
+        let map = (self.cfg.comm_strategy.rank_node_map(size))
+            .unwrap_or_else(|| RankNodeMap::contiguous(size, 1));
         self.exchange.schedule.traffic(&map)
     }
 

@@ -1,7 +1,8 @@
 //! The halo exchange, written once. Each rank's exchange is an
-//! [`ExchangeSchedule`]: a comm-free list of [`ExchangeOp`]s built from its
-//! [`RankPlan`] or [`NodeAwarePlan`] and grouped by the step of a Fig. 4
-//! schedule that issues it (post the receives, send, finish). The engine's
+//! [`ExchangeSchedule`]: a comm-free list of [`ExchangeOp`]s built from the
+//! world's [`RankPlan`]s ([`ExchangeSchedule::world`]) and grouped by the
+//! step of a Fig. 4 schedule that issues it (post the receives, send,
+//! finish). The engine's
 //! `HaloExchange` interprets that list; the plan verifier
 //! ([`crate::verify`]), the predicted traffic
 //! ([`ExchangeSchedule::traffic`]) and the interleaving explorer read the
@@ -11,7 +12,7 @@
 
 use crate::gather::GatherProgram;
 use crate::modes::Step;
-use crate::plan::{LeaderPlan, NodeAwarePlan, RankPlan};
+use crate::plan::RankPlan;
 use spmv_comm::{Comm, CommError, Request, Tag};
 use spmv_machine::RankNodeMap;
 use spmv_model::RankTraffic;
@@ -28,7 +29,7 @@ pub(crate) const TAG_WIRE: Tag = 19;
 /// source node id is added so slices from different nodes never collide.
 pub(crate) const TAG_FWD_BASE: Tag = 1024;
 
-/// How the halo exchange is routed (see [`crate::plan::NodeAwarePlan`]).
+/// How the halo exchange is routed (see [`ExchangeSchedule::world`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommStrategy {
     /// Every rank messages every neighbour directly (the paper's scheme).
@@ -93,12 +94,14 @@ impl CommStrategy {
         }))
     }
 
-    /// The rank → node map this strategy implies for a world of `size`.
-    pub fn rank_node_map(&self, size: usize) -> RankNodeMap {
+    /// The rank → node map the node-aware exchange routes over in a world
+    /// of `size`, or `None` for the flat exchange (the convention of
+    /// [`ExchangeSchedule::world`]).
+    pub fn rank_node_map(&self, size: usize) -> Option<RankNodeMap> {
         match self {
-            CommStrategy::Flat => RankNodeMap::contiguous(size, 1),
+            CommStrategy::Flat => None,
             CommStrategy::NodeAware { ranks_per_node } => {
-                RankNodeMap::contiguous(size, *ranks_per_node)
+                Some(RankNodeMap::contiguous(size, *ranks_per_node))
             }
         }
     }
@@ -181,37 +184,68 @@ impl ExchangeSchedule {
         }
     }
 
-    /// The node-aware exchange of `na` (see [`NodeAwarePlan`]): same-node
-    /// segments travel directly, the rest through the node leaders' relay.
-    pub fn node_aware(na: &NodeAwarePlan) -> Self {
-        let leads = na.is_leader();
-        let fwd = |node: usize| (na.leader_rank, TAG_FWD_BASE + node as Tag);
-        let intra = na.intra_recv.iter().map(|(peer, r)| ((*peer, TAG_HALO), r));
-        let forwarded = na.recv_node_segments.iter().filter(|_| !leads);
-        let mut post: Vec<_> = intra.chain(forwarded.map(|(n, r)| (fwd(*n), r))).collect();
+    /// The node-aware exchange of rank `me` (Bienz et al.), built from the
+    /// world's flat plans (`plans[r].rank == r`) and the rank → node `map`.
+    /// Same-node segments travel directly; a member ships all its
+    /// inter-node payload to its leader in one message, the leaders
+    /// exchange one wire per node pair, and each rank receives its halo
+    /// from other nodes as one slice per source node.
+    pub fn node_aware(plans: &[RankPlan], me: usize, map: &RankNodeMap) -> Self {
+        assert_eq!(plans.len(), map.num_ranks(), "one plan per mapped rank");
+        let plan = &plans[me];
+        let leader = map.leader_of(me);
+        let leads = leader == me;
+        // the send buffer is `[same-node segments | ship region]`
+        let (intra, inter): (Vec<_>, Vec<_>) =
+            (plan.send.iter()).partition(|n| map.same_node(me, n.peer));
+        let (mut gather_indices, mut send) = (Vec::with_capacity(plan.send_len()), Vec::new());
+        for n in intra {
+            let start = gather_indices.len();
+            gather_indices.extend_from_slice(&n.indices);
+            let range = start..gather_indices.len();
+            send.push(ExchangeOp::Isend((n.peer, TAG_HALO), Src::Send, range));
+        }
+        let ship = gather_indices.len()..plan.send_len();
+        gather_indices.extend(inter.iter().flat_map(|n| n.indices.iter().copied()));
+        if !leads && !ship.is_empty() {
+            send.push(ExchangeOp::Isend((leader, TAG_SHIP), Src::Send, ship));
+        }
+        let offs = plan.halo_offsets();
+        let direct = (plan.recv.iter().zip(offs.windows(2)))
+            .filter(|(n, _)| map.same_node(me, n.peer))
+            .map(|(n, w)| ((n.peer, TAG_HALO), w[0]..w[1]));
+        let fwd = |node: usize| (leader, TAG_FWD_BASE + node as Tag);
+        let forwarded = node_segments(plan, map).into_iter().filter(|_| !leads);
+        let mut post: Vec<_> = direct.chain(forwarded.map(|(n, r)| (fwd(n), r))).collect();
         post.sort_by_key(|(_, r)| r.start);
-        let direct = na.intra_send.iter().map(|(peer, r)| ((*peer, TAG_HALO), r));
-        // a member ships all its inter-node payload to its leader at once
-        let ship = (!leads && !na.ship_range.is_empty())
-            .then_some(((na.leader_rank, TAG_SHIP), &na.ship_range));
-        let send = direct
-            .chain(ship)
-            .map(|(p, r)| ExchangeOp::Isend(p, Src::Send, r.clone()));
-        let (relay, relay_lens) = na
-            .leader
-            .as_ref()
-            .map_or_else(Default::default, |lp| relay(na, lp));
+        let (relay, relay_lens) = if leads {
+            relay(plans, me, map)
+        } else {
+            Default::default()
+        };
         Self {
-            rank: na.flat.rank,
+            rank: me,
             groups: [
                 post.into_iter()
-                    .map(|(p, r)| ExchangeOp::Irecv(p, r.clone()))
+                    .map(|(p, r)| ExchangeOp::Irecv(p, r))
                     .collect(),
-                send.collect(),
+                send,
                 waits(relay),
             ],
             relay_lens,
-            gather_indices: na.gather_indices.clone(),
+            gather_indices,
+        }
+    }
+
+    /// Every rank's exchange, in rank order, from the world's flat plans
+    /// (`plans[r].rank == r`): [`Self::flat`] when `map` is `None`, else
+    /// [`Self::node_aware`] over `map`.
+    pub fn world(plans: &[RankPlan], map: Option<&RankNodeMap>) -> Vec<Self> {
+        match map {
+            None => plans.iter().map(Self::flat).collect(),
+            Some(map) => (0..plans.len())
+                .map(|me| Self::node_aware(plans, me, map))
+                .collect(),
         }
     }
 
@@ -256,59 +290,107 @@ fn waits(mut ops: Vec<ExchangeOp>) -> Vec<ExchangeOp> {
     ops
 }
 
-/// A node leader's relay (Bienz et al.), run after its own sends: collect
-/// the member shipments, assemble and exchange the wires, land the
-/// leader's share of each incoming wire and forward the members'. Returns
-/// the ops and the relay buffer lengths. Deadlock-free: every shipment is
-/// posted before a leader blocks, and ship → wire → forward is acyclic.
-fn relay(na: &NodeAwarePlan, lp: &LeaderPlan) -> (Vec<ExchangeOp>, Vec<usize>) {
-    use ExchangeOp as E;
-    let me = na.flat.rank - lp.members[0];
-    let mut lens = Vec::new();
-    let mut buffer = |len| {
-        lens.push(len);
-        lens.len() - 1
-    };
-    let ships: Vec<Option<usize>> = (lp.ship_lens.iter().enumerate())
-        .map(|(slot, &len)| (slot != me && len > 0).then(|| buffer(len)))
-        .collect();
-    let outs: Vec<usize> = lp.wire_out.iter().map(|w| buffer(w.len)).collect();
-    let ins: Vec<usize> = lp.wire_in.iter().map(|w| buffer(w.len)).collect();
-    let mut ops: Vec<E> = (ships.iter().zip(&lp.members).zip(&lp.ship_lens))
-        .filter_map(|((k, &member), &len)| k.map(|k| E::Recv((member, TAG_SHIP), k, len)))
-        .collect();
-    for (w, &out) in lp.wire_out.iter().zip(&outs) {
-        let mut at = 0;
-        for ch in &w.chunks {
-            // the leader's own payload is read in place
-            let (from, start) = match ships[ch.slot] {
-                Some(k) => (Src::Relay(k), ch.src_off),
-                None => (Src::Send, na.ship_range.start + ch.src_off),
-            };
-            ops.push(E::Copy(from, start..start + ch.len, Dst::Relay(out), at));
-            at += ch.len;
+/// The halo `plan` receives from other nodes as `(node, halo range)`,
+/// node-ascending: one contiguous segment per source node, because peers
+/// ascend and each node's ranks are consecutive.
+fn node_segments(plan: &RankPlan, map: &RankNodeMap) -> Vec<(usize, Range<usize>)> {
+    let offs = plan.halo_offsets();
+    let mut out: Vec<(usize, Range<usize>)> = Vec::new();
+    for (n, w) in plan.recv.iter().zip(offs.windows(2)) {
+        if map.same_node(plan.rank, n.peer) {
+            continue;
         }
-        ops.push(E::Isend(
-            (w.dest_leader, TAG_WIRE),
-            Src::Relay(out),
-            0..w.len,
-        ));
+        let node = map.node_of(n.peer);
+        match out.last_mut() {
+            Some((p, r)) if *p == node => {
+                debug_assert_eq!(r.end, w[0], "halo segments must be contiguous");
+                r.end = w[1];
+            }
+            _ => out.push((node, w[0]..w[1])),
+        }
     }
-    // each incoming wire is cut into contiguous per-member slices
-    for (w, &k) in lp.wire_in.iter().zip(&ins) {
-        ops.push(E::Recv((w.src_leader, TAG_WIRE), k, w.len));
+    out
+}
+
+/// The relay of node leader `me` (Bienz et al.), run after its own sends:
+/// collect the member shipments, assemble and exchange the wires, land the
+/// leader's share of each incoming wire and forward the members'. Returns
+/// the ops and the relay buffer lengths (shipments, then outgoing wires,
+/// then incoming ones). Deadlock-free: every shipment is posted before a
+/// leader blocks, and ship → wire → forward is acyclic.
+fn relay(plans: &[RankPlan], me: usize, map: &RankNodeMap) -> (Vec<ExchangeOp>, Vec<usize>) {
+    use ExchangeOp as E;
+    let members = map.ranks_of(map.node_of(me));
+    let (mut ops, mut lens) = (Vec::new(), Vec::new());
+    // Per member: its ship region as (destination, offset, len),
+    // destination-ascending, and where the leader reads it: a shipment's
+    // relay buffer, or in place in the leader's own send buffer.
+    let mut shipped = Vec::new();
+    for r in members.clone() {
         let mut off = 0;
-        for (slot, &len) in w.parts.iter().enumerate().filter(|(_, &len)| len > 0) {
-            let range = off..off + len;
-            off += len;
-            ops.push(if slot == me {
-                let (_, seg) = (na.recv_node_segments.iter())
-                    .find(|(node, _)| *node == w.node)
-                    .expect("leader wire part has a halo segment");
+        let entries: Vec<(usize, usize, usize)> = (plans[r].send.iter())
+            .filter(|n| !map.same_node(r, n.peer))
+            .map(|n| {
+                off += n.indices.len();
+                (n.peer, off - n.indices.len(), n.indices.len())
+            })
+            .collect();
+        let from = if r == me {
+            Some((Src::Send, plans[me].send_len() - off))
+        } else {
+            (off > 0).then(|| {
+                ops.push(E::Recv((r, TAG_SHIP), lens.len(), off));
+                lens.push(off);
+                (Src::Relay(lens.len() - 1), 0)
+            })
+        };
+        shipped.push((entries, from));
+    }
+    // One wire per destination node, destination-rank-outer so the
+    // receiving leader forwards contiguous slices.
+    for node in 0..map.num_nodes() {
+        let (out, mut at) = (lens.len(), 0);
+        let mut wire = Vec::new();
+        for dest in map.ranks_of(node) {
+            for (entries, from) in &shipped {
+                if let Some(&(_, off, len)) = entries.iter().find(|e| e.0 == dest) {
+                    let (src, base) = from.expect("a member with payload ships it");
+                    let start = base + off;
+                    wire.push(E::Copy(src, start..start + len, Dst::Relay(out), at));
+                    at += len;
+                }
+            }
+        }
+        if !wire.is_empty() {
+            lens.push(at);
+            ops.extend(wire);
+            let to = (map.leader_of_node(node), TAG_WIRE);
+            ops.push(E::Isend(to, Src::Relay(out), 0..at));
+        }
+    }
+    // One wire per source node, cut into the members' halo segments for it.
+    let segments: Vec<_> = members
+        .clone()
+        .map(|r| node_segments(&plans[r], map))
+        .collect();
+    for node in 0..map.num_nodes() {
+        let parts: Vec<(usize, Range<usize>)> = (members.clone().zip(&segments))
+            .filter_map(|(r, segs)| segs.iter().find(|s| s.0 == node).map(|s| (r, s.1.clone())))
+            .collect();
+        if parts.is_empty() {
+            continue;
+        }
+        let (k, len) = (lens.len(), parts.iter().map(|(_, s)| s.len()).sum());
+        lens.push(len);
+        ops.push(E::Recv((map.leader_of_node(node), TAG_WIRE), k, len));
+        let mut off = 0;
+        for (r, seg) in parts {
+            let range = off..off + seg.len();
+            off += seg.len();
+            ops.push(if r == me {
                 E::Copy(Src::Relay(k), range, Dst::Halo, seg.start)
             } else {
-                let to = (lp.members[slot], TAG_FWD_BASE + w.node as Tag);
-                E::Isend(to, Src::Relay(k), range)
+                E::Isend((r, TAG_FWD_BASE + node as Tag), Src::Relay(k), range)
             });
         }
     }
@@ -372,8 +454,8 @@ pub(crate) struct Pending<'a> {
     send: &'a [f64],
 }
 
-/// One rank's halo exchange: the op list the engine built from the plan
-/// it verified (when it verifies), the compiled gather that fills the send
+/// One rank's halo exchange: the op list the engine built (and verified,
+/// when it verifies), the compiled gather that fills the send
 /// buffer, and a leader's relay buffers. It holds no communicator; each
 /// step borrows the engine's.
 pub(crate) struct HaloExchange {
@@ -388,8 +470,8 @@ pub(crate) struct HaloExchange {
 
 impl HaloExchange {
     /// Runs `schedule`, gathering with `threads` compute threads.
-    /// Comm-free: the caller builds the schedule, from the flat plan or
-    /// from the node-aware plan it verified.
+    /// Comm-free: the caller builds the schedule, from its own flat plan
+    /// or from the world's flat plans it gathered.
     pub(crate) fn new(schedule: ExchangeSchedule, threads: usize) -> Self {
         let gather = GatherProgram::compile(&schedule.gather_indices);
         let relay = schedule.relay_lens.iter().map(|&l| vec![0.0; l]).collect();
@@ -488,11 +570,10 @@ impl HaloExchange {
 mod tests {
     use super::*;
     use crate::partition::RowPartition;
-    use crate::plan::{build_node_aware_serial, build_plans_serial};
+    use crate::plan::build_plans_serial;
 
     fn node_aware_world(plans: &[RankPlan], map: &RankNodeMap) -> Vec<ExchangeSchedule> {
-        let na = build_node_aware_serial(plans, map);
-        na.iter().map(ExchangeSchedule::node_aware).collect()
+        ExchangeSchedule::world(plans, Some(map))
     }
 
     /// The node-aware protocol, spelled out on `tridiagonal(8)` over 4

@@ -15,8 +15,9 @@
 //!    "The resulting communication pattern depends only on the sparsity
 //!    structure, so the necessary bookkeeping needs to be done only once."
 //! 3. [`split::SplitMatrix`] — the rank-local matrix, stored once with its
-//!    columns in `[local | halo]` space and each row's local entries first,
-//!    and viewed whole (for the non-overlapping kernel) or as its *local*
+//!    columns in `[local | halo]` space and each row in the caller's order
+//!    (a sorted row is `[halo left | local | halo right]`, its local
+//!    entries the middle segment), and viewed whole (for the non-overlapping kernel) or as its *local*
 //!    and *non-local* parts (for the overlapping kernels, at the cost of
 //!    writing the result twice — Eq. 2); the halo entries alone also get a
 //!    compact copy.
@@ -56,8 +57,8 @@ pub use gather::{GatherProgram, GatherRun};
 pub use kernels::{prepare_kernel, Kernel, KernelKind};
 pub use modes::{Barrier, KernelMode, Part, Step};
 pub use partition::RowPartition;
-pub use plan::{NodeAwarePlan, RankPlan};
+pub use plan::RankPlan;
 pub use runner::{distributed_spmv, run_spmd, run_spmd_on_world, run_spmd_with_partition};
 pub use split::{BlockPart, SplitMatrix};
-pub use verify::{verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation};
+pub use verify::{verify_distributed, verify_plans, PlanSummary, PlanViolation};
 pub use workload::RankWorkload;

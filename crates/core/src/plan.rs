@@ -17,10 +17,7 @@
 
 use crate::partition::RowPartition;
 use spmv_comm::Comm;
-use spmv_machine::RankNodeMap;
 use spmv_matrix::CsrMatrix;
-use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// One neighbour's worth of halo traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,318 +277,16 @@ fn decode_plan(w: &[u32]) -> RankPlan {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Node-aware aggregation (Bienz, Gropp & Olson, arXiv:1612.08060)
-// ---------------------------------------------------------------------------
-
-/// One assembly block copy on a leader: `len` elements starting at
-/// `src_off` of member `slot`'s shipped buffer, appended to the wire
-/// message being built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsmChunk {
-    /// Member slot (index into [`LeaderPlan::members`]).
-    pub slot: usize,
-    /// Element offset within that member's shipped buffer.
-    pub src_off: usize,
-    /// Elements to copy.
-    pub len: usize,
-}
-
-/// One outgoing aggregated wire message (this node → `node`).
-///
-/// Wire layout is **destination-rank-outer**: for each destination rank of
-/// `node` (ascending), the payloads of all our members (ascending). With a
-/// contiguous rank→node mapping that makes each destination rank's portion
-/// exactly its halo segment for our node — so the receiving leader forwards
-/// plain contiguous subslices, zero re-assembly on the receive side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireOut {
-    /// Destination node.
-    pub node: usize,
-    /// Destination node's leader rank (the wire message's addressee).
-    pub dest_leader: usize,
-    /// Total elements on the wire.
-    pub len: usize,
-    /// Assembly program (source-side strided copies).
-    pub chunks: Vec<AsmChunk>,
-}
-
-/// One incoming aggregated wire message (`node` → this node) and how it
-/// splits across this node's members: `parts[slot]` elements go to member
-/// `slot`, in slot order (zero-length parts are skipped — no message).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireIn {
-    /// Source node.
-    pub node: usize,
-    /// Source node's leader rank (the wire message's sender).
-    pub src_leader: usize,
-    /// Total elements on the wire.
-    pub len: usize,
-    /// Elements destined for each member slot.
-    pub parts: Vec<usize>,
-}
-
-/// The extra bookkeeping a node leader carries: per-member shipment sizes
-/// and the assembly/forward programs for the aggregated wire messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeaderPlan {
-    /// All ranks of this node, ascending (slot index = rank − first rank).
-    pub members: Vec<usize>,
-    /// Elements each member ships to the leader per exchange (the leader's
-    /// own slot is read in place from its send buffer, not messaged).
-    pub ship_lens: Vec<usize>,
-    /// Outgoing wire messages, destination-node-ascending.
-    pub wire_out: Vec<WireOut>,
-    /// Incoming wire messages, source-node-ascending.
-    pub wire_in: Vec<WireIn>,
-}
-
-/// A [`RankPlan`] reorganized for hierarchical, topology-aware exchange.
-///
-/// The 3-phase protocol (per SpMV):
-/// 1. **gather / ship** — every rank gathers its send buffer laid out as
-///    `[intra-node segments | ship region]` and sends the intra segments
-///    directly to same-node peers; non-leaders send the ship region (all
-///    inter-node payloads, destination-ascending) to their node leader.
-/// 2. **wire** — each leader assembles one combined message per peer node
-///    from the members' shipments and exchanges them leader-to-leader: the
-///    only messages that cross the network.
-/// 3. **scatter** — the receiving leader cuts each wire message into
-///    contiguous per-member slices and forwards them intra-node; every rank
-///    receives its halo as one slice per source *node* instead of one per
-///    source *rank*.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeAwarePlan {
-    /// The underlying flat plan (owns the index lists).
-    pub flat: RankPlan,
-    /// This rank's node.
-    pub my_node: usize,
-    /// This node's leader rank.
-    pub leader_rank: usize,
-    /// Gather list reordered to the `[intra | ship]` send-buffer layout.
-    pub gather_indices: Vec<u32>,
-    /// Per same-node peer: (peer, send-buffer range) sent directly.
-    pub intra_send: Vec<(usize, Range<usize>)>,
-    /// Send-buffer range holding all inter-node payloads
-    /// (destination-peer-ascending) — shipped to the leader in one message.
-    pub ship_range: Range<usize>,
-    /// Per same-node source peer: (peer, halo range) received directly.
-    pub intra_recv: Vec<(usize, Range<usize>)>,
-    /// Per remote source node: (node, halo range) — contiguous because
-    /// peers are ascending and node rank-ranges are contiguous; filled by
-    /// one forwarded slice from the leader.
-    pub recv_node_segments: Vec<(usize, Range<usize>)>,
-    /// Present iff this rank is its node's leader.
-    pub leader: Option<LeaderPlan>,
-}
-
-impl NodeAwarePlan {
-    /// Whether this rank leads its node.
-    pub fn is_leader(&self) -> bool {
-        self.leader.is_some()
-    }
-
-    /// Elements this rank ships to its leader per exchange.
-    pub fn ship_len(&self) -> usize {
-        self.ship_range.len()
-    }
-}
-
-/// A rank's halo length per remote source node, source-node-ascending.
-fn recv_node_lens(plan: &RankPlan, map: &RankNodeMap) -> Vec<(usize, usize)> {
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    for n in plan
-        .recv
-        .iter()
-        .filter(|n| !map.same_node(plan.rank, n.peer))
-    {
-        let node = map.node_of(n.peer);
-        match out.last_mut() {
-            Some((p, l)) if *p == node => *l += n.indices.len(),
-            _ => out.push((node, n.indices.len())),
-        }
-    }
-    out
-}
-
-/// Builds the wire programs of the leader of `members` from their flat
-/// plans (`plans` is the whole world, in rank order).
-fn build_leader_plan(members: Vec<usize>, plans: &[RankPlan], map: &RankNodeMap) -> LeaderPlan {
-    // Per slot: (dest rank, offset within the slot's ship buffer, len),
-    // destination-ascending — the order the member gathers its ship region.
-    let slot_entries: Vec<Vec<(usize, usize, usize)>> = members
-        .iter()
-        .map(|&r| {
-            let mut off = 0usize;
-            (plans[r].send.iter())
-                .filter(|n| !map.same_node(r, n.peer))
-                .map(|n| {
-                    let e = (n.peer, off, n.indices.len());
-                    off += n.indices.len();
-                    e
-                })
-                .collect()
-        })
-        .collect();
-    let ship_lens: Vec<usize> = slot_entries
-        .iter()
-        .map(|es| es.iter().map(|&(_, _, l)| l).sum())
-        .collect();
-
-    // Outgoing: one wire message per destination node, destination-rank-
-    // outer so the receiving leader can forward contiguous subslices.
-    let dest_nodes: BTreeSet<usize> = slot_entries
-        .iter()
-        .flatten()
-        .map(|&(peer, _, _)| map.node_of(peer))
-        .collect();
-    let wire_out = dest_nodes
-        .into_iter()
-        .map(|q_node| {
-            let dest_ranks: BTreeSet<usize> = slot_entries
-                .iter()
-                .flatten()
-                .map(|&(peer, _, _)| peer)
-                .filter(|&p| map.node_of(p) == q_node)
-                .collect();
-            let mut chunks = Vec::new();
-            let mut len = 0usize;
-            for q in dest_ranks {
-                for (slot, entries) in slot_entries.iter().enumerate() {
-                    if let Some(&(_, src_off, l)) = entries.iter().find(|&&(p, _, _)| p == q) {
-                        chunks.push(AsmChunk {
-                            slot,
-                            src_off,
-                            len: l,
-                        });
-                        len += l;
-                    }
-                }
-            }
-            WireOut {
-                node: q_node,
-                dest_leader: map.leader_of_node(q_node),
-                len,
-                chunks,
-            }
-        })
-        .collect();
-
-    // Incoming: one wire message per source node, split across members in
-    // slot order.
-    let recv_nodes: Vec<Vec<(usize, usize)>> = members
-        .iter()
-        .map(|&r| recv_node_lens(&plans[r], map))
-        .collect();
-    let src_nodes: BTreeSet<usize> = recv_nodes.iter().flatten().map(|&(node, _)| node).collect();
-    let wire_in = src_nodes
-        .into_iter()
-        .map(|p_node| {
-            let parts: Vec<usize> = recv_nodes
-                .iter()
-                .map(|rn| {
-                    rn.iter()
-                        .find(|&&(n, _)| n == p_node)
-                        .map_or(0, |&(_, l)| l)
-                })
-                .collect();
-            WireIn {
-                node: p_node,
-                src_leader: map.leader_of_node(p_node),
-                len: parts.iter().sum(),
-                parts,
-            }
-        })
-        .collect();
-
-    LeaderPlan {
-        members,
-        ship_lens,
-        wire_out,
-        wire_in,
-    }
-}
-
-/// Derives the member-side structures of a [`NodeAwarePlan`] from the flat
-/// plan (everything except the leader programs).
-fn node_aware_member_side(
-    flat: RankPlan,
-    map: &RankNodeMap,
-    leader: Option<LeaderPlan>,
-) -> NodeAwarePlan {
-    let me = flat.rank;
-    let my_node = map.node_of(me);
-    let mut gather_indices = Vec::with_capacity(flat.send_len());
-    let mut intra_send = Vec::new();
-    for n in flat.send.iter().filter(|n| map.same_node(me, n.peer)) {
-        let start = gather_indices.len();
-        gather_indices.extend_from_slice(&n.indices);
-        intra_send.push((n.peer, start..gather_indices.len()));
-    }
-    let ship_start = gather_indices.len();
-    for n in flat.send.iter().filter(|n| !map.same_node(me, n.peer)) {
-        gather_indices.extend_from_slice(&n.indices);
-    }
-    let ship_range = ship_start..gather_indices.len();
-
-    let offs = flat.halo_offsets();
-    let mut intra_recv = Vec::new();
-    let mut recv_node_segments: Vec<(usize, Range<usize>)> = Vec::new();
-    for (k, n) in flat.recv.iter().enumerate() {
-        let range = offs[k]..offs[k + 1];
-        if map.same_node(me, n.peer) {
-            intra_recv.push((n.peer, range));
-        } else {
-            let node = map.node_of(n.peer);
-            match recv_node_segments.last_mut() {
-                Some((p, r)) if *p == node => {
-                    debug_assert_eq!(r.end, range.start, "halo segments must be contiguous");
-                    r.end = range.end;
-                }
-                _ => recv_node_segments.push((node, range)),
-            }
-        }
-    }
-
-    NodeAwarePlan {
-        my_node,
-        leader_rank: map.leader_of(me),
-        gather_indices,
-        intra_send,
-        ship_range,
-        intra_recv,
-        recv_node_segments,
-        leader,
-        flat,
-    }
-}
-
-/// Builds rank `me`'s node-aware plan from the whole world's flat plans
-/// (`plans[r].rank == r`): the engine calls it on the world it gathered
-/// ([`gather_plans`]), [`build_node_aware_serial`] on every rank.
-pub fn node_aware_plan(plans: &[RankPlan], me: usize, map: &RankNodeMap) -> NodeAwarePlan {
-    assert_eq!(plans.len(), map.num_ranks(), "one plan per mapped rank");
-    let leader = map
-        .is_leader(me)
-        .then(|| build_leader_plan(map.ranks_of(map.node_of(me)).collect(), plans, map));
-    node_aware_member_side(plans[me].clone(), map, leader)
-}
-
-/// Builds all node-aware plans centrally (tests, traffic accounting, the
-/// cost model, the plan verifier) from the world's flat plans.
-pub fn build_node_aware_serial(plans: &[RankPlan], map: &RankNodeMap) -> Vec<NodeAwarePlan> {
-    (0..plans.len())
-        .map(|me| node_aware_plan(plans, me, map))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::ExchangeSchedule;
+    use crate::exchange::{Dst, ExchangeOp, ExchangeSchedule, Src, TAG_WIRE};
+    use crate::verify::verify_plans;
     use spmv_comm::CommWorld;
+    use spmv_machine::RankNodeMap;
     use spmv_matrix::synthetic;
     use spmv_model::RankTraffic;
+    use std::ops::Range;
     use std::sync::Arc;
 
     #[test]
@@ -733,78 +428,76 @@ mod tests {
         assert_eq!(plans[0].bytes_out(), 8);
     }
 
-    /// Structural invariants every node-aware plan set must satisfy.
+    /// Structural invariants every node-aware exchange must satisfy.
     fn check_node_aware_invariants(plans: &[RankPlan], map: &RankNodeMap) {
-        let na = build_node_aware_serial(plans, map);
-        for (r, p) in na.iter().enumerate() {
-            assert_eq!(p.flat, plans[r]);
-            assert_eq!(p.is_leader(), map.is_leader(r));
-            // the reordered gather list is a permutation of the flat one
-            let mut flat_idx: Vec<u32> = plans[r]
-                .send
-                .iter()
+        let na = ExchangeSchedule::world(plans, Some(map));
+        for (r, s) in na.iter().enumerate() {
+            let plan = &plans[r];
+            // the send buffer is the flat send lists reordered, same-node
+            // segments first
+            let (intra, inter): (Vec<_>, Vec<_>) =
+                (plan.send.iter()).partition(|n| map.same_node(r, n.peer));
+            let flat_order: Vec<u32> = (intra.iter().chain(&inter))
                 .flat_map(|n| n.indices.iter().copied())
                 .collect();
-            let mut reord = p.gather_indices.clone();
-            flat_idx.sort_unstable();
-            reord.sort_unstable();
-            assert_eq!(flat_idx, reord);
-            // intra segments + ship region tile the send buffer
-            let covered: usize =
-                p.intra_send.iter().map(|(_, r)| r.len()).sum::<usize>() + p.ship_range.len();
-            assert_eq!(covered, plans[r].send_len());
-            // halo is tiled by intra segments + node segments
-            let covered: usize = p.intra_recv.iter().map(|(_, r)| r.len()).sum::<usize>()
-                + p.recv_node_segments
-                    .iter()
-                    .map(|(_, r)| r.len())
-                    .sum::<usize>();
-            assert_eq!(covered, plans[r].halo_len());
+            assert_eq!(s.gather_indices, flat_order);
+            // direct segments, then the ship region, tile the send buffer
+            // (a leader reads its own ship region in place)
+            let mut sent: Vec<Range<usize>> = s
+                .ops()
+                .filter_map(|op| match op {
+                    ExchangeOp::Isend(_, Src::Send, r) | ExchangeOp::Copy(Src::Send, r, ..) => {
+                        Some(r.clone())
+                    }
+                    _ => None,
+                })
+                .collect();
+            sent.sort_by_key(|r| r.start);
+            assert_tiles(&sent, plan.send_len());
+            // receives and landing copies tile the halo
+            let mut filled: Vec<Range<usize>> = s
+                .ops()
+                .filter_map(|op| match op {
+                    ExchangeOp::Irecv(_, r) => Some(r.clone()),
+                    ExchangeOp::Copy(_, r, Dst::Halo, at) => Some(*at..at + r.len()),
+                    _ => None,
+                })
+                .collect();
+            filled.sort_by_key(|r| r.start);
+            assert_tiles(&filled, plan.halo_len());
+            // only leaders relay
+            let relays = s.ops().any(|op| {
+                matches!(op, ExchangeOp::Recv(..) | ExchangeOp::Copy(..))
+                    || matches!(op, ExchangeOp::Isend(_, Src::Relay(_), _))
+            });
+            assert!(
+                !relays || map.is_leader(r),
+                "rank {r} relays but leads no node"
+            );
         }
-        // wire messages match across node pairs: out(P→Q) length equals
-        // in(P) length at Q's leader, and ship lengths match the members
-        for p in na.iter().filter(|p| p.is_leader()) {
-            let lp = p.leader.as_ref().unwrap();
-            for (slot, &r) in lp.members.iter().enumerate() {
-                assert_eq!(lp.ship_lens[slot], na[r].ship_len());
-            }
-            for w in &lp.wire_out {
-                assert!(w.len > 0, "empty wire messages must be elided");
-                let q_leader = &na[map.leader_of_node(w.node)];
-                let win = q_leader
-                    .leader
-                    .as_ref()
-                    .unwrap()
-                    .wire_in
-                    .iter()
-                    .find(|wi| wi.node == p.my_node)
-                    .expect("dest leader expects our wire message");
-                assert_eq!(win.len, w.len, "wire length mismatch");
-                // each part equals the member's halo segment for our node
-                for (slot, &len) in win.parts.iter().enumerate() {
-                    let member = &na[q_leader.leader.as_ref().unwrap().members[slot]];
-                    let seg = member
-                        .recv_node_segments
-                        .iter()
-                        .find(|(n, _)| *n == p.my_node);
-                    assert_eq!(seg.map_or(0, |(_, r)| r.len()), len);
-                }
-            }
-        }
+        // every ship, wire and forward is matched by a receive of its length
+        verify_plans(plans, Some(map)).expect("node-aware exchange verifies");
         // node-aware must not send more inter-node messages than flat
-        let flat_total: RankTraffic = plans
-            .iter()
-            .map(|p| ExchangeSchedule::flat(p).traffic(map))
-            .sum();
-        let na_total: RankTraffic = na
-            .iter()
-            .map(|p| ExchangeSchedule::node_aware(p).traffic(map))
-            .sum();
+        let total = |world: Vec<ExchangeSchedule>| -> RankTraffic {
+            world.iter().map(|s| s.traffic(map)).sum()
+        };
+        let flat_total = total(ExchangeSchedule::world(plans, None));
+        let na_total = total(na);
         assert!(na_total.inter_msgs <= flat_total.inter_msgs);
         assert_eq!(
             na_total.inter_bytes, flat_total.inter_bytes,
             "aggregation must not change the inter-node byte volume"
         );
+    }
+
+    /// `ranges`, sorted by start, cover `0..len` without gaps or overlap.
+    fn assert_tiles(ranges: &[Range<usize>], len: usize) {
+        let mut at = 0;
+        for r in ranges {
+            assert_eq!(r.start, at, "ranges must tile 0..{len}: {ranges:?}");
+            at = r.end;
+        }
+        assert_eq!(at, len, "ranges must tile 0..{len}: {ranges:?}");
     }
 
     #[test]
@@ -833,18 +526,30 @@ mod tests {
         let p = RowPartition::by_rows(600, 8);
         let plans = build_plans_serial(&m, &p);
         let map = RankNodeMap::contiguous(8, 4);
-        let na = build_node_aware_serial(&plans, &map);
-        let inter = |s: ExchangeSchedule| s.traffic(&map).inter_msgs;
-        let flat_inter: usize = plans.iter().map(|p| inter(ExchangeSchedule::flat(p))).sum();
-        let na_inter: usize = na
-            .iter()
-            .map(|p| inter(ExchangeSchedule::node_aware(p)))
-            .sum();
+        let na = ExchangeSchedule::world(&plans, Some(&map));
+        let inter = |world: &[ExchangeSchedule]| -> usize {
+            world.iter().map(|s| s.traffic(&map).inter_msgs).sum()
+        };
+        let flat_inter = inter(&ExchangeSchedule::world(&plans, None));
+        let na_inter = inter(&na);
         assert!(
             na_inter < flat_inter,
             "aggregation should cut inter-node messages ({na_inter} vs {flat_inter})"
         );
-        // with 2 nodes the wire count is at most one per ordered node pair
+        // at most one wire per ordered node pair
+        let mut wires = std::collections::BTreeMap::new();
+        for (r, s) in na.iter().enumerate() {
+            for op in s.ops() {
+                if let ExchangeOp::Isend((peer, TAG_WIRE), ..) = op {
+                    let pair = (map.node_of(r), map.node_of(*peer));
+                    *wires.entry(pair).or_insert(0) += 1;
+                }
+            }
+        }
+        assert!(
+            !wires.is_empty() && wires.values().all(|&n| n == 1),
+            "{wires:?}"
+        );
         assert!(na_inter <= 2);
     }
 
@@ -854,16 +559,12 @@ mod tests {
         let p = RowPartition::by_nnz(&m, 4);
         let plans = build_plans_serial(&m, &p);
         let map = RankNodeMap::contiguous(4, 4);
-        let na = build_node_aware_serial(&plans, &map);
-        for p in &na {
-            assert!(p.ship_range.is_empty());
-            assert!(p.recv_node_segments.is_empty());
-            let t = ExchangeSchedule::node_aware(p).traffic(&map);
-            assert_eq!(t.inter_msgs, 0);
-            if let Some(lp) = &p.leader {
-                assert!(lp.wire_out.is_empty());
-                assert!(lp.wire_in.is_empty());
-            }
+        // with every peer on one node, the node-aware exchange is the flat one
+        let na = ExchangeSchedule::world(&plans, Some(&map));
+        assert_eq!(na, ExchangeSchedule::world(&plans, None));
+        for s in &na {
+            assert_eq!(s.traffic(&map).inter_msgs, 0);
+            assert!(s.relay_lens.is_empty());
         }
     }
 
@@ -872,7 +573,7 @@ mod tests {
         let m = Arc::new(synthetic::random_banded_symmetric(300, 40, 6.0, 23));
         let p = Arc::new(RowPartition::by_nnz(&m, 6));
         let map = Arc::new(RankNodeMap::contiguous(6, 2));
-        let serial = build_node_aware_serial(&build_plans_serial(&m, &p), &map);
+        let serial = ExchangeSchedule::world(&build_plans_serial(&m, &p), Some(&map));
         let comms = CommWorld::create(6);
         let handles: Vec<_> = comms
             .into_iter()
@@ -883,11 +584,11 @@ mod tests {
                 std::thread::spawn(move || {
                     let block = m.row_block(p.range(c.rank()));
                     let flat = build_plan_distributed(&c, &block, &p);
-                    node_aware_plan(&gather_plans(&c, &flat), c.rank(), &map)
+                    ExchangeSchedule::node_aware(&gather_plans(&c, &flat), c.rank(), &map)
                 })
             })
             .collect();
-        let dist: Vec<NodeAwarePlan> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let dist: Vec<ExchangeSchedule> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(dist, serial);
     }
 }

@@ -6,7 +6,7 @@
 //! per-rank results in rank order. [`distributed_spmv`] is the one-shot
 //! convenience built on top of it.
 
-use crate::engine::{CommStrategy, EngineConfig, RankEngine};
+use crate::engine::{EngineConfig, RankEngine};
 use crate::modes::KernelMode;
 use crate::partition::RowPartition;
 use spmv_comm::{Comm, CommWorld};
@@ -16,12 +16,9 @@ use spmv_matrix::CsrMatrix;
 /// implied by the configured strategy so traffic statistics classify
 /// intra- vs inter-node messages correctly.
 pub fn create_world(ranks: usize, cfg: &EngineConfig) -> Vec<Comm> {
-    match cfg.comm_strategy {
-        CommStrategy::Flat => CommWorld::create(ranks),
-        CommStrategy::NodeAware { .. } => {
-            let map = cfg.comm_strategy.rank_node_map(ranks);
-            CommWorld::create_with_nodes((0..ranks).map(|r| map.node_of(r)).collect())
-        }
+    match cfg.comm_strategy.rank_node_map(ranks) {
+        None => CommWorld::create(ranks),
+        Some(map) => CommWorld::create_with_nodes((0..ranks).map(|r| map.node_of(r)).collect()),
     }
 }
 
@@ -131,6 +128,7 @@ pub fn distributed_spmv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CommStrategy;
     use spmv_matrix::{synthetic, vecops};
 
     #[test]

@@ -1,8 +1,9 @@
 //! Static verification of communication plans.
 //!
-//! Given the per-rank [`RankPlan`]s (flat exchange) or [`NodeAwarePlan`]s
-//! (three-phase node-aware exchange) of a whole world, this module builds
-//! the global message graph of one exchange epoch and proves it sound
+//! Given the per-rank [`RankPlan`]s of a whole world and, for the
+//! three-phase node-aware exchange, its rank → node map, this module builds
+//! every rank's [`ExchangeSchedule`] ([`ExchangeSchedule::world`]) and the
+//! global message graph of one exchange epoch, and proves it sound
 //! *before* any payload moves:
 //!
 //! * every send has a matching receive with an identical byte count;
@@ -25,8 +26,8 @@
 //! is on (the default in debug builds); [`verify_distributed`] is the same
 //! gather and checks as a stand-alone collective.
 
-use crate::exchange::{ExchangeOp, ExchangeSchedule, Peer};
-use crate::plan::{build_node_aware_serial, gather_plans, NodeAwarePlan, RankPlan};
+use crate::exchange::{ExchangeOp, ExchangeSchedule, Peer, TAG_WIRE};
+use crate::plan::{gather_plans, RankPlan};
 use spmv_comm::{Comm, Tag};
 use spmv_machine::RankNodeMap;
 use std::collections::BTreeMap;
@@ -104,8 +105,8 @@ pub enum PlanViolation {
         /// The global column index.
         column: usize,
     },
-    /// The node-aware schedule routes a wire message to or from its own
-    /// node — a self-edge in the ship → wire → forward graph.
+    /// A node leader sends or receives a wire message to or from a rank on
+    /// its own node — a self-edge in the ship → wire → forward graph.
     ForwardCycle {
         /// The leader rank carrying the self-referential wire.
         rank: usize,
@@ -417,11 +418,34 @@ fn summarize(world: &[Vec<Op>], blocking_ops: usize) -> PlanSummary {
     }
 }
 
-/// Shared tail: matching + deadlock over prepared schedules.
+/// Wire checks over a node-aware world's schedules: a wire message whose
+/// other end is on the sender's or receiver's own node is a
+/// [`PlanViolation::ForwardCycle`].
+fn check_wires(world: &[Vec<Op>], map: &RankNodeMap, violations: &mut Vec<PlanViolation>) {
+    for (rank, ops) in world.iter().enumerate() {
+        for op in ops {
+            if let Op::SendPost((peer, TAG_WIRE), _) | Op::RecvBlock((peer, TAG_WIRE), _) = *op {
+                if map.same_node(rank, peer) {
+                    violations.push(PlanViolation::ForwardCycle {
+                        rank,
+                        node: map.node_of(rank),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Shared tail: wire, matching and deadlock checks over prepared
+/// schedules (`map` is `None` for the flat exchange).
 fn verify_world(
     world: Vec<Vec<Op>>,
+    map: Option<&RankNodeMap>,
     mut violations: Vec<PlanViolation>,
 ) -> Result<PlanSummary, Vec<PlanViolation>> {
+    if let Some(map) = map {
+        check_wires(&world, map, &mut violations);
+    }
     check_matching(&world, &mut violations);
     match check_deadlock(&world) {
         Ok(blocking_ops) if violations.is_empty() => Ok(summarize(&world, blocking_ops)),
@@ -433,72 +457,41 @@ fn verify_world(
     }
 }
 
-/// Verifies a whole world of flat exchange plans (`plans[r].rank == r`).
-/// The message structure is identical across all three kernel modes — the
-/// task-mode communication thread issues the same schedule the vector
-/// modes issue inline — so one verification covers every mode.
-pub fn verify_flat(plans: &[RankPlan]) -> Result<PlanSummary, Vec<PlanViolation>> {
-    let mut violations = Vec::new();
-    check_ownership(plans, &mut violations);
-    let world = plans
-        .iter()
-        .map(|p| project(ExchangeSchedule::flat(p).ops()));
-    verify_world(world.collect(), violations)
+/// Verifies a whole world of flat plans (`plans[r].rank == r`) under the
+/// exchange [`ExchangeSchedule::world`] builds from them: flat when `map`
+/// is `None`, node-aware over `map` otherwise. The ownership checks run on
+/// the flat plans (the node-aware gather list reorders the same send
+/// lists); the rest on the op lists. The message structure is identical
+/// across all three kernel modes — the task-mode communication thread
+/// issues the same schedule the vector modes issue inline — so one
+/// verification covers every mode.
+pub fn verify_plans(
+    plans: &[RankPlan],
+    map: Option<&RankNodeMap>,
+) -> Result<PlanSummary, Vec<PlanViolation>> {
+    verify_schedules(plans, map, &ExchangeSchedule::world(plans, map))
 }
 
-/// Verifies a whole world of node-aware plans (`plans[r].flat.rank == r`):
-/// the flat ownership invariants on the underlying plans, the structural
-/// acyclicity of ship → wire → forward, and matching + deadlock-freedom of
-/// the full three-phase schedule.
-pub fn verify_node_aware(plans: &[NodeAwarePlan]) -> Result<PlanSummary, Vec<PlanViolation>> {
+/// [`verify_plans`] over `schedules`, the world's exchange as
+/// [`ExchangeSchedule::world`] built it; an engine checks the list it runs.
+pub(crate) fn verify_schedules(
+    plans: &[RankPlan],
+    map: Option<&RankNodeMap>,
+    schedules: &[ExchangeSchedule],
+) -> Result<PlanSummary, Vec<PlanViolation>> {
     let mut violations = Vec::new();
-    let flat: Vec<RankPlan> = plans.iter().map(|p| p.flat.clone()).collect();
-    check_ownership(&flat, &mut violations);
-    for p in plans {
-        for &i in &p.gather_indices {
-            if i as usize >= p.flat.local_len {
-                violations.push(PlanViolation::GatherOutOfRange {
-                    rank: p.flat.rank,
-                    peer: p.leader_rank,
-                    index: i as usize,
-                    local_len: p.flat.local_len,
-                });
-            }
-        }
-        if let Some(lp) = &p.leader {
-            for w in &lp.wire_out {
-                if w.node == p.my_node {
-                    violations.push(PlanViolation::ForwardCycle {
-                        rank: p.flat.rank,
-                        node: w.node,
-                    });
-                }
-            }
-            for w in &lp.wire_in {
-                if w.node == p.my_node {
-                    violations.push(PlanViolation::ForwardCycle {
-                        rank: p.flat.rank,
-                        node: w.node,
-                    });
-                }
-            }
-        }
-    }
-    let world = plans
-        .iter()
-        .map(|p| project(ExchangeSchedule::node_aware(p).ops()));
-    verify_world(world.collect(), violations)
+    check_ownership(plans, &mut violations);
+    let world = schedules.iter().map(|s| project(s.ops())).collect();
+    verify_world(world, map, violations)
 }
 
 // -- distributed entry point ------------------------------------------------
 
 /// Collective plan verification: [`gather_plans`] (one allgather on the
 /// reserved collective tags, so injected point-to-point faults cannot
-/// corrupt it) reconstructs the whole world, then the strategy's checks
-/// run on it: [`verify_flat`], or [`verify_node_aware`] on the world's
-/// `NodeAwarePlan`s built from the gathered plans by the builder the
-/// engine runs. `RankEngine::new` makes the same gather and verifies the
-/// node-aware plan it then runs.
+/// corrupt it) reconstructs the whole world, then [`verify_plans`] checks
+/// it under `node_map` (`None` for the flat exchange). `RankEngine::new`
+/// makes the same gather and verifies the op lists it then runs.
 ///
 /// Returns this rank's view; all ranks compute identical results.
 pub fn verify_distributed(
@@ -506,11 +499,7 @@ pub fn verify_distributed(
     plan: &RankPlan,
     node_map: Option<&RankNodeMap>,
 ) -> Result<PlanSummary, Vec<PlanViolation>> {
-    let plans = gather_plans(comm, plan);
-    match node_map {
-        None => verify_flat(&plans),
-        Some(map) => verify_node_aware(&build_node_aware_serial(&plans, map)),
-    }
+    verify_plans(&gather_plans(comm, plan), node_map)
 }
 
 /// A verdict at engine construction, which has no error channel: panics
@@ -529,7 +518,7 @@ pub(crate) fn assert_verified(rank: usize, verdict: Result<PlanSummary, Vec<Plan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::{TAG_HALO, TAG_WIRE};
+    use crate::exchange::TAG_HALO;
     use crate::partition::RowPartition;
     use crate::plan::build_plans_serial;
     use spmv_matrix::synthetic;
@@ -541,18 +530,17 @@ mod tests {
 
     #[test]
     fn accepts_organic_flat_plans() {
-        let summary = verify_flat(&world(120, 5)).expect("organic plans verify");
+        let summary = verify_plans(&world(120, 5), None).expect("organic plans verify");
         assert_eq!(summary.ranks, 5);
         assert!(summary.messages > 0);
         assert_eq!(summary.bytes % 8, 0);
     }
 
     #[test]
-    fn accepts_organic_node_aware_plans() {
+    fn accepts_organic_node_aware_worlds() {
         let plans = world(120, 6);
         let map = RankNodeMap::contiguous(6, 2);
-        let na = build_node_aware_serial(&plans, &map);
-        let summary = verify_node_aware(&na).expect("organic node-aware plans verify");
+        let summary = verify_plans(&plans, Some(&map)).expect("organic node-aware plans verify");
         assert_eq!(summary.ranks, 6);
     }
 
@@ -564,7 +552,7 @@ mod tests {
             .position(|p| !p.recv.is_empty())
             .expect("some rank receives");
         let n = plans[victim].recv.remove(0);
-        let err = verify_flat(&plans).expect_err("dropped recv must fail");
+        let err = verify_plans(&plans, None).expect_err("dropped recv must fail");
         assert!(
             err.iter().any(|v| matches!(
                 v,
@@ -590,7 +578,7 @@ mod tests {
             })
             .expect("some multi-element halo segment");
         plans[victim].recv[k].indices.pop();
-        let err = verify_flat(&plans).expect_err("truncated recv must fail");
+        let err = verify_plans(&plans, None).expect_err("truncated recv must fail");
         assert!(
             err.iter().any(|v| matches!(
                 v,
@@ -613,7 +601,7 @@ mod tests {
         let dup = plans[victim].recv[0].clone();
         let peer = dup.peer;
         plans[victim].recv.push(dup);
-        let err = verify_flat(&plans).expect_err("duplicate flow must fail");
+        let err = verify_plans(&plans, None).expect_err("duplicate flow must fail");
         assert!(
             err.iter().any(|v| matches!(
                 v,
@@ -633,7 +621,7 @@ mod tests {
             .expect("some rank sends");
         let bad = plans[victim].local_len as u32 + 3;
         plans[victim].send[0].indices[0] = bad;
-        let err = verify_flat(&plans).expect_err("gather out of range must fail");
+        let err = verify_plans(&plans, None).expect_err("gather out of range must fail");
         assert!(
             err.iter().any(|v| matches!(
                 v,
@@ -644,20 +632,35 @@ mod tests {
         );
     }
 
+    /// Each rank's op list, as a mutable copy.
+    fn op_lists(schedules: &[ExchangeSchedule]) -> Vec<Vec<ExchangeOp>> {
+        schedules
+            .iter()
+            .map(|s| s.ops().cloned().collect())
+            .collect()
+    }
+
     #[test]
     fn self_wire_is_forward_cycle() {
         let plans = world(120, 6);
         let map = RankNodeMap::contiguous(6, 2);
-        let mut na = build_node_aware_serial(&plans, &map);
-        let leader = na
-            .iter()
-            .position(|p| p.leader.as_ref().is_some_and(|l| !l.wire_out.is_empty()))
+        let mut ops = op_lists(&ExchangeSchedule::world(&plans, Some(&map)));
+        // a leader's first outgoing wire, rerouted to the leader itself
+        let (leader, wire) = (ops.iter_mut().enumerate())
+            .find_map(|(r, ops)| {
+                let wire = ops
+                    .iter_mut()
+                    .find(|op| matches!(op, ExchangeOp::Isend((_, TAG_WIRE), ..)))?;
+                Some((r, wire))
+            })
             .expect("some leader has outgoing wires");
-        let my_node = na[leader].my_node;
-        let lp = na[leader].leader.as_mut().expect("is a leader");
-        lp.wire_out[0].node = my_node;
-        lp.wire_out[0].dest_leader = leader;
-        let err = verify_node_aware(&na).expect_err("self wire must fail");
+        let ExchangeOp::Isend((peer, _), ..) = wire else {
+            unreachable!("found a wire send")
+        };
+        *peer = leader;
+        let my_node = map.node_of(leader);
+        let world = ops.iter().map(project).collect();
+        let err = verify_world(world, Some(&map), Vec::new()).expect_err("self wire must fail");
         assert!(
             err.iter().any(|v| matches!(
                 v,
@@ -672,12 +675,11 @@ mod tests {
     fn leaders_receiving_wires_before_sending_them_deadlock() {
         // 4 ranks, 2 per node: leaders 0 and 2 exchange one wire each way
         let plans = world(120, 4);
-        let na = build_node_aware_serial(&plans, &RankNodeMap::contiguous(4, 2));
-        let schedules: Vec<ExchangeSchedule> =
-            na.iter().map(ExchangeSchedule::node_aware).collect();
+        let map = RankNodeMap::contiguous(4, 2);
+        let ops = op_lists(&ExchangeSchedule::world(&plans, Some(&map)));
         // the op list with a leader's wire receive moved ahead of its sends
-        let early_wire_recv = |s: &ExchangeSchedule| {
-            let mut ops: Vec<ExchangeOp> = s.ops().cloned().collect();
+        let early_wire_recv = |ops: &[ExchangeOp]| {
+            let mut ops = ops.to_vec();
             let wire_send = ops
                 .iter()
                 .position(|op| matches!(op, ExchangeOp::Isend((_, TAG_WIRE), ..)));
@@ -689,25 +691,25 @@ mod tests {
             ops.insert(send, op);
             project(&ops)
         };
-        let honest: Vec<Vec<Op>> = schedules.iter().map(|s| project(s.ops())).collect();
-        verify_world(honest.clone(), Vec::new()).expect("the real schedule verifies");
+        let honest: Vec<Vec<Op>> = ops.iter().map(project).collect();
+        let verify = |world| verify_world(world, Some(&map), Vec::new());
+        verify(honest.clone()).expect("the real schedule verifies");
         // one leader that receives first still completes: the other leader
         // posts its wire before it blocks
         let mut one = honest;
-        one[0] = early_wire_recv(&schedules[0]);
-        verify_world(one, Vec::new()).expect("one early receive cannot wedge");
+        one[0] = early_wire_recv(&ops[0]);
+        verify(one).expect("one early receive cannot wedge");
         // two such leaders wait on each other
-        let both = schedules
-            .iter()
-            .map(|s| {
-                if s.relay_lens.is_empty() {
-                    project(s.ops())
+        let both = (0..ops.len())
+            .map(|r| {
+                if map.is_leader(r) {
+                    early_wire_recv(&ops[r])
                 } else {
-                    early_wire_recv(s)
+                    project(&ops[r])
                 }
             })
             .collect();
-        let err = verify_world(both, Vec::new()).expect_err("head-to-head wires deadlock");
+        let err = verify(both).expect_err("head-to-head wires deadlock");
         let [PlanViolation::Deadlock { blocked }] = err.as_slice() else {
             panic!("expected one Deadlock, got {err:?}");
         };
@@ -742,7 +744,7 @@ mod tests {
     fn verify_distributed_matches_serial() {
         let m = synthetic::random_banded_symmetric(90, 7, 4.0, 3);
         let part = RowPartition::by_nnz(&m, 4);
-        let serial = verify_flat(&build_plans_serial(&m, &part)).expect("serial verifies");
+        let serial = verify_plans(&build_plans_serial(&m, &part), None).expect("serial verifies");
         let comms = spmv_comm::CommWorld::create(4);
         let out = std::thread::scope(|s| {
             let handles: Vec<_> = comms

@@ -30,6 +30,4 @@ pub mod script;
 
 pub use explore::{ExploreError, ExploreReport, Explorer, MOp, ModelWorld, Program};
 pub use script::{assemble_y, build_world};
-pub use spmv_core::verify::{
-    verify_distributed, verify_flat, verify_node_aware, PlanSummary, PlanViolation,
-};
+pub use spmv_core::verify::{verify_distributed, verify_plans, PlanSummary, PlanViolation};

@@ -22,7 +22,7 @@
 
 use crate::explore::{MOp, ModelWorld, Program};
 use spmv_core::exchange::{Dst, Src};
-use spmv_core::plan::{build_node_aware_serial, build_plans_serial};
+use spmv_core::plan::build_plans_serial;
 use spmv_core::{
     Barrier, CommStrategy, ExchangeOp, ExchangeSchedule, KernelMode, Part, RowPartition,
     SplitMatrix, Step,
@@ -45,15 +45,7 @@ pub fn build_world(
     assert_eq!(x.len(), matrix.ncols(), "x must match the matrix");
     let partition = RowPartition::by_nnz(matrix, ranks);
     let plans = build_plans_serial(matrix, &partition);
-    let schedules: Vec<ExchangeSchedule> = match strategy {
-        CommStrategy::Flat => plans.iter().map(ExchangeSchedule::flat).collect(),
-        CommStrategy::NodeAware { .. } => {
-            build_node_aware_serial(&plans, &strategy.rank_node_map(ranks))
-                .iter()
-                .map(ExchangeSchedule::node_aware)
-                .collect()
-        }
-    };
+    let schedules = ExchangeSchedule::world(&plans, strategy.rank_node_map(ranks).as_ref());
 
     let mut buffers = Vec::with_capacity(3 * ranks);
     let mut layout = Vec::with_capacity(ranks);

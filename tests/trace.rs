@@ -173,7 +173,8 @@ fn disabled_recorder_is_bit_identical() {
 /// Every kernel mode leaves exactly its schedule's phase vocabulary in the
 /// trace — the phases of `mode.lanes()` — under both halo-exchange
 /// strategies. The strategy is pinned per case because the CI
-/// comm-strategy matrix sets `SPMV_COMM_STRATEGY` for the whole suite.
+/// comm-strategy matrix sets `SPMV_COMM_STRATEGY=node-aware:<rpn>` for the
+/// whole suite.
 #[test]
 fn all_modes_record_their_phases() {
     let m = test_matrix();

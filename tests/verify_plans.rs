@@ -6,18 +6,19 @@
 //!   grid of seeded matrices, rank counts, and both exchange strategies,
 //!   must verify cleanly, and engines constructed with verification forced
 //!   on must still produce bit-correct results in all three kernel modes;
-//! * **rejection** — each corruption class (dropped receive, truncated
-//!   receive, duplicated flow, out-of-range gather, self-wire forward)
-//!   must produce its *exact* typed [`PlanViolation`], not a generic
-//!   failure.
+//! * **rejection** — each plan corruption class (dropped receive,
+//!   truncated receive, duplicated flow, out-of-range gather) must produce
+//!   its *exact* typed [`PlanViolation`], not a generic failure. A wire
+//!   routed back onto its own node is an op-list corruption no plan can
+//!   express; `spmv-core`'s `verify` unit tests cover it.
 
 use hybrid_spmv::core::engine::{CommStrategy, EngineConfig};
-use hybrid_spmv::core::plan::{build_node_aware_serial, build_plans_serial};
+use hybrid_spmv::core::plan::build_plans_serial;
 use hybrid_spmv::core::runner::distributed_spmv;
 use hybrid_spmv::core::{KernelMode, RowPartition};
 use hybrid_spmv::machine::RankNodeMap;
 use hybrid_spmv::matrix::{synthetic, vecops, CsrMatrix};
-use hybrid_spmv::verify::{verify_flat, verify_node_aware, PlanViolation};
+use hybrid_spmv::verify::{verify_plans, PlanViolation};
 
 /// The seeded matrix family the acceptance sweep runs over: banded
 /// symmetric (regular halos), power-law rows (ragged halos), and a small
@@ -55,7 +56,7 @@ fn organic_plans_verify_across_corpus_and_strategies() {
             let partition = RowPartition::by_nnz(&m, ranks);
             let plans = build_plans_serial(&m, &partition);
 
-            let summary = verify_flat(&plans)
+            let summary = verify_plans(&plans, None)
                 .unwrap_or_else(|e| panic!("{name} x {ranks} ranks (flat): {e:?}"));
             assert_eq!(summary.ranks, ranks, "{name}");
             // bytes are f64 payloads and every message is counted once
@@ -65,8 +66,7 @@ fn organic_plans_verify_across_corpus_and_strategies() {
 
             for ranks_per_node in [2usize, 3] {
                 let map = RankNodeMap::contiguous(ranks, ranks_per_node);
-                let na = build_node_aware_serial(&plans, &map);
-                verify_node_aware(&na).unwrap_or_else(|e| {
+                verify_plans(&plans, Some(&map)).unwrap_or_else(|e| {
                     panic!("{name} x {ranks} ranks (node-aware/{ranks_per_node}): {e:?}")
                 });
             }
@@ -117,7 +117,7 @@ fn corruption_dropped_recv_yields_missing_recv() {
         .position(|p| !p.recv.is_empty())
         .expect("a rank with halo traffic");
     let dropped = plans[victim].recv.remove(0);
-    let err = verify_flat(&plans).expect_err("dropped recv must be rejected");
+    let err = verify_plans(&plans, None).expect_err("dropped recv must be rejected");
     assert!(
         err.iter().any(|v| matches!(
             v,
@@ -143,7 +143,7 @@ fn corruption_truncated_recv_yields_byte_mismatch() {
         })
         .expect("a multi-element halo segment");
     plans[victim].recv[k].indices.pop();
-    let err = verify_flat(&plans).expect_err("byte mismatch must be rejected");
+    let err = verify_plans(&plans, None).expect_err("byte mismatch must be rejected");
     assert!(
         err.iter().any(|v| matches!(
             v,
@@ -166,7 +166,7 @@ fn corruption_duplicated_flow_yields_tag_collision() {
     let dup = plans[victim].recv[0].clone();
     let peer = dup.peer;
     plans[victim].recv.push(dup);
-    let err = verify_flat(&plans).expect_err("duplicate flow must be rejected");
+    let err = verify_plans(&plans, None).expect_err("duplicate flow must be rejected");
     assert!(
         err.iter().any(|v| matches!(
             v,
@@ -186,7 +186,7 @@ fn corruption_out_of_range_gather_is_typed() {
         .expect("a rank that sends");
     let bad = plans[victim].local_len as u32 + 5;
     plans[victim].send[0].indices[0] = bad;
-    let err = verify_flat(&plans).expect_err("foreign gather index must be rejected");
+    let err = verify_plans(&plans, None).expect_err("foreign gather index must be rejected");
     assert!(
         err.iter().any(|v| matches!(
             v,
@@ -194,30 +194,6 @@ fn corruption_out_of_range_gather_is_typed() {
                 if *rank == victim && *index == bad as usize
         )),
         "expected GatherOutOfRange at rank {victim}, got {err:?}"
-    );
-}
-
-#[test]
-fn corruption_self_wire_yields_forward_cycle() {
-    let plans = organic_plans();
-    let map = RankNodeMap::contiguous(4, 2);
-    let mut na = build_node_aware_serial(&plans, &map);
-    let leader = na
-        .iter()
-        .position(|p| p.leader.as_ref().is_some_and(|l| !l.wire_out.is_empty()))
-        .expect("a leader with outgoing wires");
-    let my_node = na[leader].my_node;
-    let lp = na[leader].leader.as_mut().expect("is a leader");
-    lp.wire_out[0].node = my_node;
-    lp.wire_out[0].dest_leader = leader;
-    let err = verify_node_aware(&na).expect_err("self wire must be rejected");
-    assert!(
-        err.iter().any(|v| matches!(
-            v,
-            PlanViolation::ForwardCycle { rank, node }
-                if *rank == leader && *node == my_node
-        )),
-        "expected ForwardCycle at leader {leader}, got {err:?}"
     );
 }
 
